@@ -19,6 +19,9 @@ independently.
 
 All integrals reduce to certified measures of partition members inside
 rational windows, so every bound here is an exact rational inequality.
+They come from the window integrator ``partition._WindowMass`` (also behind
+``measure_in``): O(stages overlapping the window), plus per refinement depth
+the pieces straddling its edges, never the O(N^2) planted pieces one by one.
 """
 
 from __future__ import annotations
@@ -27,15 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cantor import FatCantorSet, MeasureBound
 from .errors import NotYetCovered, ToleranceExhausted
-from .partition import (
-    RETAINED,
-    SplittingPartition,
-    StageRecord,
-    _pieces_overlapping,
-    _unit_chunks,
-)
+from .partition import SplittingPartition, _WindowMass
 from .rationals import Interval, ONE, ZERO, format_rational, parse_rational, rational
 
 _MAX_EVAL_DEPTH = 64
@@ -283,66 +279,20 @@ def eval_f1(
     """Certified value of f_k(x) relative to base point x0, width <= tol.
 
     The integral is the oriented measure difference of the two members over
-    the window between the points; each measure gets half the tolerance.
+    the window between the points, from one integrator scan; each measure
+    gets half the tolerance.
     """
     x0, x = rational(x0), rational(x)
     if x == x0:
         return ValueBound(ZERO, ZERO)
-    window = Interval.closed(min(x0, x), max(x0, x))
-    plus = partition.measure_in(2 * k + 1, window, tol / 2)
-    minus = partition.measure_in(2 * k, window, tol / 2)
+    mass = _WindowMass(partition, Interval.closed(min(x0, x), max(x0, x)), tol, Fraction(2))
+    plus = mass.measure(2 * k + 1, tol / 2)
+    minus = mass.measure(2 * k, tol / 2)
     lo = plus.lo - minus.hi
     hi = plus.hi - minus.lo
     if x < x0:
         lo, hi = -hi, -lo
     return ValueBound(lo, hi)
-
-
-# -- the shared certified integrator ----------------------------------------
-
-
-class _WindowMeasures:
-    """Per-member built measures over a fixed window, refined by depth.
-
-    One pass classifies every built piece meeting the window as exact
-    (wholly inside or outside) or straddling; refining a depth only
-    recomputes the straddlers.  Bounds at depth d+1 nest inside depth d.
-    """
-
-    def __init__(self, partition: SplittingPartition, window: Interval):
-        self.partition = partition
-        self.length = ZERO
-        self.exact: dict[int, Fraction] = {}
-        self.straddle: list[tuple[FatCantorSet, Interval, int]] = []
-        for chunk in _unit_chunks(window, partition.translation):
-            self.length += chunk.length
-            for record in partition.stages_overlapping(chunk):
-                for piece, member, host in _pieces_overlapping(record, chunk):
-                    if member == 0:
-                        continue  # B pieces are accounted via the complement
-                    if chunk.lo <= host.lo and host.hi <= chunk.hi:
-                        m = RETAINED * host.length
-                        self.exact[member] = self.exact.get(member, ZERO) + m
-                    else:
-                        self.straddle.append(
-                            (partition.piece_set(record.n, piece), chunk, member)
-                        )
-        self.tail = partition.unbuilt_tail_bound()
-
-    def built_at_depth(self, depth: int) -> dict[int, tuple[Fraction, Fraction]]:
-        """Bounds on the built part of lambda(A_j within window), j >= 1.
-
-        The unbuilt stages can add at most ``tail`` of mass, in total across
-        all members; callers account for it once.
-        """
-        bounds: dict[int, tuple[Fraction, Fraction]] = {
-            member: (m, m) for member, m in self.exact.items()
-        }
-        for cantor_set, chunk, member in self.straddle:
-            bound = cantor_set.svc_measure_in(chunk, depth)
-            lo, hi = bounds.get(member, (ZERO, ZERO))
-            bounds[member] = (lo + bound.lo, hi + bound.hi)
-        return bounds
 
 
 def _interval_value(
@@ -353,39 +303,38 @@ def _interval_value(
 ) -> ValueBound:
     """Certified bound on the integral of sum_k mu_k g_k over the window.
 
-    The explicit terms use built measures; one norm * tail correction
-    absorbs all unbuilt-stage mass, and generator sources additionally
-    widen by the norm-weighted mass not yet attributed to any member.
+    The explicit terms use built measures from the window integrator; one
+    norm * tail correction absorbs all unbuilt-stage mass, and generator
+    sources additionally widen by the norm-weighted mass not yet attributed
+    to any member.  Each depth re-descends only the straddling pieces.
     """
-    measures = _WindowMeasures(partition, window)
     norm = mu.norm_inf
     if norm == 0:
         return ValueBound(ZERO, ZERO)
-    if isinstance(mu, FiniteSupport):
-        indices = mu.support
-        generator = False
-    else:
-        indices = tuple(range(partition.stage_count // 2 + 1))
-        generator = True
-    if 2 * norm * measures.tail >= tol:
-        raise ToleranceExhausted(
-            f"the unbuilt-stage tail alone forces width {2 * norm * measures.tail}"
-            f" above tolerance {tol}; rebuild with more stages"
-        )
-    depth = 0
-    while True:
-        built = measures.built_at_depth(depth)
-        built_lo_sum = sum((lo for lo, _ in built.values()), ZERO)
-        built_hi_sum = sum((hi for _, hi in built.values()), ZERO)
-        m0_lo = max(ZERO, measures.length - built_hi_sum - measures.tail)
-        m0_hi = max(m0_lo, measures.length - built_lo_sum)
+    generator = isinstance(mu, GeneratorSource)
+    # With depth the width tends to 2 * norm * tail, plus |mu_0| * tail from the
+    # A_0 bound, plus 2 * norm * tail of unresolved mass for generators.
+    limit = (4 if generator else 2) * norm + abs(mu.coefficient(0))
+    mass = _WindowMass(partition, window, tol, 2 * norm, limit)
+    terms = mu.entries if not generator else [
+        (k, coeff) for k in range(partition.stage_count // 2 + 1) if (coeff := mu.coefficient(k))
+    ]
+    exact = mass.exact({j for k, _ in terms for j in (2 * k, 2 * k + 1) if j})
+    for depth in range(_MAX_EVAL_DEPTH + 1):
+        built = {member: (m, m) for member, m in exact.items()}
+        built_lo_sum = built_hi_sum = mass.total
+        for cantor_set, chunk, member in mass.straddlers:
+            bound = cantor_set.svc_measure_in(chunk, depth)
+            built_lo_sum += bound.lo
+            built_hi_sum += bound.hi
+            if member in built:
+                lo, hi = built[member]
+                built[member] = (lo + bound.lo, hi + bound.hi)
+        m0_lo = max(ZERO, mass.length - built_hi_sum - mass.tail)
+        built[0] = (m0_lo, max(m0_lo, mass.length - built_lo_sum))
         lo = hi = ZERO
-        for k in indices:
-            coeff = mu.coefficient(k)
-            if coeff == 0:
-                continue
-            plus = built.get(2 * k + 1, (ZERO, ZERO))
-            minus = (m0_lo, m0_hi) if k == 0 else built.get(2 * k, (ZERO, ZERO))
+        for k, coeff in terms:
+            plus, minus = built[2 * k + 1], built[2 * k]
             term_lo = plus[0] - minus[1]
             term_hi = plus[1] - minus[0]
             if coeff > 0:
@@ -394,16 +343,14 @@ def _interval_value(
             else:
                 lo += coeff * term_hi
                 hi += coeff * term_lo
-        slack = norm * measures.tail
+        slack = norm * mass.tail
         if generator:
-            unresolved = max(ZERO, measures.length - m0_lo - built_lo_sum)
+            unresolved = max(ZERO, mass.length - m0_lo - built_lo_sum)
             slack += norm * unresolved
         result = ValueBound(lo - slack, hi + slack)
         if result.width <= tol:
             return result
-        depth += 1
-        if depth > _MAX_EVAL_DEPTH:
-            raise ToleranceExhausted(f"could not reach tolerance {tol} by depth {depth}")
+    raise ToleranceExhausted(f"could not reach tolerance {tol} by depth {_MAX_EVAL_DEPTH + 1}")
 
 
 def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> ValueBound:

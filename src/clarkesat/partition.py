@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from typing import Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound
@@ -361,55 +361,14 @@ class SplittingPartition:
         """Certified bound on lambda(A_k within window), width <= tol.
 
         Windows may extend beyond [0,1); they are folded by integer
-        translation.  Raises ToleranceExhausted when the unbuilt-stage tail
-        alone exceeds the tolerance (rebuild with more stages).
+        translation.  Raises ToleranceExhausted, naming a stage count that
+        suffices, when the unbuilt-stage tail alone reaches the tolerance.
         """
         if tol <= 0:
             raise ValueError("tolerance must be positive")
         if not window.is_nontrivial:
             return MeasureBound(ZERO, ZERO)
-        tail = self.unbuilt_tail_bound()
-        if tail >= tol:
-            raise ToleranceExhausted(
-                f"stage tail {tail} exceeds tolerance {tol}; rebuild with more stages"
-            )
-        exact_lo = ZERO
-        exact_hi = ZERO
-        straddlers: list[tuple[FatCantorSet, Interval]] = []
-        length = ZERO
-        for chunk in _unit_chunks(window, self.translation):
-            length += chunk.length
-            for record in self.stages_overlapping(chunk):
-                for piece, member, host in _pieces_overlapping(record, chunk):
-                    if k >= 1 and member != k:
-                        continue
-                    if k == 0 and member == 0:
-                        continue  # complement accounting covers B implicitly
-                    if chunk.lo <= host.lo and host.hi <= chunk.hi:
-                        m = RETAINED * host.length
-                        exact_lo += m
-                        exact_hi += m
-                    else:
-                        straddlers.append((self.piece_set(record.n, piece), chunk))
-        depth = 0
-        while True:
-            lo = exact_lo
-            hi = exact_hi
-            for cantor_set, chunk in straddlers:
-                bound = cantor_set.svc_measure_in(chunk, depth)
-                lo += bound.lo
-                hi += bound.hi
-            if k == 0:
-                result = MeasureBound(max(ZERO, length - hi - tail), length - lo)
-            else:
-                result = MeasureBound(lo, min(length, hi + tail))
-            if result.width <= tol:
-                return result
-            depth += 1
-            if depth > _MAX_DIG_DEPTH:
-                raise ToleranceExhausted(
-                    f"could not reach tolerance {tol} at depth {_MAX_DIG_DEPTH}"
-                )
+        return _WindowMass(self, window, tol).measure(k, tol)
 
     def splitting_certificate(self, k: int, window: Interval) -> SplittingCertificate:
         """Exact positive witnesses for both A_k and its complement in window.
@@ -460,20 +419,119 @@ def _unit_chunks(window: Interval, translation: int) -> Iterator[Interval]:
         m += 1
 
 
+def _piece_span(record: StageRecord, window: Interval) -> tuple[int, int, int, int] | None:
+    """(first, last, a, b), or None when no piece of the stage meets the window.
+
+    Pieces first..last meet the window in positive length, pieces a..b lie
+    wholly inside it (none when a > b); only first and last can straddle.
+    """
+    width = record.piece_width
+    t_lo = (window.lo - record.gap.lo) / width
+    t_hi = (window.hi - record.gap.lo) / width
+    first = max(0, floor(t_lo))
+    last = min(record.n, ceil(t_hi) - 1)
+    if first > last:
+        return None
+    return first, last, max(0, ceil(t_lo)), min(record.n, floor(t_hi) - 1)
+
+
 def _pieces_overlapping(record: StageRecord, window: Interval):
     """(piece index, member index, host) for pieces meeting the window."""
-    gap = record.gap
-    lo = max(window.lo, gap.lo)
-    hi = min(window.hi, gap.hi)
-    if lo >= hi:
-        return
-    width = record.piece_width
-    first = int((lo - gap.lo) // width)
-    last = min(record.n, int((hi - gap.lo) / width))
-    for i in range(first, last + 1):
-        host = record.piece_host(i)
-        if host.overlaps_nontrivially(window):
-            yield i, record.member_index(i), host
+    span = _piece_span(record, window)
+    if span is not None:
+        for i in range(span[0], span[1] + 1):
+            yield i, record.member_index(i), record.piece_host(i)
+
+
+class _WindowMass:
+    """The window integrator: built member masses over one window.
+
+    A stage's n+1 pieces share one width and piece i feeds member i+1, so
+    the pieces wholly inside a unit chunk form an index range a..b whose
+    members each gain rho * width: one entry pair per stage in a difference
+    array over member index, plus the aggregate ``total`` over all members
+    j >= 1 (A_0 is their complement, so B pieces are skipped).  The at most
+    two pieces per stage and chunk straddling a chunk edge are kept as
+    ``straddlers`` (set, chunk, member) for the callers' depth loops.  Cost:
+    O(stages overlapping the window), then the straddlers times depth.
+
+    Raises ToleranceExhausted before scanning when the unbuilt stages alone
+    force width scale * tail >= tol, naming the smallest stage count M with
+    limit * stage_tail_bound(M) < tol; limit * tail (default scale * tail)
+    is the width the caller's bound tends to with depth, so M suffices.
+    """
+
+    def __init__(self, partition: SplittingPartition, window: Interval, tol: Fraction,
+                 scale: Fraction = ONE, limit: Fraction | None = None):
+        if tol <= 0:
+            raise ValueError("tolerance must be positive")
+        self.tail = partition.unbuilt_tail_bound()
+        if scale * self.tail >= tol:
+            limit = scale if limit is None else limit
+            # stage_tail_bound(M) >= 2^-max(M, switch - 1) / 3: once j passes the
+            # switch no M below j can do, and before it the search is short.
+            j = _halving_exponent(3 * tol / limit)
+            switch = _halving_exponent(partition.gap_cap)
+            needed = max(partition.stage_count + 1, j if j >= switch else 0)
+            while limit * stage_tail_bound(needed, partition.gap_cap) >= tol:
+                needed += 1
+            raise ToleranceExhausted(
+                f"the unbuilt-stage tail forces width {scale * self.tail} >= tolerance {tol};"
+                f" rebuild with at least {needed} stages"
+            )
+        self.length = ZERO
+        self.total = ZERO
+        self.straddlers: list[tuple[FatCantorSet, Interval, int]] = []
+        self._steps: dict[int, Fraction] = {}
+        for chunk in _unit_chunks(window, partition.translation):
+            self.length += chunk.length
+            for record in partition.stages_overlapping(chunk):
+                span = _piece_span(record, chunk)
+                if span is None:
+                    continue
+                first, last, a, b = span
+                top = min(b, record.n - 1)
+                if a <= top:
+                    m = RETAINED * record.piece_width
+                    self.total += m * (top - a + 1)
+                    self._steps[a + 1] = self._steps.get(a + 1, ZERO) + m
+                    self._steps[top + 2] = self._steps.get(top + 2, ZERO) - m
+                for i in {first, last}:
+                    if not a <= i <= b and i < record.n:
+                        self.straddlers.append((partition.piece_set(record.n, i), chunk, i + 1))
+
+    def exact(self, members) -> dict[int, Fraction]:
+        """Exact whole-piece mass of each requested member j >= 1."""
+        steps = sorted(self._steps.items(), reverse=True)
+        out, running = {}, ZERO
+        for j in sorted(members):
+            while steps and steps[-1][0] <= j:
+                running += steps.pop()[1]
+            out[j] = running
+        return out
+
+    def measure(self, k: int, tol: Fraction) -> MeasureBound:
+        """Bound on lambda(A_k within the window), refined until width <= tol."""
+        exact = self.total if k == 0 else self.exact((k,))[k]
+        straddlers = [(s, chunk) for s, chunk, member in self.straddlers if k in (0, member)]
+        for depth in range(_MAX_DIG_DEPTH + 1):
+            lo = hi = exact
+            for cantor_set, chunk in straddlers:
+                bound = cantor_set.svc_measure_in(chunk, depth)
+                lo += bound.lo
+                hi += bound.hi
+            if k == 0:
+                result = MeasureBound(max(ZERO, self.length - hi - self.tail), self.length - lo)
+            else:
+                result = MeasureBound(lo, min(self.length, hi + self.tail))
+            if result.width <= tol:
+                return result
+        raise ToleranceExhausted(f"could not reach tolerance {tol} at depth {_MAX_DIG_DEPTH}")
+
+
+def _halving_exponent(bound: Fraction) -> int:
+    """Smallest j >= 0 with 2^-j <= bound, for bound > 0."""
+    return ((bound.denominator - 1) // bound.numerator).bit_length()
 
 
 def stage_tail_bound(built: int, gap_cap: Fraction) -> Fraction:
@@ -483,13 +541,7 @@ def stage_tail_bound(built: int, gap_cap: Fraction) -> Fraction:
     before it each term is gap_cap, after it the geometric tail sums to
     2^-(switch-1).
     """
-    p, q = gap_cap.numerator, gap_cap.denominator
-    switch = 0
-    while p * 2**switch < q:  # smallest n with 2^-n <= gap_cap
-        switch += ((q - 1) // (p * 2**switch)).bit_length() or 1
-    while switch > 0 and p * 2 ** (switch - 1) >= q:
-        switch -= 1
-    start = max(built + 1, switch)
+    start = max(built + 1, _halving_exponent(gap_cap))
     total = (start - built - 1) * gap_cap + Fraction(1, 2 ** (start - 1))
     return total / 3
 
@@ -663,10 +715,7 @@ def _longest_part(parts: IntervalSet) -> Interval | None:
 
 
 def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
-    bound = min(found.length, Fraction(1, 2**n), gap_cap)
-    j = 0
-    while Fraction(1, 2**j) > bound:
-        j += 1
+    j = _halving_exponent(min(found.length, Fraction(1, 2**n), gap_cap))
     length = Fraction(1, 3 * 2**j)
     grid = 2 ** (j + 4)
     mid = found.midpoint

@@ -110,10 +110,11 @@ def stationarity_gap(
     on success the hull contains either an opposite vertex pair (some
     mu_k != 0) or the value 0 itself (all mu_k = 0 up to K); both put 0 in
     the hull, and the gap is exactly zero.  Raises NotYetCovered when the
-    certificate does.
+    certificate does, and AssertionError when it fails its own check.
     """
     certificate = certify_saturation(sf, x, r, K)
-    assert certificate.check()
+    if not certificate.check():
+        raise AssertionError("saturation certificate failed its check")
     return ZERO
 
 

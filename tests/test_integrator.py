@@ -1,0 +1,290 @@
+"""The window integrator against a brute-force piece-by-piece reference.
+
+The reference visits every planted piece through the public
+``StageRecord.piece_host``/``member_index`` and measures straddling pieces
+with ``FatCantorSet.svc_measure_in``; its depth loops and stopping rules
+are the documented ones, so every bound must come out as the same
+rational.  The corpus covers windows nested inside stage 1's gap (where
+later gaps nest from stage 37), windows ending exactly on piece
+boundaries, windows crossing an integer, a translated partition, and the
+``ones`` generator.
+"""
+
+from fractions import Fraction
+from math import floor
+
+import pytest
+
+from clarkesat.cantor import FatCantorSet, MeasureBound
+from clarkesat.cli import main
+from clarkesat.errors import ToleranceExhausted
+from clarkesat.functions import (
+    FiniteSupport,
+    SaturatedFunction,
+    ValueBound,
+    eval_f,
+    eval_f1,
+    ones_generator,
+)
+from clarkesat.partition import (
+    RETAINED,
+    SplittingPartition,
+    build_partition,
+    save,
+    stage_tail_bound,
+)
+from clarkesat.rationals import Interval
+
+MAX_DEPTH = 64
+F = Fraction
+
+
+# -- brute-force reference ----------------------------------------------------
+
+
+class Scan:
+    """Every piece of every stage, classified against the window's unit chunks."""
+
+    def __init__(self, partition, window):
+        self.length = Fraction(0)
+        self.exact = {}
+        self.straddlers = []
+        self.tail = partition.unbuilt_tail_bound()
+        lo, hi = window.lo - partition.translation, window.hi - partition.translation
+        m = floor(lo)
+        while m < hi:
+            chunk = Interval.closed(max(lo, m) - m, min(hi, m + 1) - m)
+            m += 1
+            if not chunk.is_nontrivial:
+                continue
+            self.length += chunk.length
+            for record in partition.stages:
+                for i in range(record.piece_count):
+                    host, member = record.piece_host(i), record.member_index(i)
+                    if member == 0 or not host.overlaps_nontrivially(chunk):
+                        continue
+                    if chunk.lo <= host.lo and host.hi <= chunk.hi:
+                        self.exact[member] = self.exact.get(member, 0) + RETAINED * host.length
+                    else:
+                        self.straddlers.append((FatCantorSet(host, RETAINED), chunk, member))
+
+    def built(self, depth):
+        bounds = {member: (m, m) for member, m in self.exact.items()}
+        for cantor_set, chunk, member in self.straddlers:
+            bound = cantor_set.svc_measure_in(chunk, depth)
+            lo, hi = bounds.get(member, (0, 0))
+            bounds[member] = (lo + bound.lo, hi + bound.hi)
+        return bounds
+
+    def measure(self, k, tol):
+        for depth in range(MAX_DEPTH + 1):
+            built = self.built(depth)
+            if k == 0:
+                lo = sum(b[0] for b in built.values())
+                hi = sum(b[1] for b in built.values())
+                result = MeasureBound(max(0, self.length - hi - self.tail), self.length - lo)
+            else:
+                lo, hi = built.get(k, (0, 0))
+                result = MeasureBound(lo, min(self.length, hi + self.tail))
+            if result.width <= tol:
+                return result
+        raise AssertionError("reference did not converge")
+
+    def value(self, mu, indices, generator, tol):
+        norm = mu.norm_inf
+        for depth in range(MAX_DEPTH + 1):
+            built = self.built(depth)
+            lo_sum = sum(b[0] for b in built.values())
+            hi_sum = sum(b[1] for b in built.values())
+            m0_lo = max(0, self.length - hi_sum - self.tail)
+            built[0] = (m0_lo, max(m0_lo, self.length - lo_sum))
+            lo = hi = 0
+            for k in indices:
+                coeff = mu.coefficient(k)
+                plus, minus = built.get(2 * k + 1, (0, 0)), built.get(2 * k, (0, 0))
+                term = (plus[0] - minus[1], plus[1] - minus[0])
+                lo += coeff * (term[0] if coeff > 0 else term[1])
+                hi += coeff * (term[1] if coeff > 0 else term[0])
+            slack = norm * self.tail
+            if generator:
+                slack += norm * max(0, self.length - m0_lo - lo_sum)
+            result = ValueBound(lo - slack, hi + slack)
+            if result.width <= tol:
+                return result
+        raise AssertionError("reference did not converge")
+
+
+def reference_eval_f1(scan, k, x0, x, tol):
+    plus, minus = scan.measure(2 * k + 1, tol / 2), scan.measure(2 * k, tol / 2)
+    lo, hi = plus.lo - minus.hi, plus.hi - minus.lo
+    return ValueBound(-hi, -lo) if x < x0 else ValueBound(lo, hi)
+
+
+def reference_eval_f(sf, x, tol, scans):
+    """eval_f from brute-force scans, cached in ``scans`` by window."""
+    generator = not isinstance(sf.mu, FiniteSupport)
+    indices = range(sf.partition.stage_count // 2 + 1) if generator else sf.mu.support
+    active = [i for i in range(sf.d) if x[i] != sf.x0[i]]
+    lo = hi = Fraction(0)
+    for i in active:
+        a, b = sf.x0[i], x[i]
+        window = (min(a, b), max(a, b))
+        if window not in scans:
+            scans[window] = Scan(sf.partition, Interval.closed(*window))
+        bound = scans[window].value(sf.mu, indices, generator, tol / len(active))
+        if b < a:
+            bound = ValueBound(-bound.hi, -bound.lo)
+        lo, hi = lo + bound.lo, hi + bound.hi
+    return ValueBound(lo, hi)
+
+
+# -- corpus -------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=[30, 100])
+def partition(request):
+    return build_partition(request.param)
+
+
+def corpus_windows(p):
+    """(lo, hi) pairs: nested-gap, piece-boundary and integer-crossing windows."""
+    stage1 = p.stage(1)
+    nested = p.stage(37) if p.stage_count >= 37 else p.stage(p.stage_count)
+    windows = [
+        (F(5, 12) + F(1, 97), F(7, 12) - F(1, 89)),  # inside stage 1's gap
+        (nested.gap.lo, nested.gap.hi),
+        (nested.gap.lo - F(1, 2**20), nested.piece_host(nested.n // 2).hi + F(1, 3**15)),
+        (nested.piece_host(2).lo + nested.piece_width / 3,  # straddles nested pieces
+         nested.piece_host(nested.n // 2).hi - nested.piece_width / 7),
+        (stage1.piece_host(0).hi, stage1.piece_host(1).hi),  # both ends on boundaries
+        (stage1.gap.lo, stage1.gap.hi),
+    ]
+    for record in (p.stage(2), p.stage(7), p.stage(p.stage_count)):
+        windows.append((record.piece_host(1).lo, record.piece_host(record.n - 1).hi))
+        windows.append((record.piece_host(0).hi, record.piece_host(record.n).lo))
+    windows += [
+        (F(1, 3), F(2, 3)),
+        (F(-1, 3), F(1, 3)),  # crosses 0
+        (F(2, 3), F(7, 4)),  # crosses 1
+        (F(-5, 2), F(1, 7)),  # several whole unit chunks
+    ]
+    return windows
+
+
+def test_measure_in_matches_reference(partition):
+    shifted = SplittingPartition(partition.gap_cap, partition.stages, 3)
+    n = partition.stage_count
+    for lo, hi in corpus_windows(partition):
+        window = Interval.closed(lo, hi)
+        scan = Scan(partition, window)
+        moved = Interval.closed(lo + 3, hi + 3)
+        for tol in (F(1, 2**10), F(1, 2**24)):
+            for k in (0, 1, 2, 3, n // 2, n, n + 1):
+                expected = scan.measure(k, tol)
+                assert partition.measure_in(k, window, tol) == expected, (k, lo, hi, tol)
+                assert shifted.measure_in(k, moved, tol) == expected
+
+
+def test_eval_f1_matches_reference(partition):
+    tol = F(1, 10**6)
+    for lo, hi in corpus_windows(partition):
+        scan = Scan(partition, Interval.closed(lo, hi))
+        for k in (0, 1, 3):
+            for x0, x in ((lo, hi), (hi, lo)):
+                assert eval_f1(partition, k, x0, x, tol) == reference_eval_f1(scan, k, x0, x, tol)
+
+
+def test_eval_f_matches_reference(partition):
+    domain = (Interval.open(-3, 3),)
+    sources = (
+        FiniteSupport.of({0: 3, 1: -5, 2: 2}),
+        FiniteSupport.of({5: F(-1, 3), 18: 2}),
+        ones_generator(),
+    )
+    scans = {}
+    for mu in sources:
+        sf = SaturatedFunction(partition, mu, 1, domain, (F(1, 2),))
+        for lo, hi in corpus_windows(partition):
+            for x in (lo, hi):
+                if x == F(1, 2):
+                    continue
+                for tol in (F(1, 10**6), F(1, 2**24)):
+                    expected = reference_eval_f(sf, (x,), tol, scans)
+                    assert eval_f(sf, (x,), tol) == expected, (x, tol)
+    sf2 = SaturatedFunction(partition, FiniteSupport.unit(0), 2)
+    for x in ((F(5, 12), F(7, 12)), (F(1, 7), F(13, 16))):
+        assert eval_f(sf2, x, F(1, 10**6)) == reference_eval_f(sf2, x, F(1, 10**6), scans)
+
+
+def test_member_additivity_at_100_stages():
+    p = build_partition(100)
+    tol = F(1, 2**10)
+    for window in (
+        Interval.closed(F(1, 2), F(7, 8)),
+        Interval.closed(F(5, 12), F(7, 12)),  # holds the gaps nested from stage 37
+        Interval.closed(p.stage(37).gap.lo, p.stage(37).gap.hi),
+    ):
+        bounds = [p.measure_in(k, window, tol) for k in range(p.stage_count + 1)]
+        assert sum(b.lo for b in bounds) <= window.length <= sum(b.hi for b in bounds)
+
+
+# -- tail exhaustion ----------------------------------------------------------
+
+
+def smallest_sufficient(limit, tol):
+    m = 1
+    while limit * stage_tail_bound(m, F(1)) >= tol:
+        m += 1
+    return m
+
+
+def test_tail_exhaustion_names_sufficient_stage_count():
+    tol = F(1, 2**40)
+    p30 = build_partition(30)
+    tail = p30.unbuilt_tail_bound()
+
+    def value(mu):
+        return lambda p: eval_f(SaturatedFunction(p, mu), (F(2, 3),), tol)
+
+    # (forced width / tail, limit width / tail, sufficient stage count, query)
+    cases = (
+        (1, 1, 39, lambda p: p.measure_in(1, Interval.closed(0, 1), tol)),
+        (1, 1, 39, lambda p: p.measure_in(0, Interval.closed(F(1, 3), F(2, 3)), tol)),
+        (2, 2, 40, lambda p: eval_f1(p, 0, F(1, 3), F(2, 3), tol)),
+        (2, 2, 40, value(FiniteSupport.of({1: -1}))),
+        (2, 3, 41, value(FiniteSupport.unit(0))),  # the A_0 bound carries the tail once more
+        (10, 13, 43, value(FiniteSupport.of({0: 3, 1: -5}))),
+        (2, 5, 41, value(ones_generator())),  # generators add the unresolved mass
+    )
+    for scale, limit, needed, query in cases:
+        assert smallest_sufficient(limit, tol) == needed
+        with pytest.raises(ToleranceExhausted) as excinfo:
+            query(p30)
+        message = str(excinfo.value)
+        assert f"width {scale * tail} " in message
+        assert f"at least {needed} stages" in message
+        if scale == limit:  # then the tail check alone rejects one stage fewer
+            with pytest.raises(ToleranceExhausted):
+                query(build_partition(needed - 1))
+        assert query(build_partition(needed)).width <= tol
+
+
+def test_cli_tolerance_exit_names_stage_count(tmp_path, capsys):
+    path = tmp_path / "p30.splitpart"
+    save(build_partition(30), path)
+    code = main(["eval", "--partition", str(path), "--mu", "0:1/1", "--x", "2/3",
+                 "--tol", f"1/{2**40}"])
+    assert code == 4
+    assert "at least 41 stages" in capsys.readouterr().err
+
+
+def test_tail_exhaustion_stage_count_under_gap_caps():
+    for cap in (F(1), F(1, 3), F(1, 2**20), F(5, 2**33)):
+        p = build_partition(5, cap)
+        tail = p.unbuilt_tail_bound()
+        for tol in (tail, tail / 3, tail / 2**9, tail * F(2, 3**30), F(1, 10**40)):
+            needed = 6
+            while stage_tail_bound(needed, cap) >= tol:
+                needed += 1
+            with pytest.raises(ToleranceExhausted, match=f"at least {needed} stages"):
+                p.measure_in(1, Interval.closed(0, 1), tol)

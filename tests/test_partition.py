@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from clarkesat.errors import NotYetCovered, ToleranceExhausted
 from clarkesat.partition import (
     RETAINED,
     SplittingPartition,
+    _halving_exponent,
     build_partition,
     enumerated_interval,
     enumeration_index,
@@ -247,3 +249,34 @@ def test_certificates_persist_under_extension(p20):
     grown = extend_partition(p20, 25)
     again = splitting_certificate(grown, 1, Interval.open(0, 1))
     assert again == cert
+
+
+def _loop_exponent(bound):
+    """The smallest j with 2^-j <= bound, by stepping j up one at a time."""
+    j = 0
+    while Fraction(1, 2**j) > bound:
+        j += 1
+    return j
+
+
+def test_gap_shrink_exponent_by_bit_length():
+    bounds = [Fraction(1, 2**j) for j in range(70)]  # exact powers of two
+    nudge = Fraction(1, 2**80)
+    bounds += [Fraction(1, 2**j) + delta for j in range(1, 40) for delta in (nudge, -nudge)]
+    bounds += [Fraction(p, q) for q in range(1, 60) for p in range(1, q + 1)]
+    bounds += [Fraction(3, 7 * 2**50), Fraction(5, 12), Fraction(1, 3 * 2**20)]
+    for bound in bounds:
+        assert _halving_exponent(bound) == _loop_exponent(bound), bound
+    for cap in (Fraction(1), Fraction(1, 3), Fraction(1, 8), Fraction(5, 2**30)):
+        for built in (0, 1, 5, 40):
+            # sum over n > built of min(cap, 2^-n)/3, the terms past 80 summed in closed form
+            terms = sum(min(cap, Fraction(1, 2**n)) for n in range(built + 1, 81))
+            assert stage_tail_bound(built, cap) == (terms + Fraction(1, 2**80)) / 3
+
+
+def test_builds_unchanged_by_shrink_exponent():
+    # Digest of the 300-stage file as built with the one-step-at-a-time shrink loop.
+    text = saves(build_partition(300))
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == "a162134411ea88089b43a647c2578659cdf3d8a6acf912381cca1dad3059ffc8"
+    assert hosts_pairwise_disjoint(build_partition(20))

@@ -11,6 +11,7 @@ from clarkesat.stress import (
     stationarity_gap,
     trajectory_csv,
 )
+from clarkesat.verifier import SaturationCertificate
 
 TOL = Fraction(1, 10**6)
 
@@ -104,3 +105,10 @@ def test_gap_certified_at_most_iterates(e0):
         except NotYetCovered:
             pass
     assert certified >= int(0.95 * len(trajectory))
+
+
+def test_stationarity_gap_rejects_failed_certificate(e0, monkeypatch):
+    # An explicit raise, not an assert, so it also holds under python -O.
+    monkeypatch.setattr(SaturationCertificate, "check", lambda self: False)
+    with pytest.raises(AssertionError, match="failed its check"):
+        stationarity_gap(e0, (Fraction(1, 2),), Fraction(1, 4), K=0)
