@@ -266,36 +266,38 @@ def svc_measure_in(c: FatCantorSet, window: Interval, depth: int) -> MeasureBoun
     return c.svc_measure_in(window, depth)
 
 
-_MAX_GAP_DEPTH = 64
+_GAP_DEPTHS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def find_gap(prior: list[FatCantorSet], target: Interval) -> tuple[Interval, int]:
+def find_gap(
+    prior: list[FatCantorSet], target: Interval, blocked: tuple[Interval, ...] = ()
+) -> tuple[Interval, int]:
     """Find a nontrivial open subinterval of target avoiding every prior set.
 
     Certified against the depth-d covers, so disjointness from the true sets
-    follows.  Returns the longest such gap (leftmost on ties) together with
-    the smallest tried depth that exposed one.  Depths double from 1;
-    termination is guaranteed because the covers shrink to nowhere dense
-    sets while the target has positive length.
+    follows.  Each blocked interval is an obstruction at every depth, e.g.
+    the closure of a region known to hold other sets.  Returns the longest
+    such gap (leftmost on ties) together with the smallest tried depth that
+    exposed one, 0 when no prior set meets the target.  Depths double from
+    1; termination is guaranteed because the covers shrink to nowhere dense
+    sets, as long as the blocked intervals leave room beside them.
     """
     if not target.is_nontrivial:
         raise ValueError("target must be nontrivial")
+    opaque = [part for b in blocked if (part := b.intersect(target)) is not None]
     relevant = [c for c in prior if target.overlaps_nontrivially(c.host)]
-    if not relevant:
-        return target.interior(), 0
-    depth = 1
-    while depth <= _MAX_GAP_DEPTH:
-        obstruction = IntervalSet.empty()
-        for c in relevant:
-            obstruction = obstruction.union(
-                c.svc_cover(depth).intersect_interval(target)
-            )
-        free = obstruction.complement_within(target)
-        best = None
-        for part in free.parts:
-            if part.is_nontrivial and (best is None or part.length > best.length):
-                best = part
+    for depth in _GAP_DEPTHS if relevant else (0,):
+        covers = [part for c in relevant for part in c.svc_cover(depth).intersect_interval(target)]
+        best = _longest_part(IntervalSet.of(opaque + covers).complement_within(target))
         if best is not None:
             return best.interior(), depth
-        depth *= 2
-    raise RuntimeError("no gap found; removal schedules were not summable")
+    raise RuntimeError(f"no gap inside {target} avoids the blocked intervals and prior covers")
+
+
+def _longest_part(parts: IntervalSet) -> Interval | None:
+    """The longest nontrivial part, leftmost on ties."""
+    best = None
+    for part in parts:
+        if part.is_nontrivial and (best is None or part.length > best.length):
+            best = part
+    return best

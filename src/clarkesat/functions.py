@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotYetCovered, ToleranceExhausted
-from .partition import SplittingPartition, _WindowMass
+from .partition import SplittingPartition, _WindowMass, _sufficient_stages
 from .rationals import Interval, ONE, ZERO, format_rational, parse_rational, rational
 
 _MAX_EVAL_DEPTH = 64
@@ -350,7 +350,10 @@ def _interval_value(
         result = ValueBound(lo - slack, hi + slack)
         if result.width <= tol:
             return result
-    raise ToleranceExhausted(f"could not reach tolerance {tol} by depth {_MAX_EVAL_DEPTH + 1}")
+    raise ToleranceExhausted(
+        f"could not reach tolerance {tol} by depth {_MAX_EVAL_DEPTH + 1};"
+        f" rebuild with at least {_sufficient_stages(partition, limit, tol)} stages"
+    )
 
 
 def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> ValueBound:

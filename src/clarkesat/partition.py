@@ -28,21 +28,28 @@ Gap sizing.  The found free interval is shrunk concentrically to length
 min(found length, 2^-n, gap_cap), and the center is snapped down to the
 dyadic grid 2^-(j+4).  The margin analysis (found length >= 2^-j, shrink
 factor 1/3, snap distance 2^-j/16) keeps the gap strictly inside the free
-interval.  The damping keeps gaps well separated so that hosts of distinct
-stages stay pairwise disjoint, and the snapping keeps endpoint denominators
-at O(n) bits after n stages.  Stage tails are summable:
-sum of gap lengths over n > N is at most 2^-N.
+interval.  The snapping keeps endpoint denominators at O(n) bits after n
+stages.  Stage tails are summable: sum of gap lengths over n > N is at most
+2^-N.
+
+Gap search.  The free interval avoids the closures of all earlier gaps when
+they leave room in I_n.  When they tile it (from stage 37 on at gap_cap 1),
+the new gap nests inside a removed middle of the earlier stage overlapping
+I_n most, certified at ``depth_used``; planted sets stay disjoint either way.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
+from operator import attrgetter
 from typing import Iterator
 
-from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound
+from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
+from .cantor import _longest_part
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
@@ -247,7 +254,9 @@ class SplittingCertificate:
 # ---------------------------------------------------------------------------
 
 
-_MAX_DIG_DEPTH = 64
+_MAX_MEASURE_DEPTH = 64
+
+_gap_lo = attrgetter("gap.lo")
 
 
 class SplittingPartition:
@@ -261,17 +270,26 @@ class SplittingPartition:
     def __init__(self, gap_cap: Fraction, stages: tuple[StageRecord, ...], translation: int = 0):
         self.gap_cap = gap_cap
         self.translation = translation
-        self.stages = stages
+        self.stages: tuple[StageRecord, ...] = ()
         self._piece_sets: dict[tuple[int, int], FatCantorSet] = {}
         self._cache_lock = threading.Lock()
-        order = sorted(range(len(stages)), key=lambda i: stages[i].gap.lo)
-        self._order = order
-        prefix_max: list[Fraction] = []
-        running = Fraction(-1)
-        for idx in order:
-            running = max(running, stages[idx].gap.hi)
-            prefix_max.append(running)
-        self._prefix_max_hi = prefix_max
+        # The gap index: records sorted by gap.lo and the running max of gap.hi.
+        self._by_lo: list[StageRecord] = []
+        self._max_hi: list[Fraction] = []
+        for record in stages:
+            self._add(record)
+
+    def _add(self, record: StageRecord) -> None:
+        """Append the next stage and index its gap; only during construction."""
+        self.stages += (record,)
+        pos = bisect_right(self._by_lo, record.gap.lo, key=_gap_lo)
+        self._by_lo.insert(pos, record)
+        running = max(self._max_hi[pos - 1], record.gap.hi) if pos else record.gap.hi
+        self._max_hi.insert(pos, running)
+        for idx in range(pos + 1, len(self._max_hi)):
+            if self._max_hi[idx] >= running:
+                break
+            self._max_hi[idx] = running
 
     # -- structure ---------------------------------------------------------
 
@@ -293,23 +311,40 @@ class SplittingPartition:
 
     def stages_overlapping(self, window: Interval) -> list[StageRecord]:
         """Built stages whose gap closure meets the window, ascending by n."""
-        stages = self.stages
-        order = self._order
-        lo_idx, hi_idx = 0, len(order)
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx) // 2
-            if stages[order[mid]].gap.lo <= window.hi:
-                lo_idx = mid + 1
-            else:
-                hi_idx = mid
         found = []
-        for pos in range(lo_idx - 1, -1, -1):
-            if self._prefix_max_hi[pos] < window.lo:
+        for pos in range(bisect_right(self._by_lo, window.hi, key=_gap_lo) - 1, -1, -1):
+            if self._max_hi[pos] < window.lo:
                 break
-            if stages[order[pos]].gap.hi >= window.lo:
-                found.append(stages[order[pos]])
+            record = self._by_lo[pos]
+            if record.gap.hi >= window.lo:
+                found.append(record)
         found.sort(key=lambda s: s.n)
         return found
+
+    def _free_subinterval(self, target: Interval) -> tuple[Interval, int]:
+        """Longest open subinterval of target avoiding all planted sets, and the dig depth.
+
+        Depth 0 avoids the closures of the built gaps, which hold every
+        planted set.  When they tile the target, ``find_gap`` digs into the
+        stage with the largest overlap (earliest on ties), the other closures
+        blocked.  Closures are disjoint or nested, so that stage's closure
+        holds the target, and its removed middles minus the finitely many
+        closed gaps nested in them leave room at some finite depth.
+        """
+        overlapping = self.stages_overlapping(target)
+        closures = [record.gap.closure() for record in overlapping]
+        obstruction = [part for c in closures if (part := c.intersect(target)) is not None]
+        best = _longest_part(IntervalSet.of(obstruction).complement_within(target))
+        if best is not None:
+            return best.interior(), 0
+        chosen = max(
+            overlapping,
+            key=lambda r: (min(r.gap.hi, target.hi) - max(r.gap.lo, target.lo), -r.n),
+        )
+        first, last, _, _ = _piece_span(chosen, target)
+        pieces = [self.piece_set(chosen.n, i) for i in range(first, last + 1)]
+        blocked = tuple(c for r, c in zip(overlapping, closures) if r is not chosen)
+        return find_gap(pieces, target, blocked)
 
     def unbuilt_tail_bound(self) -> Fraction:
         """Exact upper bound on the total gap length of all unbuilt stages."""
@@ -379,27 +414,38 @@ class SplittingPartition:
         """
         if not window.is_nontrivial:
             raise ValueError("window must be nontrivial")
-        positive = None
-        complement = None
-        for record in self.stages_overlapping(window):
-            piece = record.piece_for_member(k)
-            if positive is None and piece is not None:
-                host = record.piece_host(piece)
-                if window.contains_interval(host):
-                    positive = (record.n, piece, RETAINED * host.length)
-            if complement is None:
-                for piece2, member2, host2 in _pieces_overlapping(record, window):
-                    if member2 != k and window.contains_interval(host2):
-                        complement = (member2, record.n, piece2, RETAINED * host2.length)
-                        break
-            if positive and complement:
-                return SplittingCertificate(k, window, *positive, *complement)
-        needed = first_index_inside(window, max(k, 1))
-        raise NotYetCovered(
-            f"no stage covers member {k} inside {window} yet; "
-            f"build at least {needed} stages",
-            needed_stage=needed,
-        )
+        overlapping = self.stages_overlapping(window)
+        positive = _whole_piece(overlapping, k, window)
+        for record in overlapping:
+            for piece, member, host in _pieces_overlapping(record, window):
+                if member != k and window.contains_interval(host):
+                    complement = (member, record.n, piece, RETAINED * host.length)
+                    return SplittingCertificate(k, window, *positive, *complement)
+        raise _not_yet_covered(k, window)
+
+
+def _whole_piece(
+    overlapping: list[StageRecord], k: int, window: Interval
+) -> tuple[int, int, Fraction]:
+    """(stage, piece, rho * length) of the first stage, ascending by n, whose
+    piece for member k lies wholly inside the window; the planted set on it
+    puts that much of A_k there.  Raises NotYetCovered when no stage has one.
+    """
+    for record in overlapping:
+        piece = record.piece_for_member(k)
+        if piece is not None:
+            host = record.piece_host(piece)
+            if window.contains_interval(host):
+                return record.n, piece, RETAINED * host.length
+    raise _not_yet_covered(k, window)
+
+
+def _not_yet_covered(k: int, window: Interval) -> NotYetCovered:
+    needed = first_index_inside(window, max(k, 1))
+    return NotYetCovered(
+        f"no stage covers member {k} inside {window} yet; build at least {needed} stages",
+        needed_stage=needed,
+    )
 
 
 def _fold(x: Fraction) -> Fraction:
@@ -456,9 +502,9 @@ class _WindowMass:
     O(stages overlapping the window), then the straddlers times depth.
 
     Raises ToleranceExhausted before scanning when the unbuilt stages alone
-    force width scale * tail >= tol, naming the smallest stage count M with
-    limit * stage_tail_bound(M) < tol; limit * tail (default scale * tail)
-    is the width the caller's bound tends to with depth, so M suffices.
+    force width scale * tail >= tol, naming ``_sufficient_stages`` for
+    limit; limit * tail (default scale * tail) is the width the caller's
+    bound tends to with depth.
     """
 
     def __init__(self, partition: SplittingPartition, window: Interval, tol: Fraction,
@@ -467,14 +513,7 @@ class _WindowMass:
             raise ValueError("tolerance must be positive")
         self.tail = partition.unbuilt_tail_bound()
         if scale * self.tail >= tol:
-            limit = scale if limit is None else limit
-            # stage_tail_bound(M) >= 2^-max(M, switch - 1) / 3: once j passes the
-            # switch no M below j can do, and before it the search is short.
-            j = _halving_exponent(3 * tol / limit)
-            switch = _halving_exponent(partition.gap_cap)
-            needed = max(partition.stage_count + 1, j if j >= switch else 0)
-            while limit * stage_tail_bound(needed, partition.gap_cap) >= tol:
-                needed += 1
+            needed = _sufficient_stages(partition, scale if limit is None else limit, tol)
             raise ToleranceExhausted(
                 f"the unbuilt-stage tail forces width {scale * self.tail} >= tolerance {tol};"
                 f" rebuild with at least {needed} stages"
@@ -514,7 +553,7 @@ class _WindowMass:
         """Bound on lambda(A_k within the window), refined until width <= tol."""
         exact = self.total if k == 0 else self.exact((k,))[k]
         straddlers = [(s, chunk) for s, chunk, member in self.straddlers if k in (0, member)]
-        for depth in range(_MAX_DIG_DEPTH + 1):
+        for depth in range(_MAX_MEASURE_DEPTH + 1):
             lo = hi = exact
             for cantor_set, chunk in straddlers:
                 bound = cantor_set.svc_measure_in(chunk, depth)
@@ -526,7 +565,19 @@ class _WindowMass:
                 result = MeasureBound(lo, min(self.length, hi + self.tail))
             if result.width <= tol:
                 return result
-        raise ToleranceExhausted(f"could not reach tolerance {tol} at depth {_MAX_DIG_DEPTH}")
+        raise ToleranceExhausted(f"could not reach tolerance {tol} at depth {_MAX_MEASURE_DEPTH}")
+
+
+def _sufficient_stages(partition: SplittingPartition, limit: Fraction, tol: Fraction) -> int:
+    """Smallest stage count M above the built one with limit * stage_tail_bound(M) < tol."""
+    # stage_tail_bound(M) >= 2^-max(M, switch - 1) / 3: once j passes the
+    # switch no M below j can do, and before it the search is short.
+    j = _halving_exponent(3 * tol / limit)
+    switch = _halving_exponent(partition.gap_cap)
+    needed = max(partition.stage_count + 1, j if j >= switch else 0)
+    while limit * stage_tail_bound(needed, partition.gap_cap) >= tol:
+        needed += 1
+    return needed
 
 
 def _halving_exponent(bound: Fraction) -> int:
@@ -551,138 +602,6 @@ def stage_tail_bound(built: int, gap_cap: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class _Builder:
-    """Mutable construction state: records plus an insertion-sorted gap index."""
-
-    def __init__(self, gap_cap: Fraction, records: tuple[StageRecord, ...]):
-        self.gap_cap = gap_cap
-        self.records = list(records)
-        self.sorted_records = sorted(self.records, key=lambda r: r.gap.lo)
-        self.prefix_max_hi: list[Fraction] = []
-        running = Fraction(-1)
-        for record in self.sorted_records:
-            running = max(running, record.gap.hi)
-            self.prefix_max_hi.append(running)
-        self.piece_sets: dict[tuple[int, int], FatCantorSet] = {}
-
-    def piece_set(self, n: int, i: int) -> FatCantorSet:
-        key = (n, i)
-        cached = self.piece_sets.get(key)
-        if cached is None:
-            cached = FatCantorSet(self.records[n - 1].piece_host(i), RETAINED)
-            self.piece_sets[key] = cached
-        return cached
-
-    def stages_overlapping(self, window: Interval) -> list[StageRecord]:
-        ordered = self.sorted_records
-        lo_idx, hi_idx = 0, len(ordered)
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx) // 2
-            if ordered[mid].gap.lo <= window.hi:
-                lo_idx = mid + 1
-            else:
-                hi_idx = mid
-        found = []
-        for pos in range(lo_idx - 1, -1, -1):
-            if self.prefix_max_hi[pos] < window.lo:
-                break
-            if ordered[pos].gap.hi >= window.lo:
-                found.append(ordered[pos])
-        found.sort(key=lambda r: r.n)
-        return found
-
-    def add_stage(self) -> None:
-        n = len(self.records) + 1
-        target = enumerated_interval(n)
-        overlapping = self.stages_overlapping(target)
-        found, depth_used = self._free_subinterval(overlapping, target)
-        record = StageRecord(n, _shrink_gap(found, n, self.gap_cap), depth_used)
-        self.records.append(record)
-        pos = 0
-        hi_pos = len(self.sorted_records)
-        while pos < hi_pos:
-            mid = (pos + hi_pos) // 2
-            if self.sorted_records[mid].gap.lo < record.gap.lo:
-                pos = mid + 1
-            else:
-                hi_pos = mid
-        self.sorted_records.insert(pos, record)
-        running = self.prefix_max_hi[pos - 1] if pos else Fraction(-1)
-        self.prefix_max_hi.insert(pos, max(running, record.gap.hi))
-        for idx in range(pos + 1, len(self.prefix_max_hi)):
-            if self.prefix_max_hi[idx] >= self.prefix_max_hi[idx - 1]:
-                break
-            self.prefix_max_hi[idx] = self.prefix_max_hi[idx - 1]
-
-    def _free_subinterval(
-        self, overlapping: list[StageRecord], target: Interval
-    ) -> tuple[Interval, int]:
-        """Longest open subinterval of target avoiding all planted sets.
-
-        First tries the closures of the existing gaps as obstructions
-        (depth 0): every planted set lives inside some gap, so a gap-free
-        zone is certainly set-free.  Only when the gaps tile the whole
-        target does it dig into their covers at doubling depth; the dug gap
-        is then certified disjoint from every planted set, although it nests
-        inside an earlier gap's removed middle.
-        """
-        obstruction_parts = []
-        for record in overlapping:
-            piece = record.gap.closure().intersect(target)
-            if piece is not None:
-                obstruction_parts.append(piece)
-        free = IntervalSet.of(obstruction_parts).complement_within(target)
-        best = _longest_part(free)
-        if best is not None:
-            return best.interior(), 0
-        # The gaps tile the target.  Dig into the one with the largest
-        # overlap, replacing its closure by its piece covers at increasing
-        # depth; all other gaps stay opaque (their sets live inside them, so
-        # avoiding the closures is enough).
-        ranked = sorted(
-            overlapping,
-            key=lambda r: (min(r.gap.hi, target.hi) - max(r.gap.lo, target.lo), -r.n),
-            reverse=True,
-        )
-        for chosen in ranked:
-            other_parts = []
-            for record in overlapping:
-                if record.n == chosen.n:
-                    continue
-                piece = record.gap.closure().intersect(target)
-                if piece is not None:
-                    other_parts.append(piece)
-            depth = 1
-            while depth <= 16:
-                cover_parts = list(other_parts)
-                for i, _member, _host in _pieces_overlapping(chosen, target):
-                    cover = self.piece_set(chosen.n, i).svc_cover(depth)
-                    piece = cover.intersect_interval(target)
-                    if not piece.is_empty:
-                        cover_parts.extend(piece.parts)
-                free = IntervalSet.of(cover_parts).complement_within(target)
-                best = _longest_part(free)
-                if best is not None:
-                    return best.interior(), depth
-                depth *= 2
-        # Full dig across all overlapping stages (not expected in practice).
-        depth = 1
-        while depth <= _MAX_DIG_DEPTH:
-            cover_parts = []
-            for record in overlapping:
-                for i, _member, _host in _pieces_overlapping(record, target):
-                    cover = self.piece_set(record.n, i).svc_cover(depth)
-                    piece = cover.intersect_interval(target)
-                    if not piece.is_empty:
-                        cover_parts.extend(piece.parts)
-            free = IntervalSet.of(cover_parts).complement_within(target)
-            best = _longest_part(free)
-            if best is not None:
-                return best.interior(), depth
-            depth *= 2
-        raise RuntimeError(f"no gap found inside {target}")
-
-
 def build_partition(stages: int, gap_cap: Fraction = ONE) -> SplittingPartition:
     """Build the deterministic partition prefix with the given stage count.
 
@@ -697,21 +616,17 @@ def build_partition(stages: int, gap_cap: Fraction = ONE) -> SplittingPartition:
 
 
 def extend_partition(partition: SplittingPartition, stages: int) -> SplittingPartition:
-    """Deterministic continuation; extend(build(N), M) equals build(M)."""
+    """Deterministic continuation; extend(build(N), M) equals build(M).
+
+    Returns a new partition; the one passed in is left as it was.
+    """
     if stages <= partition.stage_count:
         return partition
-    builder = _Builder(partition.gap_cap, partition.stages)
-    while len(builder.records) < stages:
-        builder.add_stage()
-    return SplittingPartition(partition.gap_cap, tuple(builder.records), partition.translation)
-
-
-def _longest_part(parts: IntervalSet) -> Interval | None:
-    best = None
-    for part in parts:
-        if part.is_nontrivial and (best is None or part.length > best.length):
-            best = part
-    return best
+    grown = SplittingPartition(partition.gap_cap, partition.stages, partition.translation)
+    for n in range(partition.stage_count + 1, stages + 1):
+        found, depth_used = grown._free_subinterval(enumerated_interval(n))
+        grown._add(StageRecord(n, _shrink_gap(found, n, grown.gap_cap), depth_used))
+    return grown
 
 
 def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
@@ -744,22 +659,30 @@ def saves(partition: SplittingPartition) -> str:
             f"gap={format_rational(record.gap.lo)},{format_rational(record.gap.hi)}",
             f"depth={record.depth_used}",
         ]
-        for i in range(record.piece_count):
-            host = record.piece_host(i)
-            kind = f"T {record.member_index(i)}" if i < record.n else "B"
-            tokens.append(
-                f"{kind} {format_rational(host.lo)},{format_rational(host.hi)}"
-                f" {CANONICAL_SCHEDULE}"
-            )
-        lines.append(" ".join(tokens))
+        lines.append(" ".join(tokens + _set_records(record)))
     return "\n".join(lines) + "\n"
 
 
+def _set_records(record: StageRecord) -> list[str]:
+    """The stage's planted sets as v1 writes them, all implied by its gap."""
+    records = []
+    for i in range(record.piece_count):
+        host = record.piece_host(i)
+        kind = f"T {record.member_index(i)}" if i < record.n else "B"
+        records.append(
+            f"{kind} {format_rational(host.lo)},{format_rational(host.hi)} {CANONICAL_SCHEDULE}"
+        )
+    return records
+
+
 def loads(text: str) -> SplittingPartition:
+    """Parse SPLITPART v1; every malformed input raises ValueError."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "SPLITPART v1":
         raise ValueError("not a SPLITPART v1 file")
-    header = dict(item.split("=", 1) for item in lines[1].split())
+    if len(lines) < 2:
+        raise ValueError("SPLITPART file ends before its header line")
+    header = _fields(lines[1].split(), ("gap_cap", "translation", "stages"), "header")
     gap_cap = parse_rational(header["gap_cap"])
     translation = int(header["translation"])
     declared = int(header["stages"])
@@ -771,35 +694,24 @@ def loads(text: str) -> SplittingPartition:
     return SplittingPartition(gap_cap, tuple(records), translation)
 
 
+def _fields(tokens: list[str], keys: tuple[str, ...], where: str) -> dict[str, str]:
+    fields = dict(item.split("=", 1) for item in tokens)
+    missing = [key + "=" for key in keys if key not in fields]
+    if missing:
+        raise ValueError(f"SPLITPART {where} lacks {', '.join(missing)}")
+    return fields
+
+
 def _parse_stage_line(line: str) -> StageRecord:
     tokens = line.split()
-    fields = dict(item.split("=", 1) for item in tokens[:3])
+    fields = _fields(tokens[:3], ("n", "gap", "depth"), "stage line")
     n = int(fields["n"])
     gap_lo, gap_hi = (parse_rational(part) for part in fields["gap"].split(","))
     record = StageRecord(n, Interval.open(gap_lo, gap_hi), int(fields["depth"]))
-    rest = tokens[3:]
-    pos = 0
-    for i in range(record.piece_count):
-        kind = rest[pos]
-        if kind == "T":
-            member, hosts, schedule = int(rest[pos + 1]), rest[pos + 2], rest[pos + 3]
-            pos += 4
-        elif kind == "B":
-            member, hosts, schedule = 0, rest[pos + 1], rest[pos + 2]
-            pos += 3
-        else:
-            raise ValueError(f"unexpected set record kind {kind!r}")
-        host_lo, host_hi = (parse_rational(part) for part in hosts.split(","))
-        expected = record.piece_host(i)
-        if (
-            member != record.member_index(i)
-            or host_lo != expected.lo
-            or host_hi != expected.hi
-            or schedule != CANONICAL_SCHEDULE
-        ):
-            raise ValueError(f"inconsistent set record at stage {n}, piece {i}")
-    if pos != len(rest):
-        raise ValueError(f"trailing tokens in stage {n} line")
+    # Count first: n pieces of 4 tokens and one of 3 follow, and a corrupt n must
+    # not make the comparison generate its records.
+    if len(tokens) != 4 * n + 6 or " ".join(tokens[3:]) != " ".join(_set_records(record)):
+        raise ValueError(f"stage {n} line: its set records are not the ones its gap implies")
     return record
 
 
@@ -819,12 +731,14 @@ def load(path) -> SplittingPartition:
 
 
 def hosts_pairwise_disjoint(partition: SplittingPartition) -> bool:
-    """Exact check that all planted host intervals are pairwise disjoint.
+    """Exact check that the gaps of all stages, hence all planted hosts, are pairwise disjoint.
 
     Hosts within a stage are contiguous open pieces, disjoint by
-    construction; across stages disjointness holds whenever each gap avoids
-    the closures of all earlier gaps, which the gap placement ensures except
-    in the degenerate tiled case.
+    construction.  Across stages this holds only while every gap avoids the
+    closures of all earlier gaps.  Once the closures tile some I_n (stage 37
+    at gap_cap 1) the new gap nests inside a removed middle of an earlier
+    piece, certified at its ``depth_used``, and this returns False although
+    the planted sets stay disjoint.
     """
     hosts = []
     for record in partition.stages:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import NotYetCovered
 from .functions import SaturatedFunction, ShiftedSaturatedFunction, eval_g
-from .partition import RETAINED, SplittingPartition, first_index_inside
+from .partition import SplittingPartition, _whole_piece
 from .rationals import Interval, ZERO, format_rational, rational
 
 
@@ -169,21 +169,8 @@ def _member_witness(
     partition: SplittingPartition, member: int, window: Interval
 ) -> CoordinateWitness:
     """A whole built piece of A_member inside the window, smallest stage first."""
-    for record in partition.stages_overlapping(window):
-        piece = record.piece_for_member(member)
-        if piece is None:
-            continue
-        host = record.piece_host(piece)
-        if window.contains_interval(host):
-            return CoordinateWitness(
-                member, record.n, piece, window, RETAINED * host.length
-            )
-    needed = first_index_inside(window, max(member, 1))
-    raise NotYetCovered(
-        f"no built piece of member {member} inside {window};"
-        f" build at least {needed} stages",
-        needed_stage=needed,
-    )
+    stage, piece, bound = _whole_piece(partition.stages_overlapping(window), member, window)
+    return CoordinateWitness(member, stage, piece, window, bound)
 
 
 def certify_saturation(

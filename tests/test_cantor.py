@@ -173,3 +173,20 @@ def test_find_gap_avoids_every_prior(canonical):
     gap, depth = find_gap([canonical, other], Interval.open(0, 1))
     for c in (canonical, other):
         assert c.svc_cover(depth).intersect_interval(gap).is_empty
+
+
+def test_find_gap_avoids_blocked_intervals(canonical):
+    # The depth-1 gap (3/8, 5/8) is blocked, so the search goes one level deeper.
+    blocked = (Interval.closed(Fraction(1, 3), Fraction(2, 3)), Interval.closed(0, Fraction(1, 16)))
+    gap, depth = find_gap([canonical], Interval.open(0, 1), blocked)
+    assert (gap, depth) == (Interval.open(Fraction(5, 32), Fraction(7, 32)), 2)
+    for interval in blocked:
+        assert not gap.intersects(interval)
+    assert not any(gap.intersects(part) for part in canonical.svc_cover(depth))
+
+
+def test_find_gap_blocked_without_priors():
+    gap, depth = find_gap([], Interval.open(0, 1), (Interval.closed(0, Fraction(1, 4)),))
+    assert (gap, depth) == (Interval.open(Fraction(1, 4), 1), 0)
+    with pytest.raises(RuntimeError):
+        find_gap([], Interval.open(0, 1), (Interval.closed(0, 1),))

@@ -173,3 +173,25 @@ def test_console_entry_point(partition_file):
 
 def test_usage_error_without_command():
     assert run_cli() == 2
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]], "stage 6 line"),
+        (lambda lines: lines[:1], "ends before its header"),
+        (lambda lines: [lines[0], lines[1].replace(" translation=0", "")] + lines[2:],
+         "lacks translation="),
+        (lambda lines: lines[:-1] + [" ".join(lines[-1].split()[:2])], "lacks depth="),
+    ],
+    ids=["truncated-stage", "header-only", "missing-translation", "stage-without-depth"],
+)
+def test_malformed_partition_is_usage_error(tmp_path, capsys, mangle, message):
+    path = tmp_path / "bad.splitpart"
+    save(build_partition(6), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(mangle(lines)) + "\n")
+    code = run_cli("eval", "--partition", str(path), "--mu", "0:1/1", "--x", "3/4")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

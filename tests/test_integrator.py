@@ -288,3 +288,25 @@ def test_tail_exhaustion_stage_count_under_gap_caps():
                 needed += 1
             with pytest.raises(ToleranceExhausted, match=f"at least {needed} stages"):
                 p.measure_in(1, Interval.closed(0, 1), tol)
+
+
+def test_depth_limit_exhaustion_names_sufficient_stage_count(tmp_path, capsys):
+    # With `ones` the tail check (2 * tail < tol) passes at N = 40, but the
+    # bound tends to 5 * tail >= tol, so only the depth limit stops it.
+    tol = F(1, 2**40)
+    needed = smallest_sufficient(5, tol)
+    assert needed == 41
+
+    def query(p):
+        return eval_f(SaturatedFunction(p, ones_generator()), (F(2, 3),), tol)
+
+    exhausted = f"by depth 65; rebuild with at least {needed} stages"
+    with pytest.raises(ToleranceExhausted, match=exhausted):
+        query(build_partition(40))
+    assert query(build_partition(needed)).width <= tol
+    path = tmp_path / "p40.splitpart"
+    save(build_partition(40), path)
+    code = main(["eval", "--partition", str(path), "--mu", "ones", "--x", "2/3",
+                 "--tol", f"1/{2**40}"])
+    assert code == 4
+    assert f"at least {needed} stages" in capsys.readouterr().err

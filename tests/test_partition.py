@@ -280,3 +280,49 @@ def test_builds_unchanged_by_shrink_exponent():
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest == "a162134411ea88089b43a647c2578659cdf3d8a6acf912381cca1dad3059ffc8"
     assert hosts_pairwise_disjoint(build_partition(20))
+
+
+@pytest.mark.parametrize("stages", [100, 300])
+def test_nested_gaps_miss_the_dug_covers(stages):
+    # Wherever two gap closures meet, the later gap was dug out of the
+    # earlier stage: it misses every piece cover of that stage at the
+    # later stage's certified depth.
+    p = build_partition(stages)
+    closures = [record.gap.closure() for record in p.stages]
+    nested = set()
+    for later in p.stages:
+        for earlier in p.stages[: later.n - 1]:
+            if not closures[earlier.n - 1].intersects(closures[later.n - 1]):
+                continue
+            nested.add(later.n)
+            assert later.depth_used > 0
+            for i in range(earlier.piece_count):
+                cover = p.piece_set(earlier.n, i).svc_cover(later.depth_used)
+                assert not any(later.gap.intersects(part) for part in cover)
+    assert {37, 50, 81, 83, 84, 85} <= nested
+    if stages == 100:
+        assert nested == {r.n for r in p.stages if r.depth_used} == {37, 50, 81, 83, 84, 85}
+
+
+def test_extension_of_a_loaded_file_through_dig_stages():
+    base = loads(saves(build_partition(30)))
+    stages_before = base.stages
+    grown = extend_partition(base, 100)
+    assert saves(grown) == saves(build_partition(100))
+    assert base.stage_count == 30 and base.stages == stages_before
+    assert len(base.stages_overlapping(Interval.closed(0, 1))) == 30
+
+
+def test_loads_rejects_a_corrupt_piece_count_before_expanding_it(monkeypatch):
+    import clarkesat.partition as partition_module
+
+    text = saves(build_partition(3)).replace("n=3 ", f"n={10**9} ", 1)
+    expand = partition_module._set_records
+
+    def expand_small(record):
+        assert record.n <= 3, "the corrupt stage's records were generated"
+        return expand(record)
+
+    monkeypatch.setattr(partition_module, "_set_records", expand_small)
+    with pytest.raises(ValueError, match=f"stage {10**9} line"):
+        loads(text)
