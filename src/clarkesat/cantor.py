@@ -190,6 +190,27 @@ class FatCantorSet:
             return Containment.IN
         return Containment.UNDECIDED
 
+    def cover_meets(self, window: Interval, depth: int) -> bool:
+        """Whether the depth-d cover meets the closure of the window.
+
+        Descends the one path of cover pieces meeting it, so it costs O(d)
+        instead of the cover's 2^d parts: a window that meets neither child
+        of a piece lies inside that piece's removed middle.
+        """
+        lo, hi = self.host.lo, self.host.hi
+        if hi < window.lo or window.hi < lo:
+            return False
+        for step in range(depth):
+            half = self.removal_length(step) / 2
+            mid = (lo + hi) / 2
+            if window.lo <= mid - half:
+                hi = mid - half
+            elif mid + half <= window.hi:
+                lo = mid + half
+            else:
+                return False
+        return True
+
     def svc_measure_in(self, window: Interval, depth: int) -> MeasureBound:
         """Certified bound on lambda(F intersect window).
 

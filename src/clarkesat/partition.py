@@ -44,12 +44,12 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from operator import attrgetter
 from typing import Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
-from .cantor import _longest_part
+from .cantor import _GAP_DEPTHS, _longest_part
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
@@ -175,11 +175,24 @@ class StageRecord:
     def piece_width(self) -> Fraction:
         return self.gap.length / self.piece_count
 
+    def endpoints(self) -> tuple[range, int]:
+        """The n+2 piece endpoints as integer numerators over one denominator.
+
+        With the gap (a/d, b/d) over d = lcm of its denominators, the
+        endpoint gap.lo + i * length/(n+1) is (a*(n+1) + i*(b-a)) / (d*(n+1)),
+        so piece i is the open interval (nums[i]/den, nums[i+1]/den).
+        """
+        lo, hi = self.gap.lo, self.gap.hi
+        d = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        k = self.piece_count
+        return range(a * k, b * k + 1, b - a), d * k
+
     def piece_host(self, i: int) -> Interval:
         if not 0 <= i <= self.n:
             raise IndexError(f"stage {self.n} has pieces 0..{self.n}")
-        w = self.piece_width
-        return Interval.open(self.gap.lo + i * w, self.gap.lo + (i + 1) * w)
+        nums, den = self.endpoints()
+        return Interval.open(Fraction(nums[i], den), Fraction(nums[i + 1], den))
 
     def member_index(self, i: int) -> int:
         """Partition index fed by piece i: pieces 0..n-1 feed A_1..A_n, piece n feeds A_0 (the B set)."""
@@ -643,6 +656,16 @@ def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
 
 # ---------------------------------------------------------------------------
 # Serialization: SPLITPART v1
+#
+# A header line, then one line per stage: n, gap, depth_used and the n+1
+# planted sets, every one of which follows from the gap.  Writing and
+# reading share ``_set_records``, which formats each stage's n+2 piece
+# endpoints once from their integer form, so a load costs one integer gcd
+# and one string comparison per piece endpoint.  A load trusts nothing:
+# each stage line's set records must be exactly the ones its gap implies,
+# and each stage must be one a build could have placed (``_check_stage``:
+# one gap-index lookup per stage, plus O(depth_used) per piece of an earlier
+# stage whose gap it meets).
 # ---------------------------------------------------------------------------
 
 
@@ -664,19 +687,22 @@ def saves(partition: SplittingPartition) -> str:
 
 
 def _set_records(record: StageRecord) -> list[str]:
-    """The stage's planted sets as v1 writes them, all implied by its gap."""
-    records = []
-    for i in range(record.piece_count):
-        host = record.piece_host(i)
-        kind = f"T {record.member_index(i)}" if i < record.n else "B"
-        records.append(
-            f"{kind} {format_rational(host.lo)},{format_rational(host.hi)} {CANONICAL_SCHEDULE}"
-        )
-    return records
+    """The stage's planted sets as v1 writes them, all implied by its gap.
+
+    Each of the n+2 endpoints is reduced and formatted once, straight from
+    the integer form of ``StageRecord.endpoints``.
+    """
+    nums, den = record.endpoints()
+    ends = []
+    for num in nums:
+        g = gcd(num, den)
+        ends.append(f"{num // g}/{den // g}")
+    kinds = [f"T {i + 1}" for i in range(record.n)] + ["B"]
+    return [f"{kind} {lo},{hi} {CANONICAL_SCHEDULE}" for kind, lo, hi in zip(kinds, ends, ends[1:])]
 
 
 def loads(text: str) -> SplittingPartition:
-    """Parse SPLITPART v1; every malformed input raises ValueError."""
+    """Parse and check SPLITPART v1; every malformed input raises ValueError."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "SPLITPART v1":
         raise ValueError("not a SPLITPART v1 file")
@@ -684,18 +710,26 @@ def loads(text: str) -> SplittingPartition:
         raise ValueError("SPLITPART file ends before its header line")
     header = _fields(lines[1].split(), ("gap_cap", "translation", "stages"), "header")
     gap_cap = parse_rational(header["gap_cap"])
-    translation = int(header["translation"])
+    if not 0 < gap_cap <= 1:
+        raise ValueError(f"SPLITPART header gap_cap {header['gap_cap']} is not in (0, 1]")
     declared = int(header["stages"])
-    records = []
+    if len(lines) - 2 != declared:
+        raise ValueError(f"expected {declared} stages, found {len(lines) - 2}")
+    partition = SplittingPartition(gap_cap, (), int(header["translation"]))
     for line in lines[2:]:
-        records.append(_parse_stage_line(line))
-    if len(records) != declared:
-        raise ValueError(f"expected {declared} stages, found {len(records)}")
-    return SplittingPartition(gap_cap, tuple(records), translation)
+        record = _parse_stage_line(line)
+        _check_stage(partition, record)
+        partition._add(record)
+    return partition
 
 
 def _fields(tokens: list[str], keys: tuple[str, ...], where: str) -> dict[str, str]:
-    fields = dict(item.split("=", 1) for item in tokens)
+    fields = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"SPLITPART {where} token {token!r} is not key=value")
+        fields[key] = value
     missing = [key + "=" for key in keys if key not in fields]
     if missing:
         raise ValueError(f"SPLITPART {where} lacks {', '.join(missing)}")
@@ -713,6 +747,49 @@ def _parse_stage_line(line: str) -> StageRecord:
     if len(tokens) != 4 * n + 6 or " ".join(tokens[3:]) != " ".join(_set_records(record)):
         raise ValueError(f"stage {n} line: its set records are not the ones its gap implies")
     return record
+
+
+def _check_stage(partition: SplittingPartition, record: StageRecord) -> None:
+    """Raise ValueError unless a build could place the record after the partition's stages.
+
+    Checks what the construction guarantees: stages come numbered 1..N; the
+    gap lies strictly inside I_n; its length is 1/(3*2^j) with
+    2^-j <= min(2^-n, gap_cap) and its midpoint lies on the 2^-(j+4) grid
+    (``_shrink_gap``); depth_used is 0 exactly when no earlier gap closure
+    meets this gap's closure, and is a depth ``find_gap`` tries otherwise;
+    and the closure misses every piece cover, at depth_used, of each earlier
+    stage it meets.
+    """
+    n, gap, depth = record.n, record.gap, record.depth_used
+    if n != partition.stage_count + 1:
+        raise ValueError(f"stage {n} line: expected stage {partition.stage_count + 1}")
+    target = enumerated_interval(n)
+    if not (target.lo < gap.lo and gap.hi < target.hi):
+        raise ValueError(f"stage {n}: gap {gap} does not lie strictly inside I_{n} = {target}")
+    length = gap.length
+    grid, rem = divmod(length.denominator, 3)  # 2^j when the length is 1/(3*2^j)
+    j = grid.bit_length() - 1
+    if length.numerator != 1 or rem or grid != 1 << j or j < n or Fraction(1, grid) > partition.gap_cap:
+        raise ValueError(
+            f"stage {n}: gap length {length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
+        )
+    if (16 * grid) % gap.midpoint.denominator:
+        raise ValueError(f"stage {n}: gap midpoint {gap.midpoint} is off the 2^-{j + 4} grid")
+    closure = gap.closure()
+    earlier = partition.stages_overlapping(closure)
+    if depth not in (0, *_GAP_DEPTHS):
+        raise ValueError(f"stage {n}: depth {depth} is not a depth the gap search tries")
+    if depth and not earlier:
+        raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
+    for other in earlier:
+        width = other.piece_width
+        first = max(0, ceil((closure.lo - other.gap.lo) / width) - 1)
+        last = min(other.n, floor((closure.hi - other.gap.lo) / width))
+        for i in range(first, last + 1):
+            if partition.piece_set(other.n, i).cover_meets(closure, depth):
+                raise ValueError(
+                    f"stage {n}: gap {gap} meets the depth-{depth} cover of stage {other.n} piece {i}"
+                )
 
 
 def save(partition: SplittingPartition, path) -> None:

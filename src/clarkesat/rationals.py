@@ -45,7 +45,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a decimal-free rational: {text!r}")
     if "/" in text:
         num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 

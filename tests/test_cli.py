@@ -1,10 +1,12 @@
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from clarkesat.cli import main
-from clarkesat.partition import build_partition, save
+from clarkesat.partition import SplittingPartition, StageRecord, build_partition, save, saves
+from clarkesat.rationals import Interval
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +197,83 @@ def test_malformed_partition_is_usage_error(tmp_path, capsys, mangle, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _eval_exit(tmp_path, capsys, text):
+    path = tmp_path / "bad.splitpart"
+    path.write_text(text)
+    code = run_cli("eval", "--partition", str(path), "--mu", "0:1/1", "--x", "3/4")
+    return code, capsys.readouterr().err
+
+
+def test_hand_written_gap_zero_one_is_usage_error(tmp_path, capsys):
+    text = (
+        "SPLITPART v1\ngap_cap=1/1 translation=0 stages=1\n"
+        "n=1 gap=0/1,1/1 depth=0 T 1 0/1,1/2 canonical-svc B 1/2,1/1 canonical-svc\n"
+    )
+    code, err = _eval_exit(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("error: ") and "does not lie strictly inside I_1" in err
+
+
+def _centered(n, mid, length, depth=0):
+    return StageRecord(n, Interval.open(mid - length / 2, mid + length / 2), depth)
+
+
+_S1, _S2, _S3 = build_partition(3).stages  # stage 1 is (5/12,7/12), I_2 is (1/2,2/3)
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "gap_cap, stages, message",
+    [
+        (1, (_S1, _S3), "stage 3 line: expected stage 2"),
+        (1, (_S1, _centered(2, _HALF, _S2.gap.length)), "does not lie strictly inside I_2"),
+        (1, (_centered(1, _HALF, Fraction(1, 5)),), "gap length 1/5 is not 1/(3*2^j)"),
+        (1, (_centered(1, _HALF, Fraction(1, 3)),), "gap length 1/3 is not 1/(3*2^j)"),
+        (Fraction(1, 8), (_S1,), "gap length 1/6 is not 1/(3*2^j)"),
+        (1, (_centered(1, _HALF + Fraction(1, 128), _S1.gap.length),), "off the 2^-5 grid"),
+        (1, (StageRecord(1, _S1.gap, 3),), "depth 3 is not a depth the gap search tries"),
+        (1, (StageRecord(1, _S1.gap, 1),), "depth 1 > 0, but its gap meets no earlier gap"),
+        (1, (_S1, _centered(2, Fraction(9, 16), Fraction(1, 12), 1)),
+         "meets the depth-1 cover of stage 1 piece 1"),
+        (1, (_S1, _centered(2, Fraction(9, 16), Fraction(1, 12), 0)),
+         "meets the depth-0 cover of stage 1 piece 1"),
+    ],
+    ids=["numbering", "outside-I_n", "length", "length-above-2^-n", "length-above-gap_cap",
+         "off-grid", "unsearched-depth", "depth-without-nesting", "meets-cover", "meets-host"],
+)
+def test_stage_a_build_cannot_place_is_usage_error(tmp_path, capsys, gap_cap, stages, message):
+    text = saves(SplittingPartition(Fraction(gap_cap), stages))
+    code, err = _eval_exit(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
+def test_header_token_without_equals_is_usage_error(tmp_path, capsys):
+    lines = saves(build_partition(5)).splitlines()
+    lines[1] = lines[1].replace("translation=0", "translation")
+    code, err = _eval_exit(tmp_path, capsys, "\n".join(lines) + "\n")
+    assert code == 2
+    assert "SPLITPART header token 'translation' is not key=value" in err
+
+
+@pytest.mark.parametrize("piece", [2, 6], ids=["middle-T-piece", "B-piece"])
+def test_changed_piece_endpoint_is_usage_error(tmp_path, capsys, piece):
+    lines = saves(build_partition(6)).splitlines()
+    tokens = lines[-1].split()
+    assert tokens[3 + 4 * piece] == ("B" if piece == 6 else "T")
+    at = 3 + 4 * piece + (1 if piece == 6 else 2)
+    lo, hi = tokens[at].split(",")
+    num, den = hi.split("/")
+    tokens[at] = f"{lo},{int(num) + 1}/{den}"
+    lines[-1] = " ".join(tokens)
+    code, err = _eval_exit(tmp_path, capsys, "\n".join(lines) + "\n")
+    assert code == 2
+    assert "stage 6 line: its set records are not the ones its gap implies" in err
+
+
+def test_zero_denominator_is_usage_error(partition_file, capsys):
+    code = run_cli("eval", "--partition", partition_file, "--mu", "0:1/1", "--x", "1/2", "--tol", "1/0")
+    assert code == 2
+    assert "zero denominator: '1/0'" in capsys.readouterr().err

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from clarkesat.cantor import Containment
+from clarkesat.cantor import Containment, FatCantorSet
 from clarkesat.errors import NotYetCovered, ToleranceExhausted
 from clarkesat.partition import (
     RETAINED,
     SplittingPartition,
+    StageRecord,
     _halving_exponent,
     build_partition,
     enumerated_interval,
@@ -326,3 +327,74 @@ def test_loads_rejects_a_corrupt_piece_count_before_expanding_it(monkeypatch):
     monkeypatch.setattr(partition_module, "_set_records", expand_small)
     with pytest.raises(ValueError, match=f"stage {10**9} line"):
         loads(text)
+
+
+@pytest.fixture(scope="module")
+def builds_300():
+    return {cap: build_partition(300, cap) for cap in (Fraction(1), Fraction(1, 3), Fraction(5, 7))}
+
+
+def _reference_hosts(record):
+    """The piece hosts as gap.lo + i * length / (n+1), in Fraction arithmetic."""
+    lo, width = record.gap.lo, record.gap.length / (record.n + 1)
+    return [Interval.open(lo + i * width, lo + (i + 1) * width) for i in range(record.n + 1)]
+
+
+def test_integer_piece_hosts_equal_the_equal_split_of_the_gap(builds_300):
+    translated = loads(saves(SplittingPartition(Fraction(1, 3), builds_300[Fraction(1, 3)].stages, -3)))
+    assert translated.translation == -3
+    for p in (*builds_300.values(), translated):
+        for record in p.stages:
+            assert [record.piece_host(i) for i in range(record.n + 1)] == _reference_hosts(record)
+
+
+def test_endpoints_share_one_denominator():
+    record = StageRecord(2, Interval.open(Fraction(1, 4), Fraction(5, 6)), 0)
+    nums, den = record.endpoints()
+    assert den == 36 and list(nums) == [9, 16, 23, 30]
+    with pytest.raises(IndexError):
+        record.piece_host(3)
+
+
+def test_genuine_builds_pass_the_load_checks(builds_300):
+    # Includes the stages dug into earlier gaps at depth_used 1 and 2.
+    for p in builds_300.values():
+        back = loads(saves(p))
+        assert back.stages == p.stages and back.gap_cap == p.gap_cap
+        assert {r.depth_used for r in back.stages} >= {0, 1}
+
+
+@pytest.mark.parametrize("cap", ["1/0", "0/1", "-1/2", "3/2"])
+def test_loads_rejects_a_gap_cap_outside_zero_one(p20, cap):
+    text = saves(p20).replace("gap_cap=1/1 ", f"gap_cap={cap} ", 1)
+    with pytest.raises(ValueError):
+        loads(text)
+
+
+def test_loads_rejects_a_non_canonical_piece_token(p20):
+    text = saves(p20)
+    line = text.splitlines()[5]
+    token = line.split()[5]  # the first endpoint pair of the stage's T 1 piece
+    lo, hi = token.split(",")
+    num, den = lo.split("/")
+    doubled = f"{2 * int(num)}/{2 * int(den)},{hi}"
+    with pytest.raises(ValueError, match="stage 4 line"):
+        loads(text.replace(line, line.replace(token, doubled, 1), 1))
+
+
+@pytest.mark.parametrize(
+    "host",
+    [Interval.open(0, 1), Interval.open(Fraction(5, 12), Fraction(1, 2)), Interval.closed(Fraction(1, 3), 2)],
+)
+def test_cover_meets_agrees_with_the_materialized_cover(host):
+    cantor = FatCantorSet(host, RETAINED)
+    lo, length = host.lo, host.length
+    points = [lo + length * Fraction(i, 64) for i in range(-2, 67)]
+    points += [part.lo for part in cantor.svc_cover(4)] + [part.hi for part in cantor.svc_cover(4)]
+    windows = [Interval.closed(a, b) for a in points[::3] for b in points[::2] if a <= b]
+    windows += [Interval.open(a, a + length / 5000) for a in points]
+    for depth in range(7):
+        cover = cantor.svc_cover(depth)
+        for window in windows:
+            expected = any(window.closure().intersects(part) for part in cover)
+            assert cantor.cover_meets(window, depth) == expected, (window, depth)

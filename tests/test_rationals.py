@@ -29,6 +29,8 @@ def test_parse_and_format_rational():
     assert format_rational(Fraction(5, 10)) == "1/2"
     with pytest.raises(ValueError):
         parse_rational("0.5")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 def test_interval_validation():

@@ -1,7 +1,11 @@
 """Cross-cutting checks: concurrency, load-then-extend, round-trips."""
 
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkesat.cantor import FatCantorSet
 from clarkesat.functions import (
@@ -91,3 +95,38 @@ def test_measure_bounds_match_brute_force_cover_counting():
             Fraction(0),
         )
         assert bound.hi >= inside - cantor.tail(depth)
+
+
+_SAVED_20 = build_partition(20)
+_TEXT_20 = saves(_SAVED_20)
+_TOKENS_20 = [m.span() for m in re.finditer(r"\S+", _TEXT_20)]
+# The values of the header's and each stage line's key=value tokens: few
+# characters of the file, but the ones that decide what a load builds.
+_VALUES_20 = [m.span(1) for m in re.finditer(r"(?<![^ \n])[a-z_]+=(\S+)", _TEXT_20)]
+
+
+@st.composite
+def _mutated_text(draw):
+    kind = draw(st.sampled_from(["truncate", "drop-token", "change-char", "change-value-char"]))
+    if kind == "truncate":
+        return _TEXT_20[: draw(st.integers(0, len(_TEXT_20) - 1))]
+    if kind == "drop-token":
+        start, end = draw(st.sampled_from(_TOKENS_20))
+        return _TEXT_20[:start] + _TEXT_20[end:]
+    if kind == "change-value-char":
+        start, end = draw(st.sampled_from(_VALUES_20))
+        pos = draw(st.integers(start, end - 1))
+    else:
+        pos = draw(st.integers(0, len(_TEXT_20) - 1))
+    char = draw(st.sampled_from(list("0123456789/=,-_ \nTB")) | st.characters())
+    return _TEXT_20[:pos] + char + _TEXT_20[pos + 1:]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_mutated_text())
+def test_loads_of_a_mutated_file_is_the_original_or_a_value_error(text):
+    try:
+        loaded = loads(text)
+    except ValueError:
+        return
+    assert loaded.stages == _SAVED_20.stages
