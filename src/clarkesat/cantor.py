@@ -24,19 +24,14 @@ rho in (0,1).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .rationals import Interval, IntervalSet, ZERO, format_rational, parse_rational, rational
 
 CANONICAL_SCHEDULE = "canonical-svc"
-
-# Covers are memoized only up to this depth; deeper covers are recomputed
-# from the deepest cached level on each call.
-_MEMO_DEPTH = 10
 
 
 class Containment(Enum):
@@ -72,23 +67,23 @@ class MeasureBound:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
+def _children(lo: int, hi: int, half: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The child rule on numerators: the piece [lo, hi] over den keeps the
+    closed halves left and right of its removed middle, over 4 * den."""
+    mid = 2 * (lo + hi)
+    return (4 * lo, mid - half), (mid + half, 4 * hi)
+
+
 @dataclass(frozen=True)
 class FatCantorSet:
     """A Cantor-type set of positive measure over a rational host interval.
 
-    Immutable; cover queries are pure functions of (set, depth) behind an
-    internally synchronized memo cache.
+    Immutable; cover queries are pure functions of (set, depth).
     """
 
     host: Interval
     retained_fraction: Fraction = Fraction(1, 2)
     schedule: str = CANONICAL_SCHEDULE
-    _cover_cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False, hash=False
-    )
 
     def __post_init__(self):
         if not self.host.is_nontrivial:
@@ -119,47 +114,66 @@ class FatCantorSet:
         """Exact cover excess: measure(F_depth) - limit_measure."""
         return (1 - self.retained_fraction) * self.length / 2**depth
 
-    def _parts(self, depth: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    def _root(self) -> tuple[int, int, int, int]:
+        """The host as integer numerators (lo, hi) over den, and the numerator
+        ``half`` that ``_children`` removes on each side of a midpoint.
+
+        All endpoints at step s share the denominator 4^(s+1) * B, so scaling
+        by 4 per step makes half a constant: 4 * (1-rho) * L * B.
+        """
+        removed = (1 - self.retained_fraction) * self.length
+        lo, hi = self.host.lo, self.host.hi
+        base = lcm(lo.denominator, hi.denominator, removed.denominator)
+        den = 4 * base
+        return (
+            lo.numerator * (den // lo.denominator),
+            hi.numerator * (den // hi.denominator),
+            den,
+            4 * removed.numerator * (base // removed.denominator),
+        )
+
+    def _descend(self, a: Fraction, b: Fraction, depth: int) -> tuple[Fraction, Fraction] | None:
+        """The leftmost depth-d cover piece meeting [a, b], or None.
+
+        Follows one path of the cover tree, so it costs O(d) instead of the
+        cover's 2^d parts.  A window meeting the left child holds the child's
+        right end, which every deeper cover keeps, or ends before the right
+        child starts; so the leftmost meeting piece lies below the left child
+        whenever the window meets it.  A window meeting neither child lies in
+        the removed middle.
+        """
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        with self._lock:
-            cached = self._cover_cache.get(depth)
-        if cached is not None:
-            return cached
-        parts = self._compute_parts(depth)
-        if depth <= _MEMO_DEPTH:
-            with self._lock:
-                self._cover_cache[depth] = parts
-        return parts
-
-    def _compute_parts(self, depth: int) -> tuple[tuple[Fraction, Fraction], ...]:
-        # All endpoints at step s share the denominator 4^(s+1) * B, so the
-        # splitting runs on integer numerators: scaling by 4 per step makes
-        # the removed half-length a constant numerator 4 * (1-rho) * L * B.
-        removed = (1 - self.retained_fraction) * self.length
-        base = self.host.lo.denominator
-        for value in (self.host.hi, removed):
-            base = base * value.denominator // gcd(base, value.denominator)
-        den = 4 * base
-        half_num = 4 * removed.numerator * (base // removed.denominator)
-        parts = [
-            (self.host.lo.numerator * (den // self.host.lo.denominator),
-             self.host.hi.numerator * (den // self.host.hi.denominator)),
-        ]
+        lo, hi, den, half = self._root()
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        if hi * ad < an * den or bn * den < lo * bd:
+            return None
         for _ in range(depth):
             den *= 4
-            out = []
-            for lo, hi in parts:
-                mid = 2 * (lo + hi)
-                out.append((4 * lo, mid - half_num))
-                out.append((mid + half_num, 4 * hi))
-            parts = out
+            (lo, left_hi), (right_lo, hi) = _children(lo, hi, half)
+            if an * den <= left_hi * ad:
+                hi = left_hi
+            elif right_lo * bd <= bn * den:
+                lo = right_lo
+            else:
+                return None
+        return Fraction(lo, den), Fraction(hi, den)
+
+    def _compute_parts(self, depth: int) -> tuple[tuple[Fraction, Fraction], ...]:
+        """All 2^d pieces of the depth-d cover, the one bulk materializer."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        lo, hi, den, half = self._root()
+        parts = [(lo, hi)]
+        for _ in range(depth):
+            den *= 4
+            parts = [child for lo, hi in parts for child in _children(lo, hi, half)]
         return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in parts)
 
     def svc_cover(self, depth: int) -> IntervalSet:
         """The depth-d cover: 2^d closed intervals whose intersection is F."""
         return IntervalSet(
-            tuple(Interval(lo, hi, True, True) for lo, hi in self._parts(depth))
+            tuple(Interval(lo, hi, True, True) for lo, hi in self._compute_parts(depth))
         )
 
     def svc_membership(self, x: Fraction, depth: int) -> Containment:
@@ -175,41 +189,16 @@ class FatCantorSet:
             return Containment.OUT
         if x == self.host.hi and not self.host.hi_closed:
             return Containment.OUT
-        parts = self._parts(depth)
-        lo_idx, hi_idx = 0, len(parts)
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx) // 2
-            if parts[mid][1] < x:
-                lo_idx = mid + 1
-            else:
-                hi_idx = mid
-        if lo_idx == len(parts) or x < parts[lo_idx][0]:
+        piece = self._descend(x, x, depth)
+        if piece is None:
             return Containment.OUT
-        lo, hi = parts[lo_idx]
-        if x == lo or x == hi:
+        if x in piece:
             return Containment.IN
         return Containment.UNDECIDED
 
     def cover_meets(self, window: Interval, depth: int) -> bool:
-        """Whether the depth-d cover meets the closure of the window.
-
-        Descends the one path of cover pieces meeting it, so it costs O(d)
-        instead of the cover's 2^d parts: a window that meets neither child
-        of a piece lies inside that piece's removed middle.
-        """
-        lo, hi = self.host.lo, self.host.hi
-        if hi < window.lo or window.hi < lo:
-            return False
-        for step in range(depth):
-            half = self.removal_length(step) / 2
-            mid = (lo + hi) / 2
-            if window.lo <= mid - half:
-                hi = mid - half
-            elif mid + half <= window.hi:
-                lo = mid + half
-            else:
-                return False
-        return True
+        """Whether the depth-d cover meets the closure of the window, in O(d)."""
+        return self._descend(window.lo, window.hi, depth) is not None
 
     def svc_measure_in(self, window: Interval, depth: int) -> MeasureBound:
         """Certified bound on lambda(F intersect window).
@@ -226,26 +215,27 @@ class FatCantorSet:
             return MeasureBound(ZERO, ZERO)
         if window.lo <= self.host.lo and self.host.hi <= window.hi:
             return MeasureBound(self.limit_measure, self.limit_measure)
-        lo, hi = self._mass_bounds(window, self.host.lo, self.host.hi, 0, depth)
-        return MeasureBound(lo, hi)
+        return MeasureBound(*self._mass_bounds(window, *self._root(), 0, depth))
 
-    def _mass_bounds(self, window, lo, hi, step, depth_left):
-        a = max(lo, window.lo)
-        b = min(hi, window.hi)
+    def _mass_bounds(self, window, lo, hi, den, half, step, depth):
+        """Bounds on the F-mass inside the window of the step-s piece [lo, hi] over den."""
+        piece_lo, piece_hi = Fraction(lo, den), Fraction(hi, den)
+        a = max(piece_lo, window.lo)
+        b = min(piece_hi, window.hi)
         if b <= a:
             return ZERO, ZERO
-        if window.lo <= lo and hi <= window.hi:
+        if window.lo <= piece_lo and piece_hi <= window.hi:
             mass = self.limit_measure / 2**step
             return mass, mass
-        if depth_left == 0:
+        if step == depth:
             overlap = b - a
             mass = self.limit_measure / 2**step
-            slack = (hi - lo) - mass
+            slack = (piece_hi - piece_lo) - mass
             return max(ZERO, overlap - slack), min(overlap, mass)
-        half = self.removal_length(step) / 2
-        mid = (lo + hi) / 2
-        left = self._mass_bounds(window, lo, mid - half, step + 1, depth_left - 1)
-        right = self._mass_bounds(window, mid + half, hi, step + 1, depth_left - 1)
+        left, right = (
+            self._mass_bounds(window, *child, 4 * den, half, step + 1, depth)
+            for child in _children(lo, hi, half)
+        )
         return left[0] + right[0], left[1] + right[1]
 
     def serialize(self) -> str:

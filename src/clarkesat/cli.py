@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -200,16 +200,7 @@ def cmd_plot(args) -> int:
 def _with_dimension(config: Config, d: int) -> Config:
     if config.x0 is not None and len(config.x0) != d:
         raise ValueError("x0 must match the point's dimension")
-    return Config(
-        partition=config.partition,
-        mu=config.mu,
-        d=d,
-        point=config.point,
-        x0=config.x0,
-        tol=config.tol,
-        K=config.K,
-        decimal=config.decimal,
-    )
+    return replace(config, d=d)
 
 
 def build_parser() -> argparse.ArgumentParser:

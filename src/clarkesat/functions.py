@@ -31,10 +31,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotYetCovered, ToleranceExhausted
-from .partition import SplittingPartition, _WindowMass, _sufficient_stages
+from .partition import _MAX_MEASURE_DEPTH, SplittingPartition, _WindowMass, _sufficient_stages
 from .rationals import Interval, ONE, ZERO, format_rational, parse_rational, rational
-
-_MAX_EVAL_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -320,7 +318,7 @@ def _interval_value(
         (k, coeff) for k in range(partition.stage_count // 2 + 1) if (coeff := mu.coefficient(k))
     ]
     exact = mass.exact({j for k, _ in terms for j in (2 * k, 2 * k + 1) if j})
-    for depth in range(_MAX_EVAL_DEPTH + 1):
+    for depth in range(_MAX_MEASURE_DEPTH + 1):
         built = {member: (m, m) for member, m in exact.items()}
         built_lo_sum = built_hi_sum = mass.total
         for cantor_set, chunk, member in mass.straddlers:
@@ -351,7 +349,7 @@ def _interval_value(
         if result.width <= tol:
             return result
     raise ToleranceExhausted(
-        f"could not reach tolerance {tol} by depth {_MAX_EVAL_DEPTH + 1};"
+        f"could not reach tolerance {tol} by depth {_MAX_MEASURE_DEPTH + 1};"
         f" rebuild with at least {_sufficient_stages(partition, limit, tol)} stages"
     )
 

@@ -284,8 +284,6 @@ class SplittingPartition:
         self.gap_cap = gap_cap
         self.translation = translation
         self.stages: tuple[StageRecord, ...] = ()
-        self._piece_sets: dict[tuple[int, int], FatCantorSet] = {}
-        self._cache_lock = threading.Lock()
         # The gap index: records sorted by gap.lo and the running max of gap.hi.
         self._by_lo: list[StageRecord] = []
         self._max_hi: list[Fraction] = []
@@ -314,13 +312,7 @@ class SplittingPartition:
         return self.stages[n - 1]
 
     def piece_set(self, n: int, i: int) -> FatCantorSet:
-        key = (n, i)
-        with self._cache_lock:
-            cached = self._piece_sets.get(key)
-            if cached is None:
-                cached = FatCantorSet(self.stage(n).piece_host(i), RETAINED)
-                self._piece_sets[key] = cached
-        return cached
+        return FatCantorSet(self.stage(n).piece_host(i), RETAINED)
 
     def stages_overlapping(self, window: Interval) -> list[StageRecord]:
         """Built stages whose gap closure meets the window, ascending by n."""
@@ -709,15 +701,16 @@ def loads(text: str) -> SplittingPartition:
     if len(lines) < 2:
         raise ValueError("SPLITPART file ends before its header line")
     header = _fields(lines[1].split(), ("gap_cap", "translation", "stages"), "header")
-    gap_cap = parse_rational(header["gap_cap"])
+    gap_cap = _parsed(header, "gap_cap", parse_rational, "a rational", "header")
     if not 0 < gap_cap <= 1:
         raise ValueError(f"SPLITPART header gap_cap {header['gap_cap']} is not in (0, 1]")
-    declared = int(header["stages"])
+    declared = _parsed(header, "stages", int, "an integer", "header")
     if len(lines) - 2 != declared:
         raise ValueError(f"expected {declared} stages, found {len(lines) - 2}")
-    partition = SplittingPartition(gap_cap, (), int(header["translation"]))
-    for line in lines[2:]:
-        record = _parse_stage_line(line)
+    translation = _parsed(header, "translation", int, "an integer", "header")
+    partition = SplittingPartition(gap_cap, (), translation)
+    for position, line in enumerate(lines[2:], 1):
+        record = _parse_stage_line(line, f"stage line {position}")
         _check_stage(partition, record)
         partition._add(record)
     return partition
@@ -736,12 +729,25 @@ def _fields(tokens: list[str], keys: tuple[str, ...], where: str) -> dict[str, s
     return fields
 
 
-def _parse_stage_line(line: str) -> StageRecord:
+def _parsed(fields: dict[str, str], key: str, parse, what: str, where: str):
+    """The parsed value of one key=value field; a bad one names the file part and the token."""
+    try:
+        return parse(fields[key])
+    except ValueError:
+        raise ValueError(f"SPLITPART {where}: {key}={fields[key]!r} is not {what}") from None
+
+
+def _open_interval(text: str) -> Interval:
+    lo, hi = text.split(",")
+    return Interval.open(parse_rational(lo), parse_rational(hi))
+
+
+def _parse_stage_line(line: str, where: str) -> StageRecord:
     tokens = line.split()
-    fields = _fields(tokens[:3], ("n", "gap", "depth"), "stage line")
-    n = int(fields["n"])
-    gap_lo, gap_hi = (parse_rational(part) for part in fields["gap"].split(","))
-    record = StageRecord(n, Interval.open(gap_lo, gap_hi), int(fields["depth"]))
+    fields = _fields(tokens[:3], ("n", "gap", "depth"), where)
+    n = _parsed(fields, "n", int, "an integer", where)
+    gap = _parsed(fields, "gap", _open_interval, "an open interval lo,hi with lo < hi", where)
+    record = StageRecord(n, gap, _parsed(fields, "depth", int, "an integer", where))
     # Count first: n pieces of 4 tokens and one of 3 follow, and a corrupt n must
     # not make the comparison generate its records.
     if len(tokens) != 4 * n + 6 or " ".join(tokens[3:]) != " ".join(_set_records(record)):

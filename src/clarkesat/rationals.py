@@ -18,8 +18,10 @@ equality of normalized sets is a meaningful test.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 Rational = Fraction
@@ -224,14 +226,8 @@ class IntervalSet:
         return total
 
     def contains(self, x: Fraction) -> bool:
-        lo, hi = 0, len(self.parts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.parts[mid].hi < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.parts) and self.parts[lo].contains(x)
+        pos = bisect_left(self.parts, x, key=attrgetter("hi"))
+        return pos < len(self.parts) and self.parts[pos].contains(x)
 
     def union(self, other: IntervalSet) -> IntervalSet:
         return IntervalSet.of((*self.parts, *other.parts))

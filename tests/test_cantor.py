@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -190,3 +191,59 @@ def test_find_gap_blocked_without_priors():
     assert (gap, depth) == (Interval.open(Fraction(1, 4), 1), 0)
     with pytest.raises(RuntimeError):
         find_gap([], Interval.open(0, 1), (Interval.closed(0, 1),))
+
+
+@pytest.mark.parametrize(
+    "host, rho",
+    [
+        (Interval.closed(0, 1), Fraction(1, 2)),
+        (Interval.open(Fraction(1, 3), Fraction(1, 2)), Fraction(1, 3)),
+        (Interval(Fraction(-2, 7), Fraction(5, 7), True, False), Fraction(3, 4)),
+        (Interval(Fraction(3, 11), Fraction(9, 10), False, True), Fraction(1, 3)),
+    ],
+    ids=["closed", "open", "closed-open", "open-closed"],
+)
+def test_membership_agrees_with_the_materialized_cover(host, rho):
+    c = FatCantorSet(host, rho)
+    points = set()
+    for depth in range(6):
+        parts = c.svc_cover(depth).parts
+        points.update(x for p in parts for x in (p.lo, p.hi, p.midpoint))
+        points.update((p.hi + q.lo) / 2 for p, q in zip(parts, parts[1:]))
+    rng = random.Random(2018)
+    span = host.length + Fraction(1, 5)
+    points.update(host.lo - Fraction(1, 10) + span * Fraction(rng.randrange(10**9), 10**9)
+                  for _ in range(40))
+    open_ends = {e for e, closed in ((host.lo, host.lo_closed), (host.hi, host.hi_closed)) if not closed}
+    for depth in range(15):
+        # The answer read off the materialized cover: endpoints are never removed.
+        cover = c.svc_cover(depth)
+        ends = {e for part in cover for e in (part.lo, part.hi)} - open_ends
+        for x in points:
+            if x in ends:
+                expected = Containment.IN
+            elif x in open_ends or not cover.contains(x):
+                expected = Containment.OUT
+            else:
+                expected = Containment.UNDECIDED
+            assert c.svc_membership(x, depth) is expected, (x, depth)
+
+
+def test_membership_at_depth_64_walks_one_path(canonical):
+    endpoint = canonical.svc_cover(1).parts[0].hi
+    assert canonical.svc_membership(endpoint, 64) is Containment.IN
+    # Follow left, right, left, ... to a step-40 piece; its midpoint is the
+    # middle of the interval removed at step 40.
+    lo, hi = Fraction(0), Fraction(1)
+    for step in range(40):
+        mid, half = (lo + hi) / 2, canonical.removal_length(step) / 2
+        lo, hi = (lo, mid - half) if step % 2 == 0 else (mid + half, hi)
+    x = (lo + hi) / 2
+    assert canonical.svc_membership(x, 40) is Containment.UNDECIDED
+    for depth in (41, 42, 64):
+        assert canonical.svc_membership(x, depth) is Containment.OUT
+
+
+def test_membership_rejects_a_negative_depth(canonical):
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        canonical.svc_membership(Fraction(1, 3), -1)

@@ -250,6 +250,27 @@ def test_stage_a_build_cannot_place_is_usage_error(tmp_path, capsys, gap_cap, st
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "line, old, new, message",
+    [
+        (1, "stages=6", "stages=five", "SPLITPART header: stages='five' is not an integer"),
+        (1, "translation=0", "translation=1/2", "SPLITPART header: translation='1/2' is not an integer"),
+        (2, "n=1 ", "n=x ", "SPLITPART stage line 1: n='x' is not an integer"),
+        (2, "depth=0", "depth=zz", "SPLITPART stage line 1: depth='zz' is not an integer"),
+        (2, "gap=5/12,7/12", "gap=1/2", "SPLITPART stage line 1: gap='1/2' is not an open interval"),
+        (2, "gap=5/12,7/12", "gap=7/12,5/12", "SPLITPART stage line 1: gap='7/12,5/12' is not an open"),
+    ],
+    ids=["stages-word", "translation-fraction", "stage-n", "stage-depth", "gap-one-end", "gap-reversed"],
+)
+def test_unparsable_value_names_its_file_part(tmp_path, capsys, line, old, new, message):
+    lines = saves(build_partition(6)).splitlines()
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new, 1)
+    code, err = _eval_exit(tmp_path, capsys, "\n".join(lines) + "\n")
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
 def test_header_token_without_equals_is_usage_error(tmp_path, capsys):
     lines = saves(build_partition(5)).splitlines()
     lines[1] = lines[1].replace("translation=0", "translation")

@@ -49,6 +49,17 @@ def test_interval_contains_respects_closure():
     assert iv.contains(Fraction(1, 2))
 
 
+def test_interval_set_contains_finds_the_part():
+    half = Fraction(1, 2)
+    s = IntervalSet.of([Interval(0, Fraction(1, 4), True, False), Interval(half, 1, False, True)])
+    assert s.contains(Fraction(1, 8)) and s.contains(Fraction(3, 4))  # inside a part
+    assert s.contains(0) and s.contains(1)  # closed ends
+    assert not s.contains(Fraction(1, 4)) and not s.contains(half)  # open ends
+    assert not s.contains(Fraction(3, 8))  # in the gap between the parts
+    assert not s.contains(Fraction(-1, 8)) and not s.contains(Fraction(9, 8))  # before and past
+    assert not IntervalSet.of([]).contains(0)
+
+
 def test_measure_empty_set():
     assert measure(IntervalSet.empty()) == 0
 
