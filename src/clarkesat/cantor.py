@@ -211,6 +211,8 @@ class FatCantorSet:
         depth-d tail.  The upper bound equals the cover measure inside the
         window; bounds nest as the depth grows.
         """
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
         if not window.overlaps_nontrivially(self.host):
             return MeasureBound(ZERO, ZERO)
         if window.lo <= self.host.lo and self.host.hi <= window.hi:

@@ -145,8 +145,6 @@ def cmd_certify(args) -> int:
 
 def cmd_measure(args) -> int:
     partition = load(args.partition)
-    if args.k < 0:
-        raise ValueError("member index must be >= 0")
     bound = partition.measure_in(args.k, _parse_window(args.window), _positive_tol(args.tol))
     _print_bound(bound.lo, bound.hi, args.decimal)
     return 0

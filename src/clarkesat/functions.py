@@ -19,9 +19,9 @@ independently.
 
 All integrals reduce to certified measures of partition members inside
 rational windows, so every bound here is an exact rational inequality.
-They come from the window integrator ``partition._WindowMass`` (also behind
-``measure_in``): O(stages overlapping the window), plus per refinement depth
-the pieces straddling its edges, never the O(N^2) planted pieces one by one.
+They come from the depth loop of the window integrator ``partition._WindowMass``
+(also behind ``measure_in``); this module only forms value bounds from the
+member masses it hands out.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import NotYetCovered, ToleranceExhausted
-from .partition import _MAX_MEASURE_DEPTH, SplittingPartition, _WindowMass, _sufficient_stages
+from .errors import NotYetCovered
+from .partition import SplittingPartition, _WindowMass
 from .rationals import Interval, ONE, ZERO, format_rational, parse_rational, rational
 
 
@@ -280,6 +280,10 @@ def eval_f1(
     the window between the points, from one integrator scan; each measure
     gets half the tolerance.
     """
+    if k < 0:
+        raise ValueError("member index must be >= 0")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
     x0, x = rational(x0), rational(x)
     if x == x0:
         return ValueBound(ZERO, ZERO)
@@ -301,10 +305,10 @@ def _interval_value(
 ) -> ValueBound:
     """Certified bound on the integral of sum_k mu_k g_k over the window.
 
-    The explicit terms use built measures from the window integrator; one
-    norm * tail correction absorbs all unbuilt-stage mass, and generator
-    sources additionally widen by the norm-weighted mass not yet attributed
-    to any member.  Each depth re-descends only the straddling pieces.
+    The explicit terms use built masses from the window integrator's depth
+    loop; one norm * tail correction absorbs all unbuilt-stage mass, and
+    generator sources additionally widen by the norm-weighted mass not yet
+    attributed to any member, the width of the A_0 bound.
     """
     norm = mu.norm_inf
     if norm == 0:
@@ -317,22 +321,14 @@ def _interval_value(
     terms = mu.entries if not generator else [
         (k, coeff) for k in range(partition.stage_count // 2 + 1) if (coeff := mu.coefficient(k))
     ]
-    exact = mass.exact({j for k, _ in terms for j in (2 * k, 2 * k + 1) if j})
-    for depth in range(_MAX_MEASURE_DEPTH + 1):
-        built = {member: (m, m) for member, m in exact.items()}
-        built_lo_sum = built_hi_sum = mass.total
-        for cantor_set, chunk, member in mass.straddlers:
-            bound = cantor_set.svc_measure_in(chunk, depth)
-            built_lo_sum += bound.lo
-            built_hi_sum += bound.hi
-            if member in built:
-                lo, hi = built[member]
-                built[member] = (lo + bound.lo, hi + bound.hi)
-        m0_lo = max(ZERO, mass.length - built_hi_sum - mass.tail)
-        built[0] = (m0_lo, max(m0_lo, mass.length - built_lo_sum))
+    members = {j for k, _ in terms for j in (2 * k, 2 * k + 1)}
+    if generator:
+        members.add(0)
+
+    def value(masses) -> ValueBound:
         lo = hi = ZERO
         for k, coeff in terms:
-            plus, minus = built[2 * k + 1], built[2 * k]
+            plus, minus = masses[2 * k + 1], masses[2 * k]
             term_lo = plus[0] - minus[1]
             term_hi = plus[1] - minus[0]
             if coeff > 0:
@@ -343,15 +339,11 @@ def _interval_value(
                 hi += coeff * term_lo
         slack = norm * mass.tail
         if generator:
-            unresolved = max(ZERO, mass.length - m0_lo - built_lo_sum)
-            slack += norm * unresolved
-        result = ValueBound(lo - slack, hi + slack)
-        if result.width <= tol:
-            return result
-    raise ToleranceExhausted(
-        f"could not reach tolerance {tol} by depth {_MAX_MEASURE_DEPTH + 1};"
-        f" rebuild with at least {_sufficient_stages(partition, limit, tol)} stages"
-    )
+            m0_lo, m0_hi = masses[0]
+            slack += norm * (m0_hi - m0_lo)
+        return ValueBound(lo - slack, hi + slack)
+
+    return mass.refine(members, tol, value)
 
 
 def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> ValueBound:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from operator import attrgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
 from .cantor import _GAP_DEPTHS, _longest_part
@@ -369,16 +369,12 @@ class SplittingPartition:
         hit = None
         undecided = False
         for record in self.stages_overlapping(point):
-            if not (record.gap.lo < u < record.gap.hi):
-                continue
-            offset = u - record.gap.lo
-            width = record.piece_width
-            idx, rem = divmod(offset, width)
-            if rem == 0:
-                continue  # piece boundary: in no open piece of this stage
-            answer = self.piece_set(record.n, int(idx)).svc_membership(u, depth)
+            span = _piece_span(record, point)
+            if span is None:
+                continue  # a gap end or piece boundary: in no open piece of this stage
+            answer = self.piece_set(record.n, span[0]).svc_membership(u, depth)
             if answer is Containment.IN:
-                member = record.member_index(int(idx))
+                member = record.member_index(span[0])
                 if hit is not None:
                     raise AssertionError("disjointness violated: two stages claim one point")
                 hit = PartitionMembership("B" if member == 0 else "A",
@@ -402,8 +398,10 @@ class SplittingPartition:
 
         Windows may extend beyond [0,1); they are folded by integer
         translation.  Raises ToleranceExhausted, naming a stage count that
-        suffices, when the unbuilt-stage tail alone reaches the tolerance.
+        suffices, when the tail or depth 64 leaves the bound too wide.
         """
+        if k < 0:
+            raise ValueError("member index must be >= 0")
         if tol <= 0:
             raise ValueError("tolerance must be positive")
         if not window.is_nontrivial:
@@ -422,9 +420,13 @@ class SplittingPartition:
         overlapping = self.stages_overlapping(window)
         positive = _whole_piece(overlapping, k, window)
         for record in overlapping:
-            for piece, member, host in _pieces_overlapping(record, window):
-                if member != k and window.contains_interval(host):
-                    complement = (member, record.n, piece, RETAINED * host.length)
+            span = _piece_span(record, window)
+            if span is None:
+                continue
+            for piece in range(span[2], span[3] + 1):  # the pieces wholly inside
+                member = record.member_index(piece)
+                if member != k:
+                    complement = (member, record.n, piece, RETAINED * record.piece_width)
                     return SplittingCertificate(k, window, *positive, *complement)
         raise _not_yet_covered(k, window)
 
@@ -486,14 +488,6 @@ def _piece_span(record: StageRecord, window: Interval) -> tuple[int, int, int, i
     return first, last, max(0, ceil(t_lo)), min(record.n, floor(t_hi) - 1)
 
 
-def _pieces_overlapping(record: StageRecord, window: Interval):
-    """(piece index, member index, host) for pieces meeting the window."""
-    span = _piece_span(record, window)
-    if span is not None:
-        for i in range(span[0], span[1] + 1):
-            yield i, record.member_index(i), record.piece_host(i)
-
-
 class _WindowMass:
     """The window integrator: built member masses over one window.
 
@@ -503,25 +497,23 @@ class _WindowMass:
     array over member index, plus the aggregate ``total`` over all members
     j >= 1 (A_0 is their complement, so B pieces are skipped).  The at most
     two pieces per stage and chunk straddling a chunk edge are kept as
-    ``straddlers`` (set, chunk, member) for the callers' depth loops.  Cost:
-    O(stages overlapping the window), then the straddlers times depth.
+    ``straddlers`` (set, chunk, member) for ``refine``, the one depth loop.
+    Cost: O(stages overlapping the window), then straddlers times depth.
 
-    Raises ToleranceExhausted before scanning when the unbuilt stages alone
-    force width scale * tail >= tol, naming ``_sufficient_stages`` for
-    limit; limit * tail (default scale * tail) is the width the caller's
-    bound tends to with depth.
+    Raises ToleranceExhausted when the unbuilt stages alone force width
+    scale * tail >= tol, or depth 64 leaves the bound wider than tol,
+    naming ``_sufficient_stages`` for limit; limit * tail (default
+    scale * tail) is the width the caller's bound tends to with depth.
     """
 
     def __init__(self, partition: SplittingPartition, window: Interval, tol: Fraction,
                  scale: Fraction = ONE, limit: Fraction | None = None):
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
         self.tail = partition.unbuilt_tail_bound()
+        self._needed = lambda: _sufficient_stages(partition, scale if limit is None else limit, tol)
         if scale * self.tail >= tol:
-            needed = _sufficient_stages(partition, scale if limit is None else limit, tol)
             raise ToleranceExhausted(
                 f"the unbuilt-stage tail forces width {scale * self.tail} >= tolerance {tol};"
-                f" rebuild with at least {needed} stages"
+                f" rebuild with at least {self._needed()} stages"
             )
         self.length = ZERO
         self.total = ZERO
@@ -544,33 +536,48 @@ class _WindowMass:
                     if not a <= i <= b and i < record.n:
                         self.straddlers.append((partition.piece_set(record.n, i), chunk, i + 1))
 
-    def exact(self, members) -> dict[int, Fraction]:
-        """Exact whole-piece mass of each requested member j >= 1."""
+    def refine(self, members: set[int], tol: Fraction, bound: Callable):
+        """bound(masses) at the first depth 0..64 where its width is <= tol.
+
+        masses maps each requested member to its built (lo, hi); member 0
+        gets the A_0 bound (max(0, L - hi_sum - tail), L - lo_sum) over all
+        members, whose width is the mass no member accounts for yet.  Only
+        the requested members' straddlers are re-measured, all for member 0.
+        """
         steps = sorted(self._steps.items(), reverse=True)
-        out, running = {}, ZERO
+        exact, running = {}, ZERO
         for j in sorted(members):
             while steps and steps[-1][0] <= j:
                 running += steps.pop()[1]
-            out[j] = running
-        return out
+            exact[j] = running
+        everything = 0 in members
+        straddlers = [s for s in self.straddlers if everything or s[2] in members]
+        for depth in range(_MAX_MEASURE_DEPTH + 1):
+            masses = {j: (m, m) for j, m in exact.items()}
+            lo_sum = hi_sum = self.total
+            for cantor_set, chunk, member in straddlers:
+                part = cantor_set.svc_measure_in(chunk, depth)
+                lo_sum += part.lo
+                hi_sum += part.hi
+                if member in masses:
+                    lo, hi = masses[member]
+                    masses[member] = (lo + part.lo, hi + part.hi)
+            if everything:
+                masses[0] = (max(ZERO, self.length - hi_sum - self.tail), self.length - lo_sum)
+            result = bound(masses)
+            if result.width <= tol:
+                return result
+        raise ToleranceExhausted(
+            f"could not reach tolerance {tol} by depth {_MAX_MEASURE_DEPTH + 1};"
+            f" rebuild with at least {self._needed()} stages"
+        )
 
     def measure(self, k: int, tol: Fraction) -> MeasureBound:
         """Bound on lambda(A_k within the window), refined until width <= tol."""
-        exact = self.total if k == 0 else self.exact((k,))[k]
-        straddlers = [(s, chunk) for s, chunk, member in self.straddlers if k in (0, member)]
-        for depth in range(_MAX_MEASURE_DEPTH + 1):
-            lo = hi = exact
-            for cantor_set, chunk in straddlers:
-                bound = cantor_set.svc_measure_in(chunk, depth)
-                lo += bound.lo
-                hi += bound.hi
-            if k == 0:
-                result = MeasureBound(max(ZERO, self.length - hi - self.tail), self.length - lo)
-            else:
-                result = MeasureBound(lo, min(self.length, hi + self.tail))
-            if result.width <= tol:
-                return result
-        raise ToleranceExhausted(f"could not reach tolerance {tol} at depth {_MAX_MEASURE_DEPTH}")
+        if k == 0:
+            return self.refine({0}, tol, lambda masses: MeasureBound(*masses[0]))
+        return self.refine({k}, tol, lambda masses: MeasureBound(
+            masses[k][0], min(self.length, masses[k][1] + self.tail)))
 
 
 def _sufficient_stages(partition: SplittingPartition, limit: Fraction, tol: Fraction) -> int:

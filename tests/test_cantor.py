@@ -247,3 +247,10 @@ def test_membership_at_depth_64_walks_one_path(canonical):
 def test_membership_rejects_a_negative_depth(canonical):
     with pytest.raises(ValueError, match="depth must be >= 0"):
         canonical.svc_membership(Fraction(1, 3), -1)
+
+
+@pytest.mark.parametrize("lo, hi", [(Fraction(1, 3), Fraction(1, 2)), (0, 1), (2, 3)])
+def test_measure_in_rejects_a_negative_depth(canonical, lo, hi):
+    # A straddled, a swallowed and a missed host: the check precedes every shortcut.
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        canonical.svc_measure_in(Interval.closed(lo, hi), -1)

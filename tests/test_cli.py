@@ -163,6 +163,17 @@ def test_plot_zero_grid_is_usage_error(partition_file, capsys):
     assert code == 2
 
 
+def test_negative_member_index_is_usage_error(partition_file, tmp_path, capsys):
+    out = tmp_path / "plot.csv"
+    for argv in (
+        ("plot", "--k", "-1", "--grid", "2", "--out", str(out)),
+        ("measure", "--k", "-1", "--window", "0/1,1/1", "--tol", "1/4"),
+    ):
+        assert run_cli(*argv, "--partition", partition_file) == 2
+        assert "error: member index must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_entry_point(partition_file):
     result = subprocess.run(
         [sys.executable, "-m", "clarkesat.cli", "eval",

@@ -91,6 +91,18 @@ def test_eval_f1_at_base_point(p30):
     assert eval_f1(p30, 0, Fraction(1, 2), Fraction(1, 2), TOL) == ValueBound(0, 0)
 
 
+def test_eval_f1_rejects_a_negative_member_index(p30):
+    for x in (Fraction(2, 3), Fraction(1, 2)):  # a window, and the base point itself
+        with pytest.raises(ValueError, match="member index must be >= 0"):
+            eval_f1(p30, -1, Fraction(1, 2), x, TOL)
+
+
+def test_eval_f1_at_base_point_still_validates_the_tolerance(p30):
+    for tol in (0, -TOL):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            eval_f1(p30, 1, Fraction(1, 2), Fraction(1, 2), tol)
+
+
 def test_eval_f1_orientation_antisymmetry(p30):
     a, b = Fraction(1, 3), Fraction(4, 5)
     fwd = eval_f1(p30, 1, a, b, TOL)

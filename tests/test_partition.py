@@ -149,6 +149,42 @@ def test_membership_translates_by_integers(p20):
         assert (answer.kind, answer.k, answer.stage) == ("A", 1, 1)
 
 
+def _membership_from_piece_hosts(p, x, depth):
+    """What membership must answer, found by testing every piece host of every stage."""
+    hit, undecided = None, False
+    for record in p.stages:
+        if not record.gap.contains(x):
+            continue  # every piece lies inside its stage's gap
+        for i in range(record.piece_count):
+            host = record.piece_host(i)
+            if not host.contains(x):
+                continue
+            answer = FatCantorSet(host, RETAINED).svc_membership(x, depth)
+            if answer is Containment.IN:
+                member = record.member_index(i)
+                hit = ("B" if member == 0 else "A", member, record.n)
+            undecided |= answer is Containment.UNDECIDED
+    if hit is not None:
+        return hit
+    return ("A", 0, None) if x == 0 and not undecided else ("undecided", None, None)
+
+
+def test_membership_agrees_with_piece_hosts_at_100_stages():
+    p = build_partition(100)
+    for n in (1, 2, 37, 100):
+        record = p.stage(n)
+        hosts = [record.piece_host(i) for i in range(record.piece_count)]
+        points = [h.lo for h in hosts] + [record.gap.hi] + [h.midpoint for h in hosts]
+        # The ends of each piece's first removed middle lie in its planted set.
+        for h in hosts:
+            left, right = FatCantorSet(h, RETAINED).svc_cover(1).parts
+            points += [left.hi, right.lo]
+        for x in points:
+            answer = p.membership(x, 8)
+            expected = _membership_from_piece_hosts(p, x, 8)
+            assert (answer.kind, answer.k, answer.stage) == expected, (n, x)
+
+
 def test_membership_is_depth_consistent(p20):
     xs = [Fraction(i, 97) for i in range(98)]
     previous = {x: p20.membership(x, 1) for x in xs}
@@ -201,6 +237,12 @@ def test_measure_in_partition_additivity(p20):
 def test_measure_in_tolerance_exhausted(p20):
     with pytest.raises(ToleranceExhausted):
         measure_in(p20, 1, Interval.closed(0, 1), Fraction(1, 2**40))
+
+
+def test_measure_in_rejects_a_negative_member_index(p20):
+    for window in (Interval.closed(0, 1), Interval.closed(Fraction(1, 2), Fraction(1, 2))):
+        with pytest.raises(ValueError, match="member index must be >= 0"):
+            measure_in(p20, -1, window, Fraction(1, 2**10))
 
 
 def test_measure_in_folds_windows(p20):
