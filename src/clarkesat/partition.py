@@ -33,7 +33,11 @@ stages.  Stage tails are summable: sum of gap lengths over n > N is at most
 2^-N.
 
 Gap search.  The free interval avoids the closures of all earlier gaps when
-they leave room in I_n.  When they tile it (from stage 37 on at gap_cap 1),
+they leave room in I_n.  Closures are disjoint or nested, so that free space
+is I_n minus the top-level closures, the gaps of the depth-0 stages.  The
+build keeps them sorted, with the free lengths between neighbours as
+integers, and finds the longest free part of I_n with two bisections and one
+integer max.  When the closures tile I_n (from stage 37 on at gap_cap 1),
 the new gap nests inside a removed middle of the earlier stage overlapping
 I_n most, certified at ``depth_used``; planted sets stay disjoint either way.
 """
@@ -41,7 +45,7 @@ I_n most, certified at ``depth_used``; planted sets stay disjoint either way.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -49,11 +53,10 @@ from operator import attrgetter
 from typing import Callable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
-from .cantor import _GAP_DEPTHS, _longest_part
+from .cantor import _GAP_DEPTHS
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
-    IntervalSet,
     ONE,
     ZERO,
     format_rational,
@@ -111,7 +114,10 @@ def enumerated_interval(n: int) -> Interval:
         return _enum_cache[n - 1]
 
 
-def enumeration_index(interval: Interval, limit: int = 500_000) -> int:
+_SCAN_LIMIT = 500_000  # enumeration indices an index search walks before it gives up
+
+
+def enumeration_index(interval: Interval, limit: int = _SCAN_LIMIT) -> int:
     """Smallest n with I_n equal to the given open interval."""
     if interval.lo_closed or interval.hi_closed:
         raise ValueError("enumerated intervals are open")
@@ -138,7 +144,7 @@ def enumeration_index(interval: Interval, limit: int = 500_000) -> int:
     raise ValueError(f"interval {interval} not found in the enumeration")
 
 
-def first_index_inside(window: Interval, min_index: int = 1, limit: int = 500_000) -> int:
+def first_index_inside(window: Interval, min_index: int = 1, limit: int = _SCAN_LIMIT) -> int:
     """Smallest n >= min_index with I_n contained in the window.
 
     Exists for every nontrivial window thanks to the dyadic stream.
@@ -326,29 +332,31 @@ class SplittingPartition:
         found.sort(key=lambda s: s.n)
         return found
 
-    def _free_subinterval(self, target: Interval) -> tuple[Interval, int]:
+    def _free_subinterval(self, target: Interval, top: _TopGaps) -> tuple[Interval, int]:
         """Longest open subinterval of target avoiding all planted sets, and the dig depth.
 
         Depth 0 avoids the closures of the built gaps, which hold every
-        planted set.  When they tile the target, ``find_gap`` digs into the
-        stage with the largest overlap (earliest on ties), the other closures
-        blocked.  Closures are disjoint or nested, so that stage's closure
-        holds the target, and its removed middles minus the finitely many
-        closed gaps nested in them leave room at some finite depth.
+        planted set.  Closures are disjoint or nested: a depth-0 gap misses
+        every earlier closure, and a dug gap lies inside the gap it was dug
+        from.  So the depth-0 free space is the target minus the top-level
+        closures, the gaps of the depth-0 stages, which ``top`` holds.  When
+        they tile the target, ``find_gap`` digs into the stage with the
+        largest overlap (earliest on ties), the other closures blocked.
+        That stage's closure holds the target, and its removed middles minus
+        the finitely many closed gaps nested in them leave room at some
+        finite depth.
         """
-        overlapping = self.stages_overlapping(target)
-        closures = [record.gap.closure() for record in overlapping]
-        obstruction = [part for c in closures if (part := c.intersect(target)) is not None]
-        best = _longest_part(IntervalSet.of(obstruction).complement_within(target))
+        best = top.longest_free(target)
         if best is not None:
-            return best.interior(), 0
+            return best, 0
+        overlapping = self.stages_overlapping(target)
         chosen = max(
             overlapping,
             key=lambda r: (min(r.gap.hi, target.hi) - max(r.gap.lo, target.lo), -r.n),
         )
         first, last, _, _ = _piece_span(chosen, target)
         pieces = [self.piece_set(chosen.n, i) for i in range(first, last + 1)]
-        blocked = tuple(c for r, c in zip(overlapping, closures) if r is not chosen)
+        blocked = tuple(r.gap.closure() for r in overlapping if r is not chosen)
         return find_gap(pieces, target, blocked)
 
     def unbuilt_tail_bound(self) -> Fraction:
@@ -431,6 +439,65 @@ class SplittingPartition:
         raise _not_yet_covered(k, window)
 
 
+class _TopGaps:
+    """The top-level gap closures of a build, for its depth-0 free-space search.
+
+    They are pairwise disjoint, so sorted by ``lo`` they are sorted by ``hi``
+    too.  ``free[i]`` is the length of the free part between closures i and
+    i+1 as an integer over ``den``, a common denominator of every endpoint
+    (3*2^k for built gaps), so one ``max`` compares the inner free parts of a
+    target on integers.
+    """
+
+    def __init__(self, gaps: list[Interval]):
+        self.los: list[Fraction] = []
+        self.his: list[Fraction] = []
+        self.free: list[int] = []
+        self.den = 1
+        for gap in gaps:
+            self.add(gap)
+
+    def _scaled(self, length: Fraction) -> int:
+        return length.numerator * (self.den // length.denominator)
+
+    def add(self, gap: Interval) -> None:
+        den = lcm(self.den, gap.lo.denominator, gap.hi.denominator)
+        if den != self.den:
+            factor, self.den = den // self.den, den
+            self.free = [length * factor for length in self.free]
+        pos = bisect_right(self.los, gap.lo)
+        parts = []
+        if pos:
+            parts.append(self._scaled(gap.lo - self.his[pos - 1]))
+        if pos < len(self.los):
+            parts.append(self._scaled(self.los[pos] - gap.hi))
+        self.free[max(pos - 1, 0): pos] = parts  # the free part the gap splits
+        self.los.insert(pos, gap.lo)
+        self.his.insert(pos, gap.hi)
+
+    def longest_free(self, target: Interval) -> Interval | None:
+        """The longest part of the open target outside the closures, leftmost on ties.
+
+        Only the two edge parts need Fraction arithmetic; the ones between
+        closures inside the target are ``free[first:stop - 1]``.
+        """
+        lo, hi = target.lo, target.hi
+        first, stop = bisect_right(self.his, lo), bisect_left(self.los, hi)
+        if first == stop:
+            return target
+        best, length = None, ZERO
+        if self.los[first] > lo:
+            best, length = (lo, self.los[first]), self.los[first] - lo
+        if stop - first > 1:
+            inner = max(self.free[first: stop - 1])
+            if (inner_length := Fraction(inner, self.den)) > length:
+                pos = self.free.index(inner, first)  # the leftmost longest
+                best, length = (self.his[pos], self.los[pos + 1]), inner_length
+        if hi - self.his[stop - 1] > length:
+            best = (self.his[stop - 1], hi)
+        return None if best is None else Interval.open(*best)
+
+
 def _whole_piece(
     overlapping: list[StageRecord], k: int, window: Interval
 ) -> tuple[int, int, Fraction]:
@@ -448,7 +515,13 @@ def _whole_piece(
 
 
 def _not_yet_covered(k: int, window: Interval) -> NotYetCovered:
-    needed = first_index_inside(window, max(k, 1))
+    try:
+        needed = first_index_inside(window, max(k, 1), _SCAN_LIMIT)
+    except RuntimeError:
+        return NotYetCovered(
+            f"no stage covers member {k} inside {window} yet; the {_SCAN_LIMIT:,}-index"
+            " enumeration scan found no stage count that suffices"
+        )
     return NotYetCovered(
         f"no stage covers member {k} inside {window} yet; build at least {needed} stages",
         needed_stage=needed,
@@ -635,9 +708,13 @@ def extend_partition(partition: SplittingPartition, stages: int) -> SplittingPar
     if stages <= partition.stage_count:
         return partition
     grown = SplittingPartition(partition.gap_cap, partition.stages, partition.translation)
+    top = _TopGaps([record.gap for record in grown._by_lo if record.depth_used == 0])
     for n in range(partition.stage_count + 1, stages + 1):
-        found, depth_used = grown._free_subinterval(enumerated_interval(n))
-        grown._add(StageRecord(n, _shrink_gap(found, n, grown.gap_cap), depth_used))
+        found, depth_used = grown._free_subinterval(enumerated_interval(n), top)
+        record = StageRecord(n, _shrink_gap(found, n, grown.gap_cap), depth_used)
+        grown._add(record)
+        if depth_used == 0:
+            top.add(record.gap)
     return grown
 
 

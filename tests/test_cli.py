@@ -309,3 +309,19 @@ def test_zero_denominator_is_usage_error(partition_file, capsys):
     code = run_cli("eval", "--partition", partition_file, "--mu", "0:1/1", "--x", "1/2", "--tol", "1/0")
     assert code == 2
     assert "zero denominator: '1/0'" in capsys.readouterr().err
+
+
+def test_certify_without_a_stage_count_exits_3(partition_file, capsys, monkeypatch):
+    # No enumerated interval fits the window within the scan limit, cut from
+    # 500,000 to 1,000 so the scan gives up in milliseconds.
+    import clarkesat.partition as partition_module
+
+    monkeypatch.setattr(partition_module, "_SCAN_LIMIT", 1000)
+    code = run_cli(
+        "certify", "--partition", partition_file, "--mu", "0:1/1",
+        "--point", "1/3", "--radius", "1/1099511627776",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "1,000-index enumeration scan found no stage count" in err
+    assert "Traceback" not in err

@@ -2,13 +2,16 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from clarkesat.cantor import Containment, FatCantorSet
+from clarkesat.cantor import Containment, FatCantorSet, _longest_part
 from clarkesat.errors import NotYetCovered, ToleranceExhausted
 from clarkesat.partition import (
     RETAINED,
     SplittingPartition,
     StageRecord,
+    _TopGaps,
     _halving_exponent,
     build_partition,
     enumerated_interval,
@@ -24,7 +27,7 @@ from clarkesat.partition import (
     splitting_certificate_auto,
     stage_tail_bound,
 )
-from clarkesat.rationals import Interval
+from clarkesat.rationals import ONE, Interval, IntervalSet, format_rational
 
 
 @pytest.fixture(scope="module")
@@ -440,3 +443,100 @@ def test_cover_meets_agrees_with_the_materialized_cover(host):
         for window in windows:
             expected = any(window.closure().intersects(part) for part in cover)
             assert cantor.cover_meets(window, depth) == expected, (window, depth)
+
+
+# ---------------------------------------------------------------------------
+# The depth-0 free-space search over the top-level gap closures
+# ---------------------------------------------------------------------------
+
+
+def _stage_digest(p):
+    """sha256 of the (n, gap.lo, gap.hi, depth_used) sequence of a build."""
+    text = "\n".join(
+        f"{r.n} {format_rational(r.gap.lo)} {format_rational(r.gap.hi)} {r.depth_used}" for r in p.stages
+    )
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def p1000():
+    return build_partition(1000)
+
+
+def test_build_1000_is_pinned(p1000):
+    # Digest of the build whose depth-0 check merged every overlapping closure.
+    assert _stage_digest(p1000) == "745cb3b32cbb87e87315a519e2d12e8b5b1021f70b02a1f75a37e1fffc18715c"
+
+
+@pytest.mark.parametrize(
+    "cap, digest",
+    [
+        ("1/3", "567ceb4cbf0aafe8975f32ddeb0b8466c8f477452b105ad97ecfb4757a72ddf5"),
+        ("5/7", "6ea3384aa012764fcff7e931b66217dbb08ac5e931b88f35edafca093f92183b"),
+        ("1/8", "d1a61bf1155c5a655906e3b41d0a465fcd2bf830eb7ca5296d5cccb0fcae49b6"),
+    ],
+)
+def test_capped_builds_are_pinned(cap, digest):
+    assert _stage_digest(build_partition(400, Fraction(cap))) == digest
+
+
+def _reference_free(prefix, target):
+    """The depth-0 search as it was: every overlapping closure, sorted and merged."""
+    closures = [record.gap.closure() for record in prefix.stages_overlapping(target)]
+    obstruction = [part for c in closures if (part := c.intersect(target)) is not None]
+    best = _longest_part(IntervalSet.of(obstruction).complement_within(target))
+    return None if best is None else best.interior()
+
+
+def _top_gaps(stages):
+    return _TopGaps([record.gap for record in stages if record.depth_used == 0])
+
+
+@pytest.mark.parametrize("stages", [1, 2, 5, 36, 37, 60, 150, 300])
+def test_top_level_search_matches_the_merged_closures(builds_300, stages):
+    prefix = SplittingPartition(ONE, builds_300[ONE].stages[:stages])
+    top = _top_gaps(prefix.stages)
+    for n in range(1, 601):
+        target = enumerated_interval(n)
+        assert top.longest_free(target) == _reference_free(prefix, target), (stages, n)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_top_level_search_matches_on_drawn_targets(builds_300, data):
+    stages = builds_300[ONE].stages[: data.draw(st.integers(1, 300), label="stages")]
+    ends = [end for record in stages for end in (record.gap.lo, record.gap.hi)]
+    end = st.one_of(st.sampled_from(ends), st.fractions(0, 1, max_denominator=2**20))
+    a, b = data.draw(end, label="a"), data.draw(end, label="b")
+    assume(a != b)
+    target = Interval.open(min(a, b), max(a, b))
+    prefix = SplittingPartition(ONE, stages)
+    assert _top_gaps(stages).longest_free(target) == _reference_free(prefix, target)
+
+
+def test_top_level_closures_at_1000_stages(p1000):
+    closures = sorted((r.gap.closure() for r in p1000.stages), key=lambda c: (c.lo, -c.hi))
+    top, reach = [], None
+    for closure in closures:  # a closure is top-level unless an earlier-starting one reaches past it
+        if reach is None or closure.hi > reach:
+            top.append(closure)
+            reach = closure.hi
+    assert top == sorted((r.gap.closure() for r in p1000.stages if r.depth_used == 0), key=lambda c: c.lo)
+    assert all(left.hi < right.lo for left, right in zip(top, top[1:]))
+    for record in p1000.stages:
+        if record.depth_used:
+            assert sum(c.contains_interval(record.gap.closure()) for c in top) == 1, record.n
+    assert extend_partition(build_partition(400), 1000).stages == p1000.stages
+
+
+def test_not_yet_covered_without_a_stage_count(p20, monkeypatch):
+    # The first enumerated interval inside this window lies far past 500,000
+    # indices; the scan is cut at 1,000 so it gives up in milliseconds.
+    import clarkesat.partition as partition_module
+
+    monkeypatch.setattr(partition_module, "_SCAN_LIMIT", 1000)
+    radius = Fraction(1, 2**40)
+    window = Interval.open(Fraction(1, 3) - radius, Fraction(1, 3) + radius)
+    with pytest.raises(NotYetCovered, match="1,000-index enumeration scan") as excinfo:
+        splitting_certificate(p20, 1, window)
+    assert excinfo.value.needed_stage is None
