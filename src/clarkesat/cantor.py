@@ -78,7 +78,8 @@ def _children(lo: int, hi: int, half: int) -> tuple[tuple[int, int], tuple[int, 
 class FatCantorSet:
     """A Cantor-type set of positive measure over a rational host interval.
 
-    Immutable; cover queries are pure functions of (set, depth).
+    Immutable; cover queries are pure functions of (set, depth), and all of
+    them, ``find_gap`` too, read the one pruned cover walk ``_walk``.
     """
 
     host: Interval
@@ -132,49 +133,49 @@ class FatCantorSet:
             4 * removed.numerator * (base // removed.denominator),
         )
 
-    def _descend(self, a: Fraction, b: Fraction, depth: int) -> tuple[Fraction, Fraction] | None:
-        """The leftmost depth-d cover piece meeting [a, b], or None.
+    def _walk(self, a: Fraction, b: Fraction, depth: int, whole: bool = False):
+        """Yield (lo, hi, den, step) for the cover pieces meeting [a, b], left to right.
 
-        Follows one path of the cover tree, so it costs O(d) instead of the
-        cover's 2^d parts.  A window meeting the left child holds the child's
-        right end, which every deeper cover keeps, or ends before the right
-        child starts; so the leftmost meeting piece lies below the left child
-        whenever the window meets it.  A window meeting neither child lies in
-        the removed middle.
+        lo and hi are numerators over den, the denominator of the piece's
+        step; a subtree that misses [a, b] is never entered.  Pieces come
+        from the depth-d cover, except that with ``whole`` a piece wholly
+        inside [a, b] is yielded at its own step; without it, its subtree is
+        expanded level by level, free of window tests.  With ``whole``, or
+        for a point, the first piece costs O(d): a window meeting a left
+        child holds the child's right end, which every deeper cover keeps,
+        or ends before the right sibling, which its window test prunes.
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        lo, hi, den, half = self._root()
+        lo, hi, root_den, half = self._root()
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        if hi * ad < an * den or bn * den < lo * bd:
-            return None
-        for _ in range(depth):
-            den *= 4
-            (lo, left_hi), (right_lo, hi) = _children(lo, hi, half)
-            if an * den <= left_hi * ad:
-                hi = left_hi
-            elif right_lo * bd <= bn * den:
-                lo = right_lo
+        stack = [(lo, hi, 0)]
+        while stack:
+            lo, hi, step = stack.pop()
+            den = root_den << 2 * step
+            if hi * ad < an * den or bn * den < lo * bd:
+                continue
+            if an * den <= lo * ad and hi * bd <= bn * den:
+                if whole:
+                    yield lo, hi, den, step
+                    continue
+                parts = [(lo, hi)]
+                for _ in range(step, depth):
+                    parts = [child for lo, hi in parts for child in _children(lo, hi, half)]
+                den = root_den << 2 * depth
+                for lo, hi in parts:
+                    yield lo, hi, den, depth
+            elif step == depth:
+                yield lo, hi, den, step
             else:
-                return None
-        return Fraction(lo, den), Fraction(hi, den)
-
-    def _compute_parts(self, depth: int) -> tuple[tuple[Fraction, Fraction], ...]:
-        """All 2^d pieces of the depth-d cover, the one bulk materializer."""
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        lo, hi, den, half = self._root()
-        parts = [(lo, hi)]
-        for _ in range(depth):
-            den *= 4
-            parts = [child for lo, hi in parts for child in _children(lo, hi, half)]
-        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in parts)
+                left, right = _children(lo, hi, half)
+                stack.append((*right, step + 1))
+                stack.append((*left, step + 1))
 
     def svc_cover(self, depth: int) -> IntervalSet:
         """The depth-d cover: 2^d closed intervals whose intersection is F."""
-        return IntervalSet(
-            tuple(Interval(lo, hi, True, True) for lo, hi in self._compute_parts(depth))
-        )
+        parts = self._walk(self.host.lo, self.host.hi, depth)
+        return IntervalSet(tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den, _ in parts))
 
     def svc_membership(self, x: Fraction, depth: int) -> Containment:
         """Certified membership in F at finite depth.
@@ -182,63 +183,52 @@ class FatCantorSet:
         OUT when x falls outside the depth-d cover (then x is not in F,
         definitely).  IN when x is a piece endpoint (endpoints are never
         removed), except that an open host endpoint is excluded.  Everything
-        else is UNDECIDED.
+        else is UNDECIDED.  Reads the first piece of the walk, in O(d).
         """
         x = rational(x)
         if x == self.host.lo and not self.host.lo_closed:
             return Containment.OUT
         if x == self.host.hi and not self.host.hi_closed:
             return Containment.OUT
-        piece = self._descend(x, x, depth)
+        piece = next(self._walk(x, x, depth), None)
         if piece is None:
             return Containment.OUT
-        if x in piece:
+        lo, hi, den, _ = piece
+        if x.numerator * den in (lo * x.denominator, hi * x.denominator):
             return Containment.IN
         return Containment.UNDECIDED
 
     def cover_meets(self, window: Interval, depth: int) -> bool:
-        """Whether the depth-d cover meets the closure of the window, in O(d)."""
-        return self._descend(window.lo, window.hi, depth) is not None
+        """Whether the depth-d cover meets the closure of the window, in O(d).
+
+        A piece wholly inside the window ends the walk at its own step.
+        """
+        return next(self._walk(window.lo, window.hi, depth, whole=True), None) is not None
 
     def svc_measure_in(self, window: Interval, depth: int) -> MeasureBound:
         """Certified bound on lambda(F intersect window).
 
-        Exact (width zero) when the window misses the host or swallows it
-        whole.  Otherwise the cover is descended recursively, restricted to
-        the window: cover pieces wholly inside resolve exactly (each
-        depth-s piece carries F-mass limit_measure / 2^s), pieces wholly
-        outside contribute nothing, and only boundary pieces pay the
-        depth-d tail.  The upper bound equals the cover measure inside the
-        window; bounds nest as the depth grows.
+        Sums the walk's pieces with ``whole``: a piece wholly inside the
+        window resolves exactly (each step-s piece carries F-mass
+        limit_measure / 2^s), and only the depth-d pieces that hold a window
+        end pay their slack.  So the bound is exact (width zero) when the
+        window misses the host or swallows it.  The upper bound is at most
+        the depth-d cover measure inside the window, the lower bound at least
+        that measure minus tail(d); bounds nest as the depth grows.
         """
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        if not window.overlaps_nontrivially(self.host):
-            return MeasureBound(ZERO, ZERO)
-        if window.lo <= self.host.lo and self.host.hi <= window.hi:
-            return MeasureBound(self.limit_measure, self.limit_measure)
-        return MeasureBound(*self._mass_bounds(window, *self._root(), 0, depth))
-
-    def _mass_bounds(self, window, lo, hi, den, half, step, depth):
-        """Bounds on the F-mass inside the window of the step-s piece [lo, hi] over den."""
-        piece_lo, piece_hi = Fraction(lo, den), Fraction(hi, den)
-        a = max(piece_lo, window.lo)
-        b = min(piece_hi, window.hi)
-        if b <= a:
-            return ZERO, ZERO
-        if window.lo <= piece_lo and piece_hi <= window.hi:
-            mass = self.limit_measure / 2**step
-            return mass, mass
-        if step == depth:
-            overlap = b - a
-            mass = self.limit_measure / 2**step
-            slack = (piece_hi - piece_lo) - mass
-            return max(ZERO, overlap - slack), min(overlap, mass)
-        left, right = (
-            self._mass_bounds(window, *child, 4 * den, half, step + 1, depth)
-            for child in _children(lo, hi, half)
-        )
-        return left[0] + right[0], left[1] + right[1]
+        # Listed first, so the walk rejects a negative depth before 2**depth.
+        pieces = list(self._walk(window.lo, window.hi, depth, whole=True))
+        mass = self.limit_measure / 2**depth
+        leaves, lo, hi = 0, ZERO, ZERO
+        for p_lo, p_hi, den, step in pieces:
+            if step < depth:
+                leaves += 1 << (depth - step)
+                continue
+            piece_lo, piece_hi = Fraction(p_lo, den), Fraction(p_hi, den)
+            overlap = min(piece_hi, window.hi) - max(piece_lo, window.lo)
+            lo += max(ZERO, overlap - (piece_hi - piece_lo - mass))
+            hi += min(overlap, mass)
+        return MeasureBound(mass * leaves + lo, mass * leaves + hi)
 
     def serialize(self) -> str:
         return " ".join(
@@ -293,14 +283,20 @@ def find_gap(
     such gap (leftmost on ties) together with the smallest tried depth that
     exposed one, 0 when no prior set meets the target.  Depths double from
     1; termination is guaranteed because the covers shrink to nowhere dense
-    sets, as long as the blocked intervals leave room beside them.
+    sets, as long as the blocked intervals leave room beside them.  A try
+    walks only the cover pieces that meet the target.
     """
     if not target.is_nontrivial:
         raise ValueError("target must be nontrivial")
     opaque = [part for b in blocked if (part := b.intersect(target)) is not None]
     relevant = [c for c in prior if target.overlaps_nontrivially(c.host)]
     for depth in _GAP_DEPTHS if relevant else (0,):
-        covers = [part for c in relevant for part in c.svc_cover(depth).intersect_interval(target)]
+        covers = [
+            part
+            for c in relevant
+            for lo, hi, den, _ in c._walk(target.lo, target.hi, depth)
+            if (part := Interval(Fraction(lo, den), Fraction(hi, den)).intersect(target)) is not None
+        ]
         best = _longest_part(IntervalSet.of(opaque + covers).complement_within(target))
         if best is not None:
             return best.interior(), depth

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -125,6 +126,42 @@ def test_measure_in_disjoint_window(canonical):
     assert bound == MeasureBound(Fraction(0), Fraction(0))
 
 
+@pytest.mark.parametrize("rho", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
+@pytest.mark.parametrize(
+    "host",
+    [
+        Interval.closed(0, 1),
+        Interval.open(Fraction(1, 3), Fraction(1, 2)),
+        Interval(Fraction(-2, 7), Fraction(5, 7), True, False),
+        Interval(Fraction(3, 11), Fraction(9, 10), False, True),
+    ],
+    ids=["closed", "open", "closed-open", "open-closed"],
+)
+def test_measure_in_agrees_with_the_materialized_cover(host, rho):
+    c = FatCantorSet(host, rho)
+    rng = random.Random(2018)
+    ends = {host.lo, host.hi, host.lo - host.length / 7, host.hi + host.length / 5}
+    for depth in (1, 3, 6):
+        parts = c.svc_cover(depth).parts
+        ends.update((rng.choice(parts).lo, rng.choice(parts).hi))
+    windows = [
+        Interval(a, b, rng.random() < 0.5, rng.random() < 0.5)
+        for a, b in itertools.combinations(sorted(ends), 2)
+    ]
+    prev = {}
+    for depth in range(11):
+        cover = c.svc_cover(depth)
+        for window in windows:
+            # The depth-d pieces meeting the window hold at most tail(d) of
+            # cover outside F.
+            inside = cover.intersect_interval(window).measure()
+            bound = c.svc_measure_in(window, depth)
+            assert inside - c.tail(depth) <= bound.lo <= bound.hi <= inside, (window, depth)
+            if window in prev:
+                assert bound.nests_inside(prev[window]), (window, depth)
+            prev[window] = bound
+
+
 def test_affine_transport():
     # A set over (a,b) is the affine image of the canonical one over [0,1].
     a, b = Fraction(1, 3), Fraction(3, 4)
@@ -186,6 +223,15 @@ def test_find_gap_avoids_blocked_intervals(canonical):
     assert not any(gap.intersects(part) for part in canonical.svc_cover(depth))
 
 
+def test_find_gap_reaches_depth_16(canonical):
+    # The ancestors of a depth-12 piece cover its interior at depths 1-8.
+    target = canonical.svc_cover(12).parts[1234].interior()
+    gap, depth = find_gap([canonical], target)
+    assert depth == 16
+    free = canonical.svc_cover(16).intersect_interval(target).complement_within(target)
+    assert gap == max(free, key=lambda part: part.length).interior()
+
+
 def test_find_gap_blocked_without_priors():
     gap, depth = find_gap([], Interval.open(0, 1), (Interval.closed(0, Fraction(1, 4)),))
     assert (gap, depth) == (Interval.open(Fraction(1, 4), 1), 0)
@@ -242,6 +288,22 @@ def test_membership_at_depth_64_walks_one_path(canonical):
     assert canonical.svc_membership(x, 40) is Containment.UNDECIDED
     for depth in (41, 42, 64):
         assert canonical.svc_membership(x, depth) is Containment.OUT
+
+
+def test_cover_meets_stays_lazy_at_depth_64(canonical):
+    # The window holds the whole depth-1 piece [0, 3/8]: its 2^63 depth-64
+    # pieces are never listed.
+    assert canonical.cover_meets(Interval.closed(Fraction(-1, 2), Fraction(1, 2)), 64)
+    # A window inside the middle removed from a step-40 piece.
+    lo, hi = Fraction(0), Fraction(1)
+    for step in range(40):
+        mid, half = (lo + hi) / 2, canonical.removal_length(step) / 2
+        lo, hi = (lo, mid - half) if step % 2 == 0 else (mid + half, hi)
+    x, radius = (lo + hi) / 2, canonical.removal_length(40) / 4
+    window = Interval.closed(x - radius, x + radius)
+    assert canonical.cover_meets(window, 40)
+    for depth in (41, 64):
+        assert not canonical.cover_meets(window, depth)
 
 
 def test_membership_rejects_a_negative_depth(canonical):

@@ -529,6 +529,20 @@ def test_top_level_closures_at_1000_stages(p1000):
     assert extend_partition(build_partition(400), 1000).stages == p1000.stages
 
 
+@pytest.mark.parametrize("depth_used", [1, 2, 4])
+def test_measure_in_additivity_around_dug_gaps_at_1000_stages(p1000, depth_used):
+    gap = next(r.gap for r in p1000.stages if r.depth_used == depth_used)
+    third, quarter = gap.length / 3, gap.length / 4
+    for window in (
+        Interval.closed(gap.lo + third, gap.hi - third),
+        Interval.closed(gap.lo - quarter, gap.lo + quarter),
+        Interval.closed(gap.hi - quarter, gap.hi + quarter),
+    ):
+        tol = window.length / 2**10
+        bounds = [measure_in(p1000, k, window, tol) for k in range(p1000.stage_count + 1)]
+        assert sum(b.lo for b in bounds) <= window.length <= sum(b.hi for b in bounds)
+
+
 def test_not_yet_covered_without_a_stage_count(p20, monkeypatch):
     # The first enumerated interval inside this window lies far past 500,000
     # indices; the scan is cut at 1,000 so it gives up in milliseconds.
