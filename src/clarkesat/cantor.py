@@ -283,8 +283,9 @@ def find_gap(
     such gap (leftmost on ties) together with the smallest tried depth that
     exposed one, 0 when no prior set meets the target.  Depths double from
     1; termination is guaranteed because the covers shrink to nowhere dense
-    sets, as long as the blocked intervals leave room beside them.  A try
-    walks only the cover pieces that meet the target.
+    sets, as long as the blocked intervals leave room beside them; when they
+    leave none, the search stops after depth 1.  A try walks only the cover
+    pieces that meet the target.
     """
     if not target.is_nontrivial:
         raise ValueError("target must be nontrivial")
@@ -300,6 +301,8 @@ def find_gap(
         best = _longest_part(IntervalSet.of(opaque + covers).complement_within(target))
         if best is not None:
             return best.interior(), depth
+        if depth == 1 and _longest_part(IntervalSet.of(opaque).complement_within(target)) is None:
+            break  # no depth can expose a gap; checked once the cheap first try fails
     raise RuntimeError(f"no gap inside {target} avoids the blocked intervals and prior covers")
 
 

@@ -308,7 +308,10 @@ def _interval_value(
     The explicit terms use built masses from the window integrator's depth
     loop; one norm * tail correction absorbs all unbuilt-stage mass, and
     generator sources additionally widen by the norm-weighted mass not yet
-    attributed to any member, the width of the A_0 bound.
+    attributed to any member, the width of the A_0 bound.  A term whose
+    members have no straddler is exact at every depth and summed once; the
+    loop re-sums only the others, and the term of mu_0, whose member 0 gets
+    the A_0 bound.
     """
     norm = mu.norm_inf
     if norm == 0:
@@ -321,13 +324,18 @@ def _interval_value(
     terms = mu.entries if not generator else [
         (k, coeff) for k in range(partition.stage_count // 2 + 1) if (coeff := mu.coefficient(k))
     ]
-    members = {j for k, _ in terms for j in (2 * k, 2 * k + 1)}
+    straddled = {member for _, _, member in mass.straddlers}
+    live = [(k, c) for k, c in terms if k == 0 or not straddled.isdisjoint((2 * k, 2 * k + 1))]
+    fixed = [(k, c) for k, c in terms if k != 0 and straddled.isdisjoint((2 * k, 2 * k + 1))]
+    exact = mass.exact({j for k, _ in fixed for j in (2 * k, 2 * k + 1)})
+    base = sum((coeff * (exact[2 * k + 1] - exact[2 * k]) for k, coeff in fixed), ZERO)
+    members = {j for k, _ in live for j in (2 * k, 2 * k + 1)}
     if generator:
         members.add(0)
 
     def value(masses) -> ValueBound:
-        lo = hi = ZERO
-        for k, coeff in terms:
+        lo = hi = base
+        for k, coeff in live:
             plus, minus = masses[2 * k + 1], masses[2 * k]
             term_lo = plus[0] - minus[1]
             term_hi = plus[1] - minus[0]

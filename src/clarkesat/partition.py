@@ -173,26 +173,39 @@ class StageRecord:
     gap: Interval  # open (a'_n, b'_n)
     depth_used: int
 
+    _geometry = None  # the memo behind ``geometry``, not a field
+
+    @property
+    def geometry(self) -> tuple[int, int, int]:
+        """(start, step, den): piece i is the open interval
+        ((start + i*step)/den, (start + (i+1)*step)/den).
+
+        With the gap (a/d, b/d) over d = lcm of its denominators, the endpoint
+        gap.lo + i * length/(n+1) is (a*(n+1) + i*(b-a)) / (d*(n+1)).  A memo
+        on the immutable record: a race only computes it twice.
+        """
+        if self._geometry is None:
+            lo, hi = self.gap.lo, self.gap.hi
+            d = lcm(lo.denominator, hi.denominator)
+            a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+            k = self.piece_count
+            object.__setattr__(self, "_geometry", (a * k, b - a, d * k))
+        return self._geometry
+
     @property
     def piece_count(self) -> int:
         return self.n + 1
 
     @property
     def piece_width(self) -> Fraction:
-        return self.gap.length / self.piece_count
+        _, step, den = self.geometry
+        return Fraction(step, den)
 
     def endpoints(self) -> tuple[range, int]:
-        """The n+2 piece endpoints as integer numerators over one denominator.
-
-        With the gap (a/d, b/d) over d = lcm of its denominators, the
-        endpoint gap.lo + i * length/(n+1) is (a*(n+1) + i*(b-a)) / (d*(n+1)),
-        so piece i is the open interval (nums[i]/den, nums[i+1]/den).
-        """
-        lo, hi = self.gap.lo, self.gap.hi
-        d = lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-        k = self.piece_count
-        return range(a * k, b * k + 1, b - a), d * k
+        """The n+2 piece endpoints as integer numerators over one denominator:
+        piece i is the open interval (nums[i]/den, nums[i+1]/den)."""
+        start, step, den = self.geometry
+        return range(start, start + step * self.piece_count + 1, step), den
 
     def piece_host(self, i: int) -> Interval:
         if not 0 <= i <= self.n:
@@ -293,12 +306,14 @@ class SplittingPartition:
         # The gap index: records sorted by gap.lo and the running max of gap.hi.
         self._by_lo: list[StageRecord] = []
         self._max_hi: list[Fraction] = []
+        self._masses: tuple[int, list[int]] | None = None
         for record in stages:
             self._add(record)
 
     def _add(self, record: StageRecord) -> None:
         """Append the next stage and index its gap; only during construction."""
         self.stages += (record,)
+        self._masses = None
         pos = bisect_right(self._by_lo, record.gap.lo, key=_gap_lo)
         self._by_lo.insert(pos, record)
         running = max(self._max_hi[pos - 1], record.gap.hi) if pos else record.gap.hi
@@ -358,6 +373,19 @@ class SplittingPartition:
         pieces = [self.piece_set(chosen.n, i) for i in range(first, last + 1)]
         blocked = tuple(r.gap.closure() for r in overlapping if r is not chosen)
         return find_gap(pieces, target, blocked)
+
+    def _stage_masses(self) -> tuple[int, list[int]]:
+        """(den, masses): stage n's whole-piece mass RETAINED * piece_width is
+        masses[n-1] / den, over den the lcm of those masses' denominators.
+
+        Derived from the immutable stages on first use after construction;
+        a race only computes it twice.
+        """
+        if self._masses is None:
+            masses = [RETAINED * record.piece_width for record in self.stages]
+            den = lcm(*(m.denominator for m in masses))
+            self._masses = den, [m.numerator * (den // m.denominator) for m in masses]
+        return self._masses
 
     def unbuilt_tail_bound(self) -> Fraction:
         """Exact upper bound on the total gap length of all unbuilt stages."""
@@ -550,15 +578,18 @@ def _piece_span(record: StageRecord, window: Interval) -> tuple[int, int, int, i
 
     Pieces first..last meet the window in positive length, pieces a..b lie
     wholly inside it (none when a > b); only first and last can straddle.
+    A window end p/q sits at piece coordinate t = (p*den - start*q) / (step*q)
+    of the stage's integer geometry, so each bound is one floor division.
     """
-    width = record.piece_width
-    t_lo = (window.lo - record.gap.lo) / width
-    t_hi = (window.hi - record.gap.lo) / width
-    first = max(0, floor(t_lo))
-    last = min(record.n, ceil(t_hi) - 1)
+    start, step, den = record.geometry
+    lo, hi = window.lo, window.hi
+    lo_num, lo_den = lo.numerator * den - start * lo.denominator, step * lo.denominator
+    hi_num, hi_den = hi.numerator * den - start * hi.denominator, step * hi.denominator
+    first = max(0, lo_num // lo_den)
+    last = min(record.n, -(-hi_num // hi_den) - 1)
     if first > last:
         return None
-    return first, last, max(0, ceil(t_lo)), min(record.n, floor(t_hi) - 1)
+    return first, last, max(0, -(-lo_num // lo_den)), min(record.n, hi_num // hi_den - 1)
 
 
 class _WindowMass:
@@ -566,11 +597,16 @@ class _WindowMass:
 
     A stage's n+1 pieces share one width and piece i feeds member i+1, so
     the pieces wholly inside a unit chunk form an index range a..b whose
-    members each gain rho * width: one entry pair per stage in a difference
-    array over member index, plus the aggregate ``total`` over all members
-    j >= 1 (A_0 is their complement, so B pieces are skipped).  The at most
-    two pieces per stage and chunk straddling a chunk edge are kept as
-    ``straddlers`` (set, chunk, member) for ``refine``, the one depth loop.
+    members each gain rho * width.  The scan is integer arithmetic on the
+    ``StageRecord.endpoints`` geometry: ``_piece_span`` finds a..b by floor
+    division, and every stage's whole-piece mass is an integer over the
+    partition's one mass denominator (``_stage_masses``).  So a stage adds
+    one integer entry pair to a difference array over member index, plus its
+    share of the aggregate ``total`` over all members j >= 1 (A_0 is their
+    complement, so B pieces are skipped).  The at most two pieces per stage
+    and chunk straddling a chunk edge are kept as ``straddlers`` (set,
+    chunk, member) for ``refine``, the one depth loop, which re-measures only
+    them; a member without a straddler has its exact mass at every depth.
     Cost: O(stages overlapping the window), then straddlers times depth.
 
     Raises ToleranceExhausted when the unbuilt stages alone force width
@@ -588,10 +624,11 @@ class _WindowMass:
                 f"the unbuilt-stage tail forces width {scale * self.tail} >= tolerance {tol};"
                 f" rebuild with at least {self._needed()} stages"
             )
+        self._den, stage_mass = partition._stage_masses()
         self.length = ZERO
-        self.total = ZERO
+        self.total = 0  # over self._den, like the steps
         self.straddlers: list[tuple[FatCantorSet, Interval, int]] = []
-        self._steps: dict[int, Fraction] = {}
+        self._steps: dict[int, int] = {}
         for chunk in _unit_chunks(window, partition.translation):
             self.length += chunk.length
             for record in partition.stages_overlapping(chunk):
@@ -601,13 +638,23 @@ class _WindowMass:
                 first, last, a, b = span
                 top = min(b, record.n - 1)
                 if a <= top:
-                    m = RETAINED * record.piece_width
+                    m = stage_mass[record.n - 1]
                     self.total += m * (top - a + 1)
-                    self._steps[a + 1] = self._steps.get(a + 1, ZERO) + m
-                    self._steps[top + 2] = self._steps.get(top + 2, ZERO) - m
+                    self._steps[a + 1] = self._steps.get(a + 1, 0) + m
+                    self._steps[top + 2] = self._steps.get(top + 2, 0) - m
                 for i in {first, last}:
                     if not a <= i <= b and i < record.n:
                         self.straddlers.append((partition.piece_set(record.n, i), chunk, i + 1))
+
+    def exact(self, members: set[int]) -> dict[int, Fraction]:
+        """The whole-piece mass of each member: a prefix sum of the integer steps."""
+        steps = sorted(self._steps.items(), reverse=True)
+        exact, running = {}, 0
+        for j in sorted(members):
+            while steps and steps[-1][0] <= j:
+                running += steps.pop()[1]
+            exact[j] = Fraction(running, self._den)
+        return exact
 
     def refine(self, members: set[int], tol: Fraction, bound: Callable):
         """bound(masses) at the first depth 0..64 where its width is <= tol.
@@ -617,17 +664,13 @@ class _WindowMass:
         members, whose width is the mass no member accounts for yet.  Only
         the requested members' straddlers are re-measured, all for member 0.
         """
-        steps = sorted(self._steps.items(), reverse=True)
-        exact, running = {}, ZERO
-        for j in sorted(members):
-            while steps and steps[-1][0] <= j:
-                running += steps.pop()[1]
-            exact[j] = running
+        exact = self.exact(members)
         everything = 0 in members
+        total = Fraction(self.total, self._den) if everything else ZERO
         straddlers = [s for s in self.straddlers if everything or s[2] in members]
         for depth in range(_MAX_MEASURE_DEPTH + 1):
             masses = {j: (m, m) for j, m in exact.items()}
-            lo_sum = hi_sum = self.total
+            lo_sum = hi_sum = total
             for cantor_set, chunk, member in straddlers:
                 part = cantor_set.svc_measure_in(chunk, depth)
                 lo_sum += part.lo

@@ -316,3 +316,17 @@ def test_measure_in_rejects_a_negative_depth(canonical, lo, hi):
     # A straddled, a swallowed and a missed host: the check precedes every shortcut.
     with pytest.raises(ValueError, match="depth must be >= 0"):
         canonical.svc_measure_in(Interval.closed(lo, hi), -1)
+
+
+@pytest.mark.parametrize(
+    "blocked",
+    [
+        (Interval.closed(0, 1),),
+        (Interval.open(-1, Fraction(1, 2)), Interval.open(Fraction(1, 2), 2)),  # leaves the point 1/2
+    ],
+)
+def test_find_gap_without_room_raises_at_once(canonical, blocked):
+    # Without room beside the blocked intervals the search stops after its
+    # depth-1 try, so the call never lists the 2^32 pieces of the depth-32 cover.
+    with pytest.raises(RuntimeError, match="no gap inside .* avoids the blocked intervals"):
+        find_gap([canonical], Interval.open(0, 1), blocked)
