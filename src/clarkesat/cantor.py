@@ -284,25 +284,31 @@ def find_gap(
     exposed one, 0 when no prior set meets the target.  Depths double from
     1; termination is guaranteed because the covers shrink to nowhere dense
     sets, as long as the blocked intervals leave room beside them; when they
-    leave none, the search stops after depth 1.  A try walks only the cover
-    pieces that meet the target.
+    leave none, the search stops after depth 1.  The depth-1 try walks the
+    cover pieces that meet the target; once it fails, a try walks only those
+    that meet the room, the parts of the target outside the blocked
+    intervals, where any gap lies.
     """
     if not target.is_nontrivial:
         raise ValueError("target must be nontrivial")
     opaque = [part for b in blocked if (part := b.intersect(target)) is not None]
     relevant = [c for c in prior if target.overlaps_nontrivially(c.host)]
+    room = [target]
     for depth in _GAP_DEPTHS if relevant else (0,):
         covers = [
             part
             for c in relevant
-            for lo, hi, den, _ in c._walk(target.lo, target.hi, depth)
+            for span in room
+            for lo, hi, den, _ in c._walk(span.lo, span.hi, depth)
             if (part := Interval(Fraction(lo, den), Fraction(hi, den)).intersect(target)) is not None
         ]
         best = _longest_part(IntervalSet.of(opaque + covers).complement_within(target))
         if best is not None:
             return best.interior(), depth
-        if depth == 1 and _longest_part(IntervalSet.of(opaque).complement_within(target)) is None:
-            break  # no depth can expose a gap; checked once the cheap first try fails
+        if depth == 1:  # computed once the cheap first try fails
+            room = IntervalSet.of(opaque).complement_within(target)
+            if _longest_part(room) is None:
+                break  # no depth can expose a gap
     raise RuntimeError(f"no gap inside {target} avoids the blocked intervals and prior covers")
 
 

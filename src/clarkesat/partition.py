@@ -14,14 +14,24 @@ Every A_k meets every interval in positive measure once enough stages exist,
 and the complement within any interval does too, which is exactly the
 splitting property the certificates below assert.
 
-Enumeration.  Two deterministic streams are interleaved: odd indices walk a
-breadth-first family of overlapping dyadic intervals ((j-1)/2^L, (j+1)/2^L),
-even indices walk all rational pairs ordered by denominator sum and then by
-numerator.  The dyadic stream guarantees that any window of width w contains
-an enumerated interval of index O(1/w); the pair stream makes the
+Enumeration.  Two deterministic streams are interleaved: odd indices n take
+the dyadic stream at position (n+1)/2, even ones the pair stream at n/2.
+Dyadic level L >= 1 holds the 2^L - 1 overlapping intervals
+((j-1)/2^L, (j+1)/2^L), 0 < j < 2^L, after the 2^L - L - 1 of the levels
+before it, so a position and its (L, j) convert in O(1), and any window of
+width delta contains one of index O(1/delta).  The pair stream makes the
 enumeration surjective onto all nontrivial rational open subintervals of
-(0,1).  Duplicates between the streams are harmless.  Indices are 1-based
-and computable in both directions.
+(0,1): every pa/qa < pb/qb of reduced fractions in (0,1), by weight
+w = qa + qb, then qa, pa and pb.  Block (qa, qb) holds
+(phi(qa)*phi(qb) - [qa = qb]*phi(qa))/2 of them, since (pa, pb) ->
+(qa - pa, qb - pb) swaps those below and above the diagonal, and the blocks
+of all weights below w sum in O(w).  So a pair position is found by
+bisection over weights, then block sizes, then row counts of coprimes.  The
+first index inside a window skips every weight with w^2 * delta < 4: two
+distinct fractions pa/qa < pb/qb differ by at least 1/(qa*qb) >= 4/w^2.
+Rank, unrank and that search are integer arithmetic with no state kept
+between calls.  Duplicates between the streams are harmless.  Indices are
+1-based.
 
 Gap sizing.  The found free interval is shrunk concentrically to length
 (2^-j)/3 where 2^-j is the largest power of two not exceeding
@@ -44,12 +54,12 @@ I_n most, certified at ``depth_used``; planted sets stay disjoint either way.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
-from operator import attrgetter
+from itertools import accumulate, count, islice
+from math import ceil, floor, gcd, isqrt, lcm
+from operator import attrgetter, mul
 from typing import Callable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
@@ -70,94 +80,144 @@ RETAINED = Fraction(1, 2)  # every planted set keeps half of its host piece
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_stream() -> Iterator[Interval]:
-    level = 1
+def _dyadic(m: int) -> tuple[int, int]:
+    """(L, j) of dyadic position m."""
+    level = m.bit_length()
+    if 2**level - level > m:  # the levels before L hold 2^L - L - 1
+        level -= 1
+    return level, m - 2**level + level + 1
+
+
+def _totients(limit: int) -> list[int]:
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            phi[p::p] = [v - v // p for v in phi[p::p]]
+    return phi
+
+
+def _pairs_below(w: int, phi: list[int]) -> int:
+    """The pair positions before weight w: over qa + qb < w, the sum of
+    phi(qa)*phi(qb) less the diagonal, halved."""
+    small = phi[2:w - 2]  # phi(qa) for qa = 2..w-3, which leaves qb = 2..w-1-qa
+    return (sum(map(mul, small, reversed(list(accumulate(small))))) - sum(phi[2:(w + 1) // 2])) // 2
+
+
+def _pair_blocks(m: int) -> Iterator[tuple[int, int, int]]:
+    """(pos, qa, qb) for the pair blocks from the one holding position m on;
+    pos positions precede the block.  The weight comes from doubling and
+    bisection over ``_pairs_below``, its earlier blocks are skipped by size."""
+    top = 8
+    while _pairs_below(top, phi := _totients(top)) < m:
+        top *= 2
+    w = 3 + bisect_left(range(4, top + 1), m, key=lambda w: _pairs_below(w, phi))
+    pos, qa = _pairs_below(w, phi), 2
     while True:
-        scale = Fraction(1, 2**level)
-        for j in range(1, 2**level):
-            yield Interval.open((j - 1) * scale, (j + 1) * scale)
-        level += 1
+        qb = w - qa
+        size = (phi[qa] * phi[qb] - (phi[qa] if qa == qb else 0)) // 2
+        if pos + size >= m:
+            yield pos, qa, qb
+        pos, qa = pos + size, qa + 1
+        if qa == w - 1:
+            w, qa = w + 1, 2
+            phi = phi if w < len(phi) else _totients(2 * w)
 
 
-def _pair_stream() -> Iterator[Interval]:
-    weight = 4
+def _rows(pos: int, qa: int, qb: int, m: int) -> Iterator[tuple[int, int, Iterator[int]]]:
+    """(position, pa, pbs) for the rows of block (qa, qb) after pos positions
+    that reach position m; pbs yields the row's pb from there, the first at
+    position.  Row pa holds the pb in (pa*qb // qa, qb) coprime to qb."""
+    upto = list(accumulate(gcd(p, qb) == 1 for p in range(qb)))  # coprimes in [1, p]
+    row = pos + 1
+    for pa in _coprimes(1, qa):
+        base = pa * qb // qa
+        if (k := max(m - row, 0)) < upto[-1] - upto[base]:
+            yield row + k, pa, islice(_coprimes(base + 1, qb), k, None)
+        row += upto[-1] - upto[base]
+
+
+def _coprimes(start: int, q: int) -> Iterator[int]:
+    return (p for p in range(start, q) if gcd(p, q) == 1)
+
+
+def _enumeration(n: int) -> Iterator[Interval]:
+    """I_n, I_(n+1), ...: odd indices take the dyadic stream, even ones the pair stream."""
+    if n < 1:
+        raise ValueError("enumeration indices start at 1")
+    m = (n + 1) // 2
+    streams = (
+        (Interval.open(Fraction(j - 1, 2**L), Fraction(j + 1, 2**L)) for L, j in map(_dyadic, count(n // 2 + 1))),
+        (Interval.open(Fraction(pa, qa), Fraction(pb, qb)) for pos, qa, qb in _pair_blocks(m)
+         for _, pa, pbs in _rows(pos, qa, qb, m) for pb in pbs),
+    )
     while True:
-        for qa in range(2, weight - 1):
-            qb = weight - qa
-            for pa in range(1, qa):
-                if gcd(pa, qa) != 1:
-                    continue
-                a = Fraction(pa, qa)
-                for pb in range(1, qb):
-                    if gcd(pb, qb) != 1:
-                        continue
-                    b = Fraction(pb, qb)
-                    if a < b:
-                        yield Interval.open(a, b)
-        weight += 1
-
-
-_enum_cache: list[Interval] = []
-_enum_lock = threading.Lock()
-_dyadic_iter = _dyadic_stream()
-_pair_iter = _pair_stream()
+        for stream in streams if n % 2 else streams[::-1]:
+            yield next(stream)
 
 
 def enumerated_interval(n: int) -> Interval:
     """The n-th interval (1-based) of the interleaved enumeration."""
-    if n < 1:
-        raise ValueError("enumeration indices start at 1")
-    with _enum_lock:
-        while len(_enum_cache) < n:
-            source = _dyadic_iter if len(_enum_cache) % 2 == 0 else _pair_iter
-            _enum_cache.append(next(source))
-        return _enum_cache[n - 1]
+    return next(_enumeration(n))
 
 
-_SCAN_LIMIT = 500_000  # enumeration indices an index search walks before it gives up
+def enumeration_index(interval: Interval) -> int:
+    """Smallest n with I_n equal to the given open interval.
 
-
-def enumeration_index(interval: Interval, limit: int = _SCAN_LIMIT) -> int:
-    """Smallest n with I_n equal to the given open interval."""
+    The dyadic rank is O(1).  The pair rank of the reduced endpoints pa/qa
+    and pb/qb sums over the weights below w = qa + qb, in O(w) time and
+    memory; it is skipped when it must exceed a dyadic rank.
+    """
     if interval.lo_closed or interval.hi_closed:
         raise ValueError("enumerated intervals are open")
-    # Bound the scan: the dyadic stream leaves width w behind once
-    # 2^(1-L) < w, the pair stream once the denominator sum is passed.
-    width = interval.length
-    target_weight = interval.lo.denominator + interval.hi.denominator
-    n = 0
-    dyadic_done = pair_done = False
-    while not (dyadic_done and pair_done):
-        n += 1
-        if n > limit:
-            break
-        candidate = enumerated_interval(n)
-        if candidate.lo == interval.lo and candidate.hi == interval.hi:
-            return n
-        if n % 2 == 1:
-            if candidate.length < width:
-                dyadic_done = True
-        else:
-            weight = candidate.lo.denominator + candidate.hi.denominator
-            if weight > target_weight:
-                pair_done = True
-    raise ValueError(f"interval {interval} not found in the enumeration")
+    lo, hi, found = interval.lo, interval.hi, []
+    level = (hi - lo).denominator.bit_length()
+    if hi - lo == Fraction(2, 2**level) and (lo * 2**level).denominator == 1 and 0 <= lo and hi <= 1:
+        found.append(2 * (2**level - level + int(lo * 2**level)) - 1)
+    qa, qb = lo.denominator, hi.denominator
+    # A weight past the one holding pair position D/2 ranks after a dyadic D.
+    if 0 < lo and hi < 1 and not (found and qa + qb > sum(next(_pair_blocks(found[0] // 2))[1:])):
+        first = _pairs_below(qa + qb, _totients(qa + qb)) + 1
+        pos = next(pos for pos, a, _ in _pair_blocks(first) if a == qa)
+        position, _, pbs = next(row for row in _rows(pos, qa, qb, pos + 1) if row[1] == lo.numerator)
+        found.append(2 * (position + list(pbs).index(hi.numerator)))
+    if not found:
+        raise ValueError(f"interval {interval} not found in the enumeration")
+    return min(found)
 
 
-def first_index_inside(window: Interval, min_index: int = 1, limit: int = _SCAN_LIMIT) -> int:
+def first_index_inside(window: Interval, min_index: int = 1) -> int:
     """Smallest n >= min_index with I_n contained in the window.
 
-    Exists for every nontrivial window thanks to the dyadic stream.
+    Exists when the window meets (0,1) in positive length; ValueError
+    otherwise.  The dyadic candidate takes one ceiling/floor test per level;
+    pair blocks are searched only from the first weight that can fit and
+    only while their index stays below the dyadic candidate's.
     """
     if not window.is_nontrivial:
         raise ValueError("window must be nontrivial")
+    lo, hi = max(window.lo, ZERO), min(window.hi, ONE)  # enumerated intervals lie in (0,1)
+    if lo >= hi:
+        raise ValueError(f"no enumerated interval lies inside {window}")
     n = max(1, min_index)
-    while n <= limit:
-        candidate = enumerated_interval(n)
-        if window.contains_interval(candidate):
-            return n
-        n += 1
-    raise RuntimeError(f"no enumerated interval inside {window} within {limit} indices")
+    m = n // 2 + 1  # the first dyadic position with index >= n
+    level = _dyadic(m)[0]
+    while (j := max(ceil(lo * 2**level) + 1, m - 2**level + level + 1)) > floor(hi * 2**level) - 1:
+        level += 1
+    best = 2 * (2**level - level - 1 + j) - 1
+    first, stop = (n + 1) // 2, (best + 1) // 2  # pair positions with index in [n, best)
+    fit = max(4, isqrt(ceil(4 / (hi - lo)) - 1) + 1)  # the least w with w^2 * width >= 4
+    if first < stop and fit <= sum(next(_pair_blocks(stop - 1))[1:]):
+        start = max(first, _pairs_below(fit, _totients(fit)) + 1)
+        for pos, qa, qb in _pair_blocks(start):
+            if pos + 1 >= stop:
+                break
+            # A block holds a fit only if its least pb/qb above its least pa/qa >= lo is <= hi.
+            least = next(_coprimes(ceil(lo * qa) or 1, qa), qa)
+            if next(_coprimes(least * qb // qa + 1, qb), qb) <= min(hi * qb, qb - 1):
+                for position, pa, pbs in _rows(pos, qa, qb, start):
+                    if position < stop and pa >= lo * qa and next(pbs) <= hi * qb:
+                        return 2 * position
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +509,8 @@ class SplittingPartition:
 
         Searches built stages for whole planted pieces inside the window.
         Raises NotYetCovered (with the stage count that will surely suffice)
-        when the built prefix does not reach into the window yet.
+        when the built prefix does not reach into the window yet, and
+        ValueError when no stage ever will: the window misses (0,1).
         """
         if not window.is_nontrivial:
             raise ValueError("window must be nontrivial")
@@ -543,13 +604,7 @@ def _whole_piece(
 
 
 def _not_yet_covered(k: int, window: Interval) -> NotYetCovered:
-    try:
-        needed = first_index_inside(window, max(k, 1), _SCAN_LIMIT)
-    except RuntimeError:
-        return NotYetCovered(
-            f"no stage covers member {k} inside {window} yet; the {_SCAN_LIMIT:,}-index"
-            " enumeration scan found no stage count that suffices"
-        )
+    needed = first_index_inside(window, max(k, 1))
     return NotYetCovered(
         f"no stage covers member {k} inside {window} yet; build at least {needed} stages",
         needed_stage=needed,
@@ -752,8 +807,9 @@ def extend_partition(partition: SplittingPartition, stages: int) -> SplittingPar
         return partition
     grown = SplittingPartition(partition.gap_cap, partition.stages, partition.translation)
     top = _TopGaps([record.gap for record in grown._by_lo if record.depth_used == 0])
-    for n in range(partition.stage_count + 1, stages + 1):
-        found, depth_used = grown._free_subinterval(enumerated_interval(n), top)
+    start = partition.stage_count + 1
+    for n, target in zip(range(start, stages + 1), _enumeration(start)):
+        found, depth_used = grown._free_subinterval(target, top)
         record = StageRecord(n, _shrink_gap(found, n, grown.gap_cap), depth_used)
         grown._add(record)
         if depth_used == 0:
@@ -836,9 +892,9 @@ def loads(text: str) -> SplittingPartition:
         raise ValueError(f"expected {declared} stages, found {len(lines) - 2}")
     translation = _parsed(header, "translation", int, "an integer", "header")
     partition = SplittingPartition(gap_cap, (), translation)
-    for position, line in enumerate(lines[2:], 1):
+    for position, (line, target) in enumerate(zip(lines[2:], _enumeration(1)), 1):
         record = _parse_stage_line(line, f"stage line {position}")
-        _check_stage(partition, record)
+        _check_stage(partition, record, target)
         partition._add(record)
     return partition
 
@@ -882,11 +938,11 @@ def _parse_stage_line(line: str, where: str) -> StageRecord:
     return record
 
 
-def _check_stage(partition: SplittingPartition, record: StageRecord) -> None:
+def _check_stage(partition: SplittingPartition, record: StageRecord, target: Interval) -> None:
     """Raise ValueError unless a build could place the record after the partition's stages.
 
     Checks what the construction guarantees: stages come numbered 1..N; the
-    gap lies strictly inside I_n; its length is 1/(3*2^j) with
+    gap lies strictly inside I_n, the target; its length is 1/(3*2^j) with
     2^-j <= min(2^-n, gap_cap) and its midpoint lies on the 2^-(j+4) grid
     (``_shrink_gap``); depth_used is 0 exactly when no earlier gap closure
     meets this gap's closure, and is a depth ``find_gap`` tries otherwise;
@@ -896,7 +952,6 @@ def _check_stage(partition: SplittingPartition, record: StageRecord) -> None:
     n, gap, depth = record.n, record.gap, record.depth_used
     if n != partition.stage_count + 1:
         raise ValueError(f"stage {n} line: expected stage {partition.stage_count + 1}")
-    target = enumerated_interval(n)
     if not (target.lo < gap.lo and gap.hi < target.hi):
         raise ValueError(f"stage {n}: gap {gap} does not lie strictly inside I_{n} = {target}")
     length = gap.length
@@ -980,6 +1035,6 @@ def splitting_certificate_auto(
         try:
             return p.splitting_certificate(k, window), p
         except NotYetCovered as exc:
-            if exc.needed_stage is None or exc.needed_stage <= p.stage_count:
+            if exc.needed_stage <= p.stage_count:
                 raise
             p = extend_partition(p, exc.needed_stage)

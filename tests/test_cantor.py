@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from clarkesat import cantor
 from clarkesat.cantor import (
     Containment,
     FatCantorSet,
@@ -330,3 +331,26 @@ def test_find_gap_without_room_raises_at_once(canonical, blocked):
     # depth-1 try, so the call never lists the 2^32 pieces of the depth-32 cover.
     with pytest.raises(RuntimeError, match="no gap inside .* avoids the blocked intervals"):
         find_gap([canonical], Interval.open(0, 1), blocked)
+
+
+def test_find_gap_in_a_sliver_walks_only_the_room(canonical, monkeypatch):
+    # e is the left end of a depth-20 right child, so the removed middle just
+    # left of it shows first at depth 20: the depth-32 try finds the sliver
+    # (e - 10^-30, e).  Walking the whole target at depth 32 would split 2^32
+    # pieces; the child rule is cut at 100,000 splits so such a search fails fast.
+    lo, hi = Fraction(0), Fraction(1)
+    for step in range(20):
+        mid, half = (lo + hi) / 2, canonical.removal_length(step) / 2
+        lo, hi = (lo, mid - half) if step < 19 else (mid + half, hi)
+    e, eps = lo, Fraction(1, 10**30)
+    children, splits = cantor._children, []
+
+    def bounded_children(*args):
+        splits.append(args)
+        if len(splits) > 100_000:
+            raise AssertionError("the search split more than 100,000 cover pieces")
+        return children(*args)
+
+    monkeypatch.setattr(cantor, "_children", bounded_children)
+    blocked = (Interval.closed(-1, e - eps), Interval.closed(e + eps, 2))
+    assert find_gap([canonical], Interval.open(0, 1), blocked) == (Interval.open(e - eps, e), 32)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from clarkesat.cli import main
-from clarkesat.partition import SplittingPartition, StageRecord, build_partition, save, saves
+from clarkesat.partition import SplittingPartition, StageRecord, build_partition, enumerated_interval, save, saves
 from clarkesat.rationals import Interval
 
 
@@ -311,17 +311,17 @@ def test_zero_denominator_is_usage_error(partition_file, capsys):
     assert "zero denominator: '1/0'" in capsys.readouterr().err
 
 
-def test_certify_without_a_stage_count_exits_3(partition_file, capsys, monkeypatch):
-    # No enumerated interval fits the window within the scan limit, cut from
-    # 500,000 to 1,000 so the scan gives up in milliseconds.
-    import clarkesat.partition as partition_module
-
-    monkeypatch.setattr(partition_module, "_SCAN_LIMIT", 1000)
+def test_certify_names_a_stage_count_for_a_narrow_window_exits_3(partition_file, capsys):
+    # The first enumerated interval inside the window lies far beyond what a
+    # scan of the enumeration reaches; the closed form names its index.
     code = run_cli(
         "certify", "--partition", partition_file, "--mu", "0:1/1",
         "--point", "1/3", "--radius", "1/1099511627776",
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert "1,000-index enumeration scan found no stage count" in err
+    assert "build at least 5864062014719 stages" in err
     assert "Traceback" not in err
+    radius = Fraction(1, 1099511627776)
+    window = Interval.open(Fraction(1, 3) - radius, Fraction(1, 3) + radius)
+    assert window.contains_interval(enumerated_interval(5864062014719))

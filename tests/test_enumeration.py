@@ -1,0 +1,159 @@
+"""Closed-form rank, unrank and search of the interval enumeration, checked
+against the two streams as they were first written, one interval at a time."""
+
+import random
+import re
+from fractions import Fraction
+from itertools import islice
+from math import gcd
+
+import pytest
+
+from clarkesat.partition import _enumeration, enumerated_interval, enumeration_index, first_index_inside
+from clarkesat.rationals import Interval
+
+N = 100_000
+
+
+def _dyadic_stream():
+    level = 1
+    while True:
+        scale = Fraction(1, 2**level)
+        for j in range(1, 2**level):
+            yield Interval.open((j - 1) * scale, (j + 1) * scale)
+        level += 1
+
+
+def _pair_stream():
+    weight = 4
+    while True:
+        for qa in range(2, weight - 1):
+            qb = weight - qa
+            for pa in range(1, qa):
+                if gcd(pa, qa) != 1:
+                    continue
+                a = Fraction(pa, qa)
+                for pb in range(1, qb):
+                    if gcd(pb, qb) != 1:
+                        continue
+                    b = Fraction(pb, qb)
+                    if a < b:
+                        yield Interval.open(a, b)
+        weight += 1
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """I_1 .. I_N from the reference streams: odd indices dyadic, even ones pairs."""
+    dyadic, pairs = _dyadic_stream(), _pair_stream()
+    return [next(dyadic) if n % 2 else next(pairs) for n in range(1, N + 1)]
+
+
+def _scan_inside(reference, window, min_index):
+    """The smallest n >= min_index with I_n inside the window, by brute force."""
+    for n in range(max(1, min_index), N + 1):
+        if window.contains_interval(reference[n - 1]):
+            return n
+    return None
+
+
+def _mid_block_indices(reference):
+    """Enumeration indices in the middle of dyadic levels and of pair blocks."""
+    indices = [2 * (2**level - level - 1 + 2 ** (level - 1)) - 1 for level in range(1, 16)]
+    block, start = None, 2
+    for n in range(2, N + 1, 2):
+        key = (reference[n - 1].lo.denominator, reference[n - 1].hi.denominator)
+        if key != block:
+            if n - start > 4:
+                indices.append(start + (n - start) // 4 * 2)
+            block, start = key, n
+    return [n for n in indices if n <= N // 2]
+
+
+def test_the_stream_matches_the_reference_for_every_n_up_to_100000(reference):
+    assert list(islice(_enumeration(1), N)) == reference
+
+
+def test_unrank_matches_the_reference_in_both_parities(reference):
+    rng = random.Random(20)
+    for n in sorted(rng.sample(range(1, N - 60), 300)) + list(range(1, 40)):
+        assert enumerated_interval(n) == reference[n - 1], n
+        assert list(islice(_enumeration(n), 60)) == reference[n - 1: n + 59], n
+    with pytest.raises(ValueError, match="enumeration indices start at 1"):
+        enumerated_interval(0)
+
+
+def test_rank_matches_the_first_occurrence(reference):
+    first = {}
+    for n, interval in enumerate(reference, 1):
+        first.setdefault(interval, n)
+    rng = random.Random(21)
+    for n in rng.sample(range(1, N + 1), 3000) + list(range(1, 200)):
+        assert enumeration_index(reference[n - 1]) == first[reference[n - 1]], n
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [
+        Interval.open(0, Fraction(1, 3)),
+        Interval.open(Fraction(2, 3), 1),
+        Interval.open(Fraction(1, 2), Fraction(3, 2)),
+        Interval.open(Fraction(-1, 2), Fraction(1, 2)),
+        Interval.open(2, 3),
+    ],
+)
+def test_rank_rejects_intervals_outside_the_enumeration(interval):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'interval {interval} not found in the enumeration')}$"):
+        enumeration_index(interval)
+
+
+def test_rank_rejects_closed_intervals():
+    with pytest.raises(ValueError, match="enumerated intervals are open"):
+        enumeration_index(Interval.closed(0, 1))
+
+
+def test_first_index_inside_matches_a_scan(reference):
+    rng = random.Random(22)
+    ends = [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(4, 3), Fraction(1, 2), Fraction(1, 3)]
+    starts = _mid_block_indices(reference) + [1, 2, 3]
+    checked = set()
+    while len(checked) < 700:
+        if rng.random() < 0.3:  # an end at 0, 1 or beyond [0, 1]
+            a, b = rng.choice(ends), Fraction(rng.randrange(0, 97), rng.randrange(1, 97))
+        else:
+            q = rng.choice([4, 8, 16, 30, 64, 97, 128])
+            a, b = Fraction(rng.randrange(-q // 4, q + q // 4), q), Fraction(rng.randrange(-q // 4, q + q // 4), q)
+        if max(min(a, b), 0) >= min(max(a, b), 1):
+            continue
+        window = Interval(min(a, b), max(a, b), rng.random() < 0.5, rng.random() < 0.5)
+        min_index = rng.choice(starts + [rng.randrange(1, 5000)])
+        expected = _scan_inside(reference, window, min_index)
+        if expected is not None:
+            assert first_index_inside(window, min_index) == expected, (window, min_index)
+            checked.add((window, min_index))
+
+
+@pytest.mark.parametrize(
+    "window",
+    [Interval.open(2, 3), Interval.closed(1, 2), Interval(Fraction(-1), Fraction(0), True, True)],
+)
+def test_first_index_inside_rejects_windows_off_the_unit_interval(window):
+    with pytest.raises(ValueError, match="no enumerated interval lies inside"):
+        first_index_inside(window)
+
+
+def test_narrow_windows_name_their_first_index():
+    # 699009 is what the old one-interval-at-a-time scan found with a
+    # 2,000,000-index limit; the 2^-40 window lies far beyond any scan.
+    third = Fraction(1, 3)
+    for radius, expected in [(Fraction(1, 100000), 699009), (Fraction(1, 2**40), 5864062014719)]:
+        window = Interval.open(third - radius, third + radius)
+        n = first_index_inside(window)
+        assert n == expected
+        assert window.contains_interval(enumerated_interval(n))
+        assert not any(window.contains_interval(enumerated_interval(m)) for m in range(n - 40, n))
+
+
+@pytest.mark.parametrize("n", [10**12, 10**12 + 1, 5864062014719, 5864062014720, 3 * 10**13])
+def test_far_indices_round_trip(n):
+    assert enumeration_index(enumerated_interval(n)) == n

@@ -543,14 +543,30 @@ def test_measure_in_additivity_around_dug_gaps_at_1000_stages(p1000, depth_used)
         assert sum(b.lo for b in bounds) <= window.length <= sum(b.hi for b in bounds)
 
 
-def test_not_yet_covered_without_a_stage_count(p20, monkeypatch):
-    # The first enumerated interval inside this window lies far past 500,000
-    # indices; the scan is cut at 1,000 so it gives up in milliseconds.
-    import clarkesat.partition as partition_module
-
-    monkeypatch.setattr(partition_module, "_SCAN_LIMIT", 1000)
+def test_not_yet_covered_names_a_stage_count_for_a_narrow_window(p20):
+    # The first enumerated interval inside this window has index 5,864,062,014,719,
+    # far beyond what a scan of the enumeration reaches; the closed form names it.
     radius = Fraction(1, 2**40)
     window = Interval.open(Fraction(1, 3) - radius, Fraction(1, 3) + radius)
-    with pytest.raises(NotYetCovered, match="1,000-index enumeration scan") as excinfo:
+    with pytest.raises(NotYetCovered, match="build at least 5864062014719 stages") as excinfo:
         splitting_certificate(p20, 1, window)
-    assert excinfo.value.needed_stage is None
+    assert excinfo.value.needed_stage == 5864062014719
+    assert window.contains_interval(enumerated_interval(excinfo.value.needed_stage))
+
+
+@pytest.mark.parametrize("depth_used", [1, 2, 4])
+def test_membership_inside_nested_gaps_agrees_with_piece_hosts_at_1000_stages(p1000, depth_used):
+    # Points inside the first gap dug at this depth: midpoints and boundaries
+    # of its pieces, and the ends of each piece's first removed middle, which
+    # lie in its planted set.  The gap nests in a gap of an earlier stage.
+    record = next(r for r in p1000.stages if r.depth_used == depth_used)
+    assert any(r.n < record.n and r.gap.closure().contains_interval(record.gap) for r in p1000.stages)
+    points = [record.gap.hi]
+    for i in sorted({0, 1, record.n // 2, record.n - 1, record.n}):
+        host = record.piece_host(i)
+        left, right = p1000.piece_set(record.n, i).svc_cover(1).parts
+        points += [host.lo, host.midpoint, left.hi, right.lo]
+    for x in points:
+        for depth in (4, 8):
+            answer = p1000.membership(x, depth)
+            assert (answer.kind, answer.k, answer.stage) == _membership_from_piece_hosts(p1000, x, depth), (x, depth)
