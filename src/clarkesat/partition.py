@@ -43,13 +43,17 @@ stages.  Stage tails are summable: sum of gap lengths over n > N is at most
 2^-N.
 
 Gap search.  The free interval avoids the closures of all earlier gaps when
-they leave room in I_n.  Closures are disjoint or nested, so that free space
-is I_n minus the top-level closures, the gaps of the depth-0 stages.  The
-build keeps them sorted, with the free lengths between neighbours as
-integers, and finds the longest free part of I_n with two bisections and one
-integer max.  When the closures tile I_n (from stage 37 on at gap_cap 1),
-the new gap nests inside a removed middle of the earlier stage overlapping
-I_n most, certified at ``depth_used``; planted sets stay disjoint either way.
+they leave room in I_n.  One gap index serves this search and every window
+query: the gaps sorted by left end, with both ends and the running max of
+the right ends as integers over one common denominator.  Every closure
+before closure i ends by that running max at i-1, so closure i's left end
+minus it, when positive, is the free room just left of closure i; a closure
+nested in an earlier one gives none.  So the longest free part of I_n takes
+two bisections and one integer max, and a window query rounds its two ends
+once and then compares integers.  When the closures tile I_n (from stage 37
+on at gap_cap 1), the new gap nests inside a removed middle of the earlier
+stage overlapping I_n most, certified at ``depth_used``; planted sets stay
+disjoint either way.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice
 from math import ceil, floor, gcd, isqrt, lcm
-from operator import attrgetter, mul
+from operator import mul, sub
 from typing import Callable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
@@ -348,8 +352,6 @@ class SplittingCertificate:
 
 _MAX_MEASURE_DEPTH = 64
 
-_gap_lo = attrgetter("gap.lo")
-
 
 class SplittingPartition:
     """An immutable prefix of the staged splitting partition of [0,1).
@@ -363,25 +365,47 @@ class SplittingPartition:
         self.gap_cap = gap_cap
         self.translation = translation
         self.stages: tuple[StageRecord, ...] = ()
-        # The gap index: records sorted by gap.lo and the running max of gap.hi.
+        # The gap index: records sorted by gap.lo, their gap ends as integers
+        # over one common denominator _den, and _reach, the running max of
+        # _his.  Every closure before closure j ends by _reach[j-1], so
+        # _los[j] - _reach[j-1], when positive, is the free room just left of
+        # closure j; a closure nested in an earlier one gives none.
         self._by_lo: list[StageRecord] = []
-        self._max_hi: list[Fraction] = []
+        self._los: list[int] = []
+        self._his: list[int] = []
+        self._reach: list[int] = []
+        self._den = 1
         self._masses: tuple[int, list[int]] | None = None
         for record in stages:
             self._add(record)
 
     def _add(self, record: StageRecord) -> None:
-        """Append the next stage and index its gap; only during construction."""
+        """Append the next stage and index its gap; only during construction.
+
+        A gap end whose denominator does not divide ``_den`` rescales the
+        index to a common multiple with as many spare bits as ``_den`` had,
+        so a build's growing grid 3*2^k rescales O(log N) times.
+        """
         self.stages += (record,)
         self._masses = None
-        pos = bisect_right(self._by_lo, record.gap.lo, key=_gap_lo)
+        lo, hi = record.gap.lo, record.gap.hi
+        if self._den % lo.denominator or self._den % hi.denominator:
+            den = lcm(self._den, lo.denominator, hi.denominator) << self._den.bit_length()
+            factor, self._den = den // self._den, den
+            for ends in (self._los, self._his, self._reach):
+                ends[:] = [end * factor for end in ends]
+        a = lo.numerator * (self._den // lo.denominator)
+        b = hi.numerator * (self._den // hi.denominator)
+        pos = bisect_right(self._los, a)
         self._by_lo.insert(pos, record)
-        running = max(self._max_hi[pos - 1], record.gap.hi) if pos else record.gap.hi
-        self._max_hi.insert(pos, running)
-        for idx in range(pos + 1, len(self._max_hi)):
-            if self._max_hi[idx] >= running:
+        self._los.insert(pos, a)
+        self._his.insert(pos, b)
+        running = max(self._reach[pos - 1], b) if pos else b
+        self._reach.insert(pos, running)
+        for idx in range(pos + 1, len(self._reach)):
+            if self._reach[idx] >= running:
                 break
-            self._max_hi[idx] = running
+            self._reach[idx] = running
 
     # -- structure ---------------------------------------------------------
 
@@ -396,32 +420,61 @@ class SplittingPartition:
         return FatCantorSet(self.stage(n).piece_host(i), RETAINED)
 
     def stages_overlapping(self, window: Interval) -> list[StageRecord]:
-        """Built stages whose gap closure meets the window, ascending by n."""
+        """Built stages whose gap closure meets the window's closure, ascending by n."""
+        den = self._den
+        lo = -(-window.lo.numerator * den // window.lo.denominator)  # ceil(window.lo * den)
+        hi = window.hi.numerator * den // window.hi.denominator  # floor(window.hi * den)
         found = []
-        for pos in range(bisect_right(self._by_lo, window.hi, key=_gap_lo) - 1, -1, -1):
-            if self._max_hi[pos] < window.lo:
+        for pos in range(bisect_right(self._los, hi) - 1, -1, -1):
+            if self._reach[pos] < lo:
                 break
-            record = self._by_lo[pos]
-            if record.gap.hi >= window.lo:
-                found.append(record)
+            if self._his[pos] >= lo:
+                found.append(self._by_lo[pos])
         found.sort(key=lambda s: s.n)
         return found
 
-    def _free_subinterval(self, target: Interval, top: _TopGaps) -> tuple[Interval, int]:
+    def _longest_free(self, target: Interval) -> Interval | None:
+        """The longest part of the open target outside every gap closure, leftmost on ties.
+
+        Closures first..stop-1 are the ones that can meet the target.  Only
+        the two edge parts need Fraction arithmetic; the inner ones are the
+        integer differences ``_los[i] - _reach[i-1]``.
+        """
+        lo, hi, den = target.lo, target.hi, self._den
+        first = bisect_right(self._reach, lo.numerator * den // lo.denominator)
+        stop = bisect_left(self._los, -(-hi.numerator * den // hi.denominator))
+        if first == stop:
+            return target
+        best, length = None, ZERO
+        if (left := self._by_lo[first].gap.lo) > lo:
+            best, length = (lo, left), left - lo
+        if stop - first > 1:
+            inner = list(map(sub, self._los[first + 1:stop], self._reach[first:stop - 1]))
+            most = max(inner)
+            if (inner_length := Fraction(most, den)) > length:
+                i = first + 1 + inner.index(most)  # the leftmost longest
+                best = (Fraction(self._reach[i - 1], den), self._by_lo[i].gap.lo)
+                length = inner_length
+        right = Fraction(self._reach[stop - 1], den)
+        if hi - right > length:
+            best = (right, hi)
+        return None if best is None else Interval.open(*best)
+
+    def _free_subinterval(self, target: Interval) -> tuple[Interval, int]:
         """Longest open subinterval of target avoiding all planted sets, and the dig depth.
 
         Depth 0 avoids the closures of the built gaps, which hold every
-        planted set.  Closures are disjoint or nested: a depth-0 gap misses
-        every earlier closure, and a dug gap lies inside the gap it was dug
-        from.  So the depth-0 free space is the target minus the top-level
-        closures, the gaps of the depth-0 stages, which ``top`` holds.  When
-        they tile the target, ``find_gap`` digs into the stage with the
-        largest overlap (earliest on ties), the other closures blocked.
-        That stage's closure holds the target, and its removed middles minus
-        the finitely many closed gaps nested in them leave room at some
-        finite depth.
+        planted set: ``_longest_free`` finds the longest part of the target
+        outside them from the gap index.  Closures are disjoint or nested (a
+        depth-0 gap misses every earlier closure, and a dug gap lies inside
+        the gap it was dug from), so a nested closure leaves no room of its
+        own.  When they tile the target, ``find_gap`` digs into the stage
+        with the largest overlap (earliest on ties), the other closures
+        blocked.  That stage's closure holds the target, and its removed
+        middles minus the finitely many closed gaps nested in them leave
+        room at some finite depth.
         """
-        best = top.longest_free(target)
+        best = self._longest_free(target)
         if best is not None:
             return best, 0
         overlapping = self.stages_overlapping(target)
@@ -526,65 +579,6 @@ class SplittingPartition:
                     complement = (member, record.n, piece, RETAINED * record.piece_width)
                     return SplittingCertificate(k, window, *positive, *complement)
         raise _not_yet_covered(k, window)
-
-
-class _TopGaps:
-    """The top-level gap closures of a build, for its depth-0 free-space search.
-
-    They are pairwise disjoint, so sorted by ``lo`` they are sorted by ``hi``
-    too.  ``free[i]`` is the length of the free part between closures i and
-    i+1 as an integer over ``den``, a common denominator of every endpoint
-    (3*2^k for built gaps), so one ``max`` compares the inner free parts of a
-    target on integers.
-    """
-
-    def __init__(self, gaps: list[Interval]):
-        self.los: list[Fraction] = []
-        self.his: list[Fraction] = []
-        self.free: list[int] = []
-        self.den = 1
-        for gap in gaps:
-            self.add(gap)
-
-    def _scaled(self, length: Fraction) -> int:
-        return length.numerator * (self.den // length.denominator)
-
-    def add(self, gap: Interval) -> None:
-        den = lcm(self.den, gap.lo.denominator, gap.hi.denominator)
-        if den != self.den:
-            factor, self.den = den // self.den, den
-            self.free = [length * factor for length in self.free]
-        pos = bisect_right(self.los, gap.lo)
-        parts = []
-        if pos:
-            parts.append(self._scaled(gap.lo - self.his[pos - 1]))
-        if pos < len(self.los):
-            parts.append(self._scaled(self.los[pos] - gap.hi))
-        self.free[max(pos - 1, 0): pos] = parts  # the free part the gap splits
-        self.los.insert(pos, gap.lo)
-        self.his.insert(pos, gap.hi)
-
-    def longest_free(self, target: Interval) -> Interval | None:
-        """The longest part of the open target outside the closures, leftmost on ties.
-
-        Only the two edge parts need Fraction arithmetic; the ones between
-        closures inside the target are ``free[first:stop - 1]``.
-        """
-        lo, hi = target.lo, target.hi
-        first, stop = bisect_right(self.his, lo), bisect_left(self.los, hi)
-        if first == stop:
-            return target
-        best, length = None, ZERO
-        if self.los[first] > lo:
-            best, length = (lo, self.los[first]), self.los[first] - lo
-        if stop - first > 1:
-            inner = max(self.free[first: stop - 1])
-            if (inner_length := Fraction(inner, self.den)) > length:
-                pos = self.free.index(inner, first)  # the leftmost longest
-                best, length = (self.his[pos], self.los[pos + 1]), inner_length
-        if hi - self.his[stop - 1] > length:
-            best = (self.his[stop - 1], hi)
-        return None if best is None else Interval.open(*best)
 
 
 def _whole_piece(
@@ -806,14 +800,10 @@ def extend_partition(partition: SplittingPartition, stages: int) -> SplittingPar
     if stages <= partition.stage_count:
         return partition
     grown = SplittingPartition(partition.gap_cap, partition.stages, partition.translation)
-    top = _TopGaps([record.gap for record in grown._by_lo if record.depth_used == 0])
     start = partition.stage_count + 1
     for n, target in zip(range(start, stages + 1), _enumeration(start)):
-        found, depth_used = grown._free_subinterval(target, top)
-        record = StageRecord(n, _shrink_gap(found, n, grown.gap_cap), depth_used)
-        grown._add(record)
-        if depth_used == 0:
-            top.add(record.gap)
+        found, depth_used = grown._free_subinterval(target)
+        grown._add(StageRecord(n, _shrink_gap(found, n, grown.gap_cap), depth_used))
     return grown
 
 

@@ -325,3 +325,14 @@ def test_certify_names_a_stage_count_for_a_narrow_window_exits_3(partition_file,
     radius = Fraction(1, 1099511627776)
     window = Interval.open(Fraction(1, 3) - radius, Fraction(1, 3) + radius)
     assert window.contains_interval(enumerated_interval(5864062014719))
+
+
+def test_certify_exit_3_names_the_stage_count_once(partition_file, capsys):
+    code = run_cli(
+        "certify", "--partition", partition_file, "--mu", "0:1/1",
+        "--point", "1/2", "--radius", "1/100000",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("build at least") == 1
+    assert err.rstrip().endswith("; build at least 393179 stages")

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from clarkesat.partition import (
     RETAINED,
     SplittingPartition,
     StageRecord,
-    _TopGaps,
     _halving_exponent,
     build_partition,
     enumerated_interval,
@@ -446,7 +446,7 @@ def test_cover_meets_agrees_with_the_materialized_cover(host):
 
 
 # ---------------------------------------------------------------------------
-# The depth-0 free-space search over the top-level gap closures
+# The gap index: the depth-0 free-space search and window queries
 # ---------------------------------------------------------------------------
 
 
@@ -480,6 +480,17 @@ def test_capped_builds_are_pinned(cap, digest):
     assert _stage_digest(build_partition(400, Fraction(cap))) == digest
 
 
+# Stages no build places: non-dyadic gap ends, so the gap index rescales by
+# factors of 7, 5 and 3, closures that overlap, closures nested in others,
+# closures that touch at one point, and a last closure that holds an earlier
+# one starting after it.
+_HAND_MADE = SplittingPartition(ONE, tuple(
+    StageRecord(n, Interval.open(lo, hi), 0) for n, (lo, hi) in enumerate(
+        [("1/7", "3/7"), ("2/5", "4/5"), ("1/3", "1/2"), ("1/5", "1/4"), ("4/5", "9/10"), ("1/2", "3/5"),
+         ("3/4", "19/20")], 1)
+))
+
+
 def _reference_free(prefix, target):
     """The depth-0 search as it was: every overlapping closure, sorted and merged."""
     closures = [record.gap.closure() for record in prefix.stages_overlapping(target)]
@@ -488,17 +499,12 @@ def _reference_free(prefix, target):
     return None if best is None else best.interior()
 
 
-def _top_gaps(stages):
-    return _TopGaps([record.gap for record in stages if record.depth_used == 0])
-
-
 @pytest.mark.parametrize("stages", [1, 2, 5, 36, 37, 60, 150, 300])
 def test_top_level_search_matches_the_merged_closures(builds_300, stages):
     prefix = SplittingPartition(ONE, builds_300[ONE].stages[:stages])
-    top = _top_gaps(prefix.stages)
     for n in range(1, 601):
         target = enumerated_interval(n)
-        assert top.longest_free(target) == _reference_free(prefix, target), (stages, n)
+        assert prefix._longest_free(target) == _reference_free(prefix, target), (stages, n)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -511,7 +517,65 @@ def test_top_level_search_matches_on_drawn_targets(builds_300, data):
     assume(a != b)
     target = Interval.open(min(a, b), max(a, b))
     prefix = SplittingPartition(ONE, stages)
-    assert _top_gaps(stages).longest_free(target) == _reference_free(prefix, target)
+    assert prefix._longest_free(target) == _reference_free(prefix, target)
+    assert _HAND_MADE._longest_free(target) == _reference_free(_HAND_MADE, target)
+
+
+def _overlapping_by_brute_force(partition, window):
+    return [r for r in partition.stages if r.gap.lo <= window.hi and window.lo <= r.gap.hi]
+
+
+def _windows(ends):
+    """Every point window at the ends, and every window between two of them
+    with each of its four closure kinds."""
+    for a in ends:
+        yield Interval.closed(a, a)
+        for b in ends:
+            if a < b:
+                for lo_closed in (False, True):
+                    for hi_closed in (False, True):
+                        yield Interval(a, b, lo_closed, hi_closed)
+
+
+def _hand_made_ends():
+    """Gap ends, 2^-300 either side of them, ends with denominators coprime
+    to the index's, and ends past [0, 1]."""
+    gap_ends = {end for r in _HAND_MADE.stages for end in (r.gap.lo, r.gap.hi)}
+    tiny = Fraction(1, 2**300)
+    extra = {Fraction(1, 11), Fraction(2, 13), Fraction(5, 17), Fraction(0), ONE, Fraction(-1, 2), Fraction(3, 2)}
+    return sorted(gap_ends | {e - tiny for e in gap_ends} | {e + tiny for e in gap_ends} | extra)
+
+
+def test_stages_overlapping_matches_brute_force_on_hand_made_stages():
+    ends = _hand_made_ends()
+    for window in _windows(ends):
+        assert _HAND_MADE.stages_overlapping(window) == _overlapping_by_brute_force(_HAND_MADE, window), window
+
+
+def test_longest_free_matches_the_merged_closures_on_hand_made_stages():
+    ends = _hand_made_ends()
+    for j, a in enumerate(ends):
+        for b in ends[j + 1:]:
+            target = Interval.open(a, b)
+            assert _HAND_MADE._longest_free(target) == _reference_free(_HAND_MADE, target), target
+    assert _HAND_MADE._longest_free(Interval.open(Fraction(1, 7), Fraction(19, 20))) is None
+
+
+def test_stages_overlapping_matches_brute_force_at_1000_stages(p1000):
+    rng = random.Random(11)
+    gap_ends = [end for r in p1000.stages for end in (r.gap.lo, r.gap.hi)]
+    tiny = Fraction(1, 2**300)
+    ends = rng.sample(gap_ends, 40)
+    ends += [e + s * tiny for e in ends[:20] for s in (-1, 1)]
+    ends += [Fraction(1, 11), Fraction(2, 13), Fraction(5, 17), Fraction(-1, 2), Fraction(3, 2)]
+    ends.sort()
+    # Each end to the next three, the closure kinds in turn, and every point.
+    windows = [Interval(a, b, i % 2 == 1, i % 4 > 1) for i, (a, b) in enumerate(
+        (a, b) for j, a in enumerate(ends) for b in ends[j + 1:j + 4] if a < b)]
+    windows += [Interval.closed(e, e) for e in ends + gap_ends[::25]]
+    windows += [Interval.open(Fraction(-1, 2), Fraction(3, 2)), Interval.closed(ends[30], Fraction(2))]
+    for window in windows:
+        assert p1000.stages_overlapping(window) == _overlapping_by_brute_force(p1000, window), window
 
 
 def test_top_level_closures_at_1000_stages(p1000):
