@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .rationals import Interval, IntervalSet, ZERO, format_rational, parse_rational, rational
@@ -173,9 +174,13 @@ class FatCantorSet:
                 stack.append((*left, step + 1))
 
     def svc_cover(self, depth: int) -> IntervalSet:
-        """The depth-d cover: 2^d closed intervals whose intersection is F."""
-        parts = self._walk(self.host.lo, self.host.hi, depth)
-        return IntervalSet(tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den, _ in parts))
+        """The depth-d cover: 2^d closed intervals whose intersection is F.
+
+        Kept as the walk's integer numerators; ``len`` and ``measure`` read
+        them, and the ``Interval`` parts are built when first read.
+        """
+        pieces = [(lo, hi) for lo, hi, _, _ in self._walk(self.host.lo, self.host.hi, depth)]
+        return _Cover(pieces, self._root()[2] << 2 * depth)
 
     def svc_membership(self, x: Fraction, depth: int) -> Containment:
         """Certified membership in F at finite depth.
@@ -255,6 +260,35 @@ class FatCantorSet:
             parse_rational(retained),
             schedule,
         )
+
+
+class _Cover(IntervalSet):
+    """An ``IntervalSet`` of closed pieces held as integer numerator pairs
+    over one denominator.  It equals, and hashes as, ``IntervalSet`` of the
+    same parts; a thread race at most builds the equal parts twice."""
+
+    def __init__(self, pieces: list[tuple[int, int]], den: int):
+        object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(self, "_den", den)
+
+    @cached_property
+    def parts(self) -> tuple[Interval, ...]:
+        den = self._den
+        return tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in self._pieces)
+
+    def __len__(self) -> int:
+        return len(self._pieces)
+
+    def measure(self) -> Fraction:
+        return Fraction(sum(hi - lo for lo, hi in self._pieces), self._den)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if isinstance(other, IntervalSet) else NotImplemented
+
+    __hash__ = IntervalSet.__hash__
+
+    def __repr__(self) -> str:
+        return repr(IntervalSet(self.parts))
 
 
 def svc_cover(c: FatCantorSet, depth: int) -> IntervalSet:

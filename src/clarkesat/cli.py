@@ -6,7 +6,8 @@ approximate.  Commands are deterministic: repeated runs produce
 byte-identical output.
 
 Exit codes: 0 success, 2 usage, 3 partition not built far enough,
-4 tolerance unreachable, 5 I/O failure.
+4 tolerance unreachable, 5 I/O failure, 6 a certificate failed its replay
+check.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_USAGE = 2
 EXIT_NOT_YET_COVERED = 3
 EXIT_TOLERANCE = 4
 EXIT_IO = 5
+EXIT_CERTIFICATE = 6
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,8 @@ def cmd_certify(args) -> int:
         sf, config.point, parse_rational(args.radius), config.truncation()
     )
     if not certificate.check():
-        raise AssertionError("certificate failed its own replay check")
+        print("error: certificate failed its own replay check", file=sys.stderr)
+        return EXIT_CERTIFICATE
     print(certificate.render())
     return 0
 

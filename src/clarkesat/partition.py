@@ -78,6 +78,7 @@ from .rationals import (
 )
 
 RETAINED = Fraction(1, 2)  # every planted set keeps half of its host piece
+_MAX_PAIR_WEIGHT = 2**16  # enumeration_index's size bound on qa + qb
 
 # ---------------------------------------------------------------------------
 # Enumeration of rational open subintervals of (0,1)
@@ -169,7 +170,9 @@ def enumeration_index(interval: Interval) -> int:
 
     The dyadic rank is O(1).  The pair rank of the reduced endpoints pa/qa
     and pb/qb sums over the weights below w = qa + qb, in O(w) time and
-    memory; it is skipped when it must exceed a dyadic rank.
+    memory; it is skipped when it must exceed a dyadic rank.  Size bound:
+    ValueError, before any sieve is built, when the pair rank is needed and
+    w exceeds 2^16 (at the bound it takes about 0.5 s and 40 MB).
     """
     if interval.lo_closed or interval.hi_closed:
         raise ValueError("enumerated intervals are open")
@@ -179,7 +182,14 @@ def enumeration_index(interval: Interval) -> int:
         found.append(2 * (2**level - level + int(lo * 2**level)) - 1)
     qa, qb = lo.denominator, hi.denominator
     # A weight past the one holding pair position D/2 ranks after a dyadic D.
-    if 0 < lo and hi < 1 and not (found and qa + qb > sum(next(_pair_blocks(found[0] // 2))[1:])):
+    # So does any w > _MAX_PAIR_WEIGHT: a level-L dyadic has an end over a
+    # denominator 2^(L-1), so D < 2^(L+2) < 8w, while the pairs 1/2 < pb/qb alone put
+    # sum(phi(q)/2 for 3 <= q < w - 2) > 4w positions below w (phi(q) >= sqrt(q/2)).
+    if 0 < lo and hi < 1 and not (found and (qa + qb > _MAX_PAIR_WEIGHT or
+                                             qa + qb > sum(next(_pair_blocks(found[0] // 2))[1:]))):
+        if qa + qb > _MAX_PAIR_WEIGHT:
+            raise ValueError(f"interval {interval} has endpoint denominators {qa} + {qb} > {_MAX_PAIR_WEIGHT}, "
+                             "past the rank's size bound")
         first = _pairs_below(qa + qb, _totients(qa + qb)) + 1
         pos = next(pos for pos, a, _ in _pair_blocks(first) if a == qa)
         position, _, pbs = next(row for row in _rows(pos, qa, qb, pos + 1) if row[1] == lo.numerator)

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from clarkesat.cli import main
+from clarkesat.cli import EXIT_CERTIFICATE, main
 from clarkesat.partition import SplittingPartition, StageRecord, build_partition, enumerated_interval, save, saves
 from clarkesat.rationals import Interval
+from clarkesat.verifier import SaturationCertificate
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,18 @@ def test_certify_not_yet_covered_exit_code(partition_file, capsys):
     )
     assert code == 3
     assert "stages" in capsys.readouterr().err
+
+
+def test_certify_failed_replay_exits_6_without_a_traceback(partition_file, capsys, monkeypatch):
+    monkeypatch.setattr(SaturationCertificate, "check", lambda self: False)
+    code = run_cli(
+        "certify", "--partition", partition_file, "--mu", "0:1/1",
+        "--point", "1/2", "--radius", "1/4",
+    )
+    assert code == EXIT_CERTIFICATE == 6
+    captured = capsys.readouterr()
+    assert captured.err == "error: certificate failed its own replay check\n"
+    assert captured.out == ""
 
 
 def test_certify_shifted_hull(partition_file, capsys):

@@ -3,6 +3,7 @@ against the two streams as they were first written, one interval at a time."""
 
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -157,3 +158,28 @@ def test_narrow_windows_name_their_first_index():
 @pytest.mark.parametrize("n", [10**12, 10**12 + 1, 5864062014719, 5864062014720, 3 * 10**13])
 def test_far_indices_round_trip(n):
     assert enumeration_index(enumerated_interval(n)) == n
+
+
+def test_rank_raises_past_its_size_bound_before_sieving():
+    third, radius = Fraction(1, 3), Fraction(1, 2**40)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"3298534883328 \+ 3298534883328 > 65536, past the rank's size bound"):
+        enumeration_index(Interval.open(third - radius, third + radius))  # a 6.6e12-entry sieve
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="past the rank's size bound"):  # qa + qb = 2^16 + 1
+        enumeration_index(Interval.open(Fraction(1, 2**15 + 1), Fraction(2**15 - 1, 2**15)))
+
+
+def test_rank_at_its_size_bound_is_unchanged():
+    at_bound = Interval.open(Fraction(1, 2**15 + 1), Fraction(2**15 - 2, 2**15 - 1))  # qa + qb = 2^16
+    assert enumeration_index(at_bound) == 284061060792899790
+    assert enumerated_interval(284061060792899790) == at_bound
+
+
+@pytest.mark.parametrize("level", [17, 18, 40, 1000])
+def test_deep_dyadic_ranks_skip_the_pair_rank(level):
+    # qa + qb >= 2^(level - 1) + 2 passes the bound from level 17 on, and
+    # the pair rank there is always past the dyadic one.
+    for j in (2, 3, 2**level - 1):
+        interval = Interval.open(Fraction(j - 1, 2**level), Fraction(j + 1, 2**level))
+        assert enumeration_index(interval) == 2 * (2**level - level + j - 1) - 1
