@@ -99,7 +99,7 @@ def _positive_tol(text: str) -> Fraction:
 
 def cmd_build(args) -> int:
     partition = build_partition(args.stages, parse_rational(args.gap_cap))
-    text = saves(partition)
+    text = saves(partition, version=2)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(text)
     print(f"wrote {args.out}: {partition.stage_count} stages")
@@ -215,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="build a partition and write a SPLITPART v1 file")
+    p_build = sub.add_parser(
+        "build", help="build a partition and write a SPLITPART v2 file (v1 files are still read)"
+    )
     p_build.add_argument("--stages", type=int, required=True)
     p_build.add_argument("--gap-cap", default="1/1")
     p_build.add_argument("--out", required=True)

@@ -78,7 +78,8 @@ from .rationals import (
 )
 
 RETAINED = Fraction(1, 2)  # every planted set keeps half of its host piece
-_MAX_PAIR_WEIGHT = 2**16  # enumeration_index's size bound on qa + qb
+_MAX_PAIR_WEIGHT = 2**16  # the size bound on qa + qb of enumeration_index and first_index_inside
+_MAX_PAIR_POSITION = 142035260194764531  # _pairs_below(_MAX_PAIR_WEIGHT + 1): positions of weights <= 2^16
 
 # ---------------------------------------------------------------------------
 # Enumeration of rational open subintervals of (0,1)
@@ -205,7 +206,11 @@ def first_index_inside(window: Interval, min_index: int = 1) -> int:
     Exists when the window meets (0,1) in positive length; ValueError
     otherwise.  The dyadic candidate takes one ceiling/floor test per level;
     pair blocks are searched only from the first weight that can fit and
-    only while their index stays below the dyadic candidate's.
+    only while their index stays below the dyadic candidate's.  Size bound:
+    ValueError, before any sieve is built, when a pair below the dyadic
+    candidate's index may have weight qa + qb > 2^16 (a dyadic index past
+    about 2^58: windows about 2^-55 wide or narrower); at the bound the
+    search takes about 0.5 s and 40 MB.
     """
     if not window.is_nontrivial:
         raise ValueError("window must be nontrivial")
@@ -219,6 +224,9 @@ def first_index_inside(window: Interval, min_index: int = 1) -> int:
         level += 1
     best = 2 * (2**level - level - 1 + j) - 1
     first, stop = (n + 1) // 2, (best + 1) // 2  # pair positions with index in [n, best)
+    if first < stop and stop - 1 > _MAX_PAIR_POSITION:
+        raise ValueError(f"the first enumerated interval inside {window} may be a pair of weight above "
+                         f"{_MAX_PAIR_WEIGHT}, past the search's size bound")
     fit = max(4, isqrt(ceil(4 / (hi - lo)) - 1) + 1)  # the least w with w^2 * width >= 4
     if first < stop and fit <= sum(next(_pair_blocks(stop - 1))[1:]):
         start = max(first, _pairs_below(fit, _totients(fit)) + 1)
@@ -830,35 +838,46 @@ def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: SPLITPART v1
+# Serialization: SPLITPART v1 and v2
 #
-# A header line, then one line per stage: n, gap, depth_used and the n+1
-# planted sets, every one of which follows from the gap.  Writing and
-# reading share ``_set_records``, which formats each stage's n+2 piece
-# endpoints once from their integer form, so a load costs one integer gcd
-# and one string comparison per piece endpoint.  A load trusts nothing:
-# each stage line's set records must be exactly the ones its gap implies,
-# and each stage must be one a build could have placed (``_check_stage``:
-# one gap-index lookup per stage, plus O(depth_used) per piece of an earlier
-# stage whose gap it meets).
+# Both versions start with a header line and a gap_cap/translation/stages
+# line.  A v2 file then holds one ``n=... gap=lo,hi depth=...`` line per
+# stage, which fixes the stage completely, and a last ``sha256=<hex>`` line
+# over the stage lines, each ending in a newline.  A v1 stage line carries
+# the same three tokens followed by the n+1 planted sets, every one of which
+# follows from the gap; ``_set_records`` formats them from the integer form
+# of the piece endpoints, and a v1 load must find exactly those.  ``saves``
+# writes v1 unless asked for v2; ``clarkesat build`` writes v2; ``loads``
+# reads both.  A load trusts nothing: each stage must be one a build could
+# have placed (``_check_stage``: one gap-index lookup per stage, plus
+# O(depth_used) per piece of an earlier stage whose gap it meets).
 # ---------------------------------------------------------------------------
 
 
-def saves(partition: SplittingPartition) -> str:
-    lines = ["SPLITPART v1"]
-    lines.append(
-        f"gap_cap={format_rational(partition.gap_cap)}"
-        f" translation={partition.translation}"
-        f" stages={partition.stage_count}"
-    )
+def saves(partition: SplittingPartition, *, version: int = 1) -> str:
+    """The partition as SPLITPART text: version 1 (the default) or 2."""
+    if version not in (1, 2):
+        raise ValueError(f"no SPLITPART version {version}; versions are 1 and 2")
+    lines = [
+        f"SPLITPART v{version}",
+        f"gap_cap={format_rational(partition.gap_cap)} translation={partition.translation}"
+        f" stages={partition.stage_count}",
+    ]
     for record in partition.stages:
-        tokens = [
-            f"n={record.n}",
-            f"gap={format_rational(record.gap.lo)},{format_rational(record.gap.hi)}",
-            f"depth={record.depth_used}",
-        ]
-        lines.append(" ".join(tokens + _set_records(record)))
+        gap = f"{format_rational(record.gap.lo)},{format_rational(record.gap.hi)}"
+        line = f"n={record.n} gap={gap} depth={record.depth_used}"
+        lines.append(" ".join([line, *_set_records(record)]) if version == 1 else line)
+    if version == 2:
+        lines.append(f"sha256={_digest(lines[2:])}")
     return "\n".join(lines) + "\n"
+
+
+def _digest(stage_lines: list[str]) -> str:
+    # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
+    # that a process which never writes or reads a v2 file need not pay.
+    from hashlib import sha256
+
+    return sha256("".join(line + "\n" for line in stage_lines).encode("ascii")).hexdigest()
 
 
 def _set_records(record: StageRecord) -> list[str]:
@@ -877,10 +896,16 @@ def _set_records(record: StageRecord) -> list[str]:
 
 
 def loads(text: str) -> SplittingPartition:
-    """Parse and check SPLITPART v1; every malformed input raises ValueError."""
+    """Parse and check SPLITPART v1 or v2; every malformed input raises ValueError.
+
+    A v2 file's sha256 line must match its stage lines; a v1 stage line's
+    set records must be the ones its gap implies.  Every stage of either
+    version must pass ``_check_stage`` before it is added.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "SPLITPART v1":
-        raise ValueError("not a SPLITPART v1 file")
+    version = {"SPLITPART v1": 1, "SPLITPART v2": 2}.get(lines[0]) if lines else None
+    if version is None:
+        raise ValueError("not a SPLITPART v1 or v2 file")
     if len(lines) < 2:
         raise ValueError("SPLITPART file ends before its header line")
     header = _fields(lines[1].split(), ("gap_cap", "translation", "stages"), "header")
@@ -888,12 +913,18 @@ def loads(text: str) -> SplittingPartition:
     if not 0 < gap_cap <= 1:
         raise ValueError(f"SPLITPART header gap_cap {header['gap_cap']} is not in (0, 1]")
     declared = _parsed(header, "stages", int, "an integer", "header")
-    if len(lines) - 2 != declared:
-        raise ValueError(f"expected {declared} stages, found {len(lines) - 2}")
+    stage_lines = lines[2:]
+    if version == 2:
+        if not stage_lines or not stage_lines[-1].startswith("sha256="):
+            raise ValueError("SPLITPART v2 file lacks its closing sha256= line")
+        if stage_lines.pop() != f"sha256={_digest(stage_lines)}":
+            raise ValueError("SPLITPART v2 sha256= line does not match its stage lines")
+    if len(stage_lines) != declared:
+        raise ValueError(f"expected {declared} stages, found {len(stage_lines)}")
     translation = _parsed(header, "translation", int, "an integer", "header")
     partition = SplittingPartition(gap_cap, (), translation)
-    for position, (line, target) in enumerate(zip(lines[2:], _enumeration(1)), 1):
-        record = _parse_stage_line(line, f"stage line {position}")
+    for position, (line, target) in enumerate(zip(stage_lines, _enumeration(1)), 1):
+        record = _parse_stage_line(line, f"stage line {position}", version)
         _check_stage(partition, record, target)
         partition._add(record)
     return partition
@@ -925,15 +956,17 @@ def _open_interval(text: str) -> Interval:
     return Interval.open(parse_rational(lo), parse_rational(hi))
 
 
-def _parse_stage_line(line: str, where: str) -> StageRecord:
+def _parse_stage_line(line: str, where: str, version: int) -> StageRecord:
     tokens = line.split()
     fields = _fields(tokens[:3], ("n", "gap", "depth"), where)
     n = _parsed(fields, "n", int, "an integer", where)
     gap = _parsed(fields, "gap", _open_interval, "an open interval lo,hi with lo < hi", where)
     record = StageRecord(n, gap, _parsed(fields, "depth", int, "an integer", where))
+    if version == 2 and len(tokens) != 3:
+        raise ValueError(f"stage {n} line: a v2 stage line holds only n=, gap= and depth=")
     # Count first: n pieces of 4 tokens and one of 3 follow, and a corrupt n must
     # not make the comparison generate its records.
-    if len(tokens) != 4 * n + 6 or " ".join(tokens[3:]) != " ".join(_set_records(record)):
+    if version == 1 and (len(tokens) != 4 * n + 6 or " ".join(tokens[3:]) != " ".join(_set_records(record))):
         raise ValueError(f"stage {n} line: its set records are not the ones its gap implies")
     return record
 
@@ -946,8 +979,9 @@ def _check_stage(partition: SplittingPartition, record: StageRecord, target: Int
     2^-j <= min(2^-n, gap_cap) and its midpoint lies on the 2^-(j+4) grid
     (``_shrink_gap``); depth_used is 0 exactly when no earlier gap closure
     meets this gap's closure, and is a depth ``find_gap`` tries otherwise;
-    and the closure misses every piece cover, at depth_used, of each earlier
-    stage it meets.
+    the closure misses every piece cover, at depth_used, of each earlier
+    stage it meets; and it meets one at each shallower depth ``find_gap``
+    tries, since ``find_gap`` returns the first depth that exposes a gap.
     """
     n, gap, depth = record.n, record.gap, record.depth_used
     if n != partition.stage_count + 1:
@@ -969,20 +1003,23 @@ def _check_stage(partition: SplittingPartition, record: StageRecord, target: Int
         raise ValueError(f"stage {n}: depth {depth} is not a depth the gap search tries")
     if depth and not earlier:
         raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
+    pieces = []
     for other in earlier:
         width = other.piece_width
         first = max(0, ceil((closure.lo - other.gap.lo) / width) - 1)
         last = min(other.n, floor((closure.hi - other.gap.lo) / width))
-        for i in range(first, last + 1):
-            if partition.piece_set(other.n, i).cover_meets(closure, depth):
-                raise ValueError(
-                    f"stage {n}: gap {gap} meets the depth-{depth} cover of stage {other.n} piece {i}"
-                )
+        pieces += [(other.n, i, partition.piece_set(other.n, i)) for i in range(first, last + 1)]
+    for other_n, i, piece in pieces:
+        if piece.cover_meets(closure, depth):
+            raise ValueError(f"stage {n}: gap {gap} meets the depth-{depth} cover of stage {other_n} piece {i}")
+    for shallower in _GAP_DEPTHS[:_GAP_DEPTHS.index(depth)] if depth else ():
+        if not any(piece.cover_meets(closure, shallower) for _, _, piece in pieces):
+            raise ValueError(f"stage {n}: depth {depth}, but its gap misses every depth-{shallower} cover")
 
 
-def save(partition: SplittingPartition, path) -> None:
+def save(partition: SplittingPartition, path, *, version: int = 1) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(saves(partition))
+        fh.write(saves(partition, version=version))
 
 
 def load(path) -> SplittingPartition:

@@ -1,5 +1,7 @@
+import hashlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,58 @@ def test_build_writes_deterministic_file(tmp_path):
     assert run_cli("build", "--stages", "6", "--out", str(out1)) == 0
     assert run_cli("build", "--stages", "6", "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_text().startswith("SPLITPART v1\n")
+    assert out1.read_text().startswith("SPLITPART v2\n")
+
+
+def test_saves_writes_v1_unless_asked_for_v2(tmp_path):
+    p = build_partition(6)
+    assert saves(p).startswith("SPLITPART v1\n")
+    save(p, tmp_path / "p.splitpart")
+    assert (tmp_path / "p.splitpart").read_text() == saves(p)
+    assert saves(p, version=2).startswith("SPLITPART v2\n")
+    with pytest.raises(ValueError, match="no SPLITPART version 3"):
+        saves(p, version=3)
+
+
+def test_build_writes_the_stage_lines_and_their_sha256(tmp_path):
+    out = tmp_path / "p.splitpart"
+    assert run_cli("build", "--stages", "6", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    v1 = saves(build_partition(6)).splitlines()
+    assert lines[:2] == ["SPLITPART v2", v1[1]]
+    assert lines[2:-1] == [" ".join(line.split()[:3]) for line in v1[2:]]
+    body = "".join(line + "\n" for line in lines[2:-1]).encode("ascii")
+    assert lines[-1] == "sha256=" + hashlib.sha256(body).hexdigest()
+
+
+def _v2_lines(stages):
+    return saves(build_partition(stages), version=2).splitlines()
+
+
+def _rehashed(lines):
+    body = "".join(line + "\n" for line in lines[2:-1]).encode("ascii")
+    return "\n".join(lines[:-1] + ["sha256=" + hashlib.sha256(body).hexdigest()]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda lines: "\n".join(lines[:-1]) + "\n", "lacks its closing sha256= line"),
+        (lambda lines: "\n".join(lines[:2]) + "\n", "lacks its closing sha256= line"),
+        (lambda lines: "\n".join(lines[:-1] + [lines[-1][:-1] + "0"]) + "\n", "sha256= line does not match"),
+        (lambda lines: "\n".join(lines[:-2] + lines[-1:]) + "\n", "sha256= line does not match"),
+        (lambda lines: _rehashed(lines[:-2] + [lines[-2] + " B"] + lines[-1:]),
+         "stage 6 line: a v2 stage line holds only n=, gap= and depth="),
+        (lambda lines: _rehashed(lines[:-2] + lines[-1:]), "expected 6 stages, found 5"),
+        (lambda lines: "\n".join(["SPLITPART v3"] + lines[1:]) + "\n", "not a SPLITPART v1 or v2 file"),
+    ],
+    ids=["no-hash", "header-only", "wrong-hash", "stage-dropped", "extra-token", "stage-dropped-rehashed",
+         "unknown-version"],
+)
+def test_malformed_v2_partition_is_usage_error(tmp_path, capsys, mangle, message):
+    code, err = _eval_exit(tmp_path, capsys, mangle(_v2_lines(6)))
+    assert code == 2
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_build_round_trips_through_eval(tmp_path, capsys):
@@ -338,6 +391,21 @@ def test_certify_names_a_stage_count_for_a_narrow_window_exits_3(partition_file,
     radius = Fraction(1, 1099511627776)
     window = Interval.open(Fraction(1, 3) - radius, Fraction(1, 3) + radius)
     assert window.contains_interval(enumerated_interval(5864062014719))
+
+
+def test_certify_past_the_enumeration_size_bound_exits_2_at_once(partition_file, capsys):
+    # Naming a stage count for a 2^-100 window would need pair weights past
+    # 2^16; the search refuses before building any sieve.
+    start = time.perf_counter()
+    code = run_cli(
+        "certify", "--partition", partition_file, "--mu", "0:1/1",
+        "--point", "1/3", "--radius", f"1/{2**100}",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "past the search's size bound" in err
+    assert "Traceback" not in err
 
 
 def test_certify_exit_3_names_the_stage_count_once(partition_file, capsys):

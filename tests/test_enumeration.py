@@ -10,7 +10,16 @@ from math import gcd
 
 import pytest
 
-from clarkesat.partition import _enumeration, enumerated_interval, enumeration_index, first_index_inside
+from clarkesat.partition import (
+    _MAX_PAIR_POSITION,
+    _MAX_PAIR_WEIGHT,
+    _enumeration,
+    _pairs_below,
+    _totients,
+    enumerated_interval,
+    enumeration_index,
+    first_index_inside,
+)
 from clarkesat.rationals import Interval
 
 N = 100_000
@@ -183,3 +192,28 @@ def test_deep_dyadic_ranks_skip_the_pair_rank(level):
     for j in (2, 3, 2**level - 1):
         interval = Interval.open(Fraction(j - 1, 2**level), Fraction(j + 1, 2**level))
         assert enumeration_index(interval) == 2 * (2**level - level + j - 1) - 1
+
+
+def test_first_index_inside_bound_is_the_pair_count_up_to_the_weight_bound():
+    assert _MAX_PAIR_POSITION == _pairs_below(_MAX_PAIR_WEIGHT + 1, _totients(_MAX_PAIR_WEIGHT + 1))
+
+
+def test_first_index_inside_raises_past_its_size_bound_before_sieving():
+    # Radius 2^-100 once built sieves until MemoryError; 2^-56 is the first
+    # power of two around 1/3 whose dyadic candidate lies past the bound.
+    third = Fraction(1, 3)
+    for exponent in (56, 100):
+        radius = Fraction(1, 2**exponent)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="may be a pair of weight above 65536, past the search's size bound"):
+            first_index_inside(Interval.open(third - radius, third + radius))
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("exponent", [50, 55])
+def test_first_index_inside_answers_up_to_its_size_bound(exponent):
+    radius = Fraction(1, 2**exponent)
+    window = Interval.open(Fraction(1, 3) - radius, Fraction(1, 3) + radius)
+    n = first_index_inside(window)
+    assert window.contains_interval(enumerated_interval(n))
+    assert not window.contains_interval(enumerated_interval(n - 1))

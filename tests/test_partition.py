@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -407,6 +408,55 @@ def test_genuine_builds_pass_the_load_checks(builds_300):
         back = loads(saves(p))
         assert back.stages == p.stages and back.gap_cap == p.gap_cap
         assert {r.depth_used for r in back.stages} >= {0, 1}
+
+
+def test_genuine_builds_pass_the_v2_load_checks(builds_300):
+    for p in builds_300.values():
+        back = loads(saves(p, version=2))
+        assert back.stages == p.stages and back.gap_cap == p.gap_cap
+
+
+@pytest.fixture(scope="module")
+def build_1000():
+    return build_partition(1000)
+
+
+def test_v2_round_trip_at_1000_stages(build_1000):
+    text = saves(build_1000, version=2)
+    assert len(text) < 10**6
+    back = loads(text)
+    assert back.stages == build_1000.stages and back.gap_cap == build_1000.gap_cap
+    assert {r.depth_used for r in back.stages} >= {0, 1, 2, 4}
+
+
+def _with_depth(text, n, depth, rehash=True):
+    """The v2 text with stage n's depth replaced, its sha256 line recomputed or kept."""
+    lines = text.splitlines()
+    lines[n + 1] = re.sub(r" depth=\d+$", f" depth={depth}", lines[n + 1])
+    if rehash:
+        body = "".join(line + "\n" for line in lines[2:-1]).encode("ascii")
+        lines[-1] = "sha256=" + hashlib.sha256(body).hexdigest()
+    return "\n".join(lines) + "\n"
+
+
+def test_v2_nested_stage_at_another_depth_is_rejected(builds_300, build_1000):
+    # One dug stage per depth_used; every other depth the gap search tries
+    # (and 0) must fail _check_stage: a deeper one because find_gap returns
+    # the first depth that exposes a gap, a shallower one because the gap
+    # meets that depth's cover.
+    for p in (builds_300[ONE], build_1000):
+        text = saves(p, version=2)
+        dug = {r.depth_used: r.n for r in reversed(p.stages) if r.depth_used}
+        for used, n in sorted(dug.items()):
+            for depth in (0, 1, 2, 4, 8, 16, 32, 64):
+                if depth == used:
+                    continue
+                with pytest.raises(ValueError, match=rf"^stage {n}: (gap .* meets the depth-{depth} cover|"
+                                                     rf"depth {depth}, but its gap misses every depth-)"):
+                    loads(_with_depth(text, n, depth))
+                with pytest.raises(ValueError, match="sha256= line does not match its stage lines"):
+                    loads(_with_depth(text, n, depth, rehash=False))
+            assert loads(_with_depth(text, n, used)).stages == p.stages
 
 
 @pytest.mark.parametrize("cap", ["1/0", "0/1", "-1/2", "3/2"])

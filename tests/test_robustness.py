@@ -130,3 +130,36 @@ def test_loads_of_a_mutated_file_is_the_original_or_a_value_error(text):
     except ValueError:
         return
     assert loaded.stages == _SAVED_20.stages
+
+
+_TEXT_20_V2 = saves(_SAVED_20, version=2)
+_TOKENS_20_V2 = [m.span() for m in re.finditer(r"\S+", _TEXT_20_V2)]
+# Every value of a v2 file decides what a load builds, the sha256 included.
+_VALUES_20_V2 = [m.span(1) for m in re.finditer(r"(?<![^ \n])[a-z_0-9]+=(\S+)", _TEXT_20_V2)]
+
+
+@st.composite
+def _mutated_v2_text(draw):
+    kind = draw(st.sampled_from(["truncate", "drop-token", "change-char", "change-value-char"]))
+    if kind == "truncate":
+        return _TEXT_20_V2[: draw(st.integers(0, len(_TEXT_20_V2) - 1))]
+    if kind == "drop-token":
+        start, end = draw(st.sampled_from(_TOKENS_20_V2))
+        return _TEXT_20_V2[:start] + _TEXT_20_V2[end:]
+    if kind == "change-value-char":
+        start, end = draw(st.sampled_from(_VALUES_20_V2))
+        pos = draw(st.integers(start, end - 1))
+    else:
+        pos = draw(st.integers(0, len(_TEXT_20_V2) - 1))
+    char = draw(st.sampled_from(list("0123456789abcdef/=,-_ \n")) | st.characters())
+    return _TEXT_20_V2[:pos] + char + _TEXT_20_V2[pos + 1:]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_mutated_v2_text())
+def test_loads_of_a_mutated_v2_file_is_the_original_or_a_value_error(text):
+    try:
+        loaded = loads(text)
+    except ValueError:
+        return
+    assert loaded.stages == _SAVED_20.stages
