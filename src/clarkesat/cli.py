@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .errors import NotYetCovered, ToleranceExhausted
+from .errors import CertificateFailed, NotYetCovered, ToleranceExhausted
 from .functions import (
     CoefficientSource,
     FiniteSupport,
@@ -140,8 +140,7 @@ def cmd_certify(args) -> int:
         sf, config.point, parse_rational(args.radius), config.truncation()
     )
     if not certificate.check():
-        print("error: certificate failed its own replay check", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        raise CertificateFailed("certificate failed its own replay check")
     print(certificate.render())
     return 0
 
@@ -289,6 +288,9 @@ def main(argv=None) -> int:
     except ToleranceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
+    except CertificateFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

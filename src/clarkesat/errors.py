@@ -19,3 +19,11 @@ class ToleranceExhausted(Exception):
     Rebuilding the partition with more stages shrinks the stage tail and
     makes the tolerance reachable.
     """
+
+
+class CertificateFailed(AssertionError):
+    """A certificate failed its own replay check.
+
+    Subclasses ``AssertionError``, so ``except AssertionError`` handlers
+    still catch it; the CLI maps it to exit code 6.
+    """

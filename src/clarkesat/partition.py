@@ -64,7 +64,7 @@ from fractions import Fraction
 from itertools import accumulate, count, islice
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul, sub
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
 from .cantor import _GAP_DEPTHS
@@ -586,7 +586,9 @@ class SplittingPartition:
         if not window.is_nontrivial:
             raise ValueError("window must be nontrivial")
         overlapping = self.stages_overlapping(window)
-        positive = _whole_piece(overlapping, k, window)
+        positive = _whole_pieces(overlapping, (k,), window).get(k)
+        if positive is None:
+            raise _not_yet_covered(k, window)
         for record in overlapping:
             span = _piece_span(record, window)
             if span is None:
@@ -599,20 +601,34 @@ class SplittingPartition:
         raise _not_yet_covered(k, window)
 
 
-def _whole_piece(
-    overlapping: list[StageRecord], k: int, window: Interval
-) -> tuple[int, int, Fraction]:
-    """(stage, piece, rho * length) of the first stage, ascending by n, whose
-    piece for member k lies wholly inside the window; the planted set on it
-    puts that much of A_k there.  Raises NotYetCovered when no stage has one.
+def _whole_pieces(
+    overlapping: list[StageRecord], members: Iterable[int], window: Interval
+) -> dict[int, tuple[int, int, Fraction]]:
+    """member -> (stage, piece, rho * width) of the first stage, ascending by
+    n, whose piece for that member lies wholly inside the window; the planted
+    set on it puts that much of A_member there.
+
+    ``overlapping`` is ``partition.stages_overlapping(window)``, listed once
+    for all members.  Each stage's ``_piece_span`` gives the pieces a..b
+    wholly inside the window as integers, and piece i feeds member i+1 (piece
+    n feeds A_0), so a stage answers every member still missing at once.
+    The scan stops when every member is found; members no built stage
+    covers are absent from the result.
     """
+    missing = set(members)
+    found = {}
     for record in overlapping:
-        piece = record.piece_for_member(k)
-        if piece is not None:
-            host = record.piece_host(piece)
-            if window.contains_interval(host):
-                return record.n, piece, RETAINED * host.length
-    raise _not_yet_covered(k, window)
+        if not missing:
+            break
+        span = _piece_span(record, window)
+        if span is None:
+            continue
+        for member in list(missing):
+            piece = record.piece_for_member(member)
+            if piece is not None and span[2] <= piece <= span[3]:
+                found[member] = (record.n, piece, RETAINED * record.piece_width)
+                missing.remove(member)
+    return found
 
 
 def _not_yet_covered(k: int, window: Interval) -> NotYetCovered:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .errors import NotYetCovered
+from .errors import CertificateFailed, NotYetCovered
 from .functions import SaturatedFunction, ValueBound, eval_f, sample_gradient
 from .rationals import ZERO, format_rational, rational
 from .verifier import certify_saturation
@@ -110,11 +110,11 @@ def stationarity_gap(
     on success the hull contains either an opposite vertex pair (some
     mu_k != 0) or the value 0 itself (all mu_k = 0 up to K); both put 0 in
     the hull, and the gap is exactly zero.  Raises NotYetCovered when the
-    certificate does, and AssertionError when it fails its own check.
+    certificate does, and CertificateFailed when it fails its own check.
     """
     certificate = certify_saturation(sf, x, r, K)
     if not certificate.check():
-        raise AssertionError("saturation certificate failed its check")
+        raise CertificateFailed("saturation certificate failed its check")
     return ZERO
 
 

@@ -12,7 +12,10 @@ the matching outer bound is the Lipschitz norm ball, known analytically.
 Certificates are monotone: more stages or depth never invalidate them.
 Witness searches walk the built stage records rather than sampling, so
 results are deterministic and hits are guaranteed once the partition
-reaches far enough.
+reaches far enough.  A saturation certificate lists each coordinate
+window's overlapping stages once and finds every member's first whole
+piece in one pass over them; the fingerprint reads one membership per
+witness point and derives every g_k sign from it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from itertools import product
 from typing import Sequence
 
 from .errors import NotYetCovered
-from .functions import SaturatedFunction, ShiftedSaturatedFunction, eval_g
-from .partition import SplittingPartition, _whole_piece
+from .functions import SaturatedFunction, ShiftedSaturatedFunction
+from .partition import SplittingPartition, _not_yet_covered, _whole_pieces
 from .rationals import Interval, ZERO, format_rational, rational
 
 
@@ -165,14 +168,6 @@ class SaturationCertificate:
         return "\n".join(lines)
 
 
-def _member_witness(
-    partition: SplittingPartition, member: int, window: Interval
-) -> CoordinateWitness:
-    """A whole built piece of A_member inside the window, smallest stage first."""
-    stage, piece, bound = _whole_piece(partition.stages_overlapping(window), member, window)
-    return CoordinateWitness(member, stage, piece, window, bound)
-
-
 def certify_saturation(
     sf: SaturatedFunction | ShiftedSaturatedFunction,
     x: Sequence[Fraction],
@@ -209,23 +204,29 @@ def certify_saturation(
                 f"the radius-{r} box around {c} leaves the domain side {side}"
             )
         windows.append(window)
-    witness_cache: dict[tuple[int, int], CoordinateWitness] = {}
-
-    def coordinate_witness(member: int, i: int) -> CoordinateWitness:
-        key = (member, i)
-        if key not in witness_cache:
-            witness_cache[key] = _member_witness(sf.partition, member, windows[i])
-        return witness_cache[key]
-
+    # One listing per window answers all members 0..2K+1; a missing one
+    # raises at its first use in the vertex order below.
+    witnesses = [
+        {
+            member: CoordinateWitness(member, stage, piece, window, bound)
+            for member, (stage, piece, bound) in _whole_pieces(
+                sf.partition.stages_overlapping(window), range(2 * K + 2), window
+            ).items()
+        }
+        for window in windows
+    ]
     vertices = []
     for k in range(K + 1):
         coeff = sf.mu.coefficient(k)
         for pattern in product((-1, 1), repeat=sf.d):
-            coords = tuple(
-                coordinate_witness(2 * k + 1 if v > 0 else 2 * k, i)
-                for i, v in enumerate(pattern)
-            )
-            vertices.append(VertexWitness(k, coeff, pattern, coords))
+            coords = []
+            for i, v in enumerate(pattern):
+                member = 2 * k + 1 if v > 0 else 2 * k
+                witness = witnesses[i].get(member)
+                if witness is None:
+                    raise _not_yet_covered(member, windows[i])
+                coords.append(witness)
+            vertices.append(VertexWitness(k, coeff, pattern, tuple(coords)))
     m = max((abs(sf.mu.coefficient(k)) for k in range(K + 1)), default=ZERO)
     return SaturationCertificate(x, r, K, m, tuple(vertices))
 
@@ -238,7 +239,9 @@ def independence_fingerprint(
     Row j evaluates all g_k at a point certified inside A_(2j+1); the result
     must be the identity pattern, which witnesses linear independence of
     the first K family members.  Witness points may be overridden (any
-    permutation of them permutes the rows).
+    permutation of them permutes the rows).  Each witness point costs one
+    depth-4 membership; its member index gives every sign by ``eval_g``'s
+    rule: +1 for member 2k+1, -1 for member 2k, 0 otherwise.
     """
     if K < 1:
         raise ValueError("need at least one index")
@@ -254,13 +257,12 @@ def independence_fingerprint(
         ]
     matrix = []
     for x in witnesses:
-        row = []
-        for k in range(K):
-            sign = eval_g(partition, k, x, depth=4)
-            if sign is None:
-                raise NotYetCovered(f"witness {x} undecided for index {k}")
-            row.append(sign)
-        matrix.append(row)
+        x = rational(x)
+        answer = partition.membership(x, 4)
+        if not answer.decided:
+            raise NotYetCovered(f"membership of witness {format_rational(x)} is undecided at depth 4")
+        member = answer.member_index
+        matrix.append([1 if member == 2 * k + 1 else -1 if member == 2 * k else 0 for k in range(K)])
     return matrix
 
 

@@ -175,6 +175,17 @@ def test_certify_failed_replay_exits_6_without_a_traceback(partition_file, capsy
     assert captured.out == ""
 
 
+def test_stress_failed_certificate_exits_6_without_a_traceback(partition_file, capsys, monkeypatch):
+    monkeypatch.setattr(SaturationCertificate, "check", lambda self: False)
+    code = run_cli(
+        "stress", "--partition", partition_file, "--mu", "0:1/1", "--steps", "2",
+    )
+    assert code == EXIT_CERTIFICATE == 6
+    captured = capsys.readouterr()
+    assert captured.err == "error: saturation certificate failed its check\n"
+    assert captured.out == ""
+
+
 def test_certify_shifted_hull(partition_file, capsys):
     code = run_cli(
         "certify", "--partition", partition_file, "--mu", "0:3/1",
