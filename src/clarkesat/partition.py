@@ -146,19 +146,30 @@ def _coprimes(start: int, q: int) -> Iterator[int]:
     return (p for p in range(start, q) if gcd(p, q) == 1)
 
 
-def _enumeration(n: int) -> Iterator[Interval]:
-    """I_n, I_(n+1), ...: odd indices take the dyadic stream, even ones the pair stream."""
+def _enumeration_ends(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """(p, q, r, s) with I_m = (p/q, r/s) for m = n, n+1, ...: odd indices
+    take the dyadic stream, even ones the pair stream.  A dyadic p/q and r/s
+    need not be reduced."""
     if n < 1:
         raise ValueError("enumeration indices start at 1")
     m = (n + 1) // 2
     streams = (
-        (Interval.open(Fraction(j - 1, 2**L), Fraction(j + 1, 2**L)) for L, j in map(_dyadic, count(n // 2 + 1))),
-        (Interval.open(Fraction(pa, qa), Fraction(pb, qb)) for pos, qa, qb in _pair_blocks(m)
+        ((j - 1, 1 << L, j + 1, 1 << L) for L, j in map(_dyadic, count(n // 2 + 1))),
+        ((pa, qa, pb, qb) for pos, qa, qb in _pair_blocks(m)
          for _, pa, pbs in _rows(pos, qa, qb, m) for pb in pbs),
     )
     while True:
         for stream in streams if n % 2 else streams[::-1]:
             yield next(stream)
+
+
+def _enumeration(n: int) -> Iterator[Interval]:
+    """I_n, I_(n+1), ... as open intervals."""
+    return (_open(*ends) for ends in _enumeration_ends(n))
+
+
+def _open(p: int, q: int, r: int, s: int) -> Interval:
+    return Interval.open(Fraction(p, q), Fraction(r, s))
 
 
 def enumerated_interval(n: int) -> Interval:
@@ -508,14 +519,21 @@ class SplittingPartition:
     def _stage_masses(self) -> tuple[int, list[int]]:
         """(den, masses): stage n's whole-piece mass RETAINED * piece_width is
         masses[n-1] / den, over den the lcm of those masses' denominators.
+        Each mass is RETAINED * step / den of the stage's integer
+        ``geometry``, reduced by one gcd.
 
         Derived from the immutable stages on first use after construction;
         a race only computes it twice.
         """
         if self._masses is None:
-            masses = [RETAINED * record.piece_width for record in self.stages]
-            den = lcm(*(m.denominator for m in masses))
-            self._masses = den, [m.numerator * (den // m.denominator) for m in masses]
+            masses = []
+            for record in self.stages:
+                _, step, den = record.geometry
+                num, den = RETAINED.numerator * step, RETAINED.denominator * den
+                g = gcd(num, den)
+                masses.append((num // g, den // g))
+            den = lcm(*(d for _, d in masses))
+            self._masses = den, [num * (den // d) for num, d in masses]
         return self._masses
 
     def unbuilt_tail_bound(self) -> Fraction:
@@ -865,8 +883,13 @@ def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
 # of the piece endpoints, and a v1 load must find exactly those.  ``saves``
 # writes v1 unless asked for v2; ``clarkesat build`` writes v2; ``loads``
 # reads both.  A load trusts nothing: each stage must be one a build could
-# have placed (``_check_stage``: one gap-index lookup per stage, plus
-# O(depth_used) per piece of an earlier stage whose gap it meets).
+# have placed (``_check_stage``).  A stage line is parsed into the record's
+# two gap ends and its gap, once; the check then works on integers: the
+# reduced ends a/b, c/d against I_n's ends from ``_enumeration_ends`` by
+# cross-multiplication, the length and grid by two divisions, and a depth-0
+# stage's freedom from every earlier closure by one bisection of the gap
+# index.  Only a dug stage builds its closure and walks, in O(depth_used),
+# the cover of each earlier piece it touches.
 # ---------------------------------------------------------------------------
 
 
@@ -939,7 +962,7 @@ def loads(text: str) -> SplittingPartition:
         raise ValueError(f"expected {declared} stages, found {len(stage_lines)}")
     translation = _parsed(header, "translation", int, "an integer", "header")
     partition = SplittingPartition(gap_cap, (), translation)
-    for position, (line, target) in enumerate(zip(stage_lines, _enumeration(1)), 1):
+    for position, (line, target) in enumerate(zip(stage_lines, _enumeration_ends(1)), 1):
         record = _parse_stage_line(line, f"stage line {position}", version)
         _check_stage(partition, record, target)
         partition._add(record)
@@ -967,16 +990,16 @@ def _parsed(fields: dict[str, str], key: str, parse, what: str, where: str):
         raise ValueError(f"SPLITPART {where}: {key}={fields[key]!r} is not {what}") from None
 
 
-def _open_interval(text: str) -> Interval:
-    lo, hi = text.split(",")
-    return Interval.open(parse_rational(lo), parse_rational(hi))
+def _open_gap(text: str) -> Interval:
+    lo, hi = map(parse_rational, text.split(","))
+    return Interval(lo, hi, False, False)
 
 
 def _parse_stage_line(line: str, where: str, version: int) -> StageRecord:
     tokens = line.split()
     fields = _fields(tokens[:3], ("n", "gap", "depth"), where)
     n = _parsed(fields, "n", int, "an integer", where)
-    gap = _parsed(fields, "gap", _open_interval, "an open interval lo,hi with lo < hi", where)
+    gap = _parsed(fields, "gap", _open_gap, "an open interval lo,hi with lo < hi", where)
     record = StageRecord(n, gap, _parsed(fields, "depth", int, "an integer", where))
     if version == 2 and len(tokens) != 3:
         raise ValueError(f"stage {n} line: a v2 stage line holds only n=, gap= and depth=")
@@ -987,50 +1010,72 @@ def _parse_stage_line(line: str, where: str, version: int) -> StageRecord:
     return record
 
 
-def _check_stage(partition: SplittingPartition, record: StageRecord, target: Interval) -> None:
+def _check_stage(partition: SplittingPartition, record: StageRecord, target: tuple[int, int, int, int]) -> None:
     """Raise ValueError unless a build could place the record after the partition's stages.
 
     Checks what the construction guarantees: stages come numbered 1..N; the
-    gap lies strictly inside I_n, the target; its length is 1/(3*2^j) with
-    2^-j <= min(2^-n, gap_cap) and its midpoint lies on the 2^-(j+4) grid
-    (``_shrink_gap``); depth_used is 0 exactly when no earlier gap closure
-    meets this gap's closure, and is a depth ``find_gap`` tries otherwise;
-    the closure misses every piece cover, at depth_used, of each earlier
-    stage it meets; and it meets one at each shallower depth ``find_gap``
-    tries, since ``find_gap`` returns the first depth that exposes a gap.
+    gap lies strictly inside I_n = (p/q, r/s), the target; its length is
+    1/(3*2^j) with 2^-j <= min(2^-n, gap_cap) and its midpoint lies on the
+    2^-(j+4) grid (``_shrink_gap``); depth_used is 0 exactly when no earlier
+    gap closure meets this gap's closure, and is a depth ``find_gap`` tries
+    otherwise; the closure misses every piece cover, at depth_used, of each
+    earlier stage it meets; and it meets one at each shallower depth
+    ``find_gap`` tries, since ``find_gap`` returns the first depth that
+    exposes a gap.  All but the cover tests compare integers: the gap is
+    a/b < c/d, reduced, and whether an earlier closure meets it is one probe
+    of the gap index.
     """
     n, gap, depth = record.n, record.gap, record.depth_used
     if n != partition.stage_count + 1:
         raise ValueError(f"stage {n} line: expected stage {partition.stage_count + 1}")
-    if not (target.lo < gap.lo and gap.hi < target.hi):
-        raise ValueError(f"stage {n}: gap {gap} does not lie strictly inside I_{n} = {target}")
-    length = gap.length
-    grid, rem = divmod(length.denominator, 3)  # 2^j when the length is 1/(3*2^j)
+    a, b, c, d = gap.lo.numerator, gap.lo.denominator, gap.hi.numerator, gap.hi.denominator
+    p, q, r, s = target
+    if not (p * b < a * q and c * s < r * d):
+        raise ValueError(f"stage {n}: gap {gap} does not lie strictly inside I_{n} = {_open(*target)}")
+    whole, part = divmod(b * d, c * b - a * d)  # the length is 1/whole when part is 0
+    grid, rem = divmod(whole, 3)  # 2^j when the length is 1/(3*2^j)
     j = grid.bit_length() - 1
-    if length.numerator != 1 or rem or grid != 1 << j or j < n or Fraction(1, grid) > partition.gap_cap:
+    cap = partition.gap_cap
+    if part or rem or grid != 1 << j or j < n or cap.denominator > grid * cap.numerator:
         raise ValueError(
-            f"stage {n}: gap length {length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
+            f"stage {n}: gap length {gap.length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
         )
-    if (16 * grid) % gap.midpoint.denominator:
+    if (a * d + c * b) * 8 * grid % (b * d):  # the midpoint (ad + cb)/(2bd) times 2^(j+4)
         raise ValueError(f"stage {n}: gap midpoint {gap.midpoint} is off the 2^-{j + 4} grid")
-    closure = gap.closure()
-    earlier = partition.stages_overlapping(closure)
     if depth not in (0, *_GAP_DEPTHS):
         raise ValueError(f"stage {n}: depth {depth} is not a depth the gap search tries")
-    if depth and not earlier:
-        raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
-    pieces = []
-    for other in earlier:
-        width = other.piece_width
-        first = max(0, ceil((closure.lo - other.gap.lo) / width) - 1)
-        last = min(other.n, floor((closure.hi - other.gap.lo) / width))
-        pieces += [(other.n, i, partition.piece_set(other.n, i)) for i in range(first, last + 1)]
+    den = partition._den
+    pos = bisect_right(partition._los, c * den // d)  # the closures starting by floor(c/d * den)
+    if not pos or partition._reach[pos - 1] < -(-a * den // b):  # none ends at ceil(a/b * den) or later
+        if depth:
+            raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
+        return
+    closure = gap.closure()
+    pieces = [
+        (other.n, i, partition.piece_set(other.n, i))
+        for other in partition.stages_overlapping(closure)
+        for i in _pieces_touching(other, a, b, c, d)
+    ]
     for other_n, i, piece in pieces:
         if piece.cover_meets(closure, depth):
             raise ValueError(f"stage {n}: gap {gap} meets the depth-{depth} cover of stage {other_n} piece {i}")
     for shallower in _GAP_DEPTHS[:_GAP_DEPTHS.index(depth)] if depth else ():
         if not any(piece.cover_meets(closure, shallower) for _, _, piece in pieces):
             raise ValueError(f"stage {n}: depth {depth}, but its gap misses every depth-{shallower} cover")
+
+
+def _pieces_touching(record: StageRecord, a: int, b: int, c: int, d: int) -> range:
+    """The pieces of the stage whose closures meet [a/b, c/d], b, d > 0.
+
+    Unlike ``_piece_span`` a piece that only touches the interval counts: a
+    point x sits at piece coordinate t = (x*den - start) / step of the
+    integer geometry, and piece i's closure meets [x, y] when
+    t(x) - 1 <= i <= t(y).
+    """
+    start, step, den = record.geometry
+    first = -(-(a * den - start * b) // (step * b)) - 1
+    last = (c * den - start * d) // (step * d)
+    return range(max(0, first), min(record.n, last) + 1)
 
 
 def save(partition: SplittingPartition, path, *, version: int = 1) -> None:
@@ -1065,6 +1110,27 @@ def hosts_pairwise_disjoint(partition: SplittingPartition) -> bool:
     for (lo_a, hi_a), (lo_b, hi_b) in zip(hosts, hosts[1:]):
         if lo_b < hi_a:
             return False
+    return True
+
+
+def planted_sets_pairwise_disjoint(partition: SplittingPartition) -> bool:
+    """Whether every stage is one a build could place after the stages before it.
+
+    Replays the load check ``_check_stage`` stage by stage against the
+    prefix before it.  A stage passing it has a gap that misses every
+    earlier gap closure, or one dug at ``depth_used`` out of earlier
+    stages' removed middles, clear of their depth-``depth_used`` piece
+    covers; either way its planted sets miss every earlier stage's.  Unlike
+    ``hosts_pairwise_disjoint`` this stays True once gaps nest (stage 37 at
+    gap_cap 1).
+    """
+    prefix = SplittingPartition(partition.gap_cap, (), partition.translation)
+    for record, target in zip(partition.stages, _enumeration_ends(1)):
+        try:
+            _check_stage(prefix, record, target)
+        except ValueError:
+            return False
+        prefix._add(record)
     return True
 
 
