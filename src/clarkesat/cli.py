@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Every numeric input and output is an exact rational "p/q"; the --decimal
-flag adds 15-significant-digit decimal renderings, clearly labelled
-approximate.  Commands are deterministic: repeated runs produce
-byte-identical output.
+flag of `eval` and `measure` adds 15-significant-digit decimal renderings,
+clearly labelled approximate.  Commands are deterministic: repeated runs
+produce byte-identical output.
 
 Exit codes: 0 success, 2 usage, 3 partition not built far enough,
 4 tolerance unreachable, 5 I/O failure, 6 a certificate failed its replay
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 from .errors import CertificateFailed, NotYetCovered, ToleranceExhausted
 from .functions import (
@@ -27,7 +27,7 @@ from .functions import (
     parse_mu_spec,
     shift_to_ball,
 )
-from .partition import SplittingPartition, build_partition, load, saves
+from .partition import build_partition, load, save
 from .rationals import Interval, format_rational, parse_rational
 from .stress import run_subgradient, trajectory_csv
 from .verifier import certify_saturation
@@ -38,33 +38,14 @@ EXIT_TOLERANCE = 4
 EXIT_IO = 5
 EXIT_CERTIFICATE = 6
 
-
-@dataclass(frozen=True)
-class Config:
-    """Parsed and validated inputs of one CLI invocation.
-
-    Defaults: tol 1/1000000, K the largest index with a nonzero
-    coefficient, d the length of the point, x0 the domain box center.
-    """
-
-    partition: SplittingPartition | None = None
-    mu: CoefficientSource | None = None
-    d: int = 1
-    point: tuple[Fraction, ...] | None = None
-    x0: tuple[Fraction, ...] | None = None
-    tol: Fraction = Fraction(1, 10**6)
-    K: int | None = None
-    decimal: bool = False
-
-    def function(self) -> SaturatedFunction:
-        return SaturatedFunction(self.partition, self.mu, self.d, x0=self.x0)
-
-    def truncation(self) -> int:
-        if self.K is not None:
-            return self.K
-        if isinstance(self.mu, FiniteSupport):
-            return self.mu.max_index
-        raise ValueError("--K is required for generator coefficient sources")
+# The exit code of each error a command may raise, matched in this order.
+_EXIT_CODES = {
+    NotYetCovered: EXIT_NOT_YET_COVERED,
+    ToleranceExhausted: EXIT_TOLERANCE,
+    CertificateFailed: EXIT_CERTIFICATE,
+    OSError: EXIT_IO,
+    ValueError: EXIT_USAGE,
+}
 
 
 def _parse_point(text: str) -> tuple[Fraction, ...]:
@@ -97,48 +78,58 @@ def _positive_tol(text: str) -> Fraction:
     return tol
 
 
+def _function(
+    args, point_text: str | None, x0_text: str | None = None, tol_text: str | None = None
+) -> tuple[SaturatedFunction, tuple[Fraction, ...] | None, Fraction | None]:
+    """The command's function, point and tolerance (None where not given).
+
+    Inputs are read in a fixed order, which decides the error a bad command
+    line reports: --partition, --mu, the point, --x0, the tolerance, then
+    the dimension check.  d is the point's length, 1 without a point; x0
+    defaults to the domain box center.
+    """
+    partition = load(args.partition)
+    mu = parse_mu_spec(args.mu)
+    point = None if point_text is None else _parse_point(point_text)
+    x0 = _parse_point(x0_text) if x0_text else None
+    tol = None if tol_text is None else _positive_tol(tol_text)
+    d = len(point) if point else 1
+    if x0 is not None and len(x0) != d:
+        raise ValueError("x0 must match the point's dimension")
+    return SaturatedFunction(partition, mu, d, x0=x0), point, tol
+
+
+def _truncation(args, mu: CoefficientSource) -> int:
+    """--K, or else the largest index with a nonzero coefficient."""
+    if args.K is not None:
+        return args.K
+    if isinstance(mu, FiniteSupport):
+        return mu.max_index
+    raise ValueError("--K is required for generator coefficient sources")
+
+
 def cmd_build(args) -> int:
     partition = build_partition(args.stages, parse_rational(args.gap_cap))
-    text = saves(partition, version=2)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(text)
+    save(partition, args.out, version=2)
     print(f"wrote {args.out}: {partition.stage_count} stages")
     return 0
 
 
 def cmd_eval(args) -> int:
-    config = Config(
-        partition=load(args.partition),
-        mu=parse_mu_spec(args.mu),
-        point=_parse_point(args.x),
-        x0=_parse_point(args.x0) if args.x0 else None,
-        tol=_positive_tol(args.tol),
-        decimal=args.decimal,
-    )
-    config = _with_dimension(config, len(config.point))
-    bound = config.function().eval(config.point, config.tol)
-    _print_bound(bound.lo, bound.hi, config.decimal)
+    sf, point, tol = _function(args, args.x, args.x0, args.tol)
+    bound = sf.eval(point, tol)
+    _print_bound(bound.lo, bound.hi, args.decimal)
     return 0
 
 
 def cmd_certify(args) -> int:
-    config = Config(
-        partition=load(args.partition),
-        mu=parse_mu_spec(args.mu),
-        point=_parse_point(args.point),
-        x0=_parse_point(args.x0) if args.x0 else None,
-        K=args.K,
-        decimal=args.decimal,
-    )
-    config = _with_dimension(config, len(config.point))
-    sf = config.function()
+    sf, point, _ = _function(args, args.point, args.x0)
+    mu = sf.mu
     if args.shift:
         if not args.shift_radius:
             raise ValueError("--shift requires --shift-radius")
         sf = shift_to_ball(sf, _parse_point(args.shift), parse_rational(args.shift_radius))
-    certificate = certify_saturation(
-        sf, config.point, parse_rational(args.radius), config.truncation()
-    )
+    certificate = certify_saturation(sf, point, parse_rational(args.radius), _truncation(args, mu))
     if not certificate.check():
         raise CertificateFailed("certificate failed its own replay check")
     print(certificate.render())
@@ -153,20 +144,10 @@ def cmd_measure(args) -> int:
 
 
 def cmd_stress(args) -> int:
-    config = Config(
-        partition=load(args.partition),
-        mu=parse_mu_spec(args.mu),
-        point=_parse_point(args.x_init) if args.x_init else None,
-        K=args.K,
-    )
-    config = _with_dimension(config, len(config.point) if config.point else 1)
-    sf = config.function()
-    start = config.point if config.point else sf.x0
-    trajectory = run_subgradient(
-        sf, start, args.steps, parse_rational(args.step_c)
-    )
+    sf, point, _ = _function(args, args.x_init or None)
+    trajectory = run_subgradient(sf, point or sf.x0, args.steps, parse_rational(args.step_c))
     text = trajectory_csv(
-        sf, trajectory, parse_rational(args.radius), config.truncation()
+        sf, trajectory, parse_rational(args.radius), _truncation(args, sf.mu)
     )
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -197,13 +178,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _with_dimension(config: Config, d: int) -> Config:
-    if config.x0 is not None and len(config.x0) != d:
-        raise ValueError("x0 must match the point's dimension")
-    return replace(config, d=d)
-
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="clarkesat",
         description=(
@@ -240,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--x0", default=None)
     p_cert.add_argument("--shift", default=None, help="affine part center p")
     p_cert.add_argument("--shift-radius", default=None, help="ball radius r for --shift")
-    p_cert.add_argument("--decimal", action="store_true")
     p_cert.set_defaults(run=cmd_certify)
 
     p_measure = sub.add_parser("measure", help="certified member measure in a window")
@@ -275,28 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.run(args)
-    except NotYetCovered as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_YET_COVERED
-    except ToleranceExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except CertificateFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -616,7 +616,7 @@ class SplittingPartition:
                 if member != k:
                     complement = (member, record.n, piece, RETAINED * record.piece_width)
                     return SplittingCertificate(k, window, *positive, *complement)
-        raise _not_yet_covered(k, window)
+        raise _not_yet_covered(k, window, complement=True)
 
 
 def _whole_pieces(
@@ -649,10 +649,15 @@ def _whole_pieces(
     return found
 
 
-def _not_yet_covered(k: int, window: Interval) -> NotYetCovered:
+def _not_yet_covered(k: int, window: Interval, complement: bool = False) -> NotYetCovered:
+    """Member k, or with ``complement`` a member other than k, has no whole
+    piece inside the window yet.  Stage n = first_index_inside(window,
+    max(k, 1)) puts all its n+1 >= 2 pieces there, one for each member
+    0..n, so it covers both k and another member."""
+    missing = f"a member other than {k}" if complement else f"member {k}"
     needed = first_index_inside(window, max(k, 1))
     return NotYetCovered(
-        f"no stage covers member {k} inside {window} yet; build at least {needed} stages",
+        f"no stage covers {missing} inside {window} yet; build at least {needed} stages",
         needed_stage=needed,
     )
 

@@ -101,38 +101,21 @@ class SaturationCertificate:
     def check(self) -> bool:
         """Replay the certificate: positivity plus exact hull containment.
 
-        For d <= 3 every vertex of the claimed cube is matched against the
-        certified values exhaustively; beyond that the per-coordinate
-        product rule applies because the certified set of any coefficient
-        attaining m carries every sign pattern.
+        Every coordinate bound must be positive, which makes every product
+        set positive too.  Unless m = 0, every corner shift + m * c of the
+        claimed cube, c in {-1, 1}^d, must be a certified value; a certified
+        value shift + coefficient * vertex is a corner only when
+        |coefficient| = m.
         """
-        for witness in self.vertices:
-            if witness.product_lower_bound <= 0:
-                return False
-            for coord in witness.coordinates:
-                if coord.lower_bound <= 0:
-                    return False
+        if any(coord.lower_bound <= 0 for w in self.vertices for coord in w.coordinates):
+            return False
         if self.m == 0:
             return True
-        attaining = [
-            w.k for w in self.vertices if abs(w.coefficient) == self.m
-        ]
-        if not attaining:
-            return False
-        k_star = attaining[0]
         values = self.certified_values()
-        if self.d <= 3:
-            for corner in product((-1, 1), repeat=self.d):
-                target = tuple(
-                    p + self.m * c for p, c in zip(self.shift, corner)
-                )
-                if target not in values:
-                    return False
-            return True
-        patterns = {
-            w.vertex for w in self.vertices if w.k == k_star
-        }
-        return len(patterns) == 2**self.d
+        return all(
+            tuple(p + self.m * c for p, c in zip(self.shift, corner)) in values
+            for corner in product((-1, 1), repeat=self.d)
+        )
 
     def render(self) -> str:
         lines = [

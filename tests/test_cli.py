@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -428,3 +429,35 @@ def test_certify_exit_3_names_the_stage_count_once(partition_file, capsys):
     err = capsys.readouterr().err
     assert err.count("build at least") == 1
     assert err.rstrip().endswith("; build at least 393179 stages")
+
+
+def test_inputs_are_read_in_a_fixed_order(tmp_path, partition_file, capsys):
+    # The file is read before the point is parsed, and --mu before --tol.
+    missing = str(tmp_path / "missing.splitpart")
+    assert run_cli("eval", "--partition", missing, "--mu", "0:1/1", "--x", "bad") == 5
+    assert "No such file or directory" in capsys.readouterr().err
+    code = run_cli("eval", "--partition", partition_file, "--mu", "bad", "--x", "1/2", "--tol", "0")
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad coefficient entry 'bad'; expected k:p/q\n"
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return original(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    missing = str(tmp_path / "missing.splitpart")
+    for _ in range(2):
+        assert run_cli("measure", "--partition", missing, "--k", "0", "--window", "0,1") == 5
+    assert len(built) <= 1
+
+
+def test_certify_has_no_decimal_flag(partition_file, capsys):
+    code = run_cli("certify", "--partition", partition_file, "--mu", "0:1/1",
+                   "--point", "1/2", "--radius", "1/4", "--decimal")
+    assert code == 2
+    assert "unrecognized arguments: --decimal" in capsys.readouterr().err

@@ -684,3 +684,29 @@ def test_membership_inside_nested_gaps_agrees_with_piece_hosts_at_1000_stages(p1
         for depth in (4, 8):
             answer = p1000.membership(x, depth)
             assert (answer.kind, answer.k, answer.stage) == _membership_from_piece_hosts(p1000, x, depth), (x, depth)
+
+
+def test_splitting_certificate_names_the_missing_complement():
+    # W is stage 1's piece 0, which hosts member 1: member 1 is covered, and
+    # only a whole piece of some other member inside W is missing.
+    p30 = build_partition(30)
+    window = Interval.closed(Fraction(5, 12), Fraction(1, 2))
+    with pytest.raises(NotYetCovered) as excinfo:
+        splitting_certificate(p30, 1, window)
+    assert str(excinfo.value) == (
+        "no stage covers a member other than 1 inside [5/12,1/2] yet; build at least 81 stages"
+    )
+    assert excinfo.value.needed_stage == 81
+    cert, grown = splitting_certificate_auto(p30, 1, window)
+    assert (cert.stage, cert.piece) == (1, 0)
+    assert (cert.complement_member, cert.complement_stage) == (2, 37)
+    assert grown.stage_count == 81
+
+
+def test_every_host_piece_window_lacks_only_its_complement():
+    p30 = build_partition(30)
+    for n in range(1, 31):
+        for piece in range(n):
+            host = p30.stage(n).piece_host(piece)
+            with pytest.raises(NotYetCovered, match=f"^no stage covers a member other than {piece + 1} inside"):
+                splitting_certificate(p30, piece + 1, Interval.closed(host.lo, host.hi))

@@ -11,7 +11,7 @@ from clarkesat.stress import (
     stationarity_gap,
     trajectory_csv,
 )
-from clarkesat.verifier import SaturationCertificate
+from clarkesat.verifier import SaturationCertificate, _certified_point
 
 TOL = Fraction(1, 10**6)
 
@@ -112,3 +112,30 @@ def test_stationarity_gap_rejects_failed_certificate(e0, monkeypatch):
     monkeypatch.setattr(SaturationCertificate, "check", lambda self: False)
     with pytest.raises(AssertionError, match="failed its check"):
         stationarity_gap(e0, (Fraction(1, 2),), Fraction(1, 4), K=0)
+
+
+def _on_grid(x: Fraction) -> bool:
+    return (x * 2**48).denominator == 1
+
+
+@pytest.mark.parametrize("member, landing", [(0, Fraction(63, 64)), (1, Fraction(1, 64))])
+def test_subgradient_step_moves_and_is_clamped(p30, e0, member, landing):
+    # At a point certified inside A_0 the gradient of e_0 is -1, inside A_1
+    # it is +1; a step of 1/2 overshoots the box, so the clamp catches it.
+    start = _certified_point(p30, member)
+    assert start == (Fraction(17, 32) if member == 0 else Fraction(43, 96))
+    trajectory = run_subgradient(e0, (start,), steps=3, step_coefficient=Fraction(1, 2))
+    assert trajectory[0].response.gradient == ((-1,) if member == 0 else (1,))
+    assert trajectory[1].x == (landing,)
+    for point in trajectory:
+        assert all(Fraction(1, 64) <= c <= Fraction(63, 64) for c in point.x)
+    assert all(_on_grid(c) for point in trajectory[1:] for c in point.x)
+
+
+def test_subgradient_step_snaps_to_the_grid(p30, e0):
+    start = _certified_point(p30, 0)
+    trajectory = run_subgradient(e0, (start,), steps=1, step_coefficient=Fraction(1, 10))
+    (x1,) = trajectory[1].x
+    exact = start + Fraction(1, 10)
+    assert _on_grid(x1) and x1 != exact
+    assert exact - Fraction(1, 2**48) < x1 < exact

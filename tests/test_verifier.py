@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,30 @@ def test_shifted_certificate_hull(p40):
     assert cert.check()
     assert cert.hull_intervals() == ((-1, 5),)
     assert {v[0] for v in cert.certified_values()} == {-1, 5}
+
+
+def _d4_certificate(p40):
+    sf = SaturatedFunction(p40, FiniteSupport.of({0: 1, 1: -2}), d=4)
+    point = (Fraction(1, 2), Fraction(3, 8), Fraction(5, 8), Fraction(7, 16))
+    return certify_saturation(sf, point, Fraction(1, 4), K=1)
+
+
+def test_certificate_d4_passes_its_check(p40):
+    cert = _d4_certificate(p40)
+    assert cert.d == 4 and cert.m == 2
+    assert len(cert.vertices) == 2 * 2**4
+    assert cert.check()
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_mutated_certificates_fail_their_check(p40, e0, d):
+    cert = certify_saturation(e0, (Fraction(1, 2),), Fraction(1, 4), K=1) if d == 1 else _d4_certificate(p40)
+    assert cert.check()
+    first = cert.vertices[0]
+    zeroed = replace(first, coordinates=(replace(first.coordinates[0], lower_bound=Fraction(0)),)
+                     + first.coordinates[1:])
+    assert not replace(cert, vertices=(zeroed,) + cert.vertices[1:]).check()
+    corner = tuple(p + cert.m for p in cert.shift)
+    kept = tuple(w for w in cert.vertices if w.value != corner)
+    assert len(kept) == len(cert.vertices) - 1
+    assert not replace(cert, vertices=kept).check()
