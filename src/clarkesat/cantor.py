@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .rationals import Interval, IntervalSet, ZERO, format_rational, parse_rational, rational
+from .rationals import Interval, IntervalSet, ValueBound, ZERO, format_rational, parse_rational, rational
 
 CANONICAL_SCHEDULE = "canonical-svc"
 
@@ -44,25 +44,12 @@ class Containment(Enum):
 
 
 @dataclass(frozen=True)
-class MeasureBound:
+class MeasureBound(ValueBound):
     """Certified interval [lo, hi] containing a true Lebesgue measure."""
-
-    lo: Fraction
-    hi: Fraction
 
     def __post_init__(self):
         if not (ZERO <= self.lo <= self.hi):
             raise ValueError(f"invalid measure bound [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
-    def nests_inside(self, outer: MeasureBound) -> bool:
-        return outer.lo <= self.lo and self.hi <= outer.hi
 
     def __str__(self) -> str:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"

@@ -28,43 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import NotYetCovered
-from .partition import SplittingPartition, _WindowMass
-from .rationals import Interval, ONE, ZERO, format_rational, parse_rational, rational
-
-
-@dataclass(frozen=True)
-class ValueBound:
-    """Certified interval [lo, hi] containing a true function value."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"invalid value bound [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
-    def nests_inside(self, outer: ValueBound) -> bool:
-        return outer.lo <= self.lo and self.hi <= outer.hi
-
-    def shift(self, offset: Fraction) -> ValueBound:
-        return ValueBound(self.lo + offset, self.hi + offset)
-
-    def __str__(self) -> str:
-        return f"{format_rational(self.lo)} {format_rational(self.hi)}"
+from .partition import SplittingPartition, _WindowMass, _first_host
+from .rationals import Interval, ONE, ValueBound, ZERO, format_rational, parse_rational, rational
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +87,7 @@ class FiniteSupport:
 
     def argmax_index(self, limit: int | None = None) -> int:
         """Smallest index attaining the largest |coefficient| (0 if empty)."""
-        best_k, best = 0, ZERO
-        for k, value in self.entries:
-            if limit is not None and k > limit:
-                continue
-            if abs(value) > best:
-                best_k, best = k, abs(value)
-        return best_k
+        return _argmax((k, v) for k, v in self.entries if limit is None or k <= limit)
 
     def scaled(self, factor: Fraction) -> FiniteSupport:
         return FiniteSupport.of({k: v * factor for k, v in self.entries})
@@ -149,12 +110,7 @@ class GeneratorSource:
         return value
 
     def argmax_index(self, limit: int) -> int:
-        best_k, best = 0, ZERO
-        for k in range(limit + 1):
-            value = abs(self.coefficient(k))
-            if value > best:
-                best_k, best = k, value
-        return best_k
+        return _argmax((k, self.coefficient(k)) for k in range(limit + 1))
 
     def scaled(self, factor: Fraction) -> GeneratorSource:
         rule = self.rule
@@ -166,6 +122,11 @@ class GeneratorSource:
 
 
 CoefficientSource = FiniteSupport | GeneratorSource
+
+
+def _argmax(pairs: Iterable[tuple[int, Fraction]]) -> int:
+    """The k of the first (k, mu_k) pair with the largest |mu_k|; 0 if none."""
+    return max(pairs, key=lambda pair: abs(pair[1]), default=(0, ZERO))[0]
 
 
 def ones_generator() -> GeneratorSource:
@@ -252,19 +213,17 @@ class SaturatedFunction:
         return sample_gradient(self, x, depth)
 
 
+def _g_sign(member: int, k: int) -> int:
+    """g_k on A_member: +1 for member 2k+1, -1 for member 2k, 0 otherwise."""
+    return 1 if member == 2 * k + 1 else -1 if member == 2 * k else 0
+
+
 def eval_g(
     partition: SplittingPartition, k: int, x: Fraction, depth: int = 8
 ) -> int | None:
     """The certified sign of g_k at x: +1, -1, 0, or None when undecided."""
     answer = partition.membership(rational(x), depth)
-    if not answer.decided:
-        return None
-    member = answer.member_index
-    if member == 2 * k + 1:
-        return 1
-    if member == 2 * k:
-        return -1
-    return 0
+    return _g_sign(answer.member_index, k) if answer.decided else None
 
 
 def eval_f1(
@@ -390,7 +349,7 @@ def sample_gradient(
 
     Coordinate i reports mu_k times the certified sign of g_k at x_i for
     the unique member claiming x_i; partition disjointness means at most
-    one index can ever contribute per coordinate.
+    one index k = member // 2 can ever contribute per coordinate.
     """
     x = tuple(rational(c) for c in x)
     out: list[Fraction | None] = []
@@ -399,11 +358,8 @@ def sample_gradient(
         if not answer.decided:
             out.append(None)
             continue
-        member = answer.member_index
-        if member % 2 == 1:
-            out.append(sf.mu.coefficient((member - 1) // 2))
-        else:
-            out.append(-sf.mu.coefficient(member // 2))
+        k = answer.member_index // 2
+        out.append(sf.mu.coefficient(k) * _g_sign(answer.member_index, k))
     return tuple(out)
 
 
@@ -428,12 +384,7 @@ def lipschitz_lower_bound(sf: SaturatedFunction, budget: int = 6) -> Fraction:
         k_star = sf.mu.argmax_index()
     else:
         k_star = sf.mu.argmax_index(sf.partition.stage_count // 2)
-    member = 2 * k_star + 1
-    if sf.partition.stage_count < member:
-        raise NotYetCovered(
-            f"no stage hosts member {member} yet", needed_stage=member
-        )
-    witness_set = sf.partition.piece_set(member, member - 1)
+    witness_set = _first_host(sf.partition, 2 * k_star + 1)
     best = ZERO
     for depth in range(4, 4 + max(1, budget)):
         piece = witness_set.svc_cover(depth).parts[0]

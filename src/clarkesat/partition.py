@@ -61,6 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, count, islice
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul, sub
@@ -266,24 +267,19 @@ class StageRecord:
     gap: Interval  # open (a'_n, b'_n)
     depth_used: int
 
-    _geometry = None  # the memo behind ``geometry``, not a field
-
-    @property
+    @cached_property
     def geometry(self) -> tuple[int, int, int]:
         """(start, step, den): piece i is the open interval
         ((start + i*step)/den, (start + (i+1)*step)/den).
 
         With the gap (a/d, b/d) over d = lcm of its denominators, the endpoint
-        gap.lo + i * length/(n+1) is (a*(n+1) + i*(b-a)) / (d*(n+1)).  A memo
-        on the immutable record: a race only computes it twice.
+        gap.lo + i * length/(n+1) is (a*(n+1) + i*(b-a)) / (d*(n+1)).
         """
-        if self._geometry is None:
-            lo, hi = self.gap.lo, self.gap.hi
-            d = lcm(lo.denominator, hi.denominator)
-            a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-            k = self.piece_count
-            object.__setattr__(self, "_geometry", (a * k, b - a, d * k))
-        return self._geometry
+        lo, hi = self.gap.lo, self.gap.hi
+        d = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        k = self.piece_count
+        return a * k, b - a, d * k
 
     @property
     def piece_count(self) -> int:
@@ -647,6 +643,16 @@ def _whole_pieces(
                 found[member] = (record.n, piece, RETAINED * record.piece_width)
                 missing.remove(member)
     return found
+
+
+def _first_host(partition: SplittingPartition, member: int) -> FatCantorSet:
+    """The planted set on the first piece feeding A_member: stage n = member
+    hosts member n for n >= 1, and member 0 is reached through the B piece
+    of stage 1."""
+    n = max(member, 1)
+    if partition.stage_count < n:
+        raise NotYetCovered(f"no stage hosts member {member} yet", needed_stage=n)
+    return partition.piece_set(n, partition.stage(n).piece_for_member(member))
 
 
 def _not_yet_covered(k: int, window: Interval, complement: bool = False) -> NotYetCovered:

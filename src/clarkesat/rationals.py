@@ -9,6 +9,9 @@ adds the two geometric types everything else is built on:
 * ``IntervalSet``: a normalized finite union of pairwise disjoint,
   non-adjacent intervals.  All measures computed from it are exact.
 
+``ValueBound`` is the certified interval [lo, hi] that every exact answer
+returns; ``cantor.MeasureBound`` is its nonnegative subclass.
+
 Closure flags are tracked through every operation, but measure ignores them:
 single points are Lebesgue-null, and measure is the only consumer that
 matters here.  During normalization, parts that touch with compatible
@@ -57,6 +60,38 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render as "p/q" with an explicit denominator ("0/1", "2/1", "3/8")."""
     return f"{value.numerator}/{value.denominator}"
+
+
+@dataclass(frozen=True)
+class ValueBound:
+    """Certified interval [lo, hi] containing a true function value."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"invalid value bound [{self.lo}, {self.hi}]")
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    @property
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    def contains(self, value: Fraction) -> bool:
+        return self.lo <= value <= self.hi
+
+    def nests_inside(self, outer: ValueBound) -> bool:
+        return outer.lo <= self.lo and self.hi <= outer.hi
+
+    def shift(self, offset: Fraction) -> ValueBound:
+        return ValueBound(self.lo + offset, self.hi + offset)
+
+    def __str__(self) -> str:
+        return f"{format_rational(self.lo)} {format_rational(self.hi)}"
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from math import isqrt
 from typing import Sequence
 
 from .errors import CertificateFailed, NotYetCovered
-from .functions import SaturatedFunction, ValueBound, eval_f, sample_gradient
-from .rationals import ZERO, format_rational, rational
+from .functions import SaturatedFunction, eval_f, sample_gradient
+from .rationals import ZERO, ValueBound, format_rational, rational
 from .verifier import certify_saturation
 
 # Iterates are snapped to this grid after each step; it keeps coordinate

@@ -26,8 +26,8 @@ from itertools import product
 from typing import Sequence
 
 from .errors import NotYetCovered
-from .functions import SaturatedFunction, ShiftedSaturatedFunction
-from .partition import SplittingPartition, _not_yet_covered, _whole_pieces
+from .functions import SaturatedFunction, ShiftedSaturatedFunction, _g_sign
+from .partition import SplittingPartition, _first_host, _not_yet_covered, _whole_pieces
 from .rationals import Interval, ZERO, format_rational, rational
 
 
@@ -210,7 +210,7 @@ def certify_saturation(
                     raise _not_yet_covered(member, windows[i])
                 coords.append(witness)
             vertices.append(VertexWitness(k, coeff, pattern, tuple(coords)))
-    m = max((abs(sf.mu.coefficient(k)) for k in range(K + 1)), default=ZERO)
+    m = abs(sf.mu.coefficient(sf.mu.argmax_index(K)))
     return SaturationCertificate(x, r, K, m, tuple(vertices))
 
 
@@ -223,8 +223,8 @@ def independence_fingerprint(
     must be the identity pattern, which witnesses linear independence of
     the first K family members.  Witness points may be overridden (any
     permutation of them permutes the rows).  Each witness point costs one
-    depth-4 membership; its member index gives every sign by ``eval_g``'s
-    rule: +1 for member 2k+1, -1 for member 2k, 0 otherwise.
+    depth-4 membership; its member index gives every sign by ``_g_sign``,
+    the rule behind ``eval_g``.
     """
     if K < 1:
         raise ValueError("need at least one index")
@@ -244,24 +244,14 @@ def independence_fingerprint(
         answer = partition.membership(x, 4)
         if not answer.decided:
             raise NotYetCovered(f"membership of witness {format_rational(x)} is undecided at depth 4")
-        member = answer.member_index
-        matrix.append([1 if member == 2 * k + 1 else -1 if member == 2 * k else 0 for k in range(K)])
+        matrix.append([_g_sign(answer.member_index, k) for k in range(K)])
     return matrix
 
 
 def _certified_point(partition: SplittingPartition, member: int) -> Fraction:
     """A point certainly inside A_member: an interior cover endpoint of the
-    first piece hosting it.  Stage n = member hosts member n for n >= 1;
-    member 0 is reached through the B piece of stage 1."""
-    if partition.stage_count < max(member, 1):
-        raise NotYetCovered(
-            f"member {member} has no built piece yet", needed_stage=max(member, 1)
-        )
-    if member == 0:
-        cantor_set = partition.piece_set(1, 1)
-    else:
-        cantor_set = partition.piece_set(member, member - 1)
-    return cantor_set.svc_cover(1).parts[0].hi
+    planted set on the first piece hosting it."""
+    return _first_host(partition, member).svc_cover(1).parts[0].hi
 
 
 @dataclass(frozen=True)
@@ -283,11 +273,11 @@ def isometry_witness(sf: SaturatedFunction, K: int) -> IsometryWitness:
     """
     if K < 0:
         raise ValueError("truncation must be >= 0")
-    m = max((abs(sf.mu.coefficient(k)) for k in range(K + 1)), default=ZERO)
+    k_star = sf.mu.argmax_index(K)
+    m = abs(sf.mu.coefficient(k_star))
     if m == 0:
         zero = tuple(ZERO for _ in range(sf.d))
         return IsometryWitness(sf.x0, zero, ZERO, ZERO)
-    k_star = sf.mu.argmax_index(K)
     coordinate = _certified_point(sf.partition, 2 * k_star + 1)
     point = tuple(coordinate for _ in range(sf.d))
     gradient = tuple(sf.mu.coefficient(k_star) for _ in range(sf.d))

@@ -710,3 +710,39 @@ def test_every_host_piece_window_lacks_only_its_complement():
             host = p30.stage(n).piece_host(piece)
             with pytest.raises(NotYetCovered, match=f"^no stage covers a member other than {piece + 1} inside"):
                 splitting_certificate(p30, piece + 1, Interval.closed(host.lo, host.hi))
+
+
+@pytest.mark.parametrize("stages, hosts_disjoint", [(36, True), (37, False)])
+def test_hosts_stop_being_disjoint_once_gaps_nest(stages, hosts_disjoint):
+    # Stage 37's gap nests inside an earlier stage's removed middle: its host
+    # overlaps an earlier host, while the planted sets stay disjoint.
+    from clarkesat.partition import planted_sets_pairwise_disjoint
+
+    p = build_partition(stages)
+    assert hosts_pairwise_disjoint(p) is hosts_disjoint
+    assert planted_sets_pairwise_disjoint(p) is True
+
+
+def test_a_window_that_only_touches_a_listed_stage():
+    # W starts where stage 1's gap (5/12, 7/12) ends: that gap's closure meets
+    # W in one point, so stage 1 is listed but has no piece in W.
+    from clarkesat.partition import _piece_span, _whole_pieces
+
+    p30 = build_partition(30)
+    window = Interval.closed(Fraction(7, 12), Fraction(7, 12) + Fraction(1, 64))
+    assert p30.stage(1).gap.hi == window.lo
+    overlapping = p30.stages_overlapping(window)
+    assert [record.n for record in overlapping] == [1, 12]
+    assert _piece_span(p30.stage(1), window) is None
+    width = RETAINED * p30.stage(12).piece_width
+    assert _whole_pieces(overlapping, (1, 2), window) == {1: (12, 0, width), 2: (12, 1, width)}
+    cert = splitting_certificate(p30, 1, window)
+    assert (cert.stage, cert.piece, cert.lower_bound) == (12, 0, width)
+    assert (cert.complement_member, cert.complement_stage, cert.complement_piece) == (2, 12, 1)
+    for n, piece in ((cert.stage, cert.piece), (cert.complement_stage, cert.complement_piece)):
+        assert window.contains_interval(p30.stage(n).piece_host(piece))
+
+
+def test_extending_to_no_more_stages_returns_the_partition(p20):
+    assert extend_partition(p20, 1) is p20
+    assert extend_partition(p20, p20.stage_count) is p20

@@ -184,3 +184,20 @@ def test_union_is_order_independent(order):
     for i in order:
         acc = acc.union(IntervalSet.of([pieces[i]]))
     assert acc == IntervalSet.of(pieces)
+
+
+def test_one_certified_bound_type():
+    import clarkesat
+    from clarkesat import functions
+    from clarkesat.cantor import MeasureBound
+    from clarkesat.rationals import ValueBound
+
+    assert clarkesat.ValueBound is functions.ValueBound is ValueBound
+    assert issubclass(MeasureBound, ValueBound)
+    assert str(ValueBound(Fraction(-1, 3), Fraction(1, 2))) == "-1/3 1/2"
+    assert str(MeasureBound(Fraction(1, 3), Fraction(1, 2))) == "[1/3, 1/2]"
+    assert MeasureBound(Fraction(0), Fraction(1)).width == 1
+    with pytest.raises(ValueError, match=r"^invalid value bound \[1, 0\]$"):
+        ValueBound(Fraction(1), Fraction(0))
+    with pytest.raises(ValueError, match=r"^invalid measure bound \[-1, 0\]$"):
+        MeasureBound(Fraction(-1), Fraction(0))

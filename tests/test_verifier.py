@@ -185,3 +185,16 @@ def test_mutated_certificates_fail_their_check(p40, e0, d):
     kept = tuple(w for w in cert.vertices if w.value != corner)
     assert len(kept) == len(cert.vertices) - 1
     assert not replace(cert, vertices=kept).check()
+
+
+def test_first_host_error_is_shared():
+    # e_3 needs member 7, whose first host is stage 7; only 5 stages exist.
+    from clarkesat.functions import lipschitz_lower_bound
+
+    sf = SaturatedFunction(build_partition(5), FiniteSupport.unit(3))
+    errors = []
+    for query in (lambda: isometry_witness(sf, 3), lambda: lipschitz_lower_bound(sf)):
+        with pytest.raises(NotYetCovered) as excinfo:
+            query()
+        errors.append((str(excinfo.value), excinfo.value.needed_stage))
+    assert errors == [("no stage hosts member 7 yet", 7)] * 2
