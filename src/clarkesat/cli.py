@@ -145,10 +145,10 @@ def cmd_measure(args) -> int:
 
 def cmd_stress(args) -> int:
     sf, point, _ = _function(args, args.x_init or None)
-    trajectory = run_subgradient(sf, point or sf.x0, args.steps, parse_rational(args.step_c))
-    text = trajectory_csv(
-        sf, trajectory, parse_rational(args.radius), _truncation(args, sf.mu)
-    )
+    # Every option is read before the trajectory runs, so a bad one costs no oracle call.
+    step_c, radius, K = parse_rational(args.step_c), parse_rational(args.radius), _truncation(args, sf.mu)
+    trajectory = run_subgradient(sf, point or sf.x0, args.steps, step_c)
+    text = trajectory_csv(sf, trajectory, radius, K)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -64,7 +64,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, count, islice
 from math import ceil, floor, gcd, isqrt, lcm
-from operator import mul, sub
+from operator import ge, mul, sub
 from typing import Callable, Iterable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
@@ -394,7 +394,8 @@ class SplittingPartition:
         # over one common denominator _den, and _reach, the running max of
         # _his.  Every closure before closure j ends by _reach[j-1], so
         # _los[j] - _reach[j-1], when positive, is the free room just left of
-        # closure j; a closure nested in an earlier one gives none.
+        # closure j; a closure nested in an earlier one gives none.  A running
+        # max is sorted, so both window queries bisect _reach and _los.
         self._by_lo: list[StageRecord] = []
         self._los: list[int] = []
         self._his: list[int] = []
@@ -439,24 +440,20 @@ class SplittingPartition:
         return len(self.stages)
 
     def stage(self, n: int) -> StageRecord:
+        if not 0 < n <= len(self.stages):
+            raise IndexError(f"the partition has stages 1..{self.stage_count}")
         return self.stages[n - 1]
 
     def piece_set(self, n: int, i: int) -> FatCantorSet:
         return FatCantorSet(self.stage(n).piece_host(i), RETAINED)
 
     def stages_overlapping(self, window: Interval) -> list[StageRecord]:
-        """Built stages whose gap closure meets the window's closure, ascending by n."""
+        """Built stages whose gap closure meets the window's closure (flags ignored), ascending by n."""
         den = self._den
         lo = -(-window.lo.numerator * den // window.lo.denominator)  # ceil(window.lo * den)
         hi = window.hi.numerator * den // window.hi.denominator  # floor(window.hi * den)
-        found = []
-        for pos in range(bisect_right(self._los, hi) - 1, -1, -1):
-            if self._reach[pos] < lo:
-                break
-            if self._his[pos] >= lo:
-                found.append(self._by_lo[pos])
-        found.sort(key=lambda s: s.n)
-        return found
+        positions = range(bisect_left(self._reach, lo), bisect_right(self._los, hi))
+        return sorted([self._by_lo[i] for i in positions if self._his[i] >= lo], key=lambda s: s.n)
 
     def _longest_free(self, target: Interval) -> Interval | None:
         """The longest part of the open target outside every gap closure, leftmost on ties.
@@ -545,6 +542,8 @@ class SplittingPartition:
         complement, so it is only certified via a B piece or at x = 0, the
         single point no enumerated interval can ever reach.
         """
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
         u = _fold(x - self.translation)
         point = Interval.closed(u, u)
         hit = None
@@ -897,10 +896,10 @@ def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
 # have placed (``_check_stage``).  A stage line is parsed into the record's
 # two gap ends and its gap, once; the check then works on integers: the
 # reduced ends a/b, c/d against I_n's ends from ``_enumeration_ends`` by
-# cross-multiplication, the length and grid by two divisions, and a depth-0
-# stage's freedom from every earlier closure by one bisection of the gap
-# index.  Only a dug stage builds its closure and walks, in O(depth_used),
-# the cover of each earlier piece it touches.
+# cross-multiplication, the length and grid by two divisions, and the
+# earlier closures the gap meets by one ``stages_overlapping`` query, empty
+# for a depth-0 stage.  Only a dug stage builds its closure and walks, in
+# O(depth_used), the cover of each earlier piece it touches.
 # ---------------------------------------------------------------------------
 
 
@@ -1033,8 +1032,8 @@ def _check_stage(partition: SplittingPartition, record: StageRecord, target: tup
     earlier stage it meets; and it meets one at each shallower depth
     ``find_gap`` tries, since ``find_gap`` returns the first depth that
     exposes a gap.  All but the cover tests compare integers: the gap is
-    a/b < c/d, reduced, and whether an earlier closure meets it is one probe
-    of the gap index.
+    a/b < c/d, reduced, and one ``stages_overlapping`` query lists the
+    earlier closures meeting it: none at depth 0, else the cover tests' stages.
     """
     n, gap, depth = record.n, record.gap, record.depth_used
     if n != partition.stage_count + 1:
@@ -1055,16 +1054,15 @@ def _check_stage(partition: SplittingPartition, record: StageRecord, target: tup
         raise ValueError(f"stage {n}: gap midpoint {gap.midpoint} is off the 2^-{j + 4} grid")
     if depth not in (0, *_GAP_DEPTHS):
         raise ValueError(f"stage {n}: depth {depth} is not a depth the gap search tries")
-    den = partition._den
-    pos = bisect_right(partition._los, c * den // d)  # the closures starting by floor(c/d * den)
-    if not pos or partition._reach[pos - 1] < -(-a * den // b):  # none ends at ceil(a/b * den) or later
+    earlier = partition.stages_overlapping(gap)
+    if not earlier:
         if depth:
             raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
         return
     closure = gap.closure()
     pieces = [
         (other.n, i, partition.piece_set(other.n, i))
-        for other in partition.stages_overlapping(closure)
+        for other in earlier
         for i in _pieces_touching(other, a, b, c, d)
     ]
     for other_n, i, piece in pieces:
@@ -1112,16 +1110,10 @@ def hosts_pairwise_disjoint(partition: SplittingPartition) -> bool:
     closures of all earlier gaps.  Once the closures tile some I_n (stage 37
     at gap_cap 1) the new gap nests inside a removed middle of an earlier
     piece, certified at its ``depth_used``, and this returns False although
-    the planted sets stay disjoint.
+    the planted sets stay disjoint.  By left end, each gap must start at or
+    after the running max of the right ends before it, ``_reach``.
     """
-    hosts = []
-    for record in partition.stages:
-        hosts.append((record.gap.lo, record.gap.hi))
-    hosts.sort()
-    for (lo_a, hi_a), (lo_b, hi_b) in zip(hosts, hosts[1:]):
-        if lo_b < hi_a:
-            return False
-    return True
+    return all(map(ge, partition._los[1:], partition._reach))
 
 
 def planted_sets_pairwise_disjoint(partition: SplittingPartition) -> bool:

@@ -461,3 +461,34 @@ def test_certify_has_no_decimal_flag(partition_file, capsys):
                    "--point", "1/2", "--radius", "1/4", "--decimal")
     assert code == 2
     assert "unrecognized arguments: --decimal" in capsys.readouterr().err
+
+
+def test_certify_takes_an_explicit_truncation(partition_file, capsys):
+    code = run_cli("certify", "--partition", partition_file, "--mu", "0:1/1,3:2/1",
+                   "--point", "1/2", "--radius", "1/4", "--K", "1")
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "truncation: 1" in out
+    assert "k=2" not in out and "k=1 vertex" in out
+
+
+def test_certify_a_generator_without_k_is_usage_error(partition_file, capsys):
+    code = run_cli("certify", "--partition", partition_file, "--mu", "ones", "--point", "1/2", "--radius", "1/4")
+    assert code == 2
+    assert capsys.readouterr().err == "error: --K is required for generator coefficient sources\n"
+
+
+@pytest.mark.parametrize("options, message", [
+    (("--mu", "ones", "--step-c", "1/1000"), "--K is required for generator coefficient sources"),
+    (("--mu", "0:1/1", "--radius", "bad"), "invalid literal for int() with base 10: 'bad'"),
+    (("--mu", "0:1/1", "--step-c", "bad"), "invalid literal for int() with base 10: 'bad'"),
+], ids=["no-K", "bad-radius", "bad-step-c"])
+def test_stress_reads_every_option_before_the_trajectory(partition_file, capsys, monkeypatch, options, message):
+    import clarkesat.stress
+
+    calls = []
+    monkeypatch.setattr(clarkesat.stress, "oracle", lambda *args, **kwargs: calls.append(args))
+    code = run_cli("stress", "--partition", partition_file, "--steps", "300", "--x-init", "43/96", *options)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []

@@ -275,3 +275,19 @@ def test_export_samples_csv(p30, e0):
     assert lines[0] == "x1,f_lo,f_hi,g1"
     assert lines[1] == "1/2,0/1,0/1,U" or lines[1].startswith("1/2,0/1,0/1")
     assert lines[2].endswith(",U")
+
+
+def test_shift_to_ball_rescales_a_generator(p30):
+    from clarkesat.functions import ones_generator
+    from clarkesat.verifier import certify_saturation
+
+    r = Fraction(3, 4)
+    shifted = shift_to_ball(SaturatedFunction(p30, ones_generator()), (Fraction(1, 2),), r)
+    mu = shifted.base.mu
+    assert mu.name == "ones*3/4"
+    assert mu.norm_inf == r
+    assert [mu.coefficient(k) for k in range(6)] == [r] * 6
+    assert shifted.gradient_hull() == ((Fraction(-1, 4), Fraction(5, 4)),)
+    cert = certify_saturation(shifted, (Fraction(1, 2),), Fraction(1, 4), K=2)
+    assert cert.check()
+    assert (cert.m, cert.shift, cert.truncation) == (r, (Fraction(1, 2),), 2)

@@ -746,3 +746,66 @@ def test_a_window_that_only_touches_a_listed_stage():
 def test_extending_to_no_more_stages_returns_the_partition(p20):
     assert extend_partition(p20, 1) is p20
     assert extend_partition(p20, p20.stage_count) is p20
+
+
+def _hosts_disjoint_by_sorting(partition):
+    """The rule as it was: sort the gaps by their ends and compare neighbours."""
+    hosts = sorted((record.gap.lo, record.gap.hi) for record in partition.stages)
+    return all(lo_b >= hi_a for (_, hi_a), (lo_b, _) in zip(hosts, hosts[1:]))
+
+
+def _hand_made(*gaps):
+    return SplittingPartition(ONE, tuple(
+        StageRecord(n, Interval.open(Fraction(lo), Fraction(hi)), 0) for n, (lo, hi) in enumerate(gaps, 1)))
+
+
+@pytest.mark.parametrize("partition, disjoint", [
+    (_hand_made(), True),
+    (_hand_made(("1/3", "1/2")), True),
+    (_hand_made(("1/3", "1/2"), ("1/5", "1/4"), ("3/4", "4/5")), True),
+    (_hand_made(("1/2", "3/4"), ("1/4", "1/2")), True),  # closures touch, gaps do not
+    (_hand_made(("1/4", "1/2"), ("1/3", "3/4")), False),  # overlap
+    (_hand_made(("1/10", "9/10"), ("1/5", "1/4"), ("19/20", "1")), False),  # nest
+    (_hand_made(("4/5", "9/10"), ("1/10", "9/10"), ("1/5", "1/4")), False),  # nest after a disjoint one
+    (_hand_made(("1/4", "1/2"), ("1/4", "1/3")), False),  # share a left end
+    (_hand_made(("1/4", "1/3"), ("1/4", "1/2")), False),
+    (_HAND_MADE, False),
+], ids=["empty", "one", "disjoint", "touch", "overlap", "nest", "nest-late", "share-lo", "share-lo-short-first",
+        "hand-made"])
+def test_hosts_pairwise_disjoint_matches_sorting_on_hand_made_stages(partition, disjoint):
+    assert _hosts_disjoint_by_sorting(partition) is disjoint
+    assert hosts_pairwise_disjoint(partition) is disjoint
+
+
+def test_hosts_pairwise_disjoint_matches_sorting_on_every_prefix_of_300_stages(builds_300):
+    stages = builds_300[ONE].stages
+    answers = []
+    for count in range(len(stages) + 1):
+        prefix = SplittingPartition(ONE, stages[:count])
+        answers.append(hosts_pairwise_disjoint(prefix))
+        assert answers[-1] is _hosts_disjoint_by_sorting(prefix), count
+    assert answers.index(False) == 37
+
+
+def test_stage_rejects_numbers_outside_1_to_n():
+    p30 = build_partition(30)
+    assert p30.stage(30) is p30.stages[-1]
+    for n in (0, -1, 31):
+        with pytest.raises(IndexError, match=r"^the partition has stages 1\.\.30$"):
+            p30.stage(n)
+        with pytest.raises(IndexError, match=r"^the partition has stages 1\.\.30$"):
+            p30.piece_set(n, 0)
+
+
+def test_membership_rejects_a_negative_depth_at_every_point():
+    from clarkesat.functions import FiniteSupport, SaturatedFunction, eval_g, sample_gradient
+
+    p30 = build_partition(30)
+    sf = SaturatedFunction(p30, FiniteSupport.unit(0))
+    for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 20)):
+        for query in (lambda: p30.membership(x, -1), lambda: eval_g(p30, 0, x, -1),
+                      lambda: sample_gradient(sf, (x,), -1)):
+            with pytest.raises(ValueError, match=r"^depth must be >= 0$"):
+                query()
+    answer = p30.membership(Fraction(0), 0)
+    assert (answer.kind, answer.k, answer.stage) == ("A", 0, None)

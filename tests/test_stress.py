@@ -139,3 +139,16 @@ def test_subgradient_step_snaps_to_the_grid(p30, e0):
     exact = start + Fraction(1, 10)
     assert _on_grid(x1) and x1 != exact
     assert exact - Fraction(1, 2**48) < x1 < exact
+
+
+def test_trajectory_csv_writes_na_without_a_radius_or_a_covering_certificate(e0):
+    trajectory = run_subgradient(e0, (Fraction(2, 5),), steps=2)
+    tiny = Fraction(1, 10**5)
+    with pytest.raises(NotYetCovered):
+        stationarity_gap(e0, trajectory[0].x, tiny, K=0)
+    for r in (None, tiny):
+        rows = trajectory_csv(e0, trajectory, r).splitlines()
+        assert rows[0] == "t,x1,f_lo,f_hi,gap"
+        assert len(rows) == 4
+        assert all(row.endswith(",NA") for row in rows[1:])
+    assert all(row.endswith(",0/1") for row in trajectory_csv(e0, trajectory, Fraction(1, 4)).splitlines()[1:])
