@@ -21,13 +21,14 @@ All integrals reduce to certified measures of partition members inside
 rational windows, so every bound here is an exact rational inequality.
 They come from the depth loop of the window integrator ``partition._WindowMass``
 (also behind ``measure_in``); this module only forms value bounds from the
-member masses it hands out.
+member masses it hands out, and sums the terms no piece straddles on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .partition import SplittingPartition, _WindowMass, _first_host
@@ -268,9 +269,9 @@ def _interval_value(
     loop; one norm * tail correction absorbs all unbuilt-stage mass, and
     generator sources additionally widen by the norm-weighted mass not yet
     attributed to any member, the width of the A_0 bound.  A term whose
-    members have no straddler is exact at every depth and summed once; the
-    loop re-sums only the others, and the term of mu_0, whose member 0 gets
-    the A_0 bound.
+    members have no straddler is exact at every depth and summed once, on
+    integers over lcm(coefficient denominators) * den; the loop re-sums only
+    the others and mu_0's term, whose member 0 gets the A_0 bound.
     """
     norm = mu.norm_inf
     if norm == 0:
@@ -287,23 +288,18 @@ def _interval_value(
     live = [(k, c) for k, c in terms if k == 0 or not straddled.isdisjoint((2 * k, 2 * k + 1))]
     fixed = [(k, c) for k, c in terms if k != 0 and straddled.isdisjoint((2 * k, 2 * k + 1))]
     exact = mass.exact({j for k, _ in fixed for j in (2 * k, 2 * k + 1)})
-    base = sum((coeff * (exact[2 * k + 1] - exact[2 * k]) for k, coeff in fixed), ZERO)
-    members = {j for k, _ in live for j in (2 * k, 2 * k + 1)}
-    if generator:
-        members.add(0)
+    scale = lcm(*(coeff.denominator for _, coeff in fixed))
+    base = Fraction(sum(coeff.numerator * (scale // coeff.denominator) * (exact[2 * k + 1] - exact[2 * k])
+                        for k, coeff in fixed), scale * mass.den)
+    members = {j for k, _ in live for j in (2 * k, 2 * k + 1)} | ({0} if generator else set())
 
     def value(masses) -> ValueBound:
         lo = hi = base
         for k, coeff in live:
             plus, minus = masses[2 * k + 1], masses[2 * k]
-            term_lo = plus[0] - minus[1]
-            term_hi = plus[1] - minus[0]
-            if coeff > 0:
-                lo += coeff * term_lo
-                hi += coeff * term_hi
-            else:
-                lo += coeff * term_hi
-                hi += coeff * term_lo
+            term_lo, term_hi = plus[0] - minus[1], plus[1] - minus[0]
+            lo += coeff * (term_lo if coeff > 0 else term_hi)
+            hi += coeff * (term_hi if coeff > 0 else term_lo)
         slack = norm * mass.tail
         if generator:
             m0_lo, m0_hi = masses[0]

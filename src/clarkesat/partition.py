@@ -711,14 +711,14 @@ class _WindowMass:
     members each gain rho * width.  The scan is integer arithmetic on the
     ``StageRecord.endpoints`` geometry: ``_piece_span`` finds a..b by floor
     division, and every stage's whole-piece mass is an integer over the
-    partition's one mass denominator (``_stage_masses``).  So a stage adds
-    one integer entry pair to a difference array over member index, plus its
-    share of the aggregate ``total`` over all members j >= 1 (A_0 is their
-    complement, so B pieces are skipped).  The at most two pieces per stage
-    and chunk straddling a chunk edge are kept as ``straddlers`` (set,
+    partition's one mass denominator ``den`` (``_stage_masses``).  So a stage
+    adds one integer entry pair to a difference array over member index, plus
+    its share of the aggregate ``total`` over all members j >= 1 (A_0 is
+    their complement, so B pieces are skipped).  The at most two pieces per
+    stage and chunk straddling a chunk edge are kept as ``straddlers`` (set,
     chunk, member) for ``refine``, the one depth loop, which re-measures only
-    them; a member without a straddler has its exact mass at every depth.
-    Cost: O(stages overlapping the window), then straddlers times depth.
+    them; a member without one keeps its exact mass, an integer over ``den``
+    until ``refine`` bounds it.  Cost: O(overlapping stages) + straddlers * depth.
 
     Raises ToleranceExhausted when the unbuilt stages alone force width
     scale * tail >= tol, or depth 64 leaves the bound wider than tol,
@@ -735,9 +735,9 @@ class _WindowMass:
                 f"the unbuilt-stage tail forces width {scale * self.tail} >= tolerance {tol};"
                 f" rebuild with at least {self._needed()} stages"
             )
-        self._den, stage_mass = partition._stage_masses()
+        self.den, stage_mass = partition._stage_masses()
         self.length = ZERO
-        self.total = 0  # over self._den, like the steps
+        self.total = 0  # over self.den, like the steps
         self.straddlers: list[tuple[FatCantorSet, Interval, int]] = []
         self._steps: dict[int, int] = {}
         for chunk in _unit_chunks(window, partition.translation):
@@ -757,14 +757,14 @@ class _WindowMass:
                     if not a <= i <= b and i < record.n:
                         self.straddlers.append((partition.piece_set(record.n, i), chunk, i + 1))
 
-    def exact(self, members: set[int]) -> dict[int, Fraction]:
-        """The whole-piece mass of each member: a prefix sum of the integer steps."""
+    def exact(self, members: set[int]) -> dict[int, int]:
+        """Each member's whole-piece mass, a numerator over ``den``: a prefix sum of the steps."""
         steps = sorted(self._steps.items(), reverse=True)
         exact, running = {}, 0
         for j in sorted(members):
             while steps and steps[-1][0] <= j:
                 running += steps.pop()[1]
-            exact[j] = Fraction(running, self._den)
+            exact[j] = running
         return exact
 
     def refine(self, members: set[int], tol: Fraction, bound: Callable):
@@ -775,9 +775,9 @@ class _WindowMass:
         members, whose width is the mass no member accounts for yet.  Only
         the requested members' straddlers are re-measured, all for member 0.
         """
-        exact = self.exact(members)
+        exact = {j: Fraction(m, self.den) for j, m in self.exact(members).items()}
         everything = 0 in members
-        total = Fraction(self.total, self._den) if everything else ZERO
+        total = Fraction(self.total, self.den) if everything else ZERO
         straddlers = [s for s in self.straddlers if everything or s[2] in members]
         for depth in range(_MAX_MEASURE_DEPTH + 1):
             masses = {j: (m, m) for j, m in exact.items()}

@@ -35,12 +35,14 @@ ONE = Fraction(1)
 
 
 def rational(value: RationalLike) -> Fraction:
-    """Coerce ints and "p/q" strings to an exact Fraction."""
+    """Coerce ints and "p/q" strings to an exact Fraction; TypeError otherwise."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return parse_rational(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise TypeError(f"expected a Fraction, int or p/q string, not {type(value).__name__}")
 
 
 def parse_rational(text: str) -> Fraction:

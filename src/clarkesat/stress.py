@@ -79,6 +79,8 @@ def run_subgradient(
     clamps into the domain box shrunk by 1/64 of each side.  Returns the
     oracle response at every visited point, x_init first.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     x = tuple(rational(c) for c in x_init)
     if not sf.contains_point(x):
         raise ValueError("the initial point must lie inside the domain box")

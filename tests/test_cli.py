@@ -492,3 +492,14 @@ def test_stress_reads_every_option_before_the_trajectory(partition_file, capsys,
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
+
+
+def test_stress_with_negative_steps_exits_2_without_an_oracle_call(partition_file, capsys, monkeypatch):
+    import clarkesat.stress
+
+    calls = []
+    monkeypatch.setattr(clarkesat.stress, "oracle", lambda *args, **kwargs: calls.append(args))
+    code = run_cli("stress", "--partition", partition_file, "--mu", "0:1/1", "--steps", "-1")
+    assert code == 2
+    assert capsys.readouterr().err == "error: steps must be >= 0\n"
+    assert calls == []

@@ -20,8 +20,10 @@ from clarkesat.cli import main
 from clarkesat.errors import ToleranceExhausted
 from clarkesat.functions import (
     FiniteSupport,
+    GeneratorSource,
     SaturatedFunction,
     ValueBound,
+    _interval_value,
     eval_f,
     eval_f1,
     ones_generator,
@@ -29,6 +31,7 @@ from clarkesat.functions import (
 from clarkesat.partition import (
     RETAINED,
     SplittingPartition,
+    _WindowMass,
     build_partition,
     save,
     stage_tail_bound,
@@ -310,3 +313,82 @@ def test_depth_limit_exhaustion_names_sufficient_stage_count(tmp_path, capsys):
                  "--tol", f"1/{2**40}"])
     assert code == 4
     assert f"at least {needed} stages" in capsys.readouterr().err
+
+
+# -- integer whole-piece sums -------------------------------------------------
+
+
+def fraction_interval_value(partition, mu, window, tol):
+    """``_interval_value``'s bound, and its fixed terms, with every
+    whole-piece mass a Fraction and the fixed terms summed term by term."""
+    norm = mu.norm_inf
+    generator = isinstance(mu, GeneratorSource)
+    limit = (4 if generator else 2) * norm + abs(mu.coefficient(0))
+    mass = _WindowMass(partition, window, tol, 2 * norm, limit)
+    terms = mu.entries if not generator else [
+        (k, c) for k in range(partition.stage_count // 2 + 1) if (c := mu.coefficient(k))
+    ]
+    straddled = {member for _, _, member in mass.straddlers}
+    live = [(k, c) for k, c in terms if k == 0 or not straddled.isdisjoint((2 * k, 2 * k + 1))]
+    fixed = [(k, c) for k, c in terms if k != 0 and straddled.isdisjoint((2 * k, 2 * k + 1))]
+    exact = mass.exact({j for k, _ in fixed for j in (2 * k, 2 * k + 1)})
+    exact = {j: Fraction(m, mass.den) for j, m in exact.items()}
+    base = sum((c * (exact[2 * k + 1] - exact[2 * k]) for k, c in fixed), Fraction(0))
+    members = {j for k, _ in live for j in (2 * k, 2 * k + 1)} | ({0} if generator else set())
+
+    def value(masses):
+        lo = hi = base
+        for k, c in live:
+            plus, minus = masses[2 * k + 1], masses[2 * k]
+            term = (plus[0] - minus[1], plus[1] - minus[0])
+            lo += c * (term[0] if c > 0 else term[1])
+            hi += c * (term[1] if c > 0 else term[0])
+        slack = norm * mass.tail
+        if generator:
+            slack += norm * (masses[0][1] - masses[0][0])
+        return ValueBound(lo - slack, hi + slack)
+
+    return mass.refine(members, tol, value), fixed
+
+
+def straddled_indices(partition, window):
+    """The indices k >= 1 with a member that a piece straddles in the window."""
+    mass = _WindowMass(partition, window, F(1, 2**24))
+    return sorted({member // 2 for _, _, member in mass.straddlers} - {0})
+
+
+def test_integer_base_is_bit_identical_to_the_fraction_sum(partition):
+    sources = (FiniteSupport.of({0: F(1, 3), 1: F(-5, 7), 2: 2}), ones_generator().scaled(F(3, 4)))
+    with_fixed = with_straddled_only = 0
+    for lo, hi in corpus_windows(partition):
+        window = Interval.closed(lo, hi)
+        straddled = straddled_indices(partition, window)[:3]
+        # Every term straddled, so no term is fixed and the lcm is of nothing.
+        everything = FiniteSupport.of({0: F(1, 5)} | {k: F(-3, 2) if k % 2 else F(7, 3) for k in straddled})
+        for mu in (*sources, everything):
+            for tol in (F(1, 10**6), F(1, 2**24)):
+                expected, fixed = fraction_interval_value(partition, mu, window, tol)
+                assert _interval_value(partition, mu, window, tol) == expected, (lo, hi, tol)
+                with_fixed += bool(fixed)
+                if mu is everything:
+                    assert fixed == []
+                    with_straddled_only += bool(straddled)
+    assert with_fixed and with_straddled_only
+
+
+def test_exact_hands_out_integer_numerators(partition):
+    tol = F(1, 2**24)
+    n = partition.stage_count
+    for lo, hi in corpus_windows(partition):
+        window = Interval.closed(lo, hi)
+        scan = Scan(partition, window)
+        mass = _WindowMass(partition, window, tol)
+        exact = mass.exact(set(range(n + 2)))
+        straddled = {member for _, _, member in mass.straddlers}
+        for j, m in exact.items():
+            assert type(m) is int
+            assert F(m, mass.den) == scan.exact.get(j, 0), (j, lo, hi)
+            if j and j not in straddled:
+                assert partition.measure_in(j, window, tol).lo == F(m, mass.den)
+        for k in (0, 1, n // 2):
+            assert eval_f1(partition, k, lo, hi, tol) == reference_eval_f1(scan, k, lo, hi, tol)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clarkesat.functions import GeneratorSource
 from clarkesat.rationals import (
     Interval,
     IntervalSet,
@@ -14,6 +15,7 @@ from clarkesat.rationals import (
     measure,
     parse_interval_set,
     parse_rational,
+    rational,
 )
 
 
@@ -201,3 +203,14 @@ def test_one_certified_bound_type():
         ValueBound(Fraction(1), Fraction(0))
     with pytest.raises(ValueError, match=r"^invalid measure bound \[-1, 0\]$"):
         MeasureBound(Fraction(-1), Fraction(0))
+
+
+@pytest.mark.parametrize("value, kind", [(0.5, "float"), (None, "NoneType"), (1j, "complex")])
+def test_rational_names_an_unsupported_type(value, kind):
+    with pytest.raises(TypeError, match=f"expected a Fraction, int or p/q string, not {kind}$"):
+        rational(value)
+    with pytest.raises(TypeError, match=kind):
+        Interval.closed(value, 1)
+    with pytest.raises(TypeError, match=kind):
+        GeneratorSource(lambda k: value, Fraction(1)).coefficient(0)
+    assert rational(Fraction(1, 2)) == rational(1) / 2 == rational(" 1/2 ")

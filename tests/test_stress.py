@@ -152,3 +152,15 @@ def test_trajectory_csv_writes_na_without_a_radius_or_a_covering_certificate(e0)
         assert len(rows) == 4
         assert all(row.endswith(",NA") for row in rows[1:])
     assert all(row.endswith(",0/1") for row in trajectory_csv(e0, trajectory, Fraction(1, 4)).splitlines()[1:])
+
+
+def test_negative_steps_are_rejected_before_any_oracle_call(e0, monkeypatch):
+    import clarkesat.stress
+
+    calls = []
+    monkeypatch.setattr(clarkesat.stress, "oracle", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=r"^steps must be >= 0$"):
+        run_subgradient(e0, (Fraction(1, 3),), steps=-1)
+    assert calls == []
+    monkeypatch.undo()
+    assert len(run_subgradient(e0, (Fraction(1, 3),), steps=0)) == 1
