@@ -103,24 +103,6 @@ class FatCantorSet:
         """Exact cover excess: measure(F_depth) - limit_measure."""
         return (1 - self.retained_fraction) * self.length / 2**depth
 
-    def _root(self) -> tuple[int, int, int, int]:
-        """The host as integer numerators (lo, hi) over den, and the numerator
-        ``half`` that ``_children`` removes on each side of a midpoint.
-
-        All endpoints at step s share the denominator 4^(s+1) * B, so scaling
-        by 4 per step makes half a constant: 4 * (1-rho) * L * B.
-        """
-        removed = (1 - self.retained_fraction) * self.length
-        lo, hi = self.host.lo, self.host.hi
-        base = lcm(lo.denominator, hi.denominator, removed.denominator)
-        den = 4 * base
-        return (
-            lo.numerator * (den // lo.denominator),
-            hi.numerator * (den // hi.denominator),
-            den,
-            4 * removed.numerator * (base // removed.denominator),
-        )
-
     def _walk(self, a: Fraction, b: Fraction, depth: int, whole: bool = False):
         """Yield (lo, hi, den, step) for the cover pieces meeting [a, b], left to right.
 
@@ -135,7 +117,15 @@ class FatCantorSet:
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        lo, hi, root_den, half = self._root()
+        # The host as numerators (lo, hi) over root_den = 4 * B, with B the
+        # common denominator of its ends and the removed length.  Endpoints
+        # at step s share root_den * 4^s, so scaling by 4 per step makes the
+        # numerator ``half`` that ``_children`` removes beside a midpoint a
+        # constant: 4 * (1-rho) * L * B.
+        removed = (1 - self.retained_fraction) * self.length
+        base = lcm(self.host.lo.denominator, self.host.hi.denominator, removed.denominator)
+        root_den, half = 4 * base, 4 * removed.numerator * (base // removed.denominator)
+        lo, hi = (end.numerator * (root_den // end.denominator) for end in (self.host.lo, self.host.hi))
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         stack = [(lo, hi, 0)]
         while stack:
@@ -163,11 +153,19 @@ class FatCantorSet:
     def svc_cover(self, depth: int) -> IntervalSet:
         """The depth-d cover: 2^d closed intervals whose intersection is F.
 
-        Kept as the walk's integer numerators; ``len`` and ``measure`` read
-        them, and the ``Interval`` parts are built when first read.
+        Kept as (set, depth): ``len`` and ``measure`` read the cover law, and
+        the ``Interval`` parts are walked when first read.  ``len`` is capped
+        at ``sys.maxsize``, so from depth 63 on it raises ``OverflowError``
+        while ``measure`` still answers.
         """
-        pieces = [(lo, hi) for lo, hi, _, _ in self._walk(self.host.lo, self.host.hi, depth)]
-        return _Cover(pieces, self._root()[2] << 2 * depth)
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        return _Cover(self, depth)
+
+    def first_piece(self, depth: int) -> Interval:
+        """``svc_cover(depth).parts[0]`` in O(d): the piece holding the host's left end."""
+        lo, hi, den, _ = next(self._walk(self.host.lo, self.host.lo, depth))
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
     def svc_membership(self, x: Fraction, depth: int) -> Containment:
         """Certified membership in F at finite depth.
@@ -250,24 +248,24 @@ class FatCantorSet:
 
 
 class _Cover(IntervalSet):
-    """An ``IntervalSet`` of closed pieces held as integer numerator pairs
-    over one denominator.  It equals, and hashes as, ``IntervalSet`` of the
-    same parts; a thread race at most builds the equal parts twice."""
+    """The depth-d cover of a fat Cantor set, held as the set and the depth.
+    It equals, and hashes as, ``IntervalSet`` of the same parts; a thread
+    race at most builds the equal parts twice."""
 
-    def __init__(self, pieces: list[tuple[int, int]], den: int):
-        object.__setattr__(self, "_pieces", pieces)
-        object.__setattr__(self, "_den", den)
+    def __init__(self, cantor: FatCantorSet, depth: int):
+        object.__setattr__(self, "_set", cantor)
+        object.__setattr__(self, "_depth", depth)
 
     @cached_property
     def parts(self) -> tuple[Interval, ...]:
-        den = self._den
-        return tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in self._pieces)
+        pieces = self._set._walk(self._set.host.lo, self._set.host.hi, self._depth)
+        return tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den, _ in pieces)
 
     def __len__(self) -> int:
-        return len(self._pieces)
+        return 1 << self._depth
 
     def measure(self) -> Fraction:
-        return Fraction(sum(hi - lo for lo, hi in self._pieces), self._den)
+        return self._set.limit_measure + self._set.tail(self._depth)
 
     def __eq__(self, other):
         return self.parts == other.parts if isinstance(other, IntervalSet) else NotImplemented

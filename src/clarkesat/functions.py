@@ -383,7 +383,7 @@ def lipschitz_lower_bound(sf: SaturatedFunction, budget: int = 6) -> Fraction:
     witness_set = _first_host(sf.partition, 2 * k_star + 1)
     best = ZERO
     for depth in range(4, 4 + max(1, budget)):
-        piece = witness_set.svc_cover(depth).parts[0]
+        piece = witness_set.first_piece(depth)
         length = piece.length
         bound = _interval_value(
             sf.partition, sf.mu, piece.closure(), norm * length / 512

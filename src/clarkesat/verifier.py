@@ -251,7 +251,7 @@ def independence_fingerprint(
 def _certified_point(partition: SplittingPartition, member: int) -> Fraction:
     """A point certainly inside A_member: an interior cover endpoint of the
     planted set on the first piece hosting it."""
-    return _first_host(partition, member).svc_cover(1).parts[0].hi
+    return _first_host(partition, member).first_piece(1).hi
 
 
 @dataclass(frozen=True)

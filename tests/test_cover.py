@@ -1,5 +1,6 @@
-"""The depth-d cover kept as integers: ``svc_cover`` counts and measures its
-pieces without building them, and reads as the ``IntervalSet`` of its parts."""
+"""The depth-d cover kept as its set and depth: ``svc_cover`` counts and
+measures by the cover law without walking its pieces, and reads as the
+``IntervalSet`` of its parts."""
 
 import hashlib
 import sys
@@ -9,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from clarkesat import FiniteSupport, SaturatedFunction, build_partition, independence_fingerprint, lipschitz_lower_bound
 from clarkesat.cantor import FatCantorSet
 from clarkesat.rationals import Interval, IntervalSet, format_rational
+from clarkesat.verifier import _certified_point
 
 HOSTS = [Interval(Fraction(-1, 3), Fraction(2, 5), lo_closed, hi_closed)
          for lo_closed in (True, False) for hi_closed in (True, False)]
@@ -98,3 +101,57 @@ def test_cover_corpus_is_bit_identical():
             measures.update(format_rational(cover.measure()).encode() + b"\n")
     assert parts.hexdigest()[:16] == "b5fd0dc4a77ff866"
     assert measures.hexdigest()[:16] == "b845293607b91aa9"
+
+
+def test_first_piece_is_the_covers_first_part():
+    for c in SETS:
+        for depth in range(13):
+            assert c.first_piece(depth) == c.svc_cover(depth).parts[0]
+
+
+def test_first_piece_readers_keep_their_values():
+    # Values of the parent's `svc_cover(d).parts[0]` readers on 20 stages.
+    partition = build_partition(20)
+    e0 = SaturatedFunction(partition, FiniteSupport.unit(0))
+    assert [lipschitz_lower_bound(e0, budget) for budget in (1, 2, 3)] == [
+        Fraction(7679, 8704), Fraction(3967, 4224), Fraction(31, 32)]
+    for K in range(1, 11):
+        assert independence_fingerprint(partition, K) == [[int(j == k) for k in range(K)] for j in range(K)]
+    assert [format_rational(_certified_point(partition, 2 * j + 1)) for j in range(10)] == [
+        "43/96", "53/256", "89/288", "20839/24576", "3739/40960", "90647/589824", "908461/2752512",
+        "1682105/4194304", "40838531/56623104", "200491897/251658240"]
+
+
+def test_negative_depth_is_rejected_when_the_cover_is_asked_for():
+    for c in (FatCantorSet.canonical(), SETS[-1]):
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            c.svc_cover(-1)
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            c.first_piece(-1)
+
+
+def test_a_deep_cover_stays_unbuilt():
+    for c in (FatCantorSet.canonical(), FatCantorSet(HOSTS[3], Fraction(1, 3))):
+        cover = c.svc_cover(40)
+        assert len(cover) == 2**40
+        assert cover.measure() == c.limit_measure + c.tail(40)
+        assert "parts" not in vars(cover)
+        too_many = c.svc_cover(63)  # 2^63 pieces: past sys.maxsize, which caps len()
+        with pytest.raises(OverflowError):
+            len(too_many)
+        assert too_many.measure() == c.limit_measure + c.tail(63)
+        assert "parts" not in vars(too_many)
+
+
+@pytest.mark.parametrize("depth", range(13, 21))
+def test_cover_law_matches_the_walked_pieces(depth):
+    # Count and sum the walk's integer pieces, as the cover did when it kept them.
+    c = FatCantorSet.canonical()
+    pieces, dens = [], set()
+    for lo, hi, den, _ in c._walk(c.host.lo, c.host.hi, depth):
+        pieces.append((lo, hi))
+        dens.add(den)
+    (den,) = dens
+    cover = c.svc_cover(depth)
+    assert len(cover) == len(pieces)
+    assert cover.measure() == Fraction(sum(hi - lo for lo, hi in pieces), den)
