@@ -62,6 +62,51 @@ def _children(lo: int, hi: int, half: int) -> tuple[tuple[int, int], tuple[int, 
     return (4 * lo, mid - half), (mid + half, 4 * hi)
 
 
+def _cover_walk(lo: int, hi: int, removed: int, base: int, a: Fraction, b: Fraction, depth: int,
+                whole: bool = False):
+    """Yield (lo, hi, den, step) for the cover pieces meeting [a, b], left to right.
+
+    The fat Cantor set has the host [lo/base, hi/base], and its removed
+    middles total removed/base.  A yielded lo and hi are numerators over den, the denominator of the piece's
+    step; a subtree that misses [a, b] is never entered.  Pieces come
+    from the depth-d cover, except that with ``whole`` a piece wholly
+    inside [a, b] is yielded at its own step; without it, its subtree is
+    expanded level by level, free of window tests.  With ``whole``, or
+    for a point, the first piece costs O(d): a window meeting a left
+    child holds the child's right end, which every deeper cover keeps,
+    or ends before the right sibling, which its window test prunes.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    # The host as numerators over root_den = 4 * base.  Endpoints at step s
+    # share root_den * 4^s, so scaling by 4 per step makes the numerator
+    # ``half`` that ``_children`` removes beside a midpoint a constant.
+    root_den, half = 4 * base, 4 * removed
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    stack = [(4 * lo, 4 * hi, 0)]
+    while stack:
+        lo, hi, step = stack.pop()
+        den = root_den << 2 * step
+        if hi * ad < an * den or bn * den < lo * bd:
+            continue
+        if an * den <= lo * ad and hi * bd <= bn * den:
+            if whole:
+                yield lo, hi, den, step
+                continue
+            parts = [(lo, hi)]
+            for _ in range(step, depth):
+                parts = [child for lo, hi in parts for child in _children(lo, hi, half)]
+            den = root_den << 2 * depth
+            for lo, hi in parts:
+                yield lo, hi, den, depth
+        elif step == depth:
+            yield lo, hi, den, step
+        else:
+            left, right = _children(lo, hi, half)
+            stack.append((*right, step + 1))
+            stack.append((*left, step + 1))
+
+
 @dataclass(frozen=True)
 class FatCantorSet:
     """A Cantor-type set of positive measure over a rational host interval.
@@ -104,51 +149,12 @@ class FatCantorSet:
         return (1 - self.retained_fraction) * self.length / 2**depth
 
     def _walk(self, a: Fraction, b: Fraction, depth: int, whole: bool = False):
-        """Yield (lo, hi, den, step) for the cover pieces meeting [a, b], left to right.
-
-        lo and hi are numerators over den, the denominator of the piece's
-        step; a subtree that misses [a, b] is never entered.  Pieces come
-        from the depth-d cover, except that with ``whole`` a piece wholly
-        inside [a, b] is yielded at its own step; without it, its subtree is
-        expanded level by level, free of window tests.  With ``whole``, or
-        for a point, the first piece costs O(d): a window meeting a left
-        child holds the child's right end, which every deeper cover keeps,
-        or ends before the right sibling, which its window test prunes.
-        """
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        # The host as numerators (lo, hi) over root_den = 4 * B, with B the
-        # common denominator of its ends and the removed length.  Endpoints
-        # at step s share root_den * 4^s, so scaling by 4 per step makes the
-        # numerator ``half`` that ``_children`` removes beside a midpoint a
-        # constant: 4 * (1-rho) * L * B.
+        """``_cover_walk`` over this set's host, its ends and removed length
+        as numerators over B, the common denominator of all three."""
         removed = (1 - self.retained_fraction) * self.length
         base = lcm(self.host.lo.denominator, self.host.hi.denominator, removed.denominator)
-        root_den, half = 4 * base, 4 * removed.numerator * (base // removed.denominator)
-        lo, hi = (end.numerator * (root_den // end.denominator) for end in (self.host.lo, self.host.hi))
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        stack = [(lo, hi, 0)]
-        while stack:
-            lo, hi, step = stack.pop()
-            den = root_den << 2 * step
-            if hi * ad < an * den or bn * den < lo * bd:
-                continue
-            if an * den <= lo * ad and hi * bd <= bn * den:
-                if whole:
-                    yield lo, hi, den, step
-                    continue
-                parts = [(lo, hi)]
-                for _ in range(step, depth):
-                    parts = [child for lo, hi in parts for child in _children(lo, hi, half)]
-                den = root_den << 2 * depth
-                for lo, hi in parts:
-                    yield lo, hi, den, depth
-            elif step == depth:
-                yield lo, hi, den, step
-            else:
-                left, right = _children(lo, hi, half)
-                stack.append((*right, step + 1))
-                stack.append((*left, step + 1))
+        lo, hi = (end.numerator * (base // end.denominator) for end in (self.host.lo, self.host.hi))
+        return _cover_walk(lo, hi, removed.numerator * (base // removed.denominator), base, a, b, depth, whole)
 
     def svc_cover(self, depth: int) -> IntervalSet:
         """The depth-d cover: 2^d closed intervals whose intersection is F.

@@ -58,6 +58,7 @@ disjoint either way.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,7 +69,7 @@ from operator import ge, mul, sub
 from typing import Callable, Iterable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
-from .cantor import _GAP_DEPTHS
+from .cantor import _GAP_DEPTHS, _cover_walk
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
@@ -389,24 +390,28 @@ class SplittingPartition:
     def __init__(self, gap_cap: Fraction, stages: tuple[StageRecord, ...], translation: int = 0):
         self.gap_cap = gap_cap
         self.translation = translation
-        self.stages: tuple[StageRecord, ...] = ()
+        self.stages: tuple[StageRecord, ...] = tuple(stages)
+        self._masses: tuple[int, list[int]] | None = None
         # The gap index: records sorted by gap.lo, their gap ends as integers
         # over one common denominator _den, and _reach, the running max of
         # _his.  Every closure before closure j ends by _reach[j-1], so
         # _los[j] - _reach[j-1], when positive, is the free room just left of
         # closure j; a closure nested in an earlier one gives none.  A running
-        # max is sorted, so both window queries bisect _reach and _los.
-        self._by_lo: list[StageRecord] = []
-        self._los: list[int] = []
-        self._his: list[int] = []
-        self._reach: list[int] = []
-        self._den = 1
-        self._masses: tuple[int, list[int]] | None = None
-        for record in stages:
-            self._add(record)
+        # max is sorted, so both window queries bisect _reach and _los.  The
+        # stages given are indexed in one sort, stable so that equal left ends
+        # keep stage order as ``_add``'s insertions do.
+        gaps = [record.gap for record in self.stages]
+        self._den = den = lcm(*(end.denominator for gap in gaps for end in (gap.lo, gap.hi)))
+        los = [gap.lo.numerator * (den // gap.lo.denominator) for gap in gaps]
+        his = [gap.hi.numerator * (den // gap.hi.denominator) for gap in gaps]
+        order = sorted(range(len(gaps)), key=los.__getitem__)
+        self._by_lo = [self.stages[i] for i in order]
+        self._los = [los[i] for i in order]
+        self._his = [his[i] for i in order]
+        self._reach = list(accumulate(self._his, max))
 
     def _add(self, record: StageRecord) -> None:
-        """Append the next stage and index its gap; only during construction.
+        """Append the next stage and index its gap; only during a build.
 
         A gap end whose denominator does not divide ``_den`` rescales the
         index to a common multiple with as many spare bits as ``_den`` had,
@@ -893,18 +898,27 @@ def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
 # of the piece endpoints, and a v1 load must find exactly those.  ``saves``
 # writes v1 unless asked for v2; ``clarkesat build`` writes v2; ``loads``
 # reads both.  A load trusts nothing: each stage must be one a build could
-# have placed (``_check_stage``).  A stage line is parsed into the record's
-# two gap ends and its gap, once; the check then works on integers: the
-# reduced ends a/b, c/d against I_n's ends from ``_enumeration_ends`` by
-# cross-multiplication, the length and grid by two divisions, and the
-# earlier closures the gap meets by one ``stages_overlapping`` query, empty
-# for a depth-0 stage.  Only a dug stage builds its closure and walks, in
-# O(depth_used), the cover of each earlier piece it touches.
+# have placed (``_check_stage``).  It reads the stage lines in one pass: a
+# canonical v2 line ``n=n gap=a/b,c/d depth=depth`` goes straight into
+# integers by one regular expression, any other line through the generic
+# ``_parse_stage_line``, and ``_check_gap`` tests the stage's shape on those
+# integers: a/b, c/d against I_n's ends from ``_enumeration_ends`` by
+# cross-multiplication, the length and grid by two divisions.  The stages
+# read are then indexed in one sort, and ``_check_covers`` asks that index,
+# once per stage, which earlier closures the gap meets: none for a depth-0
+# stage.  Only a dug stage walks, in O(depth_used), the cover of each
+# earlier piece it touches, the piece's host taken from its stage's integer
+# geometry.  The first bad line in file order decides the error.
 # ---------------------------------------------------------------------------
 
 
 def saves(partition: SplittingPartition, *, version: int = 1) -> str:
-    """The partition as SPLITPART text: version 1 (the default) or 2."""
+    """The partition as SPLITPART text: version 1 (the default) or 2.
+
+    A v1 file lists every planted set, so it grows with the O(N^2) planted
+    pieces (about 55 MB at 500 stages); a v2 file holds one line per stage
+    and grows with the O(N) stages (about 630 KB at 1000).
+    """
     if version not in (1, 2):
         raise ValueError(f"no SPLITPART version {version}; versions are 1 and 2")
     lines = [
@@ -949,7 +963,9 @@ def loads(text: str) -> SplittingPartition:
 
     A v2 file's sha256 line must match its stage lines; a v1 stage line's
     set records must be the ones its gap implies.  Every stage of either
-    version must pass ``_check_stage`` before it is added.
+    version must pass ``_check_stage``: its shape as its line is read, and
+    its cover tests once the lines before the first bad one are indexed, so
+    a bad line's error waits for the cover tests of the lines above it.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     version = {"SPLITPART v1": 1, "SPLITPART v2": 2}.get(lines[0]) if lines else None
@@ -971,12 +987,49 @@ def loads(text: str) -> SplittingPartition:
     if len(stage_lines) != declared:
         raise ValueError(f"expected {declared} stages, found {len(stage_lines)}")
     translation = _parsed(header, "translation", int, "an integer", "header")
-    partition = SplittingPartition(gap_cap, (), translation)
+    records, failure = [], None
     for position, (line, target) in enumerate(zip(stage_lines, _enumeration_ends(1)), 1):
-        record = _parse_stage_line(line, f"stage line {position}", version)
-        _check_stage(partition, record, target)
-        partition._add(record)
+        try:
+            records.append(_read_stage(line, position, version, target, gap_cap))
+        except ValueError as exc:
+            failure = exc
+            break
+    partition = SplittingPartition(gap_cap, tuple(records), translation)
+    _check_covers(partition)
+    if failure is not None:
+        raise failure
     return partition
+
+
+_STAGE_LINE = re.compile(r"n=([0-9]+) gap=([0-9]+)/([0-9]+),([0-9]+)/([0-9]+) depth=([0-9]+)")
+
+
+def _read_stage(line: str, position: int, version: int, target: tuple[int, int, int, int],
+                gap_cap: Fraction) -> StageRecord:
+    """Stage line ``position`` as a record whose shape ``_check_gap`` passed:
+    a canonical v2 line read into integers, any other by ``_parse_stage_line``."""
+    stage = _canonical_stage(line) if version == 2 else None
+    if stage is None:
+        record = _parse_stage_line(line, f"stage line {position}", version)
+        _check_gap(_stage_ints(record), position, target, gap_cap)
+        return record
+    _check_gap(stage, position, target, gap_cap)
+    n, a, b, c, d, depth = stage
+    return StageRecord(n, Interval(Fraction(a, b), Fraction(c, d), False, False), depth)
+
+
+def _canonical_stage(line: str) -> tuple[int, int, int, int, int, int] | None:
+    """(n, a, b, c, d, depth) of a line ``n=n gap=a/b,c/d depth=depth`` in
+    decimal digits with b, d > 0 and a/b < c/d; None for any other line,
+    whose error or record ``_parse_stage_line`` gives."""
+    match = _STAGE_LINE.fullmatch(line)
+    if match is None:
+        return None
+    try:
+        n, a, b, c, d, depth = map(int, match.groups())
+    except ValueError:  # more digits than int() converts: the generic parser words the error
+        return None
+    return (n, a, b, c, d, depth) if b and d and a * d < c * b else None
 
 
 def _fields(tokens: list[str], keys: tuple[str, ...], where: str) -> dict[str, str]:
@@ -1020,57 +1073,106 @@ def _parse_stage_line(line: str, where: str, version: int) -> StageRecord:
     return record
 
 
+def _stage_ints(record: StageRecord) -> tuple[int, int, int, int, int, int]:
+    """(n, a, b, c, d, depth_used): the record with its gap a/b < c/d."""
+    lo, hi = record.gap.lo, record.gap.hi
+    return record.n, lo.numerator, lo.denominator, hi.numerator, hi.denominator, record.depth_used
+
+
 def _check_stage(partition: SplittingPartition, record: StageRecord, target: tuple[int, int, int, int]) -> None:
     """Raise ValueError unless a build could place the record after the partition's stages.
 
-    Checks what the construction guarantees: stages come numbered 1..N; the
-    gap lies strictly inside I_n = (p/q, r/s), the target; its length is
-    1/(3*2^j) with 2^-j <= min(2^-n, gap_cap) and its midpoint lies on the
-    2^-(j+4) grid (``_shrink_gap``); depth_used is 0 exactly when no earlier
-    gap closure meets this gap's closure, and is a depth ``find_gap`` tries
-    otherwise; the closure misses every piece cover, at depth_used, of each
-    earlier stage it meets; and it meets one at each shallower depth
-    ``find_gap`` tries, since ``find_gap`` returns the first depth that
-    exposes a gap.  All but the cover tests compare integers: the gap is
-    a/b < c/d, reduced, and one ``stages_overlapping`` query lists the
-    earlier closures meeting it: none at depth 0, else the cover tests' stages.
+    Checks what the construction guarantees: ``_check_gap`` tests the
+    stage's number, depth and gap shape, and ``_check_cover`` tests its gap
+    against the earlier stages' gaps and planted sets.
     """
-    n, gap, depth = record.n, record.gap, record.depth_used
-    if n != partition.stage_count + 1:
-        raise ValueError(f"stage {n} line: expected stage {partition.stage_count + 1}")
-    a, b, c, d = gap.lo.numerator, gap.lo.denominator, gap.hi.numerator, gap.hi.denominator
+    _check_gap(_stage_ints(record), partition.stage_count + 1, target, partition.gap_cap)
+    _check_cover(record, partition.stages_overlapping(record.gap))
+
+
+def _check_gap(stage: tuple[int, int, int, int, int, int], expected: int, target: tuple[int, int, int, int],
+               gap_cap: Fraction) -> None:
+    """Raise ValueError unless stage (n, a, b, c, d, depth), with its gap
+    a/b < c/d over b, d > 0, has the shape a build gives stage ``expected``.
+
+    Stages come numbered 1..N; the gap lies strictly inside I_n = (p/q, r/s),
+    the target; its length is 1/(3*2^j) with 2^-j <= min(2^-n, gap_cap) and
+    its midpoint lies on the 2^-(j+4) grid (``_shrink_gap``); depth is one
+    ``find_gap`` tries, or 0.  Every test compares integers, none of which
+    needs a/b or c/d reduced; a failing one builds the gap for its message.
+    """
+    n, a, b, c, d, depth = stage
+    if n != expected:
+        raise ValueError(f"stage {n} line: expected stage {expected}")
     p, q, r, s = target
     if not (p * b < a * q and c * s < r * d):
-        raise ValueError(f"stage {n}: gap {gap} does not lie strictly inside I_{n} = {_open(*target)}")
-    whole, part = divmod(b * d, c * b - a * d)  # the length is 1/whole when part is 0
+        raise ValueError(f"stage {n}: gap {_open(a, b, c, d)} does not lie strictly inside I_{n} = {_open(*target)}")
+    ad, cb, bd = a * d, c * b, b * d
+    whole, part = divmod(bd, cb - ad)  # the length is 1/whole when part is 0
     grid, rem = divmod(whole, 3)  # 2^j when the length is 1/(3*2^j)
     j = grid.bit_length() - 1
-    cap = partition.gap_cap
-    if part or rem or grid != 1 << j or j < n or cap.denominator > grid * cap.numerator:
+    if part or rem or grid != 1 << j or j < n or gap_cap.denominator > grid * gap_cap.numerator:
         raise ValueError(
-            f"stage {n}: gap length {gap.length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
+            f"stage {n}: gap length {_open(a, b, c, d).length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
         )
-    if (a * d + c * b) * 8 * grid % (b * d):  # the midpoint (ad + cb)/(2bd) times 2^(j+4)
-        raise ValueError(f"stage {n}: gap midpoint {gap.midpoint} is off the 2^-{j + 4} grid")
+    if (ad + cb) * 8 * grid % bd:  # the midpoint (ad + cb)/(2bd) times 2^(j+4)
+        raise ValueError(f"stage {n}: gap midpoint {_open(a, b, c, d).midpoint} is off the 2^-{j + 4} grid")
     if depth not in (0, *_GAP_DEPTHS):
         raise ValueError(f"stage {n}: depth {depth} is not a depth the gap search tries")
-    earlier = partition.stages_overlapping(gap)
+
+
+def _check_covers(partition: SplittingPartition) -> None:
+    """``_check_cover`` for each stage in order: the first failing one raises.
+
+    Each stage's ``stages_overlapping`` query is kept to the stages numbered
+    below it.  A closure that no closure before it in the index reaches
+    (``_reach``) and inside which the next one does not start meets no
+    other closure: such a stage, most of them, needs no query.
+    """
+    los, his, reach, last = partition._los, partition._his, partition._reach, len(partition._los) - 1
+    alone = {record.n for j, record in enumerate(partition._by_lo)
+             if (j == 0 or reach[j - 1] < los[j]) and (j == last or his[j] < los[j + 1])}
+    for record in partition.stages:
+        n = record.n
+        _check_cover(record, [] if n in alone else [o for o in partition.stages_overlapping(record.gap) if o.n < n])
+
+
+def _check_cover(record: StageRecord, earlier: list[StageRecord]) -> None:
+    """Raise ValueError unless the record's gap sits as ``find_gap`` leaves it
+    among ``earlier``, the stages before it whose gap closures meet its own.
+
+    depth_used is 0 exactly when there are none; the closure misses every
+    piece cover, at depth_used, of each earlier stage it meets; and it
+    meets one at each shallower depth ``find_gap`` tries, since
+    ``find_gap`` returns the first depth that exposes a gap.
+    """
+    n, gap, depth = record.n, record.gap, record.depth_used
     if not earlier:
         if depth:
             raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
         return
-    closure = gap.closure()
-    pieces = [
-        (other.n, i, partition.piece_set(other.n, i))
-        for other in earlier
-        for i in _pieces_touching(other, a, b, c, d)
-    ]
-    for other_n, i, piece in pieces:
-        if piece.cover_meets(closure, depth):
-            raise ValueError(f"stage {n}: gap {gap} meets the depth-{depth} cover of stage {other_n} piece {i}")
+    _, a, b, c, d, _ = _stage_ints(record)
+    pieces = [(other, i) for other in earlier for i in _pieces_touching(other, a, b, c, d)]
+    for other, i in pieces:
+        if _cover_meets(other, i, gap, depth):
+            raise ValueError(f"stage {n}: gap {gap} meets the depth-{depth} cover of stage {other.n} piece {i}")
     for shallower in _GAP_DEPTHS[:_GAP_DEPTHS.index(depth)] if depth else ():
-        if not any(piece.cover_meets(closure, shallower) for _, _, piece in pieces):
+        if not any(_cover_meets(other, i, gap, shallower) for other, i in pieces):
             raise ValueError(f"stage {n}: depth {depth}, but its gap misses every depth-{shallower} cover")
+
+
+_REMOVED = 1 - RETAINED  # the share of a planted set's host its removed middles take
+
+
+def _cover_meets(record: StageRecord, i: int, window: Interval, depth: int) -> bool:
+    """``piece_set(record.n, i).cover_meets(window, depth)`` on the stage's
+    integer geometry: piece i is [start + i*step, start + (i+1)*step] over
+    den, and its planted set's removed middles total step * _REMOVED."""
+    start, step, den = record.geometry
+    lo = (start + i * step) * _REMOVED.denominator
+    walk = _cover_walk(lo, lo + step * _REMOVED.denominator, step * _REMOVED.numerator, den * _REMOVED.denominator,
+                       window.lo, window.hi, depth, whole=True)
+    return next(walk, None) is not None
 
 
 def _pieces_touching(record: StageRecord, a: int, b: int, c: int, d: int) -> range:
@@ -1119,21 +1221,20 @@ def hosts_pairwise_disjoint(partition: SplittingPartition) -> bool:
 def planted_sets_pairwise_disjoint(partition: SplittingPartition) -> bool:
     """Whether every stage is one a build could place after the stages before it.
 
-    Replays the load check ``_check_stage`` stage by stage against the
-    prefix before it.  A stage passing it has a gap that misses every
-    earlier gap closure, or one dug at ``depth_used`` out of earlier
-    stages' removed middles, clear of their depth-``depth_used`` piece
-    covers; either way its planted sets miss every earlier stage's.  Unlike
-    ``hosts_pairwise_disjoint`` this stays True once gaps nest (stage 37 at
-    gap_cap 1).
+    Runs the load check: ``_check_gap`` on each stage, then the one cover
+    loop ``_check_covers`` over the partition's own index.  A stage passing
+    it has a gap that misses every earlier gap closure, or one dug at
+    ``depth_used`` out of earlier stages' removed middles, clear of their
+    depth-``depth_used`` piece covers; either way its planted sets miss
+    every earlier stage's.  Unlike ``hosts_pairwise_disjoint`` this stays
+    True once gaps nest (stage 37 at gap_cap 1).
     """
-    prefix = SplittingPartition(partition.gap_cap, (), partition.translation)
-    for record, target in zip(partition.stages, _enumeration_ends(1)):
-        try:
-            _check_stage(prefix, record, target)
-        except ValueError:
-            return False
-        prefix._add(record)
+    try:
+        for position, (record, target) in enumerate(zip(partition.stages, _enumeration_ends(1)), 1):
+            _check_gap(_stage_ints(record), position, target, partition.gap_cap)
+        _check_covers(partition)
+    except ValueError:
+        return False
     return True
 
 

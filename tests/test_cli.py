@@ -503,3 +503,19 @@ def test_stress_with_negative_steps_exits_2_without_an_oracle_call(partition_fil
     assert code == 2
     assert capsys.readouterr().err == "error: steps must be >= 0\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("measure", "--k", "1", "--window", "1/4"), "bad window '1/4'; expected lo,hi"),
+    (("eval", "--mu", "0:1/1", "--x", "1/2", "--tol", "0/1"), "tolerance must be positive"),
+    (("measure", "--k", "1", "--window", "1/4,3/4", "--tol=-1/8"), "tolerance must be positive"),
+    (("eval", "--mu", "0:1/1", "--x", "1/2,3/8", "--x0", "1/2"), "x0 must match the point's dimension"),
+    (("certify", "--mu", "0:3/1", "--point", "1/2", "--radius", "1/4", "--shift", "2/1"),
+     "--shift requires --shift-radius"),
+], ids=["bad-window", "zero-tol", "negative-tol", "x0-dimension", "shift-without-radius"])
+def test_an_input_guard_exits_2_without_a_traceback(partition_file, capsys, argv, message):
+    command, *options = argv
+    assert run_cli(command, "--partition", partition_file, *options) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err and captured.out == ""

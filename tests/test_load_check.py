@@ -27,6 +27,7 @@ from clarkesat.partition import (
     _parsed,
     _pieces_touching,
     build_partition,
+    enumerated_interval,
     loads,
     saves,
 )
@@ -252,3 +253,73 @@ def test_two_meeting_depth_0_gaps_are_not_disjoint():
               StageRecord(2, Interval.open(F(37, 64) - F(1, 24), F(37, 64) + F(1, 24)), 0))
     assert not planted_sets_pairwise_disjoint(SplittingPartition(ONE, stages))
     assert planted_sets_pairwise_disjoint(SplittingPartition(ONE, stages[:1]))
+
+
+# ---------------------------------------------------------------------------
+# The canonical-line reader against the generic parser at 400 stages
+# ---------------------------------------------------------------------------
+
+
+def _past_300_mutant(rng, lines):
+    """``_mutant`` kept to the stage lines past 300, the swaps among them too."""
+    return lines[:302] + _mutant(rng, ["", "", *lines[302:]], rng.choice(_KINDS))[2:]
+
+
+def _non_canonical(line):
+    """Spellings of one stage line that only the generic parser reads: the
+    valid ones first, then ones whose error it words."""
+    n, gap, depth = (token.partition("=")[2] for token in line.split())
+    (a, b), (c, d) = (end.split("/") for end in gap.split(","))
+    return [
+        f"n={n} gap={2 * int(a)}/{2 * int(b)},{3 * int(c)}/{3 * int(d)} depth={depth}",  # unreduced, as 10/24
+        f"gap={gap} n={n} depth={depth}",
+        f"depth={depth} gap={gap} n={n}",
+        f"n=0{n} gap=00{a}/0{b},{c}/000{d} depth=0{depth}",
+        f" n={n}  gap={gap}\tdepth={depth} ",
+        f"n={n} gap={a}/0,{c}/{d} depth={depth}",
+        f"n={n} gap={a}/{b},{c}/0 depth={depth}",
+        f"n={n} gap={c}/{d},{a}/{b} depth={depth}",
+        f"n={n} gap={a}/{b},{a}/{b} depth={depth}",
+        f"n={n} gap={a}/{b},{c}/{d}{'0' * 5000} depth={depth}",  # more digits than int() converts
+        f"n={n} gap={a}/{b},{c}/{d} depth=+{depth}",
+    ]
+
+
+def _relabel_verdict(prefix, line):
+    """``_reference_loads``' verdict on a valid v2 text with the line of stage
+    n = prefix.stage_count + 1 replaced by ``line``, which only relabels its
+    depth.  The lines before it are the valid file's, so ``_reference_loads``
+    reaches stage n with their ``prefix``, and its verdict is
+    ``_reference_check_stage``'s there; should that pass, None: load the text."""
+    n = prefix.stage_count + 1
+    record = StageRecord(n, Interval.open(*map(parse_rational, re.search(r"gap=(\S+)", line)[1].split(","))),
+                         int(line.rpartition("=")[2]))
+    try:
+        _reference_check_stage(prefix, record, enumerated_interval(n))
+    except ValueError as exc:
+        return "rejected", str(exc)
+    return None
+
+
+def test_the_canonical_line_reader_and_the_generic_parser_agree_past_stage_300():
+    lines = saves(build_partition(400), version=2).splitlines()[:-1]
+    reference = _reference_loads(_rehashed(lines))
+    past = range(302, len(lines))  # the lines of stages 301..400
+    dug = [i for i in past if not lines[i].endswith(" depth=0")]
+    cases = []  # (text, the reference verdict or None to load the text by the reference)
+    for i in dug:
+        prefix = SplittingPartition(reference.gap_cap, reference.stages[:i - 2])  # stages 1..n-1 of n = i - 1
+        for depth in (0, *_GAP_DEPTHS):
+            if not lines[i].endswith(f" depth={depth}"):
+                line = re.sub(r"\d+$", str(depth), lines[i])
+                cases.append((_rehashed(lines[:i] + [line] + lines[i + 1:]), _relabel_verdict(prefix, line)))
+    rng = random.Random(400)
+    cases += [(_rehashed(_past_300_mutant(rng, lines)), None) for _ in range(12)]
+    for i in (dug[-1], next(i for i in reversed(past) if i not in dug)):
+        cases += [(_rehashed(lines[:i] + [line] + lines[i + 1:]), None) for line in _non_canonical(lines[i])]
+    verdicts = {}
+    for text, expected in cases:
+        verdict = _verdict(loads, text)
+        assert verdict == (expected or _verdict(_reference_loads, text)), text
+        verdicts[verdict[0]] = verdicts.get(verdict[0], 0) + 1
+    assert len(dug) >= 20 and verdicts["accepted"] >= 12 and verdicts["rejected"] >= 160, verdicts

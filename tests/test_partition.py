@@ -20,6 +20,7 @@ from clarkesat.partition import (
     extend_partition,
     first_index_inside,
     hosts_pairwise_disjoint,
+    planted_sets_pairwise_disjoint,
     loads,
     measure_in,
     membership,
@@ -809,3 +810,28 @@ def test_membership_rejects_a_negative_depth_at_every_point():
                 query()
     answer = p30.membership(Fraction(0), 0)
     assert (answer.kind, answer.k, answer.stage) == ("A", 0, None)
+
+
+# ---------------------------------------------------------------------------
+# 2000 stages: past the first depth-8 dig, at stage 1515
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def build_2000():
+    return build_partition(2000)
+
+
+def test_build_2000_holds_the_first_depth_8_dig(build_2000):
+    assert next(r.n for r in build_2000.stages if r.depth_used == 8) == 1515
+    assert hashlib.sha256(saves(build_2000, version=2).encode("ascii")).hexdigest() == (
+        "74314b031700f0215d4841e777729dba6ec3b098b53335f55dd4ae2e94049a8f")
+
+
+def test_v2_round_trip_and_planted_sets_at_2000_stages(build_2000):
+    assert loads(saves(build_2000, version=2)).stages == build_2000.stages
+    assert planted_sets_pairwise_disjoint(build_2000)
+
+
+def test_extending_a_loaded_1000_stage_file_to_2000_stages(build_1000, build_2000):
+    assert extend_partition(loads(saves(build_1000, version=2)), 2000).stages == build_2000.stages
