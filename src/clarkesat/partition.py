@@ -894,21 +894,10 @@ def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
 # stage, which fixes the stage completely, and a last ``sha256=<hex>`` line
 # over the stage lines, each ending in a newline.  A v1 stage line carries
 # the same three tokens followed by the n+1 planted sets, every one of which
-# follows from the gap; ``_set_records`` formats them from the integer form
-# of the piece endpoints, and a v1 load must find exactly those.  ``saves``
+# follows from the gap, so a v1 load must find exactly those.  ``saves``
 # writes v1 unless asked for v2; ``clarkesat build`` writes v2; ``loads``
-# reads both.  A load trusts nothing: each stage must be one a build could
-# have placed (``_check_stage``).  It reads the stage lines in one pass: a
-# canonical v2 line ``n=n gap=a/b,c/d depth=depth`` goes straight into
-# integers by one regular expression, any other line through the generic
-# ``_parse_stage_line``, and ``_check_gap`` tests the stage's shape on those
-# integers: a/b, c/d against I_n's ends from ``_enumeration_ends`` by
-# cross-multiplication, the length and grid by two divisions.  The stages
-# read are then indexed in one sort, and ``_check_covers`` asks that index,
-# once per stage, which earlier closures the gap meets: none for a depth-0
-# stage.  Only a dug stage walks, in O(depth_used), the cover of each
-# earlier piece it touches, the piece's host taken from its stage's integer
-# geometry.  The first bad line in file order decides the error.
+# reads both and trusts nothing: each stage must be one a build could have
+# placed after the stages before it.
 # ---------------------------------------------------------------------------
 
 
@@ -917,7 +906,9 @@ def saves(partition: SplittingPartition, *, version: int = 1) -> str:
 
     A v1 file lists every planted set, so it grows with the O(N^2) planted
     pieces (about 55 MB at 500 stages); a v2 file holds one line per stage
-    and grows with the O(N) stages (about 630 KB at 1000).
+    and grows with the O(N) stages (about 630 KB at 1000).  A number longer
+    than the caller's limit on int/str conversion raises ValueError, as in
+    ``loads``.
     """
     if version not in (1, 2):
         raise ValueError(f"no SPLITPART version {version}; versions are 1 and 2")
@@ -962,10 +953,17 @@ def loads(text: str) -> SplittingPartition:
     """Parse and check SPLITPART v1 or v2; every malformed input raises ValueError.
 
     A v2 file's sha256 line must match its stage lines; a v1 stage line's
-    set records must be the ones its gap implies.  Every stage of either
-    version must pass ``_check_stage``: its shape as its line is read, and
-    its cover tests once the lines before the first bad one are indexed, so
+    set records must be the ones its gap implies.  Each stage line becomes a
+    ``StageRecord``, a canonical v2 line through one regular expression and
+    any other through ``_parse_stage_line``, and ``_check_gap`` tests its
+    shape as it is read.  The records before the first bad line are then
+    indexed, and ``_check_covers`` tests each against the earlier stages, so
     a bad line's error waits for the cover tests of the lines above it.
+
+    A number longer than the caller's limit on int/str conversion
+    (``sys.get_int_max_str_digits``, 4,300 digits by default) reads as
+    malformed; the library keeps that limit, and the ``clarkesat`` command
+    lifts it while it runs.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     version = {"SPLITPART v1": 1, "SPLITPART v2": 2}.get(lines[0]) if lines else None
@@ -990,10 +988,13 @@ def loads(text: str) -> SplittingPartition:
     records, failure = [], None
     for position, (line, target) in enumerate(zip(stage_lines, _enumeration_ends(1)), 1):
         try:
-            records.append(_read_stage(line, position, version, target, gap_cap))
+            record = ((_canonical_stage(line) if version == 2 else None)
+                      or _parse_stage_line(line, f"stage line {position}", version))
+            _check_gap(record, position, target, gap_cap)
         except ValueError as exc:
             failure = exc
             break
+        records.append(record)
     partition = SplittingPartition(gap_cap, tuple(records), translation)
     _check_covers(partition)
     if failure is not None:
@@ -1004,24 +1005,10 @@ def loads(text: str) -> SplittingPartition:
 _STAGE_LINE = re.compile(r"n=([0-9]+) gap=([0-9]+)/([0-9]+),([0-9]+)/([0-9]+) depth=([0-9]+)")
 
 
-def _read_stage(line: str, position: int, version: int, target: tuple[int, int, int, int],
-                gap_cap: Fraction) -> StageRecord:
-    """Stage line ``position`` as a record whose shape ``_check_gap`` passed:
-    a canonical v2 line read into integers, any other by ``_parse_stage_line``."""
-    stage = _canonical_stage(line) if version == 2 else None
-    if stage is None:
-        record = _parse_stage_line(line, f"stage line {position}", version)
-        _check_gap(_stage_ints(record), position, target, gap_cap)
-        return record
-    _check_gap(stage, position, target, gap_cap)
-    n, a, b, c, d, depth = stage
-    return StageRecord(n, Interval(Fraction(a, b), Fraction(c, d), False, False), depth)
-
-
-def _canonical_stage(line: str) -> tuple[int, int, int, int, int, int] | None:
-    """(n, a, b, c, d, depth) of a line ``n=n gap=a/b,c/d depth=depth`` in
-    decimal digits with b, d > 0 and a/b < c/d; None for any other line,
-    whose error or record ``_parse_stage_line`` gives."""
+def _canonical_stage(line: str) -> StageRecord | None:
+    """The record of a line ``n=n gap=a/b,c/d depth=depth`` in decimal digits
+    with b, d > 0 and a/b < c/d; None for any other line, whose record or
+    error ``_parse_stage_line`` gives."""
     match = _STAGE_LINE.fullmatch(line)
     if match is None:
         return None
@@ -1029,7 +1016,9 @@ def _canonical_stage(line: str) -> tuple[int, int, int, int, int, int] | None:
         n, a, b, c, d, depth = map(int, match.groups())
     except ValueError:  # more digits than int() converts: the generic parser words the error
         return None
-    return (n, a, b, c, d, depth) if b and d and a * d < c * b else None
+    if not (b and d and a * d < c * b):
+        return None
+    return StageRecord(n, Interval(Fraction(a, b), Fraction(c, d), False, False), depth)
 
 
 def _fields(tokens: list[str], keys: tuple[str, ...], where: str) -> dict[str, str]:
@@ -1073,12 +1062,6 @@ def _parse_stage_line(line: str, where: str, version: int) -> StageRecord:
     return record
 
 
-def _stage_ints(record: StageRecord) -> tuple[int, int, int, int, int, int]:
-    """(n, a, b, c, d, depth_used): the record with its gap a/b < c/d."""
-    lo, hi = record.gap.lo, record.gap.hi
-    return record.n, lo.numerator, lo.denominator, hi.numerator, hi.denominator, record.depth_used
-
-
 def _check_stage(partition: SplittingPartition, record: StageRecord, target: tuple[int, int, int, int]) -> None:
     """Raise ValueError unless a build could place the record after the partition's stages.
 
@@ -1086,39 +1069,38 @@ def _check_stage(partition: SplittingPartition, record: StageRecord, target: tup
     stage's number, depth and gap shape, and ``_check_cover`` tests its gap
     against the earlier stages' gaps and planted sets.
     """
-    _check_gap(_stage_ints(record), partition.stage_count + 1, target, partition.gap_cap)
+    _check_gap(record, partition.stage_count + 1, target, partition.gap_cap)
     _check_cover(record, partition.stages_overlapping(record.gap))
 
 
-def _check_gap(stage: tuple[int, int, int, int, int, int], expected: int, target: tuple[int, int, int, int],
-               gap_cap: Fraction) -> None:
-    """Raise ValueError unless stage (n, a, b, c, d, depth), with its gap
-    a/b < c/d over b, d > 0, has the shape a build gives stage ``expected``.
+def _check_gap(record: StageRecord, expected: int, target: tuple[int, int, int, int], gap_cap: Fraction) -> None:
+    """Raise ValueError unless the record has the shape a build gives stage ``expected``.
 
     Stages come numbered 1..N; the gap lies strictly inside I_n = (p/q, r/s),
     the target; its length is 1/(3*2^j) with 2^-j <= min(2^-n, gap_cap) and
     its midpoint lies on the 2^-(j+4) grid (``_shrink_gap``); depth is one
-    ``find_gap`` tries, or 0.  Every test compares integers, none of which
-    needs a/b or c/d reduced; a failing one builds the gap for its message.
+    ``find_gap`` tries, or 0.  Every test compares integers read from the
+    gap's ends a/b < c/d.
     """
-    n, a, b, c, d, depth = stage
+    n, gap = record.n, record.gap
     if n != expected:
         raise ValueError(f"stage {n} line: expected stage {expected}")
+    a, b, c, d = gap.lo.numerator, gap.lo.denominator, gap.hi.numerator, gap.hi.denominator
     p, q, r, s = target
     if not (p * b < a * q and c * s < r * d):
-        raise ValueError(f"stage {n}: gap {_open(a, b, c, d)} does not lie strictly inside I_{n} = {_open(*target)}")
+        raise ValueError(f"stage {n}: gap {gap} does not lie strictly inside I_{n} = {_open(*target)}")
     ad, cb, bd = a * d, c * b, b * d
     whole, part = divmod(bd, cb - ad)  # the length is 1/whole when part is 0
     grid, rem = divmod(whole, 3)  # 2^j when the length is 1/(3*2^j)
     j = grid.bit_length() - 1
     if part or rem or grid != 1 << j or j < n or gap_cap.denominator > grid * gap_cap.numerator:
         raise ValueError(
-            f"stage {n}: gap length {_open(a, b, c, d).length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
+            f"stage {n}: gap length {gap.length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
         )
     if (ad + cb) * 8 * grid % bd:  # the midpoint (ad + cb)/(2bd) times 2^(j+4)
-        raise ValueError(f"stage {n}: gap midpoint {_open(a, b, c, d).midpoint} is off the 2^-{j + 4} grid")
-    if depth not in (0, *_GAP_DEPTHS):
-        raise ValueError(f"stage {n}: depth {depth} is not a depth the gap search tries")
+        raise ValueError(f"stage {n}: gap midpoint {gap.midpoint} is off the 2^-{j + 4} grid")
+    if record.depth_used not in (0, *_GAP_DEPTHS):
+        raise ValueError(f"stage {n}: depth {record.depth_used} is not a depth the gap search tries")
 
 
 def _check_covers(partition: SplittingPartition) -> None:
@@ -1151,8 +1133,9 @@ def _check_cover(record: StageRecord, earlier: list[StageRecord]) -> None:
         if depth:
             raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
         return
-    _, a, b, c, d, _ = _stage_ints(record)
-    pieces = [(other, i) for other in earlier for i in _pieces_touching(other, a, b, c, d)]
+    lo, hi = gap.lo, gap.hi
+    pieces = [(other, i) for other in earlier
+              for i in _pieces_touching(other, lo.numerator, lo.denominator, hi.numerator, hi.denominator)]
     for other, i in pieces:
         if _cover_meets(other, i, gap, depth):
             raise ValueError(f"stage {n}: gap {gap} meets the depth-{depth} cover of stage {other.n} piece {i}")
@@ -1231,7 +1214,7 @@ def planted_sets_pairwise_disjoint(partition: SplittingPartition) -> bool:
     """
     try:
         for position, (record, target) in enumerate(zip(partition.stages, _enumeration_ends(1)), 1):
-            _check_gap(_stage_ints(record), position, target, partition.gap_cap)
+            _check_gap(record, position, target, partition.gap_cap)
         _check_covers(partition)
     except ValueError:
         return False

@@ -8,7 +8,15 @@ from fractions import Fraction
 import pytest
 
 from clarkesat.cli import EXIT_CERTIFICATE, main
-from clarkesat.partition import SplittingPartition, StageRecord, build_partition, enumerated_interval, save, saves
+from clarkesat.partition import (
+    SplittingPartition,
+    StageRecord,
+    build_partition,
+    enumerated_interval,
+    planted_sets_pairwise_disjoint,
+    save,
+    saves,
+)
 from clarkesat.rationals import Interval
 from clarkesat.verifier import SaturationCertificate
 
@@ -519,3 +527,24 @@ def test_an_input_guard_exits_2_without_a_traceback(partition_file, capsys, argv
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_cli_reads_numbers_past_the_default_int_digit_limit(tmp_path, capsys):
+    # A stage-1 gap of length 1/(3*2^14300) centred at 1/2: valid, and its
+    # ends have about 4,300 digits, past the interpreter's default limit.
+    partition = SplittingPartition(Fraction(1), (_centered(1, _HALF, Fraction(1, 3 * 2**14300)),))
+    assert planted_sets_pairwise_disjoint(partition)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        save(partition, tmp_path / "deep.splitpart", version=2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    path = str(tmp_path / "deep.splitpart")
+    assert run_cli("certify", "--partition", path, "--mu", "0:1/1", "--point", "1/2", "--radius", "1/4") == 0
+    assert run_cli("measure", "--partition", path, "--k", "1", "--window", "1/4,3/4", "--tol", "1/2") == 0
+    assert capsys.readouterr().err == ""
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit

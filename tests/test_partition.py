@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 
 from clarkesat.cantor import Containment, FatCantorSet, _longest_part
 from clarkesat.errors import NotYetCovered, ToleranceExhausted
+from clarkesat import partition as partition_module
 from clarkesat.partition import (
     RETAINED,
     SplittingPartition,
     StageRecord,
+    _digest,
     _halving_exponent,
+    _piece_span,
+    _pieces_touching,
+    _shrink_gap,
     build_partition,
     enumerated_interval,
     enumeration_index,
@@ -30,6 +35,8 @@ from clarkesat.partition import (
     stage_tail_bound,
 )
 from clarkesat.rationals import ONE, Interval, IntervalSet, format_rational
+from test_integer_scan import fraction_piece_span
+from test_load_check import _reference_pieces
 
 
 @pytest.fixture(scope="module")
@@ -544,7 +551,7 @@ _HAND_MADE = SplittingPartition(ONE, tuple(
 
 def _reference_free(prefix, target):
     """The depth-0 search as it was: every overlapping closure, sorted and merged."""
-    closures = [record.gap.closure() for record in prefix.stages_overlapping(target)]
+    closures = [record.gap.closure() for record in _overlapping_by_brute_force(prefix, target)]
     obstruction = [part for c in closures if (part := c.intersect(target)) is not None]
     best = _longest_part(IntervalSet.of(obstruction).complement_within(target))
     return None if best is None else best.interior()
@@ -812,6 +819,21 @@ def test_membership_rejects_a_negative_depth_at_every_point():
     assert (answer.kind, answer.k, answer.stage) == ("A", 0, None)
 
 
+def test_membership_raises_when_two_stages_claim_one_point():
+    record = build_partition(1).stage(1)
+    host = record.piece_host(0)
+    twice = SplittingPartition(ONE, (record, record))
+    with pytest.raises(AssertionError, match=r"^disjointness violated: two stages claim one point$"):
+        twice.membership(host.lo + 3 * host.length / 8, 8)
+
+
+def test_shrink_gap_raises_when_the_gap_escapes_its_free_interval(monkeypatch):
+    # With j forced to 0 the gap has length 1/3, longer than the free interval.
+    monkeypatch.setattr(partition_module, "_halving_exponent", lambda bound: 0)
+    with pytest.raises(AssertionError, match="escaped its free interval"):
+        _shrink_gap(Interval.open(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 100)), 1, ONE)
+
+
 # ---------------------------------------------------------------------------
 # 2000 stages: past the first depth-8 dig, at stage 1515
 # ---------------------------------------------------------------------------
@@ -835,3 +857,84 @@ def test_v2_round_trip_and_planted_sets_at_2000_stages(build_2000):
 
 def test_extending_a_loaded_1000_stage_file_to_2000_stages(build_1000, build_2000):
     assert extend_partition(loads(saves(build_1000, version=2)), 2000).stages == build_2000.stages
+
+
+def _drawn_end(data, partition, record):
+    """A window end: a gap end of any stage, an end of the record's pieces,
+    or a dyadic grid point as fine as the deepest gaps' 2^-(j+4).  Indices
+    are drawn rather than sampled, so hypothesis hashes no stage."""
+    kind = data.draw(st.sampled_from(("gap", "piece", "dyadic")), label="kind")
+    if kind == "gap":
+        gap = partition.stage(data.draw(st.integers(1, partition.stage_count), label="stage")).gap
+        return gap.hi if data.draw(st.booleans(), label="hi") else gap.lo
+    if kind == "piece":
+        nums, den = record.endpoints()
+        return Fraction(nums[data.draw(st.integers(0, record.piece_count), label="piece end")], den)
+    m = data.draw(st.integers(0, partition.stage_count + 100), label="grid")
+    return Fraction(data.draw(st.integers(0, 2**m), label="grid point"), 2**m)
+
+
+def _drawn_record_and_window(data, partition):
+    """A stage and a window between two drawn ends, with any of its four closure kinds."""
+    record = partition.stage(data.draw(st.integers(1, partition.stage_count), label="record"))
+    lo, hi = sorted((_drawn_end(data, partition, record), _drawn_end(data, partition, record)))
+    if lo == hi:
+        return record, Interval.closed(lo, lo)
+    flags = data.draw(st.booleans(), label="lo_closed"), data.draw(st.booleans(), label="hi_closed")
+    return record, Interval(lo, hi, *flags)
+
+
+# Each example of the last two costs 50-100 ms: the references walk every
+# piece of a stage with up to 2001 pieces, or merge up to ~1000 closures.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stages_overlapping_and_piece_span_match_brute_force_at_2000_stages(build_2000, data):
+    record, window = _drawn_record_and_window(data, build_2000)
+    assert build_2000.stages_overlapping(window) == _overlapping_by_brute_force(build_2000, window)
+    assert _piece_span(record, window) == fraction_piece_span(record, window)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pieces_touching_matches_the_piece_hosts_at_2000_stages(build_2000, data):
+    record, window = _drawn_record_and_window(data, build_2000)
+    lo, hi = window.lo, window.hi
+    touching = _pieces_touching(record, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    assert list(touching) == _reference_pieces(record, lo, hi)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_longest_free_matches_the_merged_closures_at_2000_stages(build_2000, data):
+    record, window = _drawn_record_and_window(data, build_2000)
+    assume(window.lo < window.hi)
+    target = Interval.open(window.lo, window.hi)  # the gap search's targets are open
+    assert build_2000._longest_free(target) == _reference_free(build_2000, target)
+
+
+def _respelled(line):
+    """A stage line with its tokens reordered and tab-separated, and each gap
+    end's numerator and denominator multiplied by 3: only the generic parser reads it."""
+    n, gap, depth = (token.partition("=")[2] for token in line.split())
+    ends = ",".join(f"{3 * int(num)}/{3 * int(den)}" for num, den in (end.split("/") for end in gap.split(",")))
+    return f"depth={depth}\tgap={ends}\tn={n}"
+
+
+def _with_line(lines, i, line):
+    """The v2 text of ``lines`` with line i replaced, its sha256 line recomputed."""
+    lines = [*lines[:i], line, *lines[i + 1:]]
+    return "\n".join([*lines, f"sha256={_digest(lines[2:])}"]) + "\n"
+
+
+def test_both_stage_readers_agree_at_the_first_depth_8_dig(build_2000):
+    lines = saves(build_2000, version=2).splitlines()[:-1]
+    i = 1515 + 1  # lines[2] is stage 1
+    assert lines[i].startswith("n=1515 ") and lines[i].endswith(" depth=8")
+    assert loads(_with_line(lines, i, _respelled(lines[i]))).stages == build_2000.stages
+    relabelled = re.sub(r"depth=8$", "depth=4", lines[i])
+    errors = []
+    for line in (relabelled, _respelled(relabelled)):
+        with pytest.raises(ValueError, match=r"^stage 1515: ") as caught:
+            loads(_with_line(lines, i, line))
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
