@@ -26,11 +26,12 @@ from .functions import (
     eval_f1,
     parse_mu_spec,
     shift_to_ball,
+    unit_box,
 )
-from .partition import build_partition, load, save
+from .partition import build_partition, first_index_inside, load, save
 from .rationals import Interval, format_rational, parse_rational
 from .stress import run_subgradient, trajectory_csv
-from .verifier import certify_saturation
+from .verifier import certify_saturation, saturation_windows
 
 EXIT_USAGE = 2
 EXIT_NOT_YET_COVERED = 3
@@ -79,16 +80,18 @@ def _positive_tol(text: str) -> Fraction:
 
 
 def _function(
-    args, point_text: str | None, x0_text: str | None = None, tol_text: str | None = None
+    args, point_text: str | None, x0_text: str | None = None, tol_text: str | None = None,
+    stages: int | None = None,
 ) -> tuple[SaturatedFunction, tuple[Fraction, ...] | None, Fraction | None]:
     """The command's function, point and tolerance (None where not given).
 
     Inputs are read in a fixed order, which decides the error a bad command
-    line reports: --partition, --mu, the point, --x0, the tolerance, then
-    the dimension check.  d is the point's length, 1 without a point; x0
-    defaults to the domain box center.
+    line reports: --partition (its first ``stages`` stages when given, see
+    ``load``), --mu, the point, --x0, the tolerance, then the dimension
+    check.  d is the point's length, 1 without a point; x0 defaults to the
+    domain box center.
     """
-    partition = load(args.partition)
+    partition = load(args.partition, stages)
     mu = parse_mu_spec(args.mu)
     point = None if point_text is None else _parse_point(point_text)
     x0 = _parse_point(x0_text) if x0_text else None
@@ -122,8 +125,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _certificate_stages(args) -> int:
+    """The stage count M whose prefix certifies as the whole file does (see
+    ``saturation_windows``); ValueError for any input ``certify_saturation``
+    rejects, or a window past ``first_index_inside``'s size bound."""
+    point, r = _parse_point(args.point), parse_rational(args.radius)
+    K = _truncation(args, parse_mu_spec(args.mu))
+    if r <= 0 or K < 0:
+        raise ValueError("the radius must be positive and the truncation >= 0")
+    windows = saturation_windows(unit_box(len(point)), point, r)
+    return max(first_index_inside(window, 2 * K + 1) for window in windows)
+
+
 def cmd_certify(args) -> int:
-    sf, point, _ = _function(args, args.point, args.x0)
+    # Inputs that leave M unknown read the whole file, so their errors come
+    # in _function's order.
+    try:
+        stages = _certificate_stages(args)
+    except ValueError:
+        stages = None
+    sf, point, _ = _function(args, args.point, args.x0, stages=stages)
     mu = sf.mu
     if args.shift:
         if not args.shift_radius:
@@ -208,7 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--decimal", action="store_true")
     p_eval.set_defaults(run=cmd_eval)
 
-    p_cert = sub.add_parser("certify", help="saturation certificate at a point")
+    p_cert = sub.add_parser(
+        "certify",
+        help="saturation certificate at a point",
+        description="Certify the gradient hull at a point.  Only the stages its windows need are"
+        " read and checked, with the header, stage count and sha256 line of the whole file;"
+        " the certificate is the one the whole file gives.",
+    )
     p_cert.add_argument("--partition", required=True)
     p_cert.add_argument("--mu", required=True)
     p_cert.add_argument("--point", required=True)

@@ -461,7 +461,8 @@ class SplittingPartition:
         return sorted([self._by_lo[i] for i in positions if self._his[i] >= lo], key=lambda s: s.n)
 
     def _longest_free(self, target: Interval) -> Interval | None:
-        """The longest part of the open target outside every gap closure, leftmost on ties.
+        """The longest part of the target outside every gap closure, leftmost
+        on ties, as an open interval whatever the target's closure flags.
 
         Closures first..stop-1 are the ones that can meet the target.  Only
         the two edge parts need Fraction arithmetic; the inner ones are the
@@ -471,7 +472,7 @@ class SplittingPartition:
         first = bisect_right(self._reach, lo.numerator * den // lo.denominator)
         stop = bisect_left(self._los, -(-hi.numerator * den // hi.denominator))
         if first == stop:
-            return target
+            return Interval.open(lo, hi)
         best, length = None, ZERO
         if (left := self._by_lo[first].gap.lo) > lo:
             best, length = (lo, left), left - lo
@@ -516,22 +517,22 @@ class SplittingPartition:
 
     def _stage_masses(self) -> tuple[int, list[int]]:
         """(den, masses): stage n's whole-piece mass RETAINED * piece_width is
-        masses[n-1] / den, over den the lcm of those masses' denominators.
-        Each mass is RETAINED * step / den of the stage's integer
-        ``geometry``, reduced by one gcd.
+        masses[n-1] / den.
+
+        Read from the gap index: the gap is (_his - _los) / _den, so the mass
+        is RETAINED * (his - lo) / (_den * (n+1)), over the one denominator
+        RETAINED.den * _den * L with L the lcm of the piece counts n+1.  No
+        stage's ``geometry`` is built and no mass is reduced.
 
         Derived from the immutable stages on first use after construction;
         a race only computes it twice.
         """
         if self._masses is None:
-            masses = []
-            for record in self.stages:
-                _, step, den = record.geometry
-                num, den = RETAINED.numerator * step, RETAINED.denominator * den
-                g = gcd(num, den)
-                masses.append((num // g, den // g))
-            den = lcm(*(d for _, d in masses))
-            self._masses = den, [num * (den // d) for num, d in masses]
+            counts = lcm(*(record.n + 1 for record in self._by_lo))
+            masses = [0] * len(self.stages)
+            for record, lo, hi in zip(self._by_lo, self._los, self._his):
+                masses[record.n - 1] = RETAINED.numerator * (counts // (record.n + 1)) * (hi - lo)
+            self._masses = RETAINED.denominator * self._den * counts, masses
         return self._masses
 
     def unbuilt_tail_bound(self) -> Fraction:
@@ -896,8 +897,8 @@ def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
 # the same three tokens followed by the n+1 planted sets, every one of which
 # follows from the gap, so a v1 load must find exactly those.  ``saves``
 # writes v1 unless asked for v2; ``clarkesat build`` writes v2; ``loads``
-# reads both and trusts nothing: each stage must be one a build could have
-# placed after the stages before it.
+# reads both and trusts nothing: each stage it reads must be one a build
+# could have placed after the stages before it.
 # ---------------------------------------------------------------------------
 
 
@@ -949,7 +950,7 @@ def _set_records(record: StageRecord) -> list[str]:
     return [f"{kind} {lo},{hi} {CANONICAL_SCHEDULE}" for kind, lo, hi in zip(kinds, ends, ends[1:])]
 
 
-def loads(text: str) -> SplittingPartition:
+def loads(text: str, stages: int | None = None) -> SplittingPartition:
     """Parse and check SPLITPART v1 or v2; every malformed input raises ValueError.
 
     A v2 file's sha256 line must match its stage lines; a v1 stage line's
@@ -960,11 +961,22 @@ def loads(text: str) -> SplittingPartition:
     indexed, and ``_check_covers`` tests each against the earlier stages, so
     a bad line's error waits for the cover tests of the lines above it.
 
+    With ``stages`` = m, only stage lines 1..min(m, declared) are read,
+    checked and indexed, and the partition holds those stages; the header,
+    the declared stage count and a v2 file's sha256 line are still checked
+    over every line.  ``_check_cover`` tests a stage only against the
+    stages before it, so the prefix of a valid file is the partition of its
+    first stages, while a bad line past the prefix goes unseen.  ``clarkesat
+    certify`` reads the prefix its certificate needs; every other command
+    reads and checks the whole file.
+
     A number longer than the caller's limit on int/str conversion
-    (``sys.get_int_max_str_digits``, 4,300 digits by default) reads as
-    malformed; the library keeps that limit, and the ``clarkesat`` command
-    lifts it while it runs.
+    (``sys.get_int_max_str_digits``, 4,300 digits by default) raises a
+    ValueError that names the limit; the library keeps that limit, and the
+    ``clarkesat`` command lifts it while it runs.
     """
+    if stages is not None and stages < 0:
+        raise ValueError("stages must be >= 0")
     lines = [line for line in text.splitlines() if line.strip()]
     version = {"SPLITPART v1": 1, "SPLITPART v2": 2}.get(lines[0]) if lines else None
     if version is None:
@@ -986,7 +998,8 @@ def loads(text: str) -> SplittingPartition:
         raise ValueError(f"expected {declared} stages, found {len(stage_lines)}")
     translation = _parsed(header, "translation", int, "an integer", "header")
     records, failure = [], None
-    for position, (line, target) in enumerate(zip(stage_lines, _enumeration_ends(1)), 1):
+    read = stage_lines if stages is None else stage_lines[:stages]
+    for position, (line, target) in enumerate(zip(read, _enumeration_ends(1)), 1):
         try:
             record = ((_canonical_stage(line) if version == 2 else None)
                       or _parse_stage_line(line, f"stage line {position}", version))
@@ -1035,10 +1048,14 @@ def _fields(tokens: list[str], keys: tuple[str, ...], where: str) -> dict[str, s
 
 
 def _parsed(fields: dict[str, str], key: str, parse, what: str, where: str):
-    """The parsed value of one key=value field; a bad one names the file part and the token."""
+    """The parsed value of one key=value field; a bad one names the file part
+    and the token, and a number past the caller's int/str digit limit names
+    that limit instead."""
     try:
         return parse(fields[key])
-    except ValueError:
+    except ValueError as exc:
+        if "integer string conversion" in str(exc):  # int() past sys.get_int_max_str_digits()
+            raise ValueError(f"SPLITPART {where}: {key}= holds a number past the int/str digit limit: {exc}") from None
         raise ValueError(f"SPLITPART {where}: {key}={fields[key]!r} is not {what}") from None
 
 
@@ -1177,9 +1194,12 @@ def save(partition: SplittingPartition, path, *, version: int = 1) -> None:
         fh.write(saves(partition, version=version))
 
 
-def load(path) -> SplittingPartition:
+def load(path, stages: int | None = None) -> SplittingPartition:
+    """``loads`` of the file at path: the whole file, or with ``stages`` = m
+    its first min(m, declared) stages, the header, the stage count and the
+    sha256 line still checked over every line."""
     with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
+        return loads(fh.read(), stages)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,33 @@ class SaturationCertificate:
         return "\n".join(lines)
 
 
+def saturation_windows(
+    domain: Sequence[Interval], x: tuple[Fraction, ...], r: Fraction
+) -> list[Interval]:
+    """The coordinate windows (x_i - r/d, x_i + r/d) of the box of 1-norm
+    radius r > 0 around x, d = len(x); ValueError unless x lies in the open
+    domain box and every window inside its side.
+
+    A certificate at x takes each member's witness in window i from the
+    first stage with a whole piece of it there.  Stage
+    first_index_inside(W_i, 2K+1) lays a whole piece of every member
+    0..2K+1 inside W_i, so stages 1..M, M the largest of those indices over
+    the windows, give the same certificate as any longer partition.
+    """
+    if not (len(x) == len(domain) and all(side.contains(c) for side, c in zip(domain, x))):
+        raise ValueError(f"point {x} is outside the domain box")
+    half = r / len(x)
+    windows = []
+    for side, c in zip(domain, x):
+        window = Interval.open(c - half, c + half)
+        if not side.contains_interval(window):
+            raise ValueError(
+                f"the radius-{r} box around {c} leaves the domain side {side}"
+            )
+        windows.append(window)
+    return windows
+
+
 def certify_saturation(
     sf: SaturatedFunction | ShiftedSaturatedFunction,
     x: Sequence[Fraction],
@@ -176,17 +203,7 @@ def certify_saturation(
         raise ValueError("radius must be positive")
     if K < 0:
         raise ValueError("truncation must be >= 0")
-    if not sf.contains_point(x):
-        raise ValueError(f"point {x} is outside the domain box")
-    half = r / sf.d
-    windows = []
-    for side, c in zip(sf.domain, x):
-        window = Interval.open(c - half, c + half)
-        if not side.contains_interval(window):
-            raise ValueError(
-                f"the radius-{r} box around {c} leaves the domain side {side}"
-            )
-        windows.append(window)
+    windows = saturation_windows(sf.domain, x, r)
     # One listing per window answers all members 0..2K+1; a missing one
     # raises at its first use in the vertex order below.
     witnesses = [

@@ -13,6 +13,7 @@ from clarkesat.partition import (
     StageRecord,
     build_partition,
     enumerated_interval,
+    loads,
     planted_sets_pairwise_disjoint,
     save,
     saves,
@@ -548,3 +549,23 @@ def test_cli_reads_numbers_past_the_default_int_digit_limit(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_loads_names_the_int_digit_limit_for_gap_ends_past_it():
+    # The same valid stage-1 file: under the default limit a library load
+    # reports the limit, not a malformed gap.
+    partition = SplittingPartition(Fraction(1), (_centered(1, _HALF, Fraction(1, 3 * 2**14300)),))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        text = saves(partition, version=2)
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        with pytest.raises(ValueError) as caught:
+            loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    message = str(caught.value)
+    assert message.startswith("SPLITPART stage line 1: gap= holds a number past the int/str digit limit: ")
+    assert f"({sys.int_info.default_max_str_digits} digits)" in message and "is not an open interval" not in message
+    assert len(message) < 300

@@ -8,12 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clarkesat.cantor import Containment, FatCantorSet, _longest_part
+from clarkesat.cli import main
 from clarkesat.errors import NotYetCovered, ToleranceExhausted
+from clarkesat.functions import FiniteSupport, SaturatedFunction, ones_generator, unit_box
 from clarkesat import partition as partition_module
 from clarkesat.partition import (
     RETAINED,
     SplittingPartition,
     StageRecord,
+    _WindowMass,
     _digest,
     _halving_exponent,
     _piece_span,
@@ -35,7 +38,9 @@ from clarkesat.partition import (
     stage_tail_bound,
 )
 from clarkesat.rationals import ONE, Interval, IntervalSet, format_rational
+from clarkesat.verifier import certify_saturation, saturation_windows
 from test_integer_scan import fraction_piece_span
+from test_integrator import Scan
 from test_load_check import _reference_pieces
 
 
@@ -938,3 +943,183 @@ def test_both_stage_readers_agree_at_the_first_depth_8_dig(build_2000):
             loads(_with_line(lines, i, line))
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
+
+
+# ---------------------------------------------------------------------------
+# Certificates from the prefix they need, on the 2000-stage build
+# ---------------------------------------------------------------------------
+
+
+_PREFIX_MUS = (FiniteSupport.of({0: 3, 1: -5, 2: 2}), FiniteSupport.of({0: -2, 3: 1}), ones_generator())
+
+
+def _certificate_or_error(partition, mu, point, radius, K):
+    try:
+        return certify_saturation(SaturatedFunction(partition, mu, len(point)), point, radius, K)
+    except NotYetCovered as exc:
+        return str(exc), exc.needed_stage
+
+
+def test_prefix_certificates_equal_full_ones_at_2000_stages(build_2000):
+    # Stage M = max_i first_index_inside(W_i, 2K+1) lays a whole piece of
+    # every member 0..2K+1 inside each coordinate window W_i, so stages
+    # 1..min(N, M) give the certificate all N stages give.
+    rng = random.Random(2000)
+    text = saves(build_2000, version=2)
+    prefixes, loaded = {}, {}
+    covered = 0
+    for d in (1, 2, 3):
+        for K in (2, 4, 8):
+            for e in range(2, 11):
+                radius = Fraction(1, 2**e)
+                for mu in _PREFIX_MUS:
+                    # Grid points k/64 whose every window (x_i -/+ radius/d) lies in (0, 1).
+                    point = tuple(Fraction(rng.randrange(17, 48), 64) for _ in range(d))
+                    windows = saturation_windows(unit_box(d), point, radius)
+                    M = min(max(first_index_inside(window, 2 * K + 1) for window in windows), 2000)
+                    if M not in prefixes:
+                        prefixes[M] = SplittingPartition(build_2000.gap_cap, build_2000.stages[:M])
+                    full = _certificate_or_error(build_2000, mu, point, radius, K)
+                    assert _certificate_or_error(prefixes[M], mu, point, radius, K) == full, (d, K, e, point)
+                    if isinstance(full, tuple):
+                        continue
+                    covered += 1
+                    assert certify_saturation(SaturatedFunction(prefixes[M], mu, d), point, radius, K).render() == (
+                        full.render())
+                    if M <= 200 and M not in loaded:
+                        loaded[M] = loads(text, stages=M)
+                        assert loaded[M].stages == build_2000.stages[:M]
+                        assert _certificate_or_error(loaded[M], mu, point, radius, K) == full
+    assert covered > 100 and len(loaded) > 10 and min(prefixes) < 50 and 2000 in prefixes
+
+
+def test_loads_of_a_prefix_checks_the_whole_files_sha256_and_stage_count(p20):
+    text = saves(p20, version=2)
+    assert loads(text, stages=0).stages == ()
+    assert loads(text, stages=5).stages == p20.stages[:5]
+    assert loads(text, stages=50).stages == p20.stages
+    assert loads(saves(p20), stages=5).stages == p20.stages[:5]  # v1
+    lines = text.splitlines()
+    with pytest.raises(ValueError, match="sha256= line does not match"):
+        loads("\n".join([*lines[:-2], lines[-2].replace("depth=0", "depth=4"), lines[-1]]) + "\n", stages=5)
+    with pytest.raises(ValueError, match="expected 20 stages, found 19"):
+        loads("\n".join([*lines[:-2], f"sha256={_digest(lines[2:-2])}"]) + "\n", stages=5)
+    with pytest.raises(ValueError, match="stages must be >= 0"):
+        loads(text, stages=-1)
+
+
+@pytest.fixture(scope="module")
+def files_2000(build_2000, tmp_path_factory):
+    """The 2000-stage v2 file, and a copy whose stage 1515 claims depth 4
+    (depth 8 built it), its sha256 line recomputed."""
+    folder = tmp_path_factory.mktemp("prefix")
+    valid, broken = folder / "p2000.splitpart", folder / "depth4.splitpart"
+    lines = saves(build_2000, version=2).splitlines()
+    valid.write_text("\n".join(lines) + "\n", encoding="ascii")
+    i = 1515 + 1  # lines[2] is stage 1
+    broken.write_text(_with_line(lines[:-1], i, re.sub(r"depth=8$", "depth=4", lines[i])), encoding="ascii")
+    return str(valid), str(broken)
+
+
+_CERTIFY_LINES = (
+    ("--mu", "0:1/1,1:-2/1", "--point", "1/2,3/8", "--radius", "1/4"),
+    ("--mu", "0:3/1,1:-5/1,2:2/1", "--point", "5/8", "--radius", "1/64"),
+    ("--mu", "ones", "--K", "8", "--point", "1/2,3/8,5/8", "--radius", "1/16"),
+    ("--mu", "0:1/1,1:-2/1", "--point", "1/2,3/8", "--radius", "1/4", "--shift", "1/1,2/1", "--shift-radius", "1/2"),
+)
+
+
+@pytest.mark.parametrize("options", _CERTIFY_LINES, ids=["d2", "d1-narrow", "ones-K8", "shift"])
+def test_certify_reads_only_the_stages_before_a_bad_one_past_its_prefix(files_2000, capsys, options):
+    valid, broken = files_2000
+    outputs = []
+    for path in (valid, broken):
+        assert main(["certify", "--partition", path, *options]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert "saturation certificate" in outputs[0] and max(
+        int(stage) for stage in re.findall(r" stage (\d+) ", outputs[0])) < 1515
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "--mu", "0:1/1", "--x", "5/8"),
+    ("stress", "--mu", "0:1/1", "--steps", "2"),
+    ("measure", "--k", "1", "--window", "1/4,3/4"),
+], ids=["eval", "stress", "measure"])
+def test_commands_that_read_every_stage_reject_the_bad_one(files_2000, capsys, command):
+    _, broken = files_2000
+    assert main([command[0], "--partition", broken, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: stage 1515: ") and captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("options", [
+    ("--mu", "0:1/1", "--point", "abc", "--radius", "1/4"),
+    ("--mu", "0:1/1", "--point", "3/2", "--radius", "1/4"),
+    ("--mu", "0:1/1", "--point", "1/16", "--radius", "1/4"),
+    ("--mu", "0:1/1", "--point", "1/2", "--radius", "0"),
+    ("--mu", "0:1/1", "--point", "1/2", "--radius", "1/4", "--K", "-1"),
+    ("--mu", "ones", "--point", "1/2", "--radius", "1/4"),
+    ("--mu", "bad", "--point", "1/2", "--radius", "1/4"),
+], ids=["unparsed-point", "point-outside", "window-outside", "zero-radius", "negative-K", "generator-without-K",
+        "bad-mu"])
+def test_certify_reports_the_files_error_before_a_bad_input(files_2000, capsys, options):
+    # Inputs that leave the needed prefix unknown read the whole file, so the
+    # file's error comes first, as in every other command.
+    _, broken = files_2000
+    assert main(["certify", "--partition", broken, *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: stage 1515: ") and "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# _longest_free answers an open interval for any target
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags", [(True, True), (False, True), (True, False)], ids=["closed", "open-closed",
+                                                                                    "closed-open"])
+def test_longest_free_is_open_for_closed_and_half_open_targets(build_2000, flags):
+    for partition, lo, hi in ((_HAND_MADE, Fraction(0), Fraction(1, 10)),  # no closure meets it
+                              (_HAND_MADE, Fraction(1, 10), Fraction(1, 2)),
+                              (build_2000, Fraction(0), Fraction(1, 1024)),
+                              (build_2000, Fraction(1, 3), Fraction(2, 3))):
+        target = Interval(lo, hi, *flags)
+        free = partition._longest_free(target)
+        assert free == _reference_free(partition, target), (lo, hi)
+        assert not (free.lo_closed or free.hi_closed)
+    assert _HAND_MADE._longest_free(Interval(Fraction(0), Fraction(1, 10), *flags)) == Interval.open(0, Fraction(1, 10))
+
+
+# ---------------------------------------------------------------------------
+# The integrator's exact masses against the brute-force scan at 2000 stages
+# ---------------------------------------------------------------------------
+
+
+def test_window_mass_exact_matches_the_scan_at_2000_stages(build_2000):
+    # Scan walks every piece of every stage it is given; the stages whose gap
+    # closure misses the window hold no piece in it, so it is given only the
+    # others, found by a linear scan.
+    dug = build_2000.stage(1515)
+    late = build_2000.stage(1999)
+    windows = [
+        (dug.gap.lo, dug.gap.hi),
+        (dug.piece_host(3).lo + dug.piece_width / 3, dug.piece_host(700).hi - dug.piece_width / 5),
+        (late.piece_host(0).hi, late.piece_host(late.n).lo),
+        (Fraction(5, 8), Fraction(5, 8) + Fraction(1, 2**12)),
+        # 1/128 wide, holding whole pieces of 21 stages, stage 1373 the last
+        (Fraction(23, 64) - Fraction(1, 256), Fraction(23, 64) + Fraction(1, 256)),
+    ]
+    for lo, hi in windows:
+        window = Interval.closed(lo, hi)
+        near = SplittingPartition(ONE, tuple(_overlapping_by_brute_force(build_2000, window)))
+        scan = Scan(near, window)
+        mass = _WindowMass(build_2000, window, ONE)
+        assert mass.den == build_2000._stage_masses()[0]
+        exact = mass.exact(set(range(build_2000.stage_count + 2)))
+        assert any(exact.values())
+        for j, m in exact.items():
+            assert Fraction(m, mass.den) == scan.exact.get(j, 0), (j, lo, hi)
