@@ -62,12 +62,13 @@ def _children(lo: int, hi: int, half: int) -> tuple[tuple[int, int], tuple[int, 
     return (4 * lo, mid - half), (mid + half, 4 * hi)
 
 
-def _cover_walk(lo: int, hi: int, removed: int, base: int, a: Fraction, b: Fraction, depth: int,
+def _cover_walk(lo: int, hi: int, base: int, retained: Fraction, a: Fraction, b: Fraction, depth: int,
                 whole: bool = False):
     """Yield (lo, hi, den, step) for the cover pieces meeting [a, b], left to right.
 
-    The fat Cantor set has the host [lo/base, hi/base], and its removed
-    middles total removed/base.  A yielded lo and hi are numerators over den, the denominator of the piece's
+    The fat Cantor set has the host [lo/base, hi/base] and keeps the share
+    ``retained`` of it; its removed middles take the rest.  A yielded lo
+    and hi are numerators over den, the denominator of the piece's
     step; a subtree that misses [a, b] is never entered.  Pieces come
     from the depth-d cover, except that with ``whole`` a piece wholly
     inside [a, b] is yielded at its own step; without it, its subtree is
@@ -78,12 +79,14 @@ def _cover_walk(lo: int, hi: int, removed: int, base: int, a: Fraction, b: Fract
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    # The host as numerators over root_den = 4 * base.  Endpoints at step s
-    # share root_den * 4^s, so scaling by 4 per step makes the numerator
-    # ``half`` that ``_children`` removes beside a midpoint a constant.
-    root_den, half = 4 * base, 4 * removed
+    # The host as numerators over root_den = 4 * q * base, with retained p/q:
+    # over it the removed total, (q - p) * (hi - lo) / (q * base), is ``half``.
+    # Endpoints at step s share root_den * 4^s, so scaling by 4 per step keeps
+    # ``half``, the numerator ``_children`` removes beside a midpoint, constant.
+    p, q = retained.numerator, retained.denominator
+    root_den, half = 4 * q * base, 4 * (q - p) * (hi - lo)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    stack = [(4 * lo, 4 * hi, 0)]
+    stack = [(4 * q * lo, 4 * q * hi, 0)]
     while stack:
         lo, hi, step = stack.pop()
         den = root_den << 2 * step
@@ -117,15 +120,12 @@ class FatCantorSet:
 
     host: Interval
     retained_fraction: Fraction = Fraction(1, 2)
-    schedule: str = CANONICAL_SCHEDULE
 
     def __post_init__(self):
         if not self.host.is_nontrivial:
             raise ValueError("host interval must be nontrivial")
         if not (0 < self.retained_fraction < 1):
             raise ValueError("retained fraction must lie strictly between 0 and 1")
-        if self.schedule != CANONICAL_SCHEDULE:
-            raise ValueError(f"unknown removal schedule {self.schedule!r}")
 
     @classmethod
     def canonical(cls) -> FatCantorSet:
@@ -149,12 +149,11 @@ class FatCantorSet:
         return (1 - self.retained_fraction) * self.length / 2**depth
 
     def _walk(self, a: Fraction, b: Fraction, depth: int, whole: bool = False):
-        """``_cover_walk`` over this set's host, its ends and removed length
-        as numerators over B, the common denominator of all three."""
-        removed = (1 - self.retained_fraction) * self.length
-        base = lcm(self.host.lo.denominator, self.host.hi.denominator, removed.denominator)
+        """``_cover_walk`` over this set's host, its ends as numerators over
+        the lcm of their denominators."""
+        base = lcm(self.host.lo.denominator, self.host.hi.denominator)
         lo, hi = (end.numerator * (base // end.denominator) for end in (self.host.lo, self.host.hi))
-        return _cover_walk(lo, hi, removed.numerator * (base // removed.denominator), base, a, b, depth, whole)
+        return _cover_walk(lo, hi, base, self.retained_fraction, a, b, depth, whole)
 
     def svc_cover(self, depth: int) -> IntervalSet:
         """The depth-d cover: 2^d closed intervals whose intersection is F.
@@ -234,13 +233,15 @@ class FatCantorSet:
                 "closed" if self.host.lo_closed else "open",
                 "closed" if self.host.hi_closed else "open",
                 format_rational(self.retained_fraction),
-                self.schedule,
+                CANONICAL_SCHEDULE,
             )
         )
 
     @classmethod
     def deserialize(cls, text: str) -> FatCantorSet:
         lo, hi, lo_flag, hi_flag, retained, schedule = text.split()
+        if schedule != CANONICAL_SCHEDULE:
+            raise ValueError(f"unknown removal schedule {schedule!r}")
         return cls(
             Interval(
                 parse_rational(lo),
@@ -249,7 +250,6 @@ class FatCantorSet:
                 hi_flag == "closed",
             ),
             parse_rational(retained),
-            schedule,
         )
 
 

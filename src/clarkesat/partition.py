@@ -36,11 +36,12 @@ between calls.  Duplicates between the streams are harmless.  Indices are
 Gap sizing.  The found free interval is shrunk concentrically to length
 (2^-j)/3 where 2^-j is the largest power of two not exceeding
 min(found length, 2^-n, gap_cap), and the center is snapped down to the
-dyadic grid 2^-(j+4).  The margin analysis (found length >= 2^-j, shrink
-factor 1/3, snap distance 2^-j/16) keeps the gap strictly inside the free
-interval.  The snapping keeps endpoint denominators at O(n) bits after n
-stages.  Stage tails are summable: sum of gap lengths over n > N is at most
-2^-N.
+dyadic grid 2^-(j+4): with c = floor(midpoint * 2^(j+4)) the gap is
+((3c - 8)/(3*2^(j+4)), (3c + 8)/(3*2^(j+4))).  The margin analysis (found
+length >= 2^-j, shrink factor 1/3, snap distance 2^-j/16) keeps the gap
+strictly inside the free interval.  The snapping keeps endpoint
+denominators at O(n) bits after n stages.  Stage tails are summable: sum
+of gap lengths over n > N is at most 2^-N.
 
 Gap search.  The free interval avoids the closures of all earlier gaps when
 they leave room in I_n.  One gap index serves this search and every window
@@ -876,13 +877,13 @@ def extend_partition(partition: SplittingPartition, stages: int) -> SplittingPar
 
 
 def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
+    """The gap (j, c) of "Gap sizing" above, c read from the found interval's ends a/b < e/d."""
     j = _halving_exponent(min(found.length, Fraction(1, 2**n), gap_cap))
-    length = Fraction(1, 3 * 2**j)
-    grid = 2 ** (j + 4)
-    mid = found.midpoint
-    center = Fraction((mid.numerator * grid) // mid.denominator, grid)
-    gap = Interval.open(center - length / 2, center + length / 2)
-    if not (found.lo < gap.lo and gap.hi < found.hi):
+    a, b, e, d = found.lo.numerator, found.lo.denominator, found.hi.numerator, found.hi.denominator
+    c = ((a * d + e * b) << j + 3) // (b * d)
+    lo, hi, den = 3 * c - 8, 3 * c + 8, 3 << j + 4
+    gap = Interval.open(Fraction(lo, den), Fraction(hi, den))
+    if not (a * den < lo * b and hi * d < e * den):
         raise AssertionError(f"gap {gap} escaped its free interval {found}")
     return gap
 
@@ -1161,18 +1162,12 @@ def _check_cover(record: StageRecord, earlier: list[StageRecord]) -> None:
             raise ValueError(f"stage {n}: depth {depth}, but its gap misses every depth-{shallower} cover")
 
 
-_REMOVED = 1 - RETAINED  # the share of a planted set's host its removed middles take
-
-
 def _cover_meets(record: StageRecord, i: int, window: Interval, depth: int) -> bool:
     """``piece_set(record.n, i).cover_meets(window, depth)`` on the stage's
-    integer geometry: piece i is [start + i*step, start + (i+1)*step] over
-    den, and its planted set's removed middles total step * _REMOVED."""
+    integer geometry: piece i is [start + i*step, start + (i+1)*step] over den."""
     start, step, den = record.geometry
-    lo = (start + i * step) * _REMOVED.denominator
-    walk = _cover_walk(lo, lo + step * _REMOVED.denominator, step * _REMOVED.numerator, den * _REMOVED.denominator,
-                       window.lo, window.hi, depth, whole=True)
-    return next(walk, None) is not None
+    lo = start + i * step
+    return next(_cover_walk(lo, lo + step, den, RETAINED, window.lo, window.hi, depth, whole=True), None) is not None
 
 
 def _pieces_touching(record: StageRecord, a: int, b: int, c: int, d: int) -> range:

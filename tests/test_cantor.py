@@ -189,6 +189,11 @@ def test_serialization_round_trip():
     assert FatCantorSet.deserialize(c.serialize()) == c
 
 
+def test_deserialize_rejects_an_unknown_removal_schedule():
+    with pytest.raises(ValueError, match=r"^unknown removal schedule 'middle-thirds'$"):
+        FatCantorSet.deserialize("1/3 3/4 open open 1/2 middle-thirds")
+
+
 def test_find_gap_no_priors():
     gap, depth = find_gap([], Interval.open(0, 1))
     assert gap == Interval.open(0, 1)

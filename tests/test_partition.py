@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clarkesat.cantor import Containment, FatCantorSet, _longest_part
+from clarkesat.cantor import _GAP_DEPTHS, Containment, FatCantorSet, _longest_part
 from clarkesat.cli import main
 from clarkesat.errors import NotYetCovered, ToleranceExhausted
 from clarkesat.functions import FiniteSupport, SaturatedFunction, ones_generator, unit_box
@@ -17,6 +17,7 @@ from clarkesat.partition import (
     SplittingPartition,
     StageRecord,
     _WindowMass,
+    _cover_meets,
     _digest,
     _halving_exponent,
     _piece_span,
@@ -839,6 +840,53 @@ def test_shrink_gap_raises_when_the_gap_escapes_its_free_interval(monkeypatch):
         _shrink_gap(Interval.open(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 100)), 1, ONE)
 
 
+def _reference_shrink_gap(found, n, gap_cap):
+    """``_shrink_gap`` in Fraction arithmetic, as it was before it read the
+    gap's (j, c) from integers; j still comes from ``_halving_exponent``."""
+    j = partition_module._halving_exponent(min(found.length, Fraction(1, 2**n), gap_cap))
+    length = Fraction(1, 3 * 2**j)
+    grid = 2 ** (j + 4)
+    mid = found.midpoint
+    center = Fraction((mid.numerator * grid) // mid.denominator, grid)
+    gap = Interval.open(center - length / 2, center + length / 2)
+    if not (found.lo < gap.lo and gap.hi < found.hi):
+        raise AssertionError(f"gap {gap} escaped its free interval {found}")
+    return gap
+
+
+def _grid_fraction(data, limit):
+    """A fraction num/den in [0, limit] on a dyadic grid down to 2^-60, or on
+    one with denominator 3, 5 or 7 times a power of two."""
+    den = data.draw(st.sampled_from((1, 3, 5, 7))) << data.draw(st.integers(0, 60))
+    return Fraction(data.draw(st.integers(0, limit * den)), den)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_shrink_gap_matches_the_fraction_rule(data):
+    lo = _grid_fraction(data, 1)
+    width = _grid_fraction(data, 1)
+    assume(width > 0)
+    found = Interval.open(lo, lo + width)
+    n = data.draw(st.integers(1, 4000))
+    gap_cap = data.draw(st.sampled_from((ONE, Fraction(1, 3), Fraction(5, 7), Fraction(1, 8))))
+    # A forced j that the found interval may be too short for reaches the
+    # escape branch of both rules.
+    forced = data.draw(st.one_of(st.none(), st.integers(0, 12)))
+
+    def outcome(shrink):
+        try:
+            return shrink(found, n, gap_cap)
+        except AssertionError as error:
+            assert "escaped its free interval" in str(error)
+            return str(error)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if forced is not None:
+            patch.setattr(partition_module, "_halving_exponent", lambda bound: forced)
+        assert outcome(_shrink_gap) == outcome(_reference_shrink_gap), (found, n, gap_cap, forced)
+
+
 # ---------------------------------------------------------------------------
 # 2000 stages: past the first depth-8 dig, at stage 1515
 # ---------------------------------------------------------------------------
@@ -862,6 +910,27 @@ def test_v2_round_trip_and_planted_sets_at_2000_stages(build_2000):
 
 def test_extending_a_loaded_1000_stage_file_to_2000_stages(build_1000, build_2000):
     assert extend_partition(loads(saves(build_1000, version=2)), 2000).stages == build_2000.stages
+
+
+def test_cover_probe_matches_the_planted_sets_at_2000_stages(build_2000):
+    # The load check's integer probe against cantor's, on every piece it
+    # walks for the 248 dug stages; both answers occur.
+    answers = set()
+    for record in build_2000.stages:
+        if not record.depth_used:
+            continue
+        gap = record.gap
+        lo, hi = gap.lo, gap.hi
+        for other in build_2000.stages_overlapping(gap):
+            if other.n >= record.n:
+                continue
+            for i in _pieces_touching(other, lo.numerator, lo.denominator, hi.numerator, hi.denominator):
+                planted = build_2000.piece_set(other.n, i)
+                for depth in (d for d in _GAP_DEPTHS if d <= 16):
+                    meets = _cover_meets(other, i, gap, depth)
+                    assert meets == planted.cover_meets(gap, depth), (record.n, other.n, i, depth)
+                    answers.add(meets)
+    assert answers == {False, True}
 
 
 def _drawn_end(data, partition, record):
