@@ -23,13 +23,15 @@ from .functions import (
     CoefficientSource,
     FiniteSupport,
     SaturatedFunction,
+    _value_limit,
+    box_center,
     eval_f1,
     parse_mu_spec,
     shift_to_ball,
     unit_box,
 )
-from .partition import build_partition, first_index_inside, load, save
-from .rationals import Interval, format_rational, parse_rational
+from .partition import _sufficient_stages, build_partition, first_index_inside, load, save
+from .rationals import ONE, Interval, format_rational, parse_rational
 from .stress import run_subgradient, trajectory_csv
 from .verifier import certify_saturation, saturation_windows
 
@@ -118,8 +120,44 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _stages_or_whole(rule, args) -> int | None:
+    """rule(args), the stage count a command reads; None, the whole file,
+    when an input leaves it unknown (ValueError), so that input's error
+    comes after the file's, as when every stage is read."""
+    try:
+        return rule(args)
+    except ValueError:
+        return None
+
+
+def _tolerance_stages(limit: Fraction, tol: Fraction, *ends: Fraction) -> int:
+    """The smallest stage count m with limit * stage_tail_bound(m, 1) < tol/2.
+
+    An answer whose width tends to limit * tail with depth reaches tol from
+    stages 1..m of any file: stages past m hold at most that tail, which
+    only grows with gap_cap, and the straddlers get the other tol/2.  The
+    window integrator counts the tail once per window, not once per unit
+    period, so a window end outside [0, 1] raises ValueError: such a window
+    reads every stage, as the library does.
+    """
+    if not all(0 <= end <= 1 for end in ends):
+        raise ValueError("a window outside [0, 1] reads every stage")
+    return _sufficient_stages(0, ONE, limit, tol / 2)
+
+
+def _eval_stages(args) -> int:
+    """The stages an ``eval`` answer needs: every coordinate window gets the
+    budget tol/d; ValueError for any input ``_function`` or ``eval_f`` rejects."""
+    mu, point, tol = parse_mu_spec(args.mu), _parse_point(args.x), _positive_tol(args.tol)
+    x0 = _parse_point(args.x0) if args.x0 else box_center(unit_box(len(point)))
+    if len(x0) != len(point) or not all(0 < c < 1 for c in point + x0):
+        raise ValueError("the point and x0 must lie in the open unit box")
+    return _tolerance_stages(_value_limit(mu), tol / len(point))
+
+
 def cmd_eval(args) -> int:
-    sf, point, tol = _function(args, args.x, args.x0, args.tol)
+    stages = _stages_or_whole(_eval_stages, args)
+    sf, point, tol = _function(args, args.x, args.x0, args.tol, stages)
     bound = sf.eval(point, tol)
     _print_bound(bound.lo, bound.hi, args.decimal)
     return 0
@@ -138,13 +176,7 @@ def _certificate_stages(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    # Inputs that leave M unknown read the whole file, so their errors come
-    # in _function's order.
-    try:
-        stages = _certificate_stages(args)
-    except ValueError:
-        stages = None
-    sf, point, _ = _function(args, args.point, args.x0, stages=stages)
+    sf, point, _ = _function(args, args.point, args.x0, stages=_stages_or_whole(_certificate_stages, args))
     mu = sf.mu
     if args.shift:
         if not args.shift_radius:
@@ -157,8 +189,17 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def _measure_stages(args) -> int:
+    """The stages a ``measure`` answer needs (its width tends to the tail);
+    ValueError for any input ``measure_in`` rejects."""
+    window, tol = _parse_window(args.window), _positive_tol(args.tol)
+    if args.k < 0:
+        raise ValueError("member index must be >= 0")
+    return _tolerance_stages(ONE, tol, window.lo, window.hi)
+
+
 def cmd_measure(args) -> int:
-    partition = load(args.partition)
+    partition = load(args.partition, _stages_or_whole(_measure_stages, args))
     bound = partition.measure_in(args.k, _parse_window(args.window), _positive_tol(args.tol))
     _print_bound(bound.lo, bound.hi, args.decimal)
     return 0
@@ -179,10 +220,19 @@ def cmd_stress(args) -> int:
     return 0
 
 
+def _plot_stages(args) -> int:
+    """The stages a ``plot`` needs: each point is two measures at tol/2, so
+    its width tends to 2 * tail; ValueError for any input ``eval_f1`` rejects."""
+    x0, tol = parse_rational(args.x0), _positive_tol(args.tol)
+    if args.k < 0:
+        raise ValueError("member index must be >= 0")
+    return _tolerance_stages(Fraction(2), tol, x0)
+
+
 def cmd_plot(args) -> int:
     if args.grid < 1:
         raise ValueError("grid must request at least one point")
-    partition = load(args.partition)
+    partition = load(args.partition, _stages_or_whole(_plot_stages, args))
     x0 = parse_rational(args.x0)
     tol = _positive_tol(args.tol)
     lines = ["x,f_lo,f_hi"]
@@ -197,6 +247,14 @@ def cmd_plot(args) -> int:
         fh.write(text)
     print(f"wrote {args.out}: {args.grid} grid points")
     return 0
+
+
+# The help of eval, measure and plot: what their tolerance-scoped read checks.
+_TOLERANCE_READ = (
+    "  Only the stages the tolerance needs are read and checked, with the header, stage count and"
+    " sha256 line of the whole file; the unread stages' mass is in the bound, so it is certified,"
+    " though it may differ from the whole file's."
+)
 
 
 @cache
@@ -220,7 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(run=cmd_build)
 
-    p_eval = sub.add_parser("eval", help="certified value bound at a point")
+    p_eval = sub.add_parser(
+        "eval",
+        help="certified value bound at a point",
+        description="Bound the function's value at a point to within --tol." + _TOLERANCE_READ
+        + "  A point or --x0 outside the open unit box reads the whole file.",
+    )
     p_eval.add_argument("--partition", required=True)
     p_eval.add_argument("--mu", required=True, help='e.g. "0:1/1" or "ones"')
     p_eval.add_argument("--x", required=True, help="comma-separated p/q coordinates")
@@ -246,7 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--shift-radius", default=None, help="ball radius r for --shift")
     p_cert.set_defaults(run=cmd_certify)
 
-    p_measure = sub.add_parser("measure", help="certified member measure in a window")
+    p_measure = sub.add_parser(
+        "measure",
+        help="certified member measure in a window",
+        description="Bound a member's measure in a window to within --tol." + _TOLERANCE_READ
+        + "  A window outside [0, 1] reads the whole file.",
+    )
     p_measure.add_argument("--partition", required=True)
     p_measure.add_argument("--k", type=int, required=True)
     p_measure.add_argument("--window", required=True, help="lo,hi as p/q")
@@ -265,7 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_stress.add_argument("--out", default=None)
     p_stress.set_defaults(run=cmd_stress)
 
-    p_plot = sub.add_parser("plot", help="per-point certified bounds on a grid")
+    p_plot = sub.add_parser(
+        "plot",
+        help="per-point certified bounds on a grid",
+        description="Bound f_k relative to --x0 on a grid, each point to within --tol." + _TOLERANCE_READ
+        + "  An --x0 outside [0, 1] reads the whole file.",
+    )
     p_plot.add_argument("--partition", required=True)
     p_plot.add_argument("--k", type=int, required=True)
     p_plot.add_argument("--grid", type=int, required=True)

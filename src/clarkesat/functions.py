@@ -277,10 +277,7 @@ def _interval_value(
     if norm == 0:
         return ValueBound(ZERO, ZERO)
     generator = isinstance(mu, GeneratorSource)
-    # With depth the width tends to 2 * norm * tail, plus |mu_0| * tail from the
-    # A_0 bound, plus 2 * norm * tail of unresolved mass for generators.
-    limit = (4 if generator else 2) * norm + abs(mu.coefficient(0))
-    mass = _WindowMass(partition, window, tol, 2 * norm, limit)
+    mass = _WindowMass(partition, window, tol, 2 * norm, _value_limit(mu))
     terms = mu.entries if not generator else [
         (k, coeff) for k in range(partition.stage_count // 2 + 1) if (coeff := mu.coefficient(k))
     ]
@@ -307,6 +304,13 @@ def _interval_value(
         return ValueBound(lo - slack, hi + slack)
 
     return mass.refine(members, tol, value)
+
+
+def _value_limit(mu: CoefficientSource) -> Fraction:
+    """The width per unit of tail that ``_interval_value``'s bound tends to
+    with depth: 2 * norm from the terms, |mu_0| from the A_0 bound, and
+    2 * norm more of unresolved mass for generators."""
+    return (4 if isinstance(mu, GeneratorSource) else 2) * mu.norm_inf + abs(mu.coefficient(0))
 
 
 def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> ValueBound:

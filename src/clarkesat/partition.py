@@ -736,7 +736,8 @@ class _WindowMass:
     def __init__(self, partition: SplittingPartition, window: Interval, tol: Fraction,
                  scale: Fraction = ONE, limit: Fraction | None = None):
         self.tail = partition.unbuilt_tail_bound()
-        self._needed = lambda: _sufficient_stages(partition, scale if limit is None else limit, tol)
+        self._needed = lambda: _sufficient_stages(partition.stage_count, partition.gap_cap,
+                                                  scale if limit is None else limit, tol)
         if scale * self.tail >= tol:
             raise ToleranceExhausted(
                 f"the unbuilt-stage tail forces width {scale * self.tail} >= tolerance {tol};"
@@ -814,14 +815,14 @@ class _WindowMass:
             masses[k][0], min(self.length, masses[k][1] + self.tail)))
 
 
-def _sufficient_stages(partition: SplittingPartition, limit: Fraction, tol: Fraction) -> int:
-    """Smallest stage count M above the built one with limit * stage_tail_bound(M) < tol."""
+def _sufficient_stages(built: int, gap_cap: Fraction, limit: Fraction, tol: Fraction) -> int:
+    """Smallest stage count M above built with limit * stage_tail_bound(M, gap_cap) < tol."""
     # stage_tail_bound(M) >= 2^-max(M, switch - 1) / 3: once j passes the
     # switch no M below j can do, and before it the search is short.
-    j = _halving_exponent(3 * tol / limit)
-    switch = _halving_exponent(partition.gap_cap)
-    needed = max(partition.stage_count + 1, j if j >= switch else 0)
-    while limit * stage_tail_bound(needed, partition.gap_cap) >= tol:
+    j = _halving_exponent(3 * tol / limit) if limit else 0
+    switch = _halving_exponent(gap_cap)
+    needed = max(built + 1, j if j >= switch else 0)
+    while limit * stage_tail_bound(needed, gap_cap) >= tol:
         needed += 1
     return needed
 
@@ -968,7 +969,8 @@ def loads(text: str, stages: int | None = None) -> SplittingPartition:
     over every line.  ``_check_cover`` tests a stage only against the
     stages before it, so the prefix of a valid file is the partition of its
     first stages, while a bad line past the prefix goes unseen.  ``clarkesat
-    certify`` reads the prefix its certificate needs; every other command
+    certify`` reads the prefix its certificate needs, and ``eval``,
+    ``measure`` and ``plot`` the prefix their tolerance needs; ``stress``
     reads and checks the whole file.
 
     A number longer than the caller's limit on int/str conversion
@@ -1192,7 +1194,8 @@ def save(partition: SplittingPartition, path, *, version: int = 1) -> None:
 def load(path, stages: int | None = None) -> SplittingPartition:
     """``loads`` of the file at path: the whole file, or with ``stages`` = m
     its first min(m, declared) stages, the header, the stage count and the
-    sha256 line still checked over every line."""
+    sha256 line still checked over every line, and a bad stage past them
+    unseen (``loads`` names the commands that read a prefix)."""
     with open(path, "r", encoding="ascii") as fh:
         return loads(fh.read(), stages)
 

@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clarkesat.cantor import _GAP_DEPTHS, Containment, FatCantorSet, _longest_part
+from clarkesat import cli
 from clarkesat.cli import main
 from clarkesat.errors import NotYetCovered, ToleranceExhausted
-from clarkesat.functions import FiniteSupport, SaturatedFunction, ones_generator, unit_box
+from clarkesat.functions import FiniteSupport, SaturatedFunction, eval_f1, ones_generator, parse_mu_spec, unit_box
 from clarkesat import partition as partition_module
 from clarkesat.partition import (
     RETAINED,
@@ -1112,10 +1113,15 @@ def test_certify_reads_only_the_stages_before_a_bad_one_past_its_prefix(files_20
         int(stage) for stage in re.findall(r" stage (\d+) ", outputs[0])) < 1515
 
 
+# eval and measure read the prefix their tolerance needs, so each gets a
+# tolerance of 2^-1600, whose prefix holds the bad stage 1515.
+_TOL_2_1600 = f"1/{2**1600}"
+
+
 @pytest.mark.parametrize("command", [
-    ("eval", "--mu", "0:1/1", "--x", "5/8"),
+    ("eval", "--mu", "0:1/1", "--x", "5/8", "--tol", _TOL_2_1600),
     ("stress", "--mu", "0:1/1", "--steps", "2"),
-    ("measure", "--k", "1", "--window", "1/4,3/4"),
+    ("measure", "--k", "1", "--window", "1/4,3/4", "--tol", _TOL_2_1600),
 ], ids=["eval", "stress", "measure"])
 def test_commands_that_read_every_stage_reject_the_bad_one(files_2000, capsys, command):
     _, broken = files_2000
@@ -1142,6 +1148,149 @@ def test_certify_reports_the_files_error_before_a_bad_input(files_2000, capsys, 
     assert main(["certify", "--partition", broken, *options]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: stage 1515: ") and "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# eval, measure and plot read the prefix their tolerance needs
+# ---------------------------------------------------------------------------
+
+
+_TOLERANCE_LINES = (  # a --decimal flag comes last, after the option pairs
+    ("eval", "--mu", "0:3/1,1:-5/1,2:2/1", "--x", "5/8"),
+    ("eval", "--mu", "0:-2/1,3:1/1", "--x", "3/8,7/9", "--decimal"),
+    ("eval", "--mu", "0:1/3,1:-5/7,2:2/1", "--x", "1/5,2/3,5/6", "--x0", "1/3,1/2,3/4", "--tol", "1/100000000"),
+    ("eval", "--mu", "ones", "--x", "5/8"),
+    ("eval", "--mu", "ones", "--x", "1/7,5/6", "--x0", "1/4,1/2"),
+    ("eval", "--mu", "ones", "--x", "1/2,3/8,13/16", "--tol", "1/1000"),
+    ("eval", "--mu", "zero", "--x", "5/8"),  # limit 0: one stage
+    ("measure", "--k", "0", "--window", "1/4,3/4", "--tol", "1/1000000"),
+    ("measure", "--k", "3", "--window", "0/1,5/6", "--tol", "1/100000000", "--decimal"),
+    ("measure", "--k", "1", "--window", "1/8,1/1"),
+    ("plot", "--k", "0", "--grid", "3"),
+    ("plot", "--k", "2", "--grid", "4", "--x0", "1/3", "--tol", "1/100000000"),
+)
+
+
+def _full_scan(partition, command):
+    """The tolerance and the library's answers for a command line, from every stage."""
+    options = dict(zip(command[1::2], command[2::2]))
+    tol = Fraction(options.get("--tol", "1/1024" if command[0] == "measure" else "1/1000000"))
+    if command[0] == "eval":
+        point = tuple(map(Fraction, options["--x"].split(",")))
+        x0 = tuple(map(Fraction, options["--x0"].split(","))) if "--x0" in options else None
+        return tol, [SaturatedFunction(partition, parse_mu_spec(options["--mu"]), len(point), x0=x0).eval(point, tol)]
+    k = int(options["--k"])
+    if command[0] == "measure":
+        return tol, [partition.measure_in(k, Interval.closed(*map(Fraction, options["--window"].split(","))), tol)]
+    grid = int(options["--grid"])
+    return tol, [eval_f1(partition, k, Fraction(options.get("--x0", "1/2")), Fraction(i, grid + 1), tol)
+                 for i in range(1, grid + 1)]
+
+
+def _answer(command, path, capsys, out):
+    """(exit code, stdout and the plot file's text, stderr) of a command on
+    the file at path; a plot writes to out."""
+    extra = ["--out", str(out)] if command[0] == "plot" else []
+    code = main([command[0], "--partition", str(path), *command[1:], *extra])
+    captured = capsys.readouterr()
+    return code, captured.out + (out.read_text(encoding="ascii") if out.exists() else ""), captured.err
+
+
+@pytest.mark.parametrize("command", _TOLERANCE_LINES, ids=[
+    "eval-d1", "eval-d2", "eval-d3", "eval-ones-d1", "eval-ones-d2", "eval-ones-d3", "eval-zero", "measure-k0",
+    "measure-k3", "measure-k1", "plot-k0", "plot-k2"])
+def test_tolerance_answers_read_only_the_stages_before_a_bad_one(files_2000, build_2000, tmp_path, capsys, command):
+    # Stages past m hold at most stage_tail_bound(m) of planted mass, so the
+    # prefix gives a certified answer within tol: the same bytes on the copy
+    # whose stage 1515 is bad, and meeting the full-scan answer.
+    out = tmp_path / "plot.csv"
+    answers = [_answer(command, path, capsys, out) for path in files_2000]
+    assert answers[0] == answers[1] and answers[0][::2] == (0, "")
+    if command[0] == "plot":
+        rows = [line.split(",")[1:] for line in out.read_text(encoding="ascii").splitlines()[1:]]
+    else:
+        rows = [answers[0][1].splitlines()[0].split()]
+    tol, full = _full_scan(build_2000, command)
+    assert len(rows) == len(full)
+    for (lo, hi), reference in zip((map(Fraction, row) for row in rows), full):
+        assert hi - lo <= tol and lo <= reference.hi and reference.lo <= hi, (lo, hi, reference)
+
+
+@pytest.mark.parametrize("command, limit, budget", [
+    (("eval", "--mu", "0:3/1,1:-5/1,2:2/1", "--x", "5/8"), 2 * 5 + 3, Fraction(1, 10**6)),
+    (("eval", "--mu", "ones", "--x", "1/7,5/6"), 4 * 1 + 1, Fraction(1, 2 * 10**6)),
+    (("measure", "--k", "3", "--window", "0/1,5/6", "--tol", "1/100000000"), 1, Fraction(1, 10**8)),
+    (("plot", "--k", "0", "--grid", "3"), 2, Fraction(1, 10**6)),
+], ids=["eval", "eval-ones", "measure", "plot"])
+def test_tolerance_commands_read_the_smallest_prefix_with_room(files_2000, tmp_path, monkeypatch, capsys, command,
+                                                               limit, budget):
+    # m is the smallest count with limit * stage_tail_bound(m, 1) < budget/2:
+    # the bound tends to limit * tail, and the straddlers get the other half.
+    read = []
+    monkeypatch.setattr(cli, "load", lambda path, stages=None: read.append(stages) or (
+        partition_module.load(path, stages)))
+    assert _answer(command, files_2000[0], capsys, tmp_path / "plot.csv")[0] == 0
+    (m,) = read
+    assert limit * stage_tail_bound(m, ONE) < budget / 2 <= limit * stage_tail_bound(m - 1, ONE)
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "--mu", "bad", "--x", "5/8"),
+    ("eval", "--mu", "0:1/1", "--x", "abc"),
+    ("eval", "--mu", "0:1/1", "--x", "3/2"),
+    ("eval", "--mu", "0:1/1", "--x", "0/1"),
+    ("eval", "--mu", "0:1/1", "--x", "5/8", "--x0", "1/1"),
+    ("eval", "--mu", "0:1/1", "--x", "5/8", "--x0", "1/2,1/2"),
+    ("eval", "--mu", "0:1/1", "--x", "5/8", "--tol", "0"),
+    ("measure", "--k", "1", "--window=-2/1,2/1"),
+    ("measure", "--k", "1", "--window", "1/4,3/2"),
+    ("measure", "--k", "1", "--window", "1/4"),
+    ("measure", "--k", "1", "--window", "1/4,3/4", "--tol=-1/2"),
+    ("measure", "--k", "-1", "--window", "1/4,3/4"),
+    ("plot", "--k", "0", "--grid", "3", "--x0", "3/2"),
+    ("plot", "--k", "0", "--grid", "3", "--tol", "abc"),
+    ("plot", "--k", "-1", "--grid", "3"),
+], ids=["eval-mu", "eval-x", "eval-x-outside", "eval-x-on-the-edge", "eval-x0-outside", "eval-x0-dimension",
+        "eval-tol", "measure-window-outside", "measure-window-past-1", "measure-window", "measure-tol", "measure-k",
+        "plot-x0-outside", "plot-tol", "plot-k"])
+def test_tolerance_commands_report_the_files_error_before_a_bad_input(files_2000, tmp_path, capsys, command):
+    # An input that leaves the prefix unknown, or a window outside [0, 1],
+    # reads the whole file, so the file's error comes first.
+    code, out, err = _answer(command, files_2000[1], capsys, tmp_path / "plot.csv")
+    assert (code, out) == (2, "") and err.startswith("error: stage 1515: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "--mu", "0:1/1", "--x", "5/8", "--tol", f"1/{2**39}"),
+    ("eval", "--mu", "ones", "--x", "1/7,5/6", "--tol", f"1/{2**38}"),
+    ("eval", "--mu", "0:3/1,1:-5/1,2:2/1", "--x", "5/8", "--tol", "1/1000000000000"),
+    ("measure", "--k", "2", "--window", "1/4,3/4", "--tol", f"1/{2**41}"),
+    ("measure", "--k", "0", "--window", "1/4,3/4", "--tol", "1/1000000000000000"),
+    ("plot", "--k", "1", "--grid", "3", "--tol", f"1/{2**40}"),
+    ("plot", "--k", "1", "--grid", "3", "--tol", "1/1000000000000000"),
+], ids=["eval", "eval-ones", "eval-tail", "measure", "measure-tail", "plot", "plot-tail"])
+def test_a_file_shorter_than_the_prefix_reads_as_a_whole(tmp_path, capsys, monkeypatch, command):
+    # Each tolerance needs m > 40 stages, so a 40-stage file, and a copy
+    # whose stage 37 claims depth 0, give what reading every stage gives: a
+    # bound or the tail's error on the first, the stage's error on the second.
+    lines = saves(build_partition(40), version=2).splitlines()
+    i = 37 + 1  # lines[2] is stage 1
+    assert lines[i].startswith("n=37 ") and not lines[i].endswith(" depth=0")
+    files = tmp_path / "p40.splitpart", tmp_path / "dug.splitpart"
+    files[0].write_text("\n".join(lines) + "\n", encoding="ascii")
+    files[1].write_text(_with_line(lines[:-1], i, re.sub(r" depth=\d+$", " depth=0", lines[i])), encoding="ascii")
+    out = tmp_path / "plot.csv"
+    answers = []
+    for path in files:
+        out.unlink(missing_ok=True)
+        prefix = _answer(command, path, capsys, out)
+        out.unlink(missing_ok=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_stages_or_whole", lambda rule, args: None)
+            assert _answer(command, path, capsys, out) == prefix
+        answers.append(prefix)
+    assert answers[0][0] == (4 if command[-1].startswith("1/1000000000000") else 0)
+    assert answers[1][0] == 2 and answers[1][2].startswith("error: stage 37: ")
 
 
 # ---------------------------------------------------------------------------
