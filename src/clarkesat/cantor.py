@@ -24,11 +24,14 @@ rho in (0,1).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
+from operator import itemgetter, sub
 
 from .rationals import Interval, IntervalSet, ValueBound, ZERO, format_rational, parse_rational, rational
 
@@ -149,11 +152,8 @@ class FatCantorSet:
         return (1 - self.retained_fraction) * self.length / 2**depth
 
     def _walk(self, a: Fraction, b: Fraction, depth: int, whole: bool = False):
-        """``_cover_walk`` over this set's host, its ends as numerators over
-        the lcm of their denominators."""
-        base = lcm(self.host.lo.denominator, self.host.hi.denominator)
-        lo, hi = (end.numerator * (base // end.denominator) for end in (self.host.lo, self.host.hi))
-        return _cover_walk(lo, hi, base, self.retained_fraction, a, b, depth, whole)
+        """``_cover_walk`` over this set's host as a ``_span``."""
+        return _cover_walk(*_span(self.host), self.retained_fraction, a, b, depth, whole)
 
     def svc_cover(self, depth: int) -> IntervalSet:
         """The depth-d cover: 2^d closed intervals whose intersection is F.
@@ -312,29 +312,67 @@ def find_gap(
     leave none, the search stops after depth 1.  The depth-1 try walks the
     cover pieces that meet the target; once it fails, a try walks only those
     that meet the room, the parts of the target outside the blocked
-    intervals, where any gap lies.
+    intervals, where any gap lies.  A try merges the blocked closures and
+    walked pieces as integers for ``_longest_room``.
     """
     if not target.is_nontrivial:
         raise ValueError("target must be nontrivial")
-    opaque = [part for b in blocked if (part := b.intersect(target)) is not None]
+    closures = [_span(b) for b in blocked]
     relevant = [c for c in prior if target.overlaps_nontrivially(c.host)]
     room = [target]
     for depth in _GAP_DEPTHS if relevant else (0,):
-        covers = [
-            part
-            for c in relevant
-            for span in room
-            for lo, hi, den, _ in c._walk(span.lo, span.hi, depth)
-            if (part := Interval(Fraction(lo, den), Fraction(hi, den)).intersect(target)) is not None
-        ]
-        best = _longest_part(IntervalSet.of(opaque + covers).complement_within(target))
+        covers = [piece[:3] for c in relevant for span in room for piece in c._walk(span.lo, span.hi, depth)]
+        best = _longest_room(*_merged(closures + covers), target)
         if best is not None:
-            return best.interior(), depth
+            return best, depth
         if depth == 1:  # computed once the cheap first try fails
-            room = IntervalSet.of(opaque).complement_within(target)
-            if _longest_part(room) is None:
+            if _longest_room(*_merged(closures), target) is None:
                 break  # no depth can expose a gap
+            room = IntervalSet.of(part for b in blocked if (part := b.intersect(target))).complement_within(target)
     raise RuntimeError(f"no gap inside {target} avoids the blocked intervals and prior covers")
+
+
+def _span(interval: Interval) -> tuple[int, int, int]:
+    """(lo, hi, den): the interval's ends as numerators over the lcm of their denominators."""
+    lo, hi = interval.lo, interval.hi
+    den = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
+def _merged(spans: list[tuple[int, int, int]]) -> tuple[list[int], list[int], int]:
+    """``_longest_room``'s (los, reach, den) for closed spans (lo, hi, den)."""
+    den = lcm(*{d for _, _, d in spans})
+    ends = sorted((lo * (den // d), hi * (den // d)) for lo, hi, d in spans)
+    return [lo for lo, _ in ends], list(accumulate([hi for _, hi in ends], max)), den
+
+
+def _longest_room(los: list[int], reach: list[int], den: int, target: Interval) -> Interval | None:
+    """The longest part of the target outside closed obstructions, leftmost on
+    ties, as an open interval whatever the target's flags; None if none.
+
+    The room rule: obstruction i is [los[i], his[i]] over den, sorted by
+    left end, and reach is the running max of the his, so every obstruction
+    before i ends by reach[i-1] and los[i] - reach[i-1], when positive, is
+    the room just left of i.  Two bisections find the obstructions that can
+    meet the target and one max the longest inner room; the edge rooms join
+    it as integers, times den and the target's denominators.
+    """
+    lo, hi = target.lo, target.hi
+    a, b, e, f = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    first = bisect_right(reach, a * den // b)
+    stop = bisect_left(los, -(-e * den // f))
+    if first == stop:
+        return Interval.open(lo, hi)
+    rooms = [((los[first] * b - a * den) * f, None, first)]  # (scaled length, reach index, los index)
+    if stop - first > 1:
+        inner = list(map(sub, los[first + 1:stop], reach[first:stop - 1]))
+        i = first + inner.index(most := max(inner))  # the leftmost longest
+        rooms.append((most * b * f, i, i + 1))
+    rooms.append(((e * den - reach[stop - 1] * f) * b, stop - 1, None))
+    length, i, j = max(rooms, key=itemgetter(0))  # the first of equals
+    if length <= 0:
+        return None
+    return Interval.open(lo if i is None else Fraction(reach[i], den), hi if j is None else Fraction(los[j], den))
 
 
 def _longest_part(parts: IntervalSet) -> Interval | None:

@@ -46,15 +46,12 @@ of gap lengths over n > N is at most 2^-N.
 Gap search.  The free interval avoids the closures of all earlier gaps when
 they leave room in I_n.  One gap index serves this search and every window
 query: the gaps sorted by left end, with both ends and the running max of
-the right ends as integers over one common denominator.  Every closure
-before closure i ends by that running max at i-1, so closure i's left end
-minus it, when positive, is the free room just left of closure i; a closure
-nested in an earlier one gives none.  So the longest free part of I_n takes
-two bisections and one integer max, and a window query rounds its two ends
-once and then compares integers.  When the closures tile I_n (from stage 37
-on at gap_cap 1), the new gap nests inside a removed middle of the earlier
-stage overlapping I_n most, certified at ``depth_used``; planted sets stay
-disjoint either way.
+the right ends as integers over one common denominator.  The room scan
+``cantor._longest_room`` reads the longest free part of I_n from it, and a
+window query rounds its two ends once.  When the closures tile I_n (from
+stage 37 on at gap_cap 1), the new gap nests inside a removed middle of the
+earlier stage overlapping I_n most, certified at ``depth_used``: the same
+scan digs there.  Planted sets stay disjoint either way.
 """
 
 from __future__ import annotations
@@ -66,11 +63,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, count, islice
 from math import ceil, floor, gcd, isqrt, lcm
-from operator import ge, mul, sub
+from operator import ge, mul
 from typing import Callable, Iterable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
-from .cantor import _GAP_DEPTHS, _cover_walk
+from .cantor import _GAP_DEPTHS, _cover_walk, _longest_room
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
@@ -393,14 +390,11 @@ class SplittingPartition:
         self.translation = translation
         self.stages: tuple[StageRecord, ...] = tuple(stages)
         self._masses: tuple[int, list[int]] | None = None
-        # The gap index: records sorted by gap.lo, their gap ends as integers
-        # over one common denominator _den, and _reach, the running max of
-        # _his.  Every closure before closure j ends by _reach[j-1], so
-        # _los[j] - _reach[j-1], when positive, is the free room just left of
-        # closure j; a closure nested in an earlier one gives none.  A running
-        # max is sorted, so both window queries bisect _reach and _los.  The
-        # stages given are indexed in one sort, stable so that equal left ends
-        # keep stage order as ``_add``'s insertions do.
+        # The gap index as ``cantor._longest_room`` reads it: records sorted
+        # by gap.lo, their gap ends over one common denominator _den, and
+        # _reach, the running max of _his, which window queries bisect too.
+        # One stable sort, so that equal left ends keep stage order as
+        # ``_add``'s insertions do.
         gaps = [record.gap for record in self.stages]
         self._den = den = lcm(*(end.denominator for gap in gaps for end in (gap.lo, gap.hi)))
         los = [gap.lo.numerator * (den // gap.lo.denominator) for gap in gaps]
@@ -462,32 +456,8 @@ class SplittingPartition:
         return sorted([self._by_lo[i] for i in positions if self._his[i] >= lo], key=lambda s: s.n)
 
     def _longest_free(self, target: Interval) -> Interval | None:
-        """The longest part of the target outside every gap closure, leftmost
-        on ties, as an open interval whatever the target's closure flags.
-
-        Closures first..stop-1 are the ones that can meet the target.  Only
-        the two edge parts need Fraction arithmetic; the inner ones are the
-        integer differences ``_los[i] - _reach[i-1]``.
-        """
-        lo, hi, den = target.lo, target.hi, self._den
-        first = bisect_right(self._reach, lo.numerator * den // lo.denominator)
-        stop = bisect_left(self._los, -(-hi.numerator * den // hi.denominator))
-        if first == stop:
-            return Interval.open(lo, hi)
-        best, length = None, ZERO
-        if (left := self._by_lo[first].gap.lo) > lo:
-            best, length = (lo, left), left - lo
-        if stop - first > 1:
-            inner = list(map(sub, self._los[first + 1:stop], self._reach[first:stop - 1]))
-            most = max(inner)
-            if (inner_length := Fraction(most, den)) > length:
-                i = first + 1 + inner.index(most)  # the leftmost longest
-                best = (Fraction(self._reach[i - 1], den), self._by_lo[i].gap.lo)
-                length = inner_length
-        right = Fraction(self._reach[stop - 1], den)
-        if hi - right > length:
-            best = (right, hi)
-        return None if best is None else Interval.open(*best)
+        """``_longest_room`` over the gap closures."""
+        return _longest_room(self._los, self._reach, self._den, target)
 
     def _free_subinterval(self, target: Interval) -> tuple[Interval, int]:
         """Longest open subinterval of target avoiding all planted sets, and the dig depth.
@@ -501,7 +471,8 @@ class SplittingPartition:
         with the largest overlap (earliest on ties), the other closures
         blocked.  That stage's closure holds the target, and its removed
         middles minus the finitely many closed gaps nested in them leave
-        room at some finite depth.
+        room at some finite depth.  One room scan, ``cantor._longest_room``,
+        serves both the depth-0 search and the dig.
         """
         best = self._longest_free(target)
         if best is not None:
@@ -1080,17 +1051,6 @@ def _parse_stage_line(line: str, where: str, version: int) -> StageRecord:
     if version == 1 and (len(tokens) != 4 * n + 6 or " ".join(tokens[3:]) != " ".join(_set_records(record))):
         raise ValueError(f"stage {n} line: its set records are not the ones its gap implies")
     return record
-
-
-def _check_stage(partition: SplittingPartition, record: StageRecord, target: tuple[int, int, int, int]) -> None:
-    """Raise ValueError unless a build could place the record after the partition's stages.
-
-    Checks what the construction guarantees: ``_check_gap`` tests the
-    stage's number, depth and gap shape, and ``_check_cover`` tests its gap
-    against the earlier stages' gaps and planted sets.
-    """
-    _check_gap(record, partition.stage_count + 1, target, partition.gap_cap)
-    _check_cover(record, partition.stages_overlapping(record.gap))
 
 
 def _check_gap(record: StageRecord, expected: int, target: tuple[int, int, int, int], gap_cap: Fraction) -> None:

@@ -1,14 +1,19 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkesat import cantor
 from clarkesat.cantor import (
+    _GAP_DEPTHS,
     Containment,
     FatCantorSet,
     MeasureBound,
+    _longest_part,
     find_gap,
     svc_cover,
     svc_measure_in,
@@ -359,3 +364,75 @@ def test_find_gap_in_a_sliver_walks_only_the_room(canonical, monkeypatch):
     monkeypatch.setattr(cantor, "_children", bounded_children)
     blocked = (Interval.closed(-1, e - eps), Interval.closed(e + eps, 2))
     assert find_gap([canonical], Interval.open(0, 1), blocked) == (Interval.open(e - eps, e), 32)
+
+
+def _reference_find_gap(prior, target, blocked=()):
+    """``find_gap`` as it was first written: each try merges Fraction
+    intervals, the blocked parts and every walked cover piece clipped to the
+    target, and takes the longest part of their complement in the target."""
+    if not target.is_nontrivial:
+        raise ValueError("target must be nontrivial")
+    opaque = [part for b in blocked if (part := b.intersect(target)) is not None]
+    relevant = [c for c in prior if target.overlaps_nontrivially(c.host)]
+    room = [target]
+    for depth in _GAP_DEPTHS if relevant else (0,):
+        covers = [
+            part
+            for c in relevant
+            for span in room
+            for lo, hi, den, _ in c._walk(span.lo, span.hi, depth)
+            if (part := Interval(Fraction(lo, den), Fraction(hi, den)).intersect(target)) is not None
+        ]
+        best = _longest_part(IntervalSet.of(opaque + covers).complement_within(target))
+        if best is not None:
+            return best.interior(), depth
+        if depth == 1:
+            room = IntervalSet.of(opaque).complement_within(target)
+            if _longest_part(room) is None:
+                break
+    raise RuntimeError(f"no gap inside {target} avoids the blocked intervals and prior covers")
+
+
+_FLAGS = st.tuples(st.booleans(), st.booleans())
+
+
+@st.composite
+def _ends(draw):
+    """A number in [-1/4, 5/4] over a denominator 2^k * {1, 3, 5, 7}."""
+    den = draw(st.sampled_from((1, 3, 5, 7))) << draw(st.integers(0, 5))
+    return Fraction(draw(st.integers(-(den // 4), den + den // 4)), den)
+
+
+def _interval(a, b, flags):
+    a, b = min(a, b), max(a, b)
+    return Interval(a, b, True, True) if a == b else Interval(a, b, *flags)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_find_gap_matches_the_fraction_reference(data):
+    # Targets often end at host ends.  Blocked ends come often from the
+    # target's ends and quarter points and the depth-2 cover ends, so blocked
+    # intervals touch, nest, stick out of the target, leave single points
+    # and leave rooms of equal length.
+    hosts = data.draw(st.lists(st.tuples(_ends(), _ends(), _FLAGS).filter(lambda h: h[0] != h[1]), max_size=3))
+    retained = st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)))
+    prior = [FatCantorSet(_interval(a, b, flags), data.draw(retained)) for a, b, flags in hosts]
+    host_ends = sorted({end for a, b, _ in hosts for end in (a, b)})
+    end = st.one_of(st.sampled_from(host_ends), _ends()) if host_ends else _ends()
+    a, b = data.draw(end), data.draw(end)
+    if a == b:
+        b = a + 1
+    target = _interval(a, b, data.draw(_FLAGS))
+    pool = sorted({target.lo + i * target.length / 4 for i in range(5)}
+                  | {end for c in prior for part in c.svc_cover(2) for end in (part.lo, part.hi)})
+    end = st.one_of(st.sampled_from(pool), _ends())
+    blocked = tuple(_interval(data.draw(end), data.draw(end), data.draw(_FLAGS))
+                    for _ in range(data.draw(st.integers(0, 4))))
+    try:
+        expected = _reference_find_gap(prior, target, blocked)
+    except RuntimeError as error:
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(error))}$"):
+            find_gap(prior, target, blocked)
+    else:
+        assert find_gap(prior, target, blocked) == expected

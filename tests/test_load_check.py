@@ -19,7 +19,8 @@ from clarkesat.cantor import _GAP_DEPTHS
 from clarkesat.partition import (
     SplittingPartition,
     StageRecord,
-    _check_stage,
+    _check_cover,
+    _check_gap,
     _digest,
     _enumeration,
     _enumeration_ends,
@@ -32,6 +33,12 @@ from clarkesat.partition import (
     saves,
 )
 from clarkesat.rationals import ONE, Interval, parse_rational
+
+
+def _check_stage(prefix, record, target):
+    """The integer check of a record as the stage after the prefix."""
+    _check_gap(record, prefix.stage_count + 1, target, prefix.gap_cap)
+    _check_cover(record, prefix.stages_overlapping(record.gap))
 
 
 def _reference_check_stage(partition, record, target):
@@ -323,3 +330,24 @@ def test_the_canonical_line_reader_and_the_generic_parser_agree_past_stage_300()
         assert verdict == (expected or _verdict(_reference_loads, text)), text
         verdicts[verdict[0]] = verdicts.get(verdict[0], 0) + 1
     assert len(dug) >= 20 and verdicts["accepted"] >= 12 and verdicts["rejected"] >= 160, verdicts
+
+
+# Line ends: ``loads`` splits lines on any line end, skips blank lines and
+# hashes the lines it keeps, so these respellings load as the canonical text.
+@pytest.mark.parametrize("version, respell", [
+    (2, lambda text: text.replace("\n", "\r\n")),
+    (2, lambda text: text.replace("\n", "\n\n")),
+    (1, lambda text: text.replace("\n", "\r\n")),
+], ids=["v2-crlf", "v2-doubled", "v1-crlf"])
+def test_a_text_with_other_line_ends_loads_as_the_canonical_one(version, respell):
+    p = build_partition(30)
+    text = saves(p, version=version)
+    assert loads(respell(text)).stages == loads(text).stages == p.stages
+
+
+def test_a_crlf_text_with_an_altered_stage_line_fails_its_sha256_line():
+    lines = saves(build_partition(30), version=2).splitlines()
+    assert lines[12].startswith("n=11 ") and lines[12].endswith(" depth=0")
+    lines[12] = lines[12].replace(" depth=0", " depth=1")
+    with pytest.raises(ValueError, match="^SPLITPART v2 sha256= line does not match its stage lines$"):
+        loads("\r\n".join(lines) + "\r\n")

@@ -456,7 +456,7 @@ def _with_depth(text, n, depth, rehash=True):
 
 def test_v2_nested_stage_at_another_depth_is_rejected(builds_300, build_1000):
     # One dug stage per depth_used; every other depth the gap search tries
-    # (and 0) must fail _check_stage: a deeper one because find_gap returns
+    # (and 0) must fail _check_cover: a deeper one because find_gap returns
     # the first depth that exposes a gap, a shallower one because the gap
     # meets that depth's cover.
     for p in (builds_300[ONE], build_1000):
