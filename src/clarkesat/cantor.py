@@ -312,23 +312,22 @@ def find_gap(
     leave none, the search stops after depth 1.  The depth-1 try walks the
     cover pieces that meet the target; once it fails, a try walks only those
     that meet the room, the parts of the target outside the blocked
-    intervals, where any gap lies.  A try merges the blocked closures and
-    walked pieces as integers for ``_longest_room``.
+    intervals (``_rooms``), where any gap lies.  A try merges the blocked
+    closures and walked pieces as integers for ``_longest_room``.  How the
+    build picks the prior sets and blocked ones: the partition's "Gap search".
     """
     if not target.is_nontrivial:
         raise ValueError("target must be nontrivial")
     closures = [_span(b) for b in blocked]
     relevant = [c for c in prior if target.overlaps_nontrivially(c.host)]
-    room = [target]
+    room = [(target.lo, target.hi)]
     for depth in _GAP_DEPTHS if relevant else (0,):
-        covers = [piece[:3] for c in relevant for span in room for piece in c._walk(span.lo, span.hi, depth)]
+        covers = [piece[:3] for c in relevant for lo, hi in room for piece in c._walk(lo, hi, depth)]
         best = _longest_room(*_merged(closures + covers), target)
         if best is not None:
             return best, depth
-        if depth == 1:  # computed once the cheap first try fails
-            if _longest_room(*_merged(closures), target) is None:
-                break  # no depth can expose a gap
-            room = IntervalSet.of(part for b in blocked if (part := b.intersect(target))).complement_within(target)
+        if depth == 1 and not (room := _rooms(*_merged(closures), target)):
+            break  # no depth can expose a gap
     raise RuntimeError(f"no gap inside {target} avoids the blocked intervals and prior covers")
 
 
@@ -373,6 +372,15 @@ def _longest_room(los: list[int], reach: list[int], den: int, target: Interval) 
     if length <= 0:
         return None
     return Interval.open(lo if i is None else Fraction(reach[i], den), hi if j is None else Fraction(los[j], den))
+
+
+def _rooms(los: list[int], reach: list[int], den: int, target: Interval) -> list[tuple[Fraction, Fraction]]:
+    """The positive-length parts of the target outside ``_longest_room``'s obstructions, as (lo, hi)."""
+    lo, hi = target.lo, target.hi
+    first = bisect_right(reach, lo.numerator * den // lo.denominator)
+    stop = bisect_left(los, -(-hi.numerator * den // hi.denominator))
+    ends = [lo, *(Fraction(end, den) for pair in zip(los[first:stop], reach[first:stop]) for end in pair), hi]
+    return [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
 
 
 def _longest_part(parts: IntervalSet) -> Interval | None:

@@ -49,9 +49,12 @@ query: the gaps sorted by left end, with both ends and the running max of
 the right ends as integers over one common denominator.  The room scan
 ``cantor._longest_room`` reads the longest free part of I_n from it, and a
 window query rounds its two ends once.  When the closures tile I_n (from
-stage 37 on at gap_cap 1), the new gap nests inside a removed middle of the
-earlier stage overlapping I_n most, certified at ``depth_used``: the same
-scan digs there.  Planted sets stay disjoint either way.
+stage 37 on at gap_cap 1), ``cantor.find_gap`` digs the gap into a removed
+middle of the earliest stage whose closure meets I_n, the other closures
+blocked, certified at ``depth_used``.  The nesting rule makes that stage
+the host: a depth-0 closure touches no earlier one and a dug gap lies
+strictly inside its removed middle, so closures are disjoint or nested, the
+later inside, and the one maximal closure holding I_n came first.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from operator import ge, mul
 from typing import Callable, Iterable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
-from .cantor import _GAP_DEPTHS, _cover_walk, _longest_room
+from .cantor import _GAP_DEPTHS, _cover_walk, _longest_room, _span
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
@@ -271,12 +274,10 @@ class StageRecord:
         """(start, step, den): piece i is the open interval
         ((start + i*step)/den, (start + (i+1)*step)/den).
 
-        With the gap (a/d, b/d) over d = lcm of its denominators, the endpoint
+        With the gap (a/d, b/d) as ``_span`` gives it, the endpoint
         gap.lo + i * length/(n+1) is (a*(n+1) + i*(b-a)) / (d*(n+1)).
         """
-        lo, hi = self.gap.lo, self.gap.hi
-        d = lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        a, b, d = _span(self.gap)
         k = self.piece_count
         return a * k, b - a, d * k
 
@@ -406,7 +407,9 @@ class SplittingPartition:
         self._reach = list(accumulate(self._his, max))
 
     def _add(self, record: StageRecord) -> None:
-        """Append the next stage and index its gap; only during a build.
+        """Append the next stage and index its gap; only for builds and for
+        partitions that passed the load check, as its insert relies on the
+        nesting rule of "Gap search": every later entry reaches past the gap.
 
         A gap end whose denominator does not divide ``_den`` rescales the
         index to a common multiple with as many spare bits as ``_den`` had,
@@ -426,12 +429,7 @@ class SplittingPartition:
         self._by_lo.insert(pos, record)
         self._los.insert(pos, a)
         self._his.insert(pos, b)
-        running = max(self._reach[pos - 1], b) if pos else b
-        self._reach.insert(pos, running)
-        for idx in range(pos + 1, len(self._reach)):
-            if self._reach[idx] >= running:
-                break
-            self._reach[idx] = running
+        self._reach.insert(pos, max(self._reach[pos - 1], b) if pos else b)
 
     # -- structure ---------------------------------------------------------
 
@@ -464,28 +462,18 @@ class SplittingPartition:
 
         Depth 0 avoids the closures of the built gaps, which hold every
         planted set: ``_longest_free`` finds the longest part of the target
-        outside them from the gap index.  Closures are disjoint or nested (a
-        depth-0 gap misses every earlier closure, and a dug gap lies inside
-        the gap it was dug from), so a nested closure leaves no room of its
-        own.  When they tile the target, ``find_gap`` digs into the stage
-        with the largest overlap (earliest on ties), the other closures
-        blocked.  That stage's closure holds the target, and its removed
-        middles minus the finitely many closed gaps nested in them leave
-        room at some finite depth.  One room scan, ``cantor._longest_room``,
-        serves both the depth-0 search and the dig.
+        outside them from the gap index.  When they tile the target,
+        ``find_gap`` digs into the host that "Gap search" above names: its
+        removed middles minus the finitely many closed gaps nested in them
+        leave room at some finite depth.
         """
         best = self._longest_free(target)
         if best is not None:
             return best, 0
-        overlapping = self.stages_overlapping(target)
-        chosen = max(
-            overlapping,
-            key=lambda r: (min(r.gap.hi, target.hi) - max(r.gap.lo, target.lo), -r.n),
-        )
-        first, last, _, _ = _piece_span(chosen, target)
-        pieces = [self.piece_set(chosen.n, i) for i in range(first, last + 1)]
-        blocked = tuple(r.gap.closure() for r in overlapping if r is not chosen)
-        return find_gap(pieces, target, blocked)
+        host, *nested = self.stages_overlapping(target)
+        first, last, _, _ = _piece_span(host, target)
+        pieces = [self.piece_set(host.n, i) for i in range(first, last + 1)]
+        return find_gap(pieces, target, tuple(r.gap.closure() for r in nested))
 
     def _stage_masses(self) -> tuple[int, list[int]]:
         """(den, masses): stage n's whole-piece mass RETAINED * piece_width is

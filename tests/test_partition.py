@@ -934,6 +934,24 @@ def test_cover_probe_matches_the_planted_sets_at_2000_stages(build_2000):
     assert answers == {False, True}
 
 
+def test_gap_closures_nest_and_the_earliest_overlapping_stage_hosts_each_dig(build_2000, builds_300):
+    # The nesting rule of the partition's "Gap search": every earlier closure
+    # meeting a gap's closure holds it strictly, and a dug stage's I_n lies,
+    # closed, in the closure of the earliest stage meeting it.
+    dug = 0
+    for p in (build_2000, *builds_300.values()):
+        for record, target in zip(p.stages, partition_module._enumeration(1)):
+            gap = record.gap
+            for other in p.stages_overlapping(gap):
+                if other.n < record.n:
+                    assert other.gap.lo < gap.lo and gap.hi < other.gap.hi, (record.n, other.n)
+            if record.depth_used:
+                dug += 1
+                host = next(r for r in p.stages_overlapping(target) if r.n < record.n)
+                assert host.gap.lo <= target.lo and target.hi <= host.gap.hi, (record.n, host.n)
+    assert dug == 297
+
+
 def _drawn_end(data, partition, record):
     """A window end: a gap end of any stage, an end of the record's pieces,
     or a dyadic grid point as fine as the deepest gaps' 2^-(j+4).  Indices
