@@ -5,6 +5,17 @@ flag of `eval` and `measure` adds 15-significant-digit decimal renderings,
 clearly labelled approximate.  Commands are deterministic: repeated runs
 produce byte-identical output.
 
+Reads.  ``certify`` reads stages 1..M, the prefix its certificate needs
+(see ``saturation_windows``), and ``eval``, ``measure`` and ``plot`` stages
+1..m, the prefix their tolerance needs (see ``_tolerance_stages``); the
+header, stage count and sha256 line of the whole file are still checked.
+An input from which the count cannot be computed, and a tolerance window
+outside [0, 1], reads every stage, as ``stress`` does.  A bad file is
+reported before a bad input: when a command that takes --partition raises
+ValueError, ``main`` checks the whole file and reports its error, if it has
+one, in place of the command's.  So only a failing command reads the file
+twice.
+
 Exit codes: 0 success, 2 usage, 3 partition not built far enough,
 4 tolerance unreachable, 5 I/O failure, 6 a certificate failed its replay
 check.
@@ -24,7 +35,6 @@ from .functions import (
     FiniteSupport,
     SaturatedFunction,
     _value_limit,
-    box_center,
     eval_f1,
     parse_mu_spec,
     shift_to_ball,
@@ -33,7 +43,7 @@ from .functions import (
 from .partition import _sufficient_stages, build_partition, first_index_inside, load, save
 from .rationals import ONE, Interval, format_rational, parse_rational
 from .stress import run_subgradient, trajectory_csv
-from .verifier import certify_saturation, saturation_windows
+from .verifier import certificate_windows, certify_saturation
 
 EXIT_USAGE = 2
 EXIT_NOT_YET_COVERED = 3
@@ -88,10 +98,10 @@ def _function(
     """The command's function, point and tolerance (None where not given).
 
     Inputs are read in a fixed order, which decides the error a bad command
-    line reports: --partition (its first ``stages`` stages when given, see
-    ``load``), --mu, the point, --x0, the tolerance, then the dimension
-    check.  d is the point's length, 1 without a point; x0 defaults to the
-    domain box center.
+    line reports: --partition (its first ``stages`` stages when given; see
+    the module docstring for a bad stage past them), --mu, the point, --x0,
+    the tolerance, then the dimension check.  d is the point's length, 1
+    without a point; x0 defaults to the domain box center.
     """
     partition = load(args.partition, stages)
     mu = parse_mu_spec(args.mu)
@@ -122,8 +132,8 @@ def cmd_build(args) -> int:
 
 def _stages_or_whole(rule, args) -> int | None:
     """rule(args), the stage count a command reads; None, the whole file,
-    when an input leaves it unknown (ValueError), so that input's error
-    comes after the file's, as when every stage is read."""
+    when an input leaves it unknown (ValueError).  See the module docstring
+    for which error a bad file and a bad input report."""
     try:
         return rule(args)
     except ValueError:
@@ -147,11 +157,8 @@ def _tolerance_stages(limit: Fraction, tol: Fraction, *ends: Fraction) -> int:
 
 def _eval_stages(args) -> int:
     """The stages an ``eval`` answer needs: every coordinate window gets the
-    budget tol/d; ValueError for any input ``_function`` or ``eval_f`` rejects."""
+    budget tol/d."""
     mu, point, tol = parse_mu_spec(args.mu), _parse_point(args.x), _positive_tol(args.tol)
-    x0 = _parse_point(args.x0) if args.x0 else box_center(unit_box(len(point)))
-    if len(x0) != len(point) or not all(0 < c < 1 for c in point + x0):
-        raise ValueError("the point and x0 must lie in the open unit box")
     return _tolerance_stages(_value_limit(mu), tol / len(point))
 
 
@@ -165,13 +172,9 @@ def cmd_eval(args) -> int:
 
 def _certificate_stages(args) -> int:
     """The stage count M whose prefix certifies as the whole file does (see
-    ``saturation_windows``); ValueError for any input ``certify_saturation``
-    rejects, or a window past ``first_index_inside``'s size bound."""
-    point, r = _parse_point(args.point), parse_rational(args.radius)
-    K = _truncation(args, parse_mu_spec(args.mu))
-    if r <= 0 or K < 0:
-        raise ValueError("the radius must be positive and the truncation >= 0")
-    windows = saturation_windows(unit_box(len(point)), point, r)
+    ``saturation_windows``)."""
+    point, K = _parse_point(args.point), _truncation(args, parse_mu_spec(args.mu))
+    windows = certificate_windows(unit_box(len(point)), point, parse_rational(args.radius), K)
     return max(first_index_inside(window, 2 * K + 1) for window in windows)
 
 
@@ -190,11 +193,8 @@ def cmd_certify(args) -> int:
 
 
 def _measure_stages(args) -> int:
-    """The stages a ``measure`` answer needs (its width tends to the tail);
-    ValueError for any input ``measure_in`` rejects."""
+    """The stages a ``measure`` answer needs (its width tends to the tail)."""
     window, tol = _parse_window(args.window), _positive_tol(args.tol)
-    if args.k < 0:
-        raise ValueError("member index must be >= 0")
     return _tolerance_stages(ONE, tol, window.lo, window.hi)
 
 
@@ -207,9 +207,12 @@ def cmd_measure(args) -> int:
 
 def cmd_stress(args) -> int:
     sf, point, _ = _function(args, args.x_init or None)
-    # Every option is read before the trajectory runs, so a bad one costs no oracle call.
+    # Every option is read, and the certificate's inputs checked at the start
+    # point, before the trajectory runs, so a bad one costs no oracle call.
     step_c, radius, K = parse_rational(args.step_c), parse_rational(args.radius), _truncation(args, sf.mu)
-    trajectory = run_subgradient(sf, point or sf.x0, args.steps, step_c)
+    start = point or sf.x0
+    certificate_windows(sf.domain, start, radius, K)
+    trajectory = run_subgradient(sf, start, args.steps, step_c)
     text = trajectory_csv(sf, trajectory, radius, K)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -222,10 +225,8 @@ def cmd_stress(args) -> int:
 
 def _plot_stages(args) -> int:
     """The stages a ``plot`` needs: each point is two measures at tol/2, so
-    its width tends to 2 * tail; ValueError for any input ``eval_f1`` rejects."""
+    its width tends to 2 * tail."""
     x0, tol = parse_rational(args.x0), _positive_tol(args.tol)
-    if args.k < 0:
-        raise ValueError("member index must be >= 0")
     return _tolerance_stages(Fraction(2), tol, x0)
 
 
@@ -249,11 +250,13 @@ def cmd_plot(args) -> int:
     return 0
 
 
-# The help of eval, measure and plot: what their tolerance-scoped read checks.
+# The help of certify, eval, measure and plot on their prefix reads (the
+# module docstring states the rule).
+_FAILED_READ = "  A command that fails checks every stage, and reports a bad one in place of its own error."
 _TOLERANCE_READ = (
     "  Only the stages the tolerance needs are read and checked, with the header, stage count and"
     " sha256 line of the whole file; the unread stages' mass is in the bound, so it is certified,"
-    " though it may differ from the whole file's."
+    " though it may differ from the whole file's." + _FAILED_READ
 )
 
 
@@ -281,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "eval",
         help="certified value bound at a point",
-        description="Bound the function's value at a point to within --tol." + _TOLERANCE_READ
-        + "  A point or --x0 outside the open unit box reads the whole file.",
+        description="Bound the function's value at a point to within --tol." + _TOLERANCE_READ,
     )
     p_eval.add_argument("--partition", required=True)
     p_eval.add_argument("--mu", required=True, help='e.g. "0:1/1" or "ones"')
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="saturation certificate at a point",
         description="Certify the gradient hull at a point.  Only the stages its windows need are"
         " read and checked, with the header, stage count and sha256 line of the whole file;"
-        " the certificate is the one the whole file gives.",
+        " the certificate is the one the whole file gives." + _FAILED_READ,
     )
     p_cert.add_argument("--partition", required=True)
     p_cert.add_argument("--mu", required=True)
@@ -364,6 +366,11 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except tuple(_EXIT_CODES) as exc:
+        if isinstance(exc, ValueError) and getattr(args, "partition", None):
+            try:  # a bad file is reported before a bad input (module docstring)
+                load(args.partition)
+            except (ValueError, OSError) as file_error:
+                exc = file_error
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     finally:

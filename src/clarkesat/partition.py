@@ -927,10 +927,9 @@ def loads(text: str, stages: int | None = None) -> SplittingPartition:
     the declared stage count and a v2 file's sha256 line are still checked
     over every line.  ``_check_cover`` tests a stage only against the
     stages before it, so the prefix of a valid file is the partition of its
-    first stages, while a bad line past the prefix goes unseen.  ``clarkesat
-    certify`` reads the prefix its certificate needs, and ``eval``,
-    ``measure`` and ``plot`` the prefix their tolerance needs; ``stress``
-    reads and checks the whole file.
+    first stages, while a bad line past the prefix goes unseen.  The ``cli``
+    module docstring states which prefix each ``clarkesat`` command reads,
+    and when it checks the whole file.
 
     A number longer than the caller's limit on int/str conversion
     (``sys.get_int_max_str_digits``, 4,300 digits by default) raises a
@@ -1143,7 +1142,7 @@ def load(path, stages: int | None = None) -> SplittingPartition:
     """``loads`` of the file at path: the whole file, or with ``stages`` = m
     its first min(m, declared) stages, the header, the stage count and the
     sha256 line still checked over every line, and a bad stage past them
-    unseen (``loads`` names the commands that read a prefix)."""
+    unseen (the ``cli`` module docstring says which commands read a prefix)."""
     with open(path, "r", encoding="ascii") as fh:
         return loads(fh.read(), stages)
 

@@ -178,6 +178,18 @@ def saturation_windows(
     return windows
 
 
+def certificate_windows(
+    domain: Sequence[Interval], x: tuple[Fraction, ...], r: Fraction, K: int
+) -> list[Interval]:
+    """``saturation_windows`` after the other checks ``certify_saturation``
+    makes before its first stage query: r > 0 and K >= 0."""
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    if K < 0:
+        raise ValueError("truncation must be >= 0")
+    return saturation_windows(domain, x, r)
+
+
 def certify_saturation(
     sf: SaturatedFunction | ShiftedSaturatedFunction,
     x: Sequence[Fraction],
@@ -199,11 +211,7 @@ def certify_saturation(
         )
     x = tuple(rational(c) for c in x)
     r = rational(r)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if K < 0:
-        raise ValueError("truncation must be >= 0")
-    windows = saturation_windows(sf.domain, x, r)
+    windows = certificate_windows(sf.domain, x, r, K)
     # One listing per window answers all members 0..2K+1; a missing one
     # raises at its first use in the vertex order below.
     witnesses = [

@@ -491,7 +491,10 @@ def test_certify_a_generator_without_k_is_usage_error(partition_file, capsys):
     (("--mu", "ones", "--step-c", "1/1000"), "--K is required for generator coefficient sources"),
     (("--mu", "0:1/1", "--radius", "bad"), "invalid literal for int() with base 10: 'bad'"),
     (("--mu", "0:1/1", "--step-c", "bad"), "invalid literal for int() with base 10: 'bad'"),
-], ids=["no-K", "bad-radius", "bad-step-c"])
+    (("--mu", "0:1/1", "--K", "-1"), "truncation must be >= 0"),
+    (("--mu", "0:1/1", "--radius", "0"), "radius must be positive"),
+    (("--mu", "0:1/1", "--radius", "3/4"), "the radius-3/4 box around 43/96 leaves the domain side (0/1,1/1)"),
+], ids=["no-K", "bad-radius", "bad-step-c", "negative-K", "zero-radius", "radius-past-the-side"])
 def test_stress_reads_every_option_before_the_trajectory(partition_file, capsys, monkeypatch, options, message):
     import clarkesat.stress
 

@@ -1131,6 +1131,22 @@ def test_certify_reads_only_the_stages_before_a_bad_one_past_its_prefix(files_20
         int(stage) for stage in re.findall(r" stage (\d+) ", outputs[0])) < 1515
 
 
+@pytest.mark.parametrize("options", _CERTIFY_LINES, ids=["d2", "d1-narrow", "ones-K8", "shift"])
+def test_certify_reads_the_file_once_with_the_windows_prefix(files_2000, monkeypatch, capsys, options):
+    # A command that succeeds reads only stages 1..M, M the largest
+    # first_index_inside(W_i, 2K+1); the whole-file check runs only on failure.
+    read = []
+    monkeypatch.setattr(cli, "load", lambda path, stages=None: read.append(stages) or (
+        partition_module.load(path, stages)))
+    assert main(["certify", "--partition", files_2000[0], *options]) == 0
+    capsys.readouterr()
+    given = dict(zip(options[::2], options[1::2]))
+    point = tuple(map(Fraction, given["--point"].split(",")))
+    K = int(given["--K"]) if "--K" in given else parse_mu_spec(given["--mu"]).max_index
+    windows = saturation_windows(unit_box(len(point)), point, Fraction(given["--radius"]))
+    assert read == [max(first_index_inside(window, 2 * K + 1) for window in windows)]
+
+
 # eval and measure read the prefix their tolerance needs, so each gets a
 # tolerance of 2^-1600, whose prefix holds the bad stage 1515.
 _TOL_2_1600 = f"1/{2**1600}"
@@ -1157,11 +1173,15 @@ def test_commands_that_read_every_stage_reject_the_bad_one(files_2000, capsys, c
     ("--mu", "0:1/1", "--point", "1/2", "--radius", "1/4", "--K", "-1"),
     ("--mu", "ones", "--point", "1/2", "--radius", "1/4"),
     ("--mu", "bad", "--point", "1/2", "--radius", "1/4"),
+    ("--mu", "0:1/1", "--point", "1/2", "--radius", "1/4", "--x0", "3/2"),
+    ("--mu", "0:1/1", "--point", "1/2", "--radius", "1/4", "--x0", "1/2,1/2"),
+    ("--mu", "0:1/1", "--point", "1/2", "--radius", "1/4", "--shift", "1/1"),
+    ("--mu", "0:1/1", "--point", "1/2", "--radius", "1/4", "--shift", "abc", "--shift-radius", "1/2"),
 ], ids=["unparsed-point", "point-outside", "window-outside", "zero-radius", "negative-K", "generator-without-K",
-        "bad-mu"])
+        "bad-mu", "x0-outside", "x0-dimension", "shift-without-radius", "unparsed-shift"])
 def test_certify_reports_the_files_error_before_a_bad_input(files_2000, capsys, options):
-    # Inputs that leave the needed prefix unknown read the whole file, so the
-    # file's error comes first, as in every other command.
+    # A command that fails checks the whole file, so the file's error comes
+    # first, whether the input fails before or after the prefix read.
     _, broken = files_2000
     assert main(["certify", "--partition", broken, *options]) == 2
     captured = capsys.readouterr()
@@ -1272,8 +1292,8 @@ def test_tolerance_commands_read_the_smallest_prefix_with_room(files_2000, tmp_p
         "eval-tol", "measure-window-outside", "measure-window-past-1", "measure-window", "measure-tol", "measure-k",
         "plot-x0-outside", "plot-tol", "plot-k"])
 def test_tolerance_commands_report_the_files_error_before_a_bad_input(files_2000, tmp_path, capsys, command):
-    # An input that leaves the prefix unknown, or a window outside [0, 1],
-    # reads the whole file, so the file's error comes first.
+    # A window outside [0, 1] reads the whole file, and a command that fails
+    # checks the whole file, so the file's error comes first.
     code, out, err = _answer(command, files_2000[1], capsys, tmp_path / "plot.csv")
     assert (code, out) == (2, "") and err.startswith("error: stage 1515: ") and "Traceback" not in err
 
