@@ -5,16 +5,22 @@ flag of `eval` and `measure` adds 15-significant-digit decimal renderings,
 clearly labelled approximate.  Commands are deterministic: repeated runs
 produce byte-identical output.
 
-Reads.  ``certify`` reads stages 1..M, the prefix its certificate needs
-(see ``saturation_windows``), and ``eval``, ``measure`` and ``plot`` stages
+Reads.  A command parses each input once, in a fixed order that decides
+the error a bad command line reports: --mu, the point, --x0, the tolerance
+and the dimension check (``_function``), then its own options (``certify``:
+--radius, --K, then the windows).  From them it works out the stage count
+it needs and loads that prefix; the checks made on the loaded function
+(--x0 inside the box, then ``certify``'s --shift) come after.  ``certify``
+reads stages 1..M, the prefix its certificate needs (see
+``saturation_windows``), and ``eval``, ``measure`` and ``plot`` stages
 1..m, the prefix their tolerance needs (see ``_tolerance_stages``); the
 header, stage count and sha256 line of the whole file are still checked.
-An input from which the count cannot be computed, and a tolerance window
-outside [0, 1], reads every stage, as ``stress`` does.  A bad file is
-reported before a bad input: when a command that takes --partition raises
-ValueError, ``main`` checks the whole file and reports its error, if it has
-one, in place of the command's.  So only a failing command reads the file
-twice.
+Two cases read every stage, as ``stress`` does: a tolerance window outside
+[0, 1], and an M past ``first_index_inside``'s size bound, which no file
+reaches.  A bad file is reported before a bad input: when a command that
+takes --partition raises ValueError, ``main`` checks the whole file and
+reports its error, if it has one, in place of the command's.  So only a
+failing command reads the file twice.
 
 Exit codes: 0 success, 2 usage, 3 partition not built far enough,
 4 tolerance unreachable, 5 I/O failure, 6 a certificate failed its replay
@@ -91,19 +97,11 @@ def _positive_tol(text: str) -> Fraction:
     return tol
 
 
-def _function(
-    args, point_text: str | None, x0_text: str | None = None, tol_text: str | None = None,
-    stages: int | None = None,
-) -> tuple[SaturatedFunction, tuple[Fraction, ...] | None, Fraction | None]:
-    """The command's function, point and tolerance (None where not given).
-
-    Inputs are read in a fixed order, which decides the error a bad command
-    line reports: --partition (its first ``stages`` stages when given; see
-    the module docstring for a bad stage past them), --mu, the point, --x0,
-    the tolerance, then the dimension check.  d is the point's length, 1
-    without a point; x0 defaults to the domain box center.
-    """
-    partition = load(args.partition, stages)
+def _function(args, point_text: str | None, x0_text: str | None = None, tol_text: str | None = None):
+    """(mu, point, tol, function): the command's inputs, None where not
+    given, read in the module docstring's order, and function(stages), its
+    SaturatedFunction on ``load(--partition, stages)``.  d is the point's
+    length, 1 without a point; x0 defaults to the domain box center."""
     mu = parse_mu_spec(args.mu)
     point = None if point_text is None else _parse_point(point_text)
     x0 = _parse_point(x0_text) if x0_text else None
@@ -111,7 +109,7 @@ def _function(
     d = len(point) if point else 1
     if x0 is not None and len(x0) != d:
         raise ValueError("x0 must match the point's dimension")
-    return SaturatedFunction(partition, mu, d, x0=x0), point, tol
+    return mu, point, tol, lambda stages=None: SaturatedFunction(load(args.partition, stages), mu, d, x0=x0)
 
 
 def _truncation(args, mu: CoefficientSource) -> int:
@@ -130,86 +128,70 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _stages_or_whole(rule, args) -> int | None:
-    """rule(args), the stage count a command reads; None, the whole file,
-    when an input leaves it unknown (ValueError).  See the module docstring
-    for which error a bad file and a bad input report."""
-    try:
-        return rule(args)
-    except ValueError:
-        return None
-
-
-def _tolerance_stages(limit: Fraction, tol: Fraction, *ends: Fraction) -> int:
+def _tolerance_stages(limit: Fraction, tol: Fraction, *ends: Fraction) -> int | None:
     """The smallest stage count m with limit * stage_tail_bound(m, 1) < tol/2.
 
     An answer whose width tends to limit * tail with depth reaches tol from
     stages 1..m of any file: stages past m hold at most that tail, which
     only grows with gap_cap, and the straddlers get the other tol/2.  The
     window integrator counts the tail once per window, not once per unit
-    period, so a window end outside [0, 1] raises ValueError: such a window
+    period, so for a window end outside [0, 1] this is None: such a window
     reads every stage, as the library does.
     """
     if not all(0 <= end <= 1 for end in ends):
-        raise ValueError("a window outside [0, 1] reads every stage")
+        return None
     return _sufficient_stages(0, ONE, limit, tol / 2)
 
 
-def _eval_stages(args) -> int:
-    """The stages an ``eval`` answer needs: every coordinate window gets the
-    budget tol/d."""
-    mu, point, tol = parse_mu_spec(args.mu), _parse_point(args.x), _positive_tol(args.tol)
-    return _tolerance_stages(_value_limit(mu), tol / len(point))
-
-
 def cmd_eval(args) -> int:
-    stages = _stages_or_whole(_eval_stages, args)
-    sf, point, tol = _function(args, args.x, args.x0, args.tol, stages)
-    bound = sf.eval(point, tol)
+    # Every coordinate window gets the budget tol/d.
+    mu, point, tol, function = _function(args, args.x, args.x0, args.tol)
+    bound = function(_tolerance_stages(_value_limit(mu), tol / len(point))).eval(point, tol)
     _print_bound(bound.lo, bound.hi, args.decimal)
     return 0
 
 
-def _certificate_stages(args) -> int:
+def _certificate_stages(windows: list[Interval], K: int) -> int | None:
     """The stage count M whose prefix certifies as the whole file does (see
-    ``saturation_windows``)."""
-    point, K = _parse_point(args.point), _truncation(args, parse_mu_spec(args.mu))
-    windows = certificate_windows(unit_box(len(point)), point, parse_rational(args.radius), K)
-    return max(first_index_inside(window, 2 * K + 1) for window in windows)
+    ``saturation_windows``); None, the whole file, past
+    ``first_index_inside``'s size bound, which no file reaches.  The windows
+    are nontrivial and lie in (0, 1), so the bound is its only ValueError."""
+    try:
+        return max(first_index_inside(window, 2 * K + 1) for window in windows)
+    except ValueError:
+        return None
 
 
 def cmd_certify(args) -> int:
-    sf, point, _ = _function(args, args.point, args.x0, stages=_stages_or_whole(_certificate_stages, args))
-    mu = sf.mu
+    mu, point, _, function = _function(args, args.point, args.x0)
+    radius, K = parse_rational(args.radius), _truncation(args, mu)
+    windows = certificate_windows(unit_box(len(point)), point, radius, K)
+    sf = function(_certificate_stages(windows, K))
     if args.shift:
         if not args.shift_radius:
             raise ValueError("--shift requires --shift-radius")
         sf = shift_to_ball(sf, _parse_point(args.shift), parse_rational(args.shift_radius))
-    certificate = certify_saturation(sf, point, parse_rational(args.radius), _truncation(args, mu))
+    certificate = certify_saturation(sf, point, radius, K)
     if not certificate.check():
         raise CertificateFailed("certificate failed its own replay check")
     print(certificate.render())
     return 0
 
 
-def _measure_stages(args) -> int:
-    """The stages a ``measure`` answer needs (its width tends to the tail)."""
-    window, tol = _parse_window(args.window), _positive_tol(args.tol)
-    return _tolerance_stages(ONE, tol, window.lo, window.hi)
-
-
 def cmd_measure(args) -> int:
-    partition = load(args.partition, _stages_or_whole(_measure_stages, args))
-    bound = partition.measure_in(args.k, _parse_window(args.window), _positive_tol(args.tol))
+    window, tol = _parse_window(args.window), _positive_tol(args.tol)
+    partition = load(args.partition, _tolerance_stages(ONE, tol, window.lo, window.hi))
+    bound = partition.measure_in(args.k, window, tol)
     _print_bound(bound.lo, bound.hi, args.decimal)
     return 0
 
 
 def cmd_stress(args) -> int:
-    sf, point, _ = _function(args, args.x_init or None)
+    mu, point, _, function = _function(args, args.x_init or None)
+    sf = function()
     # Every option is read, and the certificate's inputs checked at the start
     # point, before the trajectory runs, so a bad one costs no oracle call.
-    step_c, radius, K = parse_rational(args.step_c), parse_rational(args.radius), _truncation(args, sf.mu)
+    step_c, radius, K = parse_rational(args.step_c), parse_rational(args.radius), _truncation(args, mu)
     start = point or sf.x0
     certificate_windows(sf.domain, start, radius, K)
     trajectory = run_subgradient(sf, start, args.steps, step_c)
@@ -223,19 +205,12 @@ def cmd_stress(args) -> int:
     return 0
 
 
-def _plot_stages(args) -> int:
-    """The stages a ``plot`` needs: each point is two measures at tol/2, so
-    its width tends to 2 * tail."""
-    x0, tol = parse_rational(args.x0), _positive_tol(args.tol)
-    return _tolerance_stages(Fraction(2), tol, x0)
-
-
 def cmd_plot(args) -> int:
     if args.grid < 1:
         raise ValueError("grid must request at least one point")
-    partition = load(args.partition, _stages_or_whole(_plot_stages, args))
-    x0 = parse_rational(args.x0)
-    tol = _positive_tol(args.tol)
+    # Each point is two measures at tol/2, so its width tends to 2 * tail.
+    x0, tol = parse_rational(args.x0), _positive_tol(args.tol)
+    partition = load(args.partition, _tolerance_stages(Fraction(2), tol, x0))
     lines = ["x,f_lo,f_hi"]
     for i in range(1, args.grid + 1):
         x = Fraction(i, args.grid + 1)

@@ -213,12 +213,14 @@ def certify_saturation(
     r = rational(r)
     windows = certificate_windows(sf.domain, x, r, K)
     # One listing per window answers all members 0..2K+1; a missing one
-    # raises at its first use in the vertex order below.
+    # raises at its first use in the vertex order below.  Stage n feeds only
+    # members 0..n, so members past the stage count are never looked for.
+    members = range(min(2 * K + 2, sf.partition.stage_count + 1))
     witnesses = [
         {
             member: CoordinateWitness(member, stage, piece, window, bound)
             for member, (stage, piece, bound) in _whole_pieces(
-                sf.partition.stages_overlapping(window), range(2 * K + 2), window
+                sf.partition.stages_overlapping(window), members, window
             ).items()
         }
         for window in windows

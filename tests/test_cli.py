@@ -441,13 +441,42 @@ def test_certify_exit_3_names_the_stage_count_once(partition_file, capsys):
 
 
 def test_inputs_are_read_in_a_fixed_order(tmp_path, partition_file, capsys):
-    # The file is read before the point is parsed, and --mu before --tol.
+    # Every input is parsed before the file is read, --mu before --tol; a bad
+    # input then checks the whole file, whose error comes first.
     missing = str(tmp_path / "missing.splitpart")
     assert run_cli("eval", "--partition", missing, "--mu", "0:1/1", "--x", "bad") == 5
     assert "No such file or directory" in capsys.readouterr().err
     code = run_cli("eval", "--partition", partition_file, "--mu", "bad", "--x", "1/2", "--tol", "0")
     assert code == 2
     assert capsys.readouterr().err == "error: bad coefficient entry 'bad'; expected k:p/q\n"
+
+
+@pytest.mark.parametrize("argv, parser", [
+    (("eval", "--mu", "0:1/1", "--x", "5/8"), "parse_mu_spec"),
+    (("certify", "--mu", "0:1/1", "--point", "1/2", "--radius", "1/4"), "parse_mu_spec"),
+    (("measure", "--k", "1", "--window", "1/4,3/4"), "_positive_tol"),
+    (("plot", "--k", "0", "--grid", "3"), "_positive_tol"),
+], ids=["eval", "certify", "measure", "plot"])
+def test_a_valid_command_parses_each_input_once(partition_file, tmp_path, capsys, monkeypatch, argv, parser):
+    import clarkesat.cli
+
+    calls = []
+    original = getattr(clarkesat.cli, parser)
+    monkeypatch.setattr(clarkesat.cli, parser, lambda text: calls.append(text) or original(text))
+    command, *options = argv
+    out = ("--out", str(tmp_path / "plot.csv")) if command == "plot" else ()
+    assert run_cli(command, "--partition", partition_file, *options, *out) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_certify_checks_radius_before_x0(partition_file, capsys):
+    # --radius, --K and the windows fix the prefix, so they are checked
+    # before the loaded function checks --x0.
+    code = run_cli("certify", "--partition", partition_file, "--mu", "0:1/1", "--point", "1/2",
+                   "--radius", "0", "--x0", "3/2")
+    assert code == 2
+    assert capsys.readouterr().err == "error: radius must be positive\n"
 
 
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):

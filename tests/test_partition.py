@@ -1147,6 +1147,25 @@ def test_certify_reads_the_file_once_with_the_windows_prefix(files_2000, monkeyp
     assert read == [max(first_index_inside(window, 2 * K + 1) for window in windows)]
 
 
+def test_certify_past_the_size_bound_reads_the_whole_file(tmp_path, monkeypatch, capsys):
+    # A 2^-99 window around stage 120's gap (about 2^-122 wide) holds its
+    # pieces whole, while the first enumerated interval inside it lies past
+    # first_index_inside's size bound: M is past any file, so every stage is
+    # read, and stage 120 certifies.
+    partition = build_partition(130)
+    path = tmp_path / "p130.splitpart"
+    path.write_text(saves(partition, version=2), encoding="ascii")
+    gap = partition.stage(120).gap
+    read = []
+    monkeypatch.setattr(cli, "load", lambda path, stages=None: read.append(stages) or (
+        partition_module.load(path, stages)))
+    code = main(["certify", "--partition", str(path), "--mu", "0:1/1", "--point", format_rational((gap.lo + gap.hi) / 2),
+                 "--radius", f"1/{2**100}"])
+    captured = capsys.readouterr()
+    assert (code, captured.err, read) == (0, "", [None])
+    assert {int(stage) for stage in re.findall(r" stage (\d+) ", captured.out)} == {120}
+
+
 # eval and measure read the prefix their tolerance needs, so each gets a
 # tolerance of 2^-1600, whose prefix holds the bad stage 1515.
 _TOL_2_1600 = f"1/{2**1600}"
@@ -1324,7 +1343,7 @@ def test_a_file_shorter_than_the_prefix_reads_as_a_whole(tmp_path, capsys, monke
         prefix = _answer(command, path, capsys, out)
         out.unlink(missing_ok=True)
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_stages_or_whole", lambda rule, args: None)
+            patch.setattr(cli, "load", lambda path, stages=None: partition_module.load(path))
             assert _answer(command, path, capsys, out) == prefix
         answers.append(prefix)
     assert answers[0][0] == (4 if command[-1].startswith("1/1000000000000") else 0)

@@ -198,3 +198,26 @@ def test_first_host_error_is_shared():
             query()
         errors.append((str(excinfo.value), excinfo.value.needed_stage))
     assert errors == [("no stage hosts member 7 yet", 7)] * 2
+
+
+def test_certify_looks_only_for_members_the_stages_can_feed(monkeypatch):
+    # Stage n feeds members 0..n, so a 30-stage partition is searched for
+    # members 0..30 whatever K is, and a K past it fails as K = 16 does.
+    import clarkesat.verifier as verifier
+
+    sf = SaturatedFunction(build_partition(30), FiniteSupport.unit(0))
+    searched = []
+    whole_pieces = verifier._whole_pieces
+
+    def recording(overlapping, members, window):
+        searched.append(list(members))
+        return whole_pieces(overlapping, searched[-1], window)
+
+    monkeypatch.setattr(verifier, "_whole_pieces", recording)
+    messages = []
+    for K in (16, 10**5):
+        with pytest.raises(NotYetCovered) as excinfo:
+            certify_saturation(sf, (Fraction(1, 2),), Fraction(1, 4), K)
+        messages.append(str(excinfo.value))
+    assert searched and all(len(members) <= 31 for members in searched)
+    assert messages[0] == messages[1]
