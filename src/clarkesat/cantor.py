@@ -203,27 +203,35 @@ class FatCantorSet:
     def svc_measure_in(self, window: Interval, depth: int) -> MeasureBound:
         """Certified bound on lambda(F intersect window).
 
-        Sums the walk's pieces with ``whole``: a piece wholly inside the
-        window resolves exactly (each step-s piece carries F-mass
-        limit_measure / 2^s), and only the depth-d pieces that hold a window
-        end pay their slack.  So the bound is exact (width zero) when the
-        window misses the host or swallows it.  The upper bound is at most
-        the depth-d cover measure inside the window, the lower bound at least
-        that measure minus tail(d); bounds nest as the depth grows.
+        Sums the walk's pieces with ``whole`` as integer numerators over one
+        denominator, the walk's depth-d den times the window ends'
+        denominators: a piece wholly inside the window resolves exactly (each
+        step-s piece carries F-mass limit_measure / 2^s), and only the depth-d
+        pieces that hold a window end pay their slack.  So the bound is exact
+        (width zero) when the window misses the host or swallows it.  The
+        upper bound is at most the depth-d cover measure inside the window,
+        the lower bound at least that measure minus tail(d); bounds nest as
+        the depth grows.  Only the two returned ends are ``Fraction``s.
         """
-        # Listed first, so the walk rejects a negative depth before 2**depth.
+        # Listed first, so the walk rejects a negative depth before the shifts.
         pieces = list(self._walk(window.lo, window.hi, depth, whole=True))
-        mass = self.limit_measure / 2**depth
-        leaves, lo, hi = 0, ZERO, ZERO
-        for p_lo, p_hi, den, step in pieces:
+        host_lo, host_hi, base = _span(self.host)
+        p, q = self.retained_fraction.numerator, self.retained_fraction.denominator
+        a, b = window.lo, window.hi
+        scale = a.denominator * b.denominator
+        # limit_measure / 2^depth over the walk's depth-d den, 4 * q * base * 4^depth.
+        den, mass = (4 * q * base << 2 * depth) * scale, (4 * p * (host_hi - host_lo) << depth) * scale
+        w_lo, w_hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        leaves = lo = hi = 0
+        for p_lo, p_hi, _, step in pieces:
             if step < depth:
                 leaves += 1 << (depth - step)
                 continue
-            piece_lo, piece_hi = Fraction(p_lo, den), Fraction(p_hi, den)
-            overlap = min(piece_hi, window.hi) - max(piece_lo, window.lo)
-            lo += max(ZERO, overlap - (piece_hi - piece_lo - mass))
+            p_lo, p_hi = p_lo * scale, p_hi * scale
+            overlap = min(p_hi, w_hi) - max(p_lo, w_lo)
+            lo += max(0, overlap - (p_hi - p_lo - mass))
             hi += min(overlap, mass)
-        return MeasureBound(mass * leaves + lo, mass * leaves + hi)
+        return MeasureBound(Fraction(mass * leaves + lo, den), Fraction(mass * leaves + hi, den))
 
     def serialize(self) -> str:
         return " ".join(

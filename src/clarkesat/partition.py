@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -447,11 +448,17 @@ class SplittingPartition:
 
     def stages_overlapping(self, window: Interval) -> list[StageRecord]:
         """Built stages whose gap closure meets the window's closure (flags ignored), ascending by n."""
+        return sorted([self._by_lo[i] for i in self._meeting(window)[0]], key=lambda s: s.n)
+
+    def _meeting(self, window: Interval) -> tuple[list[int], int, int]:
+        """(positions, lo, hi): the index positions whose gap closure meets the
+        window's closure, found by two bisections on its ends rounded inward to
+        the index's grid, lo = ceil(window.lo * _den) and hi = floor(window.hi * _den)."""
         den = self._den
-        lo = -(-window.lo.numerator * den // window.lo.denominator)  # ceil(window.lo * den)
-        hi = window.hi.numerator * den // window.hi.denominator  # floor(window.hi * den)
+        lo = -(-window.lo.numerator * den // window.lo.denominator)
+        hi = window.hi.numerator * den // window.hi.denominator
         positions = range(bisect_left(self._reach, lo), bisect_right(self._los, hi))
-        return sorted([self._by_lo[i] for i in positions if self._his[i] >= lo], key=lambda s: s.n)
+        return [i for i in positions if self._his[i] >= lo], lo, hi
 
     def _longest_free(self, target: Interval) -> Interval | None:
         """``_longest_room`` over the gap closures."""
@@ -674,17 +681,21 @@ class _WindowMass:
 
     A stage's n+1 pieces share one width and piece i feeds member i+1, so
     the pieces wholly inside a unit chunk form an index range a..b whose
-    members each gain rho * width.  The scan is integer arithmetic on the
-    ``StageRecord.endpoints`` geometry: ``_piece_span`` finds a..b by floor
-    division, and every stage's whole-piece mass is an integer over the
-    partition's one mass denominator ``den`` (``_stage_masses``).  So a stage
-    adds one integer entry pair to a difference array over member index, plus
-    its share of the aggregate ``total`` over all members j >= 1 (A_0 is
-    their complement, so B pieces are skipped).  The at most two pieces per
-    stage and chunk straddling a chunk edge are kept as ``straddlers`` (set,
-    chunk, member) for ``refine``, the one depth loop, which re-measures only
-    them; a member without one keeps its exact mass, an integer over ``den``
-    until ``refine`` bounds it.  Cost: O(overlapping stages) + straddlers * depth.
+    members each gain rho * width.  The scan is integer arithmetic: of the
+    gaps ``_meeting`` lists for a chunk, one whose closure lies in the
+    chunk's has a..b = 0..n, and only one holding a chunk end calls
+    ``_piece_span`` (floor division on its ``StageRecord.endpoints``).  Every
+    stage's whole-piece mass is an integer over the partition's one mass
+    denominator ``den`` (``_stage_masses``).  So a stage adds one integer
+    entry pair to a difference array over member index, plus its share of
+    the aggregate ``total`` over all members j >= 1 (A_0 is their complement,
+    so B pieces are skipped).  The at most two pieces per stage and chunk
+    straddling a chunk edge are kept as ``straddlers`` (set, chunk, member)
+    for ``refine``, the one depth loop, which re-measures only them; a member
+    without one keeps its exact mass, an integer over ``den`` until
+    ``refine`` bounds it.  Cost: per chunk two bisections, an integer test per
+    listed gap and a ``_piece_span`` per gap holding a chunk end; then
+    straddlers * depth.
 
     Raises ToleranceExhausted when the unbuilt stages alone force width
     scale * tail >= tol, or depth 64 leaves the bound wider than tol,
@@ -706,23 +717,31 @@ class _WindowMass:
         self.length = ZERO
         self.total = 0  # over self.den, like the steps
         self.straddlers: list[tuple[FatCantorSet, Interval, int]] = []
-        self._steps: dict[int, int] = {}
+        self._steps = steps = defaultdict(int)
+        los, his, by_lo = partition._los, partition._his, partition._by_lo
         for chunk in _unit_chunks(window, partition.translation):
             self.length += chunk.length
-            for record in partition.stages_overlapping(chunk):
+            positions, lo, hi = partition._meeting(chunk)
+            for i in positions:
+                record = by_lo[i]
+                n, m = record.n, stage_mass[record.n - 1]
+                if lo <= los[i] and his[i] <= hi:  # the gap's closure, so each piece, lies in the chunk
+                    self.total += m * n
+                    steps[1] += m
+                    steps[n + 1] -= m
+                    continue
                 span = _piece_span(record, chunk)
                 if span is None:
                     continue
                 first, last, a, b = span
-                top = min(b, record.n - 1)
+                top = min(b, n - 1)
                 if a <= top:
-                    m = stage_mass[record.n - 1]
                     self.total += m * (top - a + 1)
-                    self._steps[a + 1] = self._steps.get(a + 1, 0) + m
-                    self._steps[top + 2] = self._steps.get(top + 2, 0) - m
-                for i in {first, last}:
-                    if not a <= i <= b and i < record.n:
-                        self.straddlers.append((partition.piece_set(record.n, i), chunk, i + 1))
+                    steps[a + 1] += m
+                    steps[top + 2] -= m
+                for piece in {first, last}:
+                    if not a <= piece <= b and piece < n:
+                        self.straddlers.append((partition.piece_set(n, piece), chunk, piece + 1))
 
     def exact(self, members: set[int]) -> dict[int, int]:
         """Each member's whole-piece mass, a numerator over ``den``: a prefix sum of the steps."""

@@ -9,6 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkesat import FiniteSupport, SaturatedFunction, build_partition, independence_fingerprint, lipschitz_lower_bound
 from clarkesat.cantor import FatCantorSet
@@ -155,3 +157,72 @@ def test_cover_law_matches_the_walked_pieces(depth):
     cover = c.svc_cover(depth)
     assert len(cover) == len(pieces)
     assert cover.measure() == Fraction(sum(hi - lo for lo, hi in pieces), den)
+
+
+# ---------------------------------------------------------------------------
+# svc_measure_in on integers, against its Fraction body
+# ---------------------------------------------------------------------------
+
+
+def _fraction_measure_in(c, window, depth):
+    """``svc_measure_in`` in Fraction arithmetic: the sum over the walk's
+    pieces as the method computed it before it summed integer numerators."""
+    pieces = list(c._walk(window.lo, window.hi, depth, whole=True))
+    mass = c.limit_measure / 2**depth
+    leaves, lo, hi = 0, Fraction(0), Fraction(0)
+    for p_lo, p_hi, den, step in pieces:
+        if step < depth:
+            leaves += 1 << (depth - step)
+            continue
+        piece_lo, piece_hi = Fraction(p_lo, den), Fraction(p_hi, den)
+        overlap = min(piece_hi, window.hi) - max(piece_lo, window.lo)
+        lo += max(Fraction(0), overlap - (piece_hi - piece_lo - mass))
+        hi += min(overlap, mass)
+    return mass * leaves + lo, mass * leaves + hi
+
+
+def _measure_windows(c):
+    """One window missing the host, one swallowing it, one with an end on a
+    depth-3 piece end, one inside one depth-6 piece, one crossing many pieces."""
+    inner = c.first_piece(6)
+    width = inner.length
+    return [
+        Interval.closed(Fraction(1, 2), Fraction(1)),
+        Interval.closed(Fraction(-1), Fraction(1)),
+        Interval.closed(c.first_piece(3).hi, Fraction(1, 4)),
+        Interval.open(inner.lo + width / 3, inner.hi - width / 5),
+        Interval(Fraction(-1, 5), Fraction(1, 7), True, False),
+    ]
+
+
+def test_measure_in_corpus_is_bit_identical():
+    # Every bound's two ends over the four host kinds, three retained
+    # fractions, five windows and depths 0-14.
+    digest = hashlib.sha256()
+    for c in SETS:
+        for window in _measure_windows(c):
+            for depth in range(15):
+                bound = c.svc_measure_in(window, depth)
+                digest.update(f"{format_rational(bound.lo)} {format_rational(bound.hi)}\n".encode())
+    assert digest.hexdigest()[:16] == "68a8b4cdd7221079"
+
+
+def _drawn_end(data):
+    """A rational around the hosts: a dyadic grid point, or p/q with a small q."""
+    if data.draw(st.booleans(), label="dyadic"):
+        m = data.draw(st.integers(0, 40), label="grid")
+        return Fraction(data.draw(st.integers(-2**m, 2**m), label="grid point"), 2**m)
+    q = data.draw(st.integers(1, 1000), label="q")
+    return Fraction(data.draw(st.integers(-q, q), label="p"), q)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_measure_in_matches_the_fraction_sum(data):
+    c = data.draw(st.sampled_from(SETS), label="set")
+    lo, hi = sorted((_drawn_end(data), _drawn_end(data)))
+    flags = (data.draw(st.booleans(), label="lo_closed"), data.draw(st.booleans(), label="hi_closed"))
+    window = Interval(lo, hi, *flags) if lo < hi else Interval.closed(lo, hi)
+    for depth in range(data.draw(st.integers(0, 20), label="depth") + 1):
+        bound = c.svc_measure_in(window, depth)
+        assert (bound.lo, bound.hi) == _fraction_measure_in(c, window, depth), (window, depth)

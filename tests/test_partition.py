@@ -1,7 +1,9 @@
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +26,7 @@ from clarkesat.partition import (
     _piece_span,
     _pieces_touching,
     _shrink_gap,
+    _unit_chunks,
     build_partition,
     enumerated_interval,
     enumeration_index,
@@ -1398,3 +1401,78 @@ def test_window_mass_exact_matches_the_scan_at_2000_stages(build_2000):
         assert any(exact.values())
         for j, m in exact.items():
             assert Fraction(m, mass.den) == scan.exact.get(j, 0), (j, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# The integrator's gap-index scan against a _piece_span call per listed stage
+# ---------------------------------------------------------------------------
+
+
+def _reference_window_mass(partition, window):
+    """(total, exact, straddlers) of ``_WindowMass`` as its scan was: every
+    ``stages_overlapping(chunk)`` record through ``_piece_span``."""
+    _, stage_mass = partition._stage_masses()
+    total, steps, straddlers = 0, Counter(), Counter()
+    for chunk in _unit_chunks(window, partition.translation):
+        for record in partition.stages_overlapping(chunk):
+            span = _piece_span(record, chunk)
+            if span is None:
+                continue
+            first, last, a, b = span
+            top = min(b, record.n - 1)
+            if a <= top:
+                m = stage_mass[record.n - 1]
+                total += m * (top - a + 1)
+                steps[a + 1] += m
+                steps[top + 2] -= m
+            for i in {first, last}:
+                if not a <= i <= b and i < record.n:
+                    straddlers[partition.piece_set(record.n, i), chunk, i + 1] += 1
+    members = range(partition.stage_count + 2)
+    return total, dict(zip(members, accumulate(steps[j] for j in members))), straddlers
+
+
+def _assert_scan_matches(partition, window):
+    mass = _WindowMass(partition, window, ONE)
+    total, exact, straddlers = _reference_window_mass(partition, window)
+    assert mass.total == total, window
+    assert mass.exact(set(exact)) == exact, window
+    assert Counter(mass.straddlers) == straddlers, window
+
+
+def _scan_windows(partition):
+    """A dug gap's closure, two windows with one end on its gap's ends, a
+    point, the last stage's gap less its two end pieces, a window inside that
+    gap, one crossing an integer, and 1/128 around 23/64; all moved by the
+    partition's translation."""
+    dug = next((r for r in partition.stages if r.depth_used), partition.stage(1))
+    late = partition.stage(partition.stage_count)
+    gap, third = late.gap, late.gap.length / 3
+    shift = partition.translation
+    windows = [
+        Interval.closed(dug.gap.lo, dug.gap.hi),
+        Interval.closed(Fraction(1, 4), dug.gap.hi),
+        Interval(dug.gap.lo, Fraction(7, 8), False, True),
+        Interval.closed(Fraction(5, 8), Fraction(5, 8)),
+        Interval.closed(late.piece_host(0).hi, late.piece_host(late.n).lo),
+        Interval.open(gap.lo + third, gap.hi - third),
+        Interval.closed(Fraction(3, 4), Fraction(5, 4)),
+        Interval.closed(Fraction(23, 64) - Fraction(1, 256), Fraction(23, 64) + Fraction(1, 256)),
+    ]
+    return [Interval(w.lo + shift, w.hi + shift, w.lo_closed, w.hi_closed) for w in windows]
+
+
+def test_window_mass_scan_matches_a_piece_span_per_listed_stage(build_2000, builds_300):
+    translated = loads(saves(SplittingPartition(Fraction(1, 3), builds_300[Fraction(1, 3)].stages, -3)))
+    for partition in (build_2000, *builds_300.values(), translated):
+        for window in _scan_windows(partition):
+            _assert_scan_matches(partition, window)
+    for window in _windows(_hand_made_ends()):
+        _assert_scan_matches(_HAND_MADE, window)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_window_mass_scan_matches_a_piece_span_per_listed_stage_on_drawn_windows(build_2000, data):
+    _, window = _drawn_record_and_window(data, build_2000)
+    _assert_scan_matches(build_2000, window)
