@@ -163,8 +163,12 @@ def format_mu_spec(mu: CoefficientSource) -> str:
 # ---------------------------------------------------------------------------
 
 
+_UNIT_SIDE = Interval.open(0, 1)
+_UNIT_CENTER = Fraction(1, 2)
+
+
 def unit_box(d: int) -> tuple[Interval, ...]:
-    return tuple(Interval.open(0, 1) for _ in range(d))
+    return (_UNIT_SIDE,) * d
 
 
 def box_center(domain: Sequence[Interval]) -> tuple[Fraction, ...]:
@@ -188,11 +192,12 @@ class SaturatedFunction:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        domain = self.domain if self.domain is not None else unit_box(self.d)
+        unit = self.domain is None
+        domain = unit_box(self.d) if unit else self.domain
         if len(domain) != self.d:
             raise ValueError("domain box must have one side per dimension")
         object.__setattr__(self, "domain", tuple(domain))
-        x0 = self.x0 if self.x0 is not None else box_center(domain)
+        x0 = self.x0 if self.x0 is not None else (_UNIT_CENTER,) * self.d if unit else box_center(domain)
         x0 = tuple(rational(c) for c in x0)
         object.__setattr__(self, "x0", x0)
         if not self.contains_point(x0):

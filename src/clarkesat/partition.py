@@ -392,6 +392,7 @@ class SplittingPartition:
         self.translation = translation
         self.stages: tuple[StageRecord, ...] = tuple(stages)
         self._masses: tuple[int, list[int]] | None = None
+        self._tail: Fraction | None = None
         # The gap index as ``cantor._longest_room`` reads it: records sorted
         # by gap.lo, their gap ends over one common denominator _den, and
         # _reach, the running max of _his, which window queries bisect too.
@@ -417,7 +418,7 @@ class SplittingPartition:
         so a build's growing grid 3*2^k rescales O(log N) times.
         """
         self.stages += (record,)
-        self._masses = None
+        self._masses = self._tail = None
         lo, hi = record.gap.lo, record.gap.hi
         if self._den % lo.denominator or self._den % hi.denominator:
             den = lcm(self._den, lo.denominator, hi.denominator) << self._den.bit_length()
@@ -448,7 +449,8 @@ class SplittingPartition:
 
     def stages_overlapping(self, window: Interval) -> list[StageRecord]:
         """Built stages whose gap closure meets the window's closure (flags ignored), ascending by n."""
-        return sorted([self._by_lo[i] for i in self._meeting(window)[0]], key=lambda s: s.n)
+        stages = self.stages
+        return [stages[n - 1] for n in sorted(self._by_lo[i].n for i in self._meeting(window)[0])]
 
     def _meeting(self, window: Interval) -> tuple[list[int], int, int]:
         """(positions, lo, hi): the index positions whose gap closure meets the
@@ -503,8 +505,11 @@ class SplittingPartition:
         return self._masses
 
     def unbuilt_tail_bound(self) -> Fraction:
-        """Exact upper bound on the total gap length of all unbuilt stages."""
-        return stage_tail_bound(self.stage_count, self.gap_cap)
+        """Exact upper bound on the total gap length of all unbuilt stages,
+        memoized like ``_stage_masses``."""
+        if self._tail is None:
+            self._tail = stage_tail_bound(self.stage_count, self.gap_cap)
+        return self._tail
 
     # -- membership ---------------------------------------------------------
 
@@ -596,8 +601,9 @@ def _whole_pieces(
 
     ``overlapping`` is ``partition.stages_overlapping(window)``, listed once
     for all members.  Each stage's ``_piece_span`` gives the pieces a..b
-    wholly inside the window as integers, and piece i feeds member i+1 (piece
-    n feeds A_0), so a stage answers every member still missing at once.
+    wholly inside the window as integers, and piece j-1 feeds member j
+    (piece n feeds A_0), so a stage answers every member still missing at
+    once, members a+1..min(b+1, n) and 0 when a <= b = n, with one bound.
     The scan stops when every member is found; members no built stage
     covers are absent from the result.
     """
@@ -609,11 +615,14 @@ def _whole_pieces(
         span = _piece_span(record, window)
         if span is None:
             continue
-        for member in list(missing):
-            piece = record.piece_for_member(member)
-            if piece is not None and span[2] <= piece <= span[3]:
-                found[member] = (record.n, piece, RETAINED * record.piece_width)
-                missing.remove(member)
+        _, _, a, b = span
+        n, top = record.n, min(b + 1, record.n)
+        hits = [j for j in missing if a < j <= top or j == 0 and a <= b == n]
+        if hits:
+            bound = RETAINED * record.piece_width
+            for j in hits:
+                found[j] = (n, j - 1 if j else n, bound)
+            missing.difference_update(hits)
     return found
 
 

@@ -15,7 +15,10 @@ results are deterministic and hits are guaranteed once the partition
 reaches far enough.  A saturation certificate lists each coordinate
 window's overlapping stages once and finds every member's first whole
 piece in one pass over them; the fingerprint reads one membership per
-witness point and derives every g_k sign from it.
+witness point and derives every g_k sign from it.  Replaying a saturation
+certificate (``SaturationCertificate.check``) costs one comparison per
+distinct coordinate witness and, for each sign-pattern vertex, one per
+entry plus one or two on its coefficient, and builds no Fraction but -m.
 """
 
 from __future__ import annotations
@@ -102,20 +105,39 @@ class SaturationCertificate:
         """Replay the certificate: positivity plus exact hull containment.
 
         Every coordinate bound must be positive, which makes every product
-        set positive too.  Unless m = 0, every corner shift + m * c of the
-        claimed cube, c in {-1, 1}^d, must be a certified value; a certified
-        value shift + coefficient * vertex is a corner only when
-        |coefficient| = m.
+        set positive too; a witness shared by vertices is tested once.
+        Unless m = 0, every corner shift + m * c of the claimed cube, c in
+        {-1, 1}^d, must be a certified value; a certified value
+        shift + coefficient * vertex is a corner only when |coefficient| = m.
+
+        Corner rule: values and corners pair with the shift, so with
+        width = min(len(shift), d) only a vertex with
+        min(len(vertex), len(shift)) = width counts, and it covers the
+        corner c with coefficient * v_i = m * c_i for i < width.  An entry
+        v_i = +-1 meets this exactly when coefficient = +-m, so a sign
+        pattern covers vertex or -vertex by a comparison on its coefficient;
+        other entries take the exact product.  At width 0 each vertex covers
+        the empty corner.  The check passes iff 2^width distinct corners are
+        covered.
         """
-        if any(coord.lower_bound <= 0 for w in self.vertices for coord in w.coordinates):
+        shared = {id(coord): coord for w in self.vertices for coord in w.coordinates}
+        if any(coord.lower_bound <= 0 for coord in shared.values()):
             return False
         if self.m == 0:
             return True
-        values = self.certified_values()
-        return all(
-            tuple(p + self.m * c for p, c in zip(self.shift, corner)) in values
-            for corner in product((-1, 1), repeat=self.d)
-        )
+        m, minus, width = self.m, -self.m, min(len(self.shift), self.d)
+
+        def sign(p):  # the c with p = m * c, or 0
+            return 1 if p == m else -1 if p == minus else 0
+
+        covered = set()
+        for w in self.vertices:
+            if min(len(w.vertex), len(self.shift)) == width:
+                s = sign(w.coefficient)
+                corner = tuple(s * v if v == 1 or v == -1 else sign(w.coefficient * v) for v in w.vertex[:width])
+                if 0 not in corner:
+                    covered.add(corner)
+        return len(covered) == 1 << width
 
     def render(self) -> str:
         lines = [

@@ -27,6 +27,7 @@ from clarkesat.partition import (
     _pieces_touching,
     _shrink_gap,
     _unit_chunks,
+    _whole_pieces,
     build_partition,
     enumerated_interval,
     enumeration_index,
@@ -1476,3 +1477,65 @@ def test_window_mass_scan_matches_a_piece_span_per_listed_stage(build_2000, buil
 def test_window_mass_scan_matches_a_piece_span_per_listed_stage_on_drawn_windows(build_2000, data):
     _, window = _drawn_record_and_window(data, build_2000)
     _assert_scan_matches(build_2000, window)
+
+
+# ---------------------------------------------------------------------------
+# Whole-piece witnesses against a piece_for_member per missing member
+# ---------------------------------------------------------------------------
+
+
+def _reference_whole_pieces(overlapping, members, window):
+    """``_whole_pieces`` as it was: each listed stage asks ``piece_for_member``
+    for every missing member and builds the bound per member."""
+    missing = set(members)
+    found = {}
+    for record in overlapping:
+        if not missing:
+            break
+        span = _piece_span(record, window)
+        if span is None:
+            continue
+        for member in list(missing):
+            piece = record.piece_for_member(member)
+            if piece is not None and span[2] <= piece <= span[3]:
+                found[member] = (record.n, piece, RETAINED * record.piece_width)
+                missing.remove(member)
+    return found
+
+
+def _assert_whole_pieces_match(partition, window, members):
+    overlapping = partition.stages_overlapping(window)
+    assert _whole_pieces(overlapping, members, window) == _reference_whole_pieces(overlapping, members, window), (
+        window, sorted(members))
+
+
+def test_whole_pieces_match_a_piece_for_member_per_member(build_2000, builds_300):
+    for partition in (build_2000, *builds_300.values()):
+        count = partition.stage_count
+        member_sets = [range(10), range(2 * 4 + 2), {0}, {0, 7, count, count + 1, 10**6}, range(count + 3)]
+        windows = _scan_windows(partition) + [
+            Interval.open(c - r, c + r)
+            for c in (Fraction(1, 2), Fraction(3, 8), Fraction(5, 8), Fraction(7, 16))
+            for r in (Fraction(1, 8), Fraction(1, 64), Fraction(1, 4096))
+        ]
+        for window in windows:
+            for members in member_sets:
+                _assert_whole_pieces_match(partition, window, members)
+        # A window from inside a stage's last piece past its gap has b = n
+        # but a = n + 1: no piece, and so no A_0 witness, lies inside it.
+        for record in (partition.stage(1), partition.stage(count)):
+            last = record.piece_host(record.n)
+            window = Interval.open(last.midpoint, last.hi + 1)
+            assert _piece_span(record, window)[2:] == (record.n + 1, record.n)
+            members = (0, record.n, record.n + 1)
+            assert _whole_pieces([record], members, window) == _reference_whole_pieces([record], members, window) == {}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_whole_pieces_match_a_piece_for_member_per_member_on_drawn_windows(build_2000, data):
+    record, window = _drawn_record_and_window(data, build_2000)
+    count = build_2000.stage_count
+    drawn = data.draw(st.sets(st.one_of(st.integers(0, 40), st.integers(0, count + 40)), max_size=12), label="members")
+    _assert_whole_pieces_match(build_2000, window, drawn | {0, record.n, record.n + 1, count + 1})
+

@@ -1,8 +1,11 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkesat.errors import NotYetCovered
 from clarkesat.functions import FiniteSupport, SaturatedFunction, shift_to_ball
@@ -221,3 +224,105 @@ def test_certify_looks_only_for_members_the_stages_can_feed(monkeypatch):
         messages.append(str(excinfo.value))
     assert searched and all(len(members) <= 31 for members in searched)
     assert messages[0] == messages[1]
+
+
+# ---------------------------------------------------------------------------
+# check() against the certified-value set it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_check(cert):
+    """``check`` as it was: every certified value as a Fraction tuple, and
+    each corner looked up in that set."""
+    if any(coord.lower_bound <= 0 for w in cert.vertices for coord in w.coordinates):
+        return False
+    if cert.m == 0:
+        return True
+    values = {tuple(v + p for v, p in zip(w.value, cert.shift)) for w in cert.vertices}
+    return all(
+        tuple(p + cert.m * c for p, c in zip(cert.shift, corner)) in values
+        for corner in product((-1, 1), repeat=cert.d)
+    )
+
+
+@pytest.fixture(scope="module")
+def real_certificates(p40):
+    """Passing certificates at d = 1..4, one of them shifted."""
+    point = (Fraction(1, 2), Fraction(3, 8), Fraction(5, 8), Fraction(7, 16))
+    mu = FiniteSupport.of({0: 1, 1: -2, 2: Fraction(3, 2)})
+    certs = [
+        certify_saturation(SaturatedFunction(p40, mu, d=d), point[:d], Fraction(1, 4), K)
+        for d, K in ((1, 2), (2, 2), (3, 1), (4, 1))
+    ]
+    shifted = shift_to_ball(SaturatedFunction(p40, mu, d=2), (Fraction(2), Fraction(-1, 3)), Fraction(3))
+    certs.append(certify_saturation(shifted, point[:2], Fraction(1, 4), 2))
+    assert all(cert.check() for cert in certs)
+    return certs
+
+
+_ENTRIES = (-2, -1, 0, Fraction(1, 2), 1, 2)
+
+
+def _mutated(data, cert):
+    """The certificate with drawn edits: vertices dropped or duplicated, a
+    coefficient, vertex or coordinate bound replaced, m replaced by 0, -m or
+    2m, and a shift of length 0-4."""
+    m = cert.m
+    vertices = list(cert.vertices)
+    edits = data.draw(st.lists(st.sampled_from(("drop", "duplicate", "coefficient", "vertex", "bound")),
+                               max_size=5), label="edits")
+    for edit in edits:
+        if not vertices:
+            break
+        i = data.draw(st.integers(0, len(vertices) - 1), label="vertex index")
+        w = vertices[i]
+        if edit == "drop":
+            del vertices[i]
+        elif edit == "duplicate":
+            vertices.insert(data.draw(st.integers(0, len(vertices)), label="at"), w)
+        elif edit == "coefficient":
+            coefficient = data.draw(st.sampled_from((Fraction(0), m, -m, 2 * m, Fraction(1, 3), w.coefficient)),
+                                    label="coefficient")
+            vertices[i] = replace(w, coefficient=coefficient)
+        elif edit == "vertex":
+            vertex = tuple(data.draw(st.lists(st.sampled_from(_ENTRIES), max_size=4), label="vertex"))
+            vertices[i] = replace(w, vertex=vertex)
+        else:
+            j = data.draw(st.integers(0, len(w.coordinates) - 1), label="coordinate")
+            bound = data.draw(st.sampled_from((0, -1, -3)), label="bound")
+            coordinates = list(w.coordinates)
+            coordinates[j] = replace(coordinates[j], lower_bound=bound)
+            vertices[i] = replace(w, coordinates=tuple(coordinates))
+    new_m = data.draw(st.sampled_from((m, 0, -m, 2 * m)), label="m")
+    shift = cert.shift
+    if data.draw(st.booleans(), label="new shift"):
+        shift = tuple(data.draw(st.lists(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-3), 2)),
+                                         max_size=4), label="shift"))
+    return replace(cert, m=new_m, vertices=tuple(vertices), shift=shift)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(data=st.data())
+def test_check_matches_the_certified_value_set_on_mutated_certificates(real_certificates, data):
+    cert = real_certificates[data.draw(st.integers(0, len(real_certificates) - 1), label="certificate")]
+    mutated = _mutated(data, cert)
+    assert mutated.check() == _reference_check(mutated)
+
+
+def test_check_counts_only_values_as_long_as_the_corners(real_certificates):
+    # The corners have min(len(shift), d) entries, and so must a value.
+    cert = real_certificates[3]  # d = 4
+    assert cert.d == 4
+    short = tuple(replace(w, vertex=w.vertex[:2]) for w in cert.vertices)
+    cases = [
+        (replace(cert, shift=()), True),  # width 0: any vertex covers the empty corner
+        (replace(cert, shift=(), vertices=()), False),
+        (replace(cert, shift=cert.shift[:2]), True),  # each corner of width 2 is met
+        (replace(cert, vertices=short), False),  # values of 2 entries, corners of 4
+        (replace(cert, shift=cert.shift[:2], vertices=short), True),
+        (replace(cert, shift=cert.shift + (Fraction(1, 2),)), True),  # a shift longer than d
+        (replace(cert, shift=cert.shift + (Fraction(1, 2),), vertices=short), False),
+    ]
+    for mutated, verdict in cases:
+        assert mutated.check() == _reference_check(mutated) == verdict
+
