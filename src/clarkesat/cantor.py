@@ -213,11 +213,11 @@ class FatCantorSet:
         the lower bound at least that measure minus tail(d); bounds nest as
         the depth grows.  Only the two returned ends are ``Fraction``s.
         """
-        # Listed first, so the walk rejects a negative depth before the shifts.
-        pieces = list(self._walk(window.lo, window.hi, depth, whole=True))
         host_lo, host_hi, base = _span(self.host)
-        p, q = self.retained_fraction.numerator, self.retained_fraction.denominator
         a, b = window.lo, window.hi
+        # Listed before the shifts, so the walk rejects a negative depth first.
+        pieces = list(_cover_walk(host_lo, host_hi, base, self.retained_fraction, a, b, depth, whole=True))
+        p, q = self.retained_fraction.numerator, self.retained_fraction.denominator
         scale = a.denominator * b.denominator
         # limit_measure / 2^depth over the walk's depth-d den, 4 * q * base * 4^depth.
         den, mass = (4 * q * base << 2 * depth) * scale, (4 * p * (host_hi - host_lo) << depth) * scale
@@ -390,11 +390,3 @@ def _rooms(los: list[int], reach: list[int], den: int, target: Interval) -> list
     ends = [lo, *(Fraction(end, den) for pair in zip(los[first:stop], reach[first:stop]) for end in pair), hi]
     return [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
 
-
-def _longest_part(parts: IntervalSet) -> Interval | None:
-    """The longest nontrivial part, leftmost on ties."""
-    best = None
-    for part in parts:
-        if part.is_nontrivial and (best is None or part.length > best.length):
-            best = part
-    return best

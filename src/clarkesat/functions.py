@@ -247,6 +247,7 @@ def eval_f1(
     """
     if k < 0:
         raise ValueError("member index must be >= 0")
+    tol = rational(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     x0, x = rational(x0), rational(x)
@@ -326,6 +327,7 @@ def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> Value
     are summed exactly over the support; generator sources additionally
     carry the norm-weighted unresolved-mass term.
     """
+    tol = rational(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     x = tuple(rational(c) for c in x)

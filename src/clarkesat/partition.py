@@ -79,6 +79,7 @@ from .rationals import (
     ZERO,
     format_rational,
     parse_rational,
+    rational,
 )
 
 RETAINED = Fraction(1, 2)  # every planted set keeps half of its host piece
@@ -398,11 +399,11 @@ class SplittingPartition:
         # _reach, the running max of _his, which window queries bisect too.
         # One stable sort, so that equal left ends keep stage order as
         # ``_add``'s insertions do.
-        gaps = [record.gap for record in self.stages]
-        self._den = den = lcm(*(end.denominator for gap in gaps for end in (gap.lo, gap.hi)))
-        los = [gap.lo.numerator * (den // gap.lo.denominator) for gap in gaps]
-        his = [gap.hi.numerator * (den // gap.hi.denominator) for gap in gaps]
-        order = sorted(range(len(gaps)), key=los.__getitem__)
+        spans = [_span(record.gap) for record in self.stages]
+        self._den = den = lcm(*(d for _, _, d in spans))
+        los = [a * (den // d) for a, _, d in spans]
+        his = [b * (den // d) for _, b, d in spans]
+        order = sorted(range(len(spans)), key=los.__getitem__)
         self._by_lo = [self.stages[i] for i in order]
         self._los = [los[i] for i in order]
         self._his = [his[i] for i in order]
@@ -413,20 +414,19 @@ class SplittingPartition:
         partitions that passed the load check, as its insert relies on the
         nesting rule of "Gap search": every later entry reaches past the gap.
 
-        A gap end whose denominator does not divide ``_den`` rescales the
-        index to a common multiple with as many spare bits as ``_den`` had,
-        so a build's growing grid 3*2^k rescales O(log N) times.
+        A gap whose ``_span`` denominator does not divide ``_den`` rescales
+        the index to a common multiple with as many spare bits as ``_den``
+        had, so a build's growing grid 3*2^k rescales O(log N) times.
         """
         self.stages += (record,)
         self._masses = self._tail = None
-        lo, hi = record.gap.lo, record.gap.hi
-        if self._den % lo.denominator or self._den % hi.denominator:
-            den = lcm(self._den, lo.denominator, hi.denominator) << self._den.bit_length()
+        a, b, d = _span(record.gap)
+        if self._den % d:
+            den = lcm(self._den, d) << self._den.bit_length()
             factor, self._den = den // self._den, den
             for ends in (self._los, self._his, self._reach):
                 ends[:] = [end * factor for end in ends]
-        a = lo.numerator * (self._den // lo.denominator)
-        b = hi.numerator * (self._den // hi.denominator)
+        a, b = a * (self._den // d), b * (self._den // d)
         pos = bisect_right(self._los, a)
         self._by_lo.insert(pos, record)
         self._los.insert(pos, a)
@@ -560,6 +560,7 @@ class SplittingPartition:
         """
         if k < 0:
             raise ValueError("member index must be >= 0")
+        tol = rational(tol)
         if tol <= 0:
             raise ValueError("tolerance must be positive")
         if not window.is_nontrivial:
@@ -1075,24 +1076,23 @@ def _check_gap(record: StageRecord, expected: int, target: tuple[int, int, int, 
     the target; its length is 1/(3*2^j) with 2^-j <= min(2^-n, gap_cap) and
     its midpoint lies on the 2^-(j+4) grid (``_shrink_gap``); depth is one
     ``find_gap`` tries, or 0.  Every test compares integers read from the
-    gap's ends a/b < c/d.
+    gap's ``_span`` (a/d, b/d).
     """
     n, gap = record.n, record.gap
     if n != expected:
         raise ValueError(f"stage {n} line: expected stage {expected}")
-    a, b, c, d = gap.lo.numerator, gap.lo.denominator, gap.hi.numerator, gap.hi.denominator
+    a, b, d = _span(gap)
     p, q, r, s = target
-    if not (p * b < a * q and c * s < r * d):
+    if not (p * d < a * q and b * s < r * d):
         raise ValueError(f"stage {n}: gap {gap} does not lie strictly inside I_{n} = {_open(*target)}")
-    ad, cb, bd = a * d, c * b, b * d
-    whole, part = divmod(bd, cb - ad)  # the length is 1/whole when part is 0
+    whole, part = divmod(d, b - a)  # the length is 1/whole when part is 0
     grid, rem = divmod(whole, 3)  # 2^j when the length is 1/(3*2^j)
     j = grid.bit_length() - 1
     if part or rem or grid != 1 << j or j < n or gap_cap.denominator > grid * gap_cap.numerator:
         raise ValueError(
             f"stage {n}: gap length {gap.length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
         )
-    if (ad + cb) * 8 * grid % bd:  # the midpoint (ad + cb)/(2bd) times 2^(j+4)
+    if (a + b) * 8 * grid % d:  # the midpoint (a + b)/(2d) times 2^(j+4)
         raise ValueError(f"stage {n}: gap midpoint {gap.midpoint} is off the 2^-{j + 4} grid")
     if record.depth_used not in (0, *_GAP_DEPTHS):
         raise ValueError(f"stage {n}: depth {record.depth_used} is not a depth the gap search tries")
@@ -1128,9 +1128,8 @@ def _check_cover(record: StageRecord, earlier: list[StageRecord]) -> None:
         if depth:
             raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
         return
-    lo, hi = gap.lo, gap.hi
-    pieces = [(other, i) for other in earlier
-              for i in _pieces_touching(other, lo.numerator, lo.denominator, hi.numerator, hi.denominator)]
+    a, b, d = _span(gap)
+    pieces = [(other, i) for other in earlier for i in _pieces_touching(other, a, d, b, d)]
     for other, i in pieces:
         if _cover_meets(other, i, gap, depth):
             raise ValueError(f"stage {n}: gap {gap} meets the depth-{depth} cover of stage {other.n} piece {i}")

@@ -13,13 +13,21 @@ from clarkesat.cantor import (
     Containment,
     FatCantorSet,
     MeasureBound,
-    _longest_part,
     find_gap,
     svc_cover,
     svc_measure_in,
     svc_membership,
 )
 from clarkesat.rationals import Interval, IntervalSet, measure
+
+
+def _longest_part(parts: IntervalSet) -> Interval | None:
+    """The longest nontrivial part, leftmost on ties."""
+    best = None
+    for part in parts:
+        if part.is_nontrivial and (best is None or part.length > best.length):
+            best = part
+    return best
 
 
 @pytest.fixture(scope="module")

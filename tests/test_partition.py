@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clarkesat.cantor import _GAP_DEPTHS, Containment, FatCantorSet, _longest_part
+from clarkesat.cantor import _GAP_DEPTHS, Containment, FatCantorSet
 from clarkesat import cli
 from clarkesat.cli import main
 from clarkesat.errors import NotYetCovered, ToleranceExhausted
@@ -45,6 +45,7 @@ from clarkesat.partition import (
 )
 from clarkesat.rationals import ONE, Interval, IntervalSet, format_rational
 from clarkesat.verifier import certify_saturation, saturation_windows
+from test_cantor import _longest_part
 from test_integer_scan import fraction_piece_span
 from test_integrator import Scan
 from test_load_check import _reference_pieces
