@@ -201,37 +201,23 @@ class FatCantorSet:
         return next(self._walk(window.lo, window.hi, depth, whole=True), None) is not None
 
     def svc_measure_in(self, window: Interval, depth: int) -> MeasureBound:
-        """Certified bound on lambda(F intersect window).
+        """Certified bound on lambda(F intersect window): step ``depth`` of
+        ``_MeasureSteps``, summed at that depth only.
 
-        Sums the walk's pieces with ``whole`` as integer numerators over one
-        denominator, the walk's depth-d den times the window ends'
-        denominators: a piece wholly inside the window resolves exactly (each
-        step-s piece carries F-mass limit_measure / 2^s), and only the depth-d
-        pieces that hold a window end pay their slack.  So the bound is exact
-        (width zero) when the window misses the host or swallows it.  The
-        upper bound is at most the depth-d cover measure inside the window,
-        the lower bound at least that measure minus tail(d); bounds nest as
-        the depth grows.  Only the two returned ends are ``Fraction``s.
+        A piece wholly inside the window resolves exactly, and only the
+        depth-d pieces that hold a window end pay their slack, so the bound
+        is exact (width zero) when the window misses the host or swallows
+        it.  The upper bound is at most the depth-d cover measure inside the
+        window, the lower bound at least that measure minus tail(d); bounds
+        nest as the depth grows.  Only the two returned ends are ``Fraction``s.
         """
-        host_lo, host_hi, base = _span(self.host)
-        a, b = window.lo, window.hi
-        # Listed before the shifts, so the walk rejects a negative depth first.
-        pieces = list(_cover_walk(host_lo, host_hi, base, self.retained_fraction, a, b, depth, whole=True))
-        p, q = self.retained_fraction.numerator, self.retained_fraction.denominator
-        scale = a.denominator * b.denominator
-        # limit_measure / 2^depth over the walk's depth-d den, 4 * q * base * 4^depth.
-        den, mass = (4 * q * base << 2 * depth) * scale, (4 * p * (host_hi - host_lo) << depth) * scale
-        w_lo, w_hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-        leaves = lo = hi = 0
-        for p_lo, p_hi, _, step in pieces:
-            if step < depth:
-                leaves += 1 << (depth - step)
-                continue
-            p_lo, p_hi = p_lo * scale, p_hi * scale
-            overlap = min(p_hi, w_hi) - max(p_lo, w_lo)
-            lo += max(0, overlap - (p_hi - p_lo - mass))
-            hi += min(overlap, mass)
-        return MeasureBound(Fraction(mass * leaves + lo, den), Fraction(mass * leaves + hi, den))
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        steps = _MeasureSteps(self, window)
+        for _ in range(depth):
+            steps.deeper()
+        lo, hi, den = steps.bound()
+        return MeasureBound(Fraction(lo, den), Fraction(hi, den))
 
     def serialize(self) -> str:
         return " ".join(
@@ -259,6 +245,61 @@ class FatCantorSet:
             ),
             parse_rational(retained),
         )
+
+
+class _MeasureSteps:
+    """``svc_measure_in`` of one set over one window, one depth at a time:
+    it starts at depth 0, ``deeper`` goes one depth down and ``bound`` reads
+    the bound there as integers (lo, hi, den).
+
+    Every number is a numerator over ``den``, ``_cover_walk``'s den at the
+    current depth times the window ends' denominators.  A step down
+    multiplies den by 4, so ``half`` stays constant, the window ends scale
+    by 4 and ``mass``, the F-mass limit_measure / 2^d of one depth-d piece,
+    by 2.  A piece wholly inside the window joins the ``leaves`` count, one
+    missing it is dropped, and the rest, the ``frontier``, hold a window
+    end: at most two pieces, the only ones ``deeper`` splits and ``bound``
+    pays slack on.
+    """
+
+    __slots__ = ("den", "mass", "half", "a", "b", "leaves", "frontier")
+
+    def __init__(self, cantor: FatCantorSet, window: Interval):
+        lo, hi, base = _span(cantor.host)
+        p, q = cantor.retained_fraction.numerator, cantor.retained_fraction.denominator
+        a, b = window.lo, window.hi
+        scale, root = a.denominator * b.denominator, 4 * q * base
+        self.den, self.mass, self.half = root * scale, 4 * p * (hi - lo) * scale, 4 * (q - p) * (hi - lo) * scale
+        self.a, self.b = a.numerator * b.denominator * root, b.numerator * a.denominator * root
+        self.leaves, self.frontier = 0, []
+        self._classify([(4 * q * lo * scale, 4 * q * hi * scale)])
+
+    def _classify(self, pieces: list[tuple[int, int]]) -> None:
+        a, b = self.a, self.b
+        for lo, hi in pieces:
+            if a <= lo and hi <= b:
+                self.leaves += 1
+            elif a <= hi and lo <= b:
+                self.frontier.append((lo, hi))
+
+    def deeper(self) -> None:
+        self.den <<= 2
+        self.mass <<= 1
+        self.a <<= 2
+        self.b <<= 2
+        self.leaves <<= 1
+        pieces, self.frontier = self.frontier, []
+        self._classify([child for lo, hi in pieces for child in _children(lo, hi, self.half)])
+
+    def bound(self) -> tuple[int, int, int]:
+        """(lo, hi, den): lo / den and hi / den bound lambda(F intersect window)."""
+        a, b, mass = self.a, self.b, self.mass
+        lo = hi = mass * self.leaves
+        for p_lo, p_hi in self.frontier:
+            overlap = min(p_hi, b) - max(p_lo, a)
+            lo += max(0, overlap - (p_hi - p_lo - mass))
+            hi += min(overlap, mass)
+        return lo, hi, self.den
 
 
 class _Cover(IntervalSet):

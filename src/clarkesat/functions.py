@@ -20,8 +20,9 @@ independently.
 All integrals reduce to certified measures of partition members inside
 rational windows, so every bound here is an exact rational inequality.
 They come from the depth loop of the window integrator ``partition._WindowMass``
-(also behind ``measure_in``); this module only forms value bounds from the
-member masses it hands out, and sums the terms no piece straddles on integers.
+(also behind ``measure_in``), which hands out member masses as integer
+numerators over one denominator per depth; this module forms value bounds
+from them on integers too, and only a bound's two ends become ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -274,10 +275,12 @@ def _interval_value(
     The explicit terms use built masses from the window integrator's depth
     loop; one norm * tail correction absorbs all unbuilt-stage mass, and
     generator sources additionally widen by the norm-weighted mass not yet
-    attributed to any member, the width of the A_0 bound.  A term whose
-    members have no straddler is exact at every depth and summed once, on
-    integers over lcm(coefficient denominators) * den; the loop re-sums only
-    the others and mu_0's term, whose member 0 gets the A_0 bound.
+    attributed to any member, the width of the A_0 bound.  The bound is
+    formed on integers: the coefficients and the norm are numerators over
+    one coefficient denominator, the lcm of theirs.  A term whose members
+    have no straddler is exact at every depth and summed once into ``base``;
+    each depth re-sums only the others and mu_0's term, whose member 0 gets
+    the A_0 bound, over that denominator times the loop's.
     """
     norm = mu.norm_inf
     if norm == 0:
@@ -291,25 +294,27 @@ def _interval_value(
     live = [(k, c) for k, c in terms if k == 0 or not straddled.isdisjoint((2 * k, 2 * k + 1))]
     fixed = [(k, c) for k, c in terms if k != 0 and straddled.isdisjoint((2 * k, 2 * k + 1))]
     exact = mass.exact({j for k, _ in fixed for j in (2 * k, 2 * k + 1)})
-    scale = lcm(*(coeff.denominator for _, coeff in fixed))
-    base = Fraction(sum(coeff.numerator * (scale // coeff.denominator) * (exact[2 * k + 1] - exact[2 * k])
-                        for k, coeff in fixed), scale * mass.den)
+    scale = lcm(norm.denominator, *(coeff.denominator for _, coeff in terms))
+    base = sum(coeff.numerator * (scale // coeff.denominator) * (exact[2 * k + 1] - exact[2 * k])
+               for k, coeff in fixed)  # over scale * mass.den
+    weights = [(k, coeff.numerator * (scale // coeff.denominator)) for k, coeff in live]
+    weight = norm.numerator * (scale // norm.denominator)
     members = {j for k, _ in live for j in (2 * k, 2 * k + 1)} | ({0} if generator else set())
 
-    def value(masses) -> ValueBound:
-        lo = hi = base
-        for k, coeff in live:
+    def value(masses, length, tail, den) -> tuple[int, int, int]:
+        lo = hi = base * (den // mass.den)
+        for k, coeff in weights:
             plus, minus = masses[2 * k + 1], masses[2 * k]
             term_lo, term_hi = plus[0] - minus[1], plus[1] - minus[0]
             lo += coeff * (term_lo if coeff > 0 else term_hi)
             hi += coeff * (term_hi if coeff > 0 else term_lo)
-        slack = norm * mass.tail
+        slack = weight * tail
         if generator:
             m0_lo, m0_hi = masses[0]
-            slack += norm * (m0_hi - m0_lo)
-        return ValueBound(lo - slack, hi + slack)
+            slack += weight * (m0_hi - m0_lo)
+        return lo - slack, hi + slack, scale * den
 
-    return mass.refine(members, tol, value)
+    return ValueBound(*mass.bounded(members, tol, value))
 
 
 def _value_limit(mu: CoefficientSource) -> Fraction:

@@ -71,7 +71,7 @@ from operator import ge, mul
 from typing import Callable, Iterable, Iterator
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
-from .cantor import _GAP_DEPTHS, _cover_walk, _longest_room, _span
+from .cantor import _GAP_DEPTHS, _MeasureSteps, _cover_walk, _longest_room, _span
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
@@ -701,11 +701,12 @@ class _WindowMass:
     the aggregate ``total`` over all members j >= 1 (A_0 is their complement,
     so B pieces are skipped).  The at most two pieces per stage and chunk
     straddling a chunk edge are kept as ``straddlers`` (set, chunk, member)
-    for ``refine``, the one depth loop, which re-measures only them; a member
-    without one keeps its exact mass, an integer over ``den`` until
-    ``refine`` bounds it.  Cost: per chunk two bisections, an integer test per
-    listed gap and a ``_piece_span`` per gap holding a chunk end; then
-    straddlers * depth.
+    for ``_depths``, the one depth loop, which re-measures only them; a
+    member without one keeps its exact mass, an integer over ``den`` until
+    ``bounded`` bounds it.  Cost: per chunk two bisections, an integer test
+    per listed gap and a ``_piece_span`` per gap holding a chunk end; then
+    per depth O(1) integer pieces per straddler, one step of its
+    ``cantor._MeasureSteps`` walk.
 
     Raises ToleranceExhausted when the unbuilt stages alone force width
     scale * tail >= tol, or depth 64 leaves the bound wider than tol,
@@ -763,34 +764,66 @@ class _WindowMass:
             exact[j] = running
         return exact
 
-    def refine(self, members: set[int], tol: Fraction, bound: Callable):
-        """bound(masses) at the first depth 0..64 where its width is <= tol.
+    def _depths(self, members: set[int]) -> Iterator[tuple[dict[int, tuple[int, int]], int, int, int]]:
+        """The depth loop: for depth 0..64, (masses, length, tail, den), each
+        number a numerator over den.
 
         masses maps each requested member to its built (lo, hi); member 0
         gets the A_0 bound (max(0, L - hi_sum - tail), L - lo_sum) over all
         members, whose width is the mass no member accounts for yet.  Only
-        the requested members' straddlers are re-measured, all for member 0.
+        the requested members' straddlers are measured, all for member 0,
+        each by a ``_MeasureSteps`` walk one step deeper per depth.  den is
+        the lcm of ``den``, the length's and tail's denominators and the
+        walks' depth-0 dens, times 4^depth, as a walk's den gains 4 per step.
         """
-        exact = {j: Fraction(m, self.den) for j, m in self.exact(members).items()}
         everything = 0 in members
-        total = Fraction(self.total, self.den) if everything else ZERO
-        straddlers = [s for s in self.straddlers if everything or s[2] in members]
+        walks = [(_MeasureSteps(cantor_set, chunk), member) for cantor_set, chunk, member in self.straddlers
+                 if everything or member in members]
+        length, tail = self.length, self.tail
+        den = lcm(self.den, length.denominator, tail.denominator, *(walk.den for walk, _ in walks))
+        walks = [(walk, member, den // walk.den) for walk, member in walks]
+        scale = den // self.den
+        exact = {j: m * scale for j, m in self.exact(members).items()}
+        total = self.total * scale if everything else 0
+        length, tail = length.numerator * (den // length.denominator), tail.numerator * (den // tail.denominator)
         for depth in range(_MAX_MEASURE_DEPTH + 1):
-            masses = {j: (m, m) for j, m in exact.items()}
-            lo_sum = hi_sum = total
-            for cantor_set, chunk, member in straddlers:
-                part = cantor_set.svc_measure_in(chunk, depth)
-                lo_sum += part.lo
-                hi_sum += part.hi
+            shift = 2 * depth
+            masses = {j: (m << shift, m << shift) for j, m in exact.items()}
+            lo_sum = hi_sum = total << shift
+            for walk, member, factor in walks:
+                if depth:
+                    walk.deeper()
+                lo, hi, _ = walk.bound()
+                lo, hi = lo * factor, hi * factor
+                lo_sum += lo
+                hi_sum += hi
                 if member in masses:
-                    lo, hi = masses[member]
-                    masses[member] = (lo + part.lo, hi + part.hi)
+                    m_lo, m_hi = masses[member]
+                    masses[member] = (m_lo + lo, m_hi + hi)
             if everything:
-                masses[0] = (max(ZERO, self.length - hi_sum - self.tail), self.length - lo_sum)
-            result = bound(masses)
+                masses[0] = (max(0, (length << shift) - hi_sum - (tail << shift)), (length << shift) - lo_sum)
+            yield masses, length << shift, tail << shift, den << shift
+
+    def bounded(self, members: set[int], tol: Fraction, bound: Callable) -> tuple[Fraction, Fraction]:
+        """The ends of bound(masses, length, tail, den) = (lo, hi, den') at
+        the first depth of ``_depths`` where (hi - lo) / den' <= tol."""
+        for step in self._depths(members):
+            lo, hi, den = bound(*step)
+            if (hi - lo) * tol.denominator <= tol.numerator * den:
+                return Fraction(lo, den), Fraction(hi, den)
+        raise self._exhausted(tol)
+
+    def refine(self, members: set[int], tol: Fraction, bound: Callable):
+        """bound(masses) at the first depth where its width is <= tol, with
+        ``_depths``'s masses as ``Fraction``s: each member's (lo, hi)."""
+        for masses, _, _, den in self._depths(members):
+            result = bound({j: (Fraction(lo, den), Fraction(hi, den)) for j, (lo, hi) in masses.items()})
             if result.width <= tol:
                 return result
-        raise ToleranceExhausted(
+        raise self._exhausted(tol)
+
+    def _exhausted(self, tol: Fraction) -> ToleranceExhausted:
+        return ToleranceExhausted(
             f"could not reach tolerance {tol} by depth {_MAX_MEASURE_DEPTH + 1};"
             f" rebuild with at least {self._needed()} stages"
         )
@@ -798,9 +831,9 @@ class _WindowMass:
     def measure(self, k: int, tol: Fraction) -> MeasureBound:
         """Bound on lambda(A_k within the window), refined until width <= tol."""
         if k == 0:
-            return self.refine({0}, tol, lambda masses: MeasureBound(*masses[0]))
-        return self.refine({k}, tol, lambda masses: MeasureBound(
-            masses[k][0], min(self.length, masses[k][1] + self.tail)))
+            return MeasureBound(*self.bounded({0}, tol, lambda masses, length, tail, den: (*masses[0], den)))
+        return MeasureBound(*self.bounded({k}, tol, lambda masses, length, tail, den: (
+            masses[k][0], min(length, masses[k][1] + tail), den)))
 
 
 def _sufficient_stages(built: int, gap_cap: Fraction, limit: Fraction, tol: Fraction) -> int:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarkesat import FiniteSupport, SaturatedFunction, build_partition, independence_fingerprint, lipschitz_lower_bound
-from clarkesat.cantor import FatCantorSet
+from clarkesat.cantor import FatCantorSet, _MeasureSteps
 from clarkesat.rationals import Interval, IntervalSet, format_rational
 from clarkesat.verifier import _certified_point
 
@@ -226,3 +226,47 @@ def test_measure_in_matches_the_fraction_sum(data):
     for depth in range(data.draw(st.integers(0, 20), label="depth") + 1):
         bound = c.svc_measure_in(window, depth)
         assert (bound.lo, bound.hi) == _fraction_measure_in(c, window, depth), (window, depth)
+
+
+# ---------------------------------------------------------------------------
+# The step walk behind svc_measure_in, taken one depth at a time
+# ---------------------------------------------------------------------------
+
+
+def _step_windows(c):
+    """Windows that miss the host, swallow it, touch either end of it from
+    outside, sit inside it or inside one depth-6 piece, or end on a depth-3
+    piece end, and point windows at a host end, a piece end, the middle
+    removed at step 0 and a point inside a depth-6 piece."""
+    lo, hi, length = c.host.lo, c.host.hi, c.host.length
+    inner = c.first_piece(6)
+    width = inner.length
+    inside = inner.lo + width / 3
+    points = (lo, hi, inner.hi, c.host.midpoint, inside)
+    return [
+        Interval.closed(hi + Fraction(1, 7), hi + 1),
+        Interval.closed(lo - 1, hi + 1),
+        Interval.closed(lo - 1, lo),
+        Interval.open(hi, hi + Fraction(1, 3)),
+        Interval.closed(lo + length / 5, hi - length / 7),
+        Interval.open(inside, inner.hi - width / 5),
+        Interval(c.first_piece(3).hi, c.host.midpoint, False, True),
+    ] + [Interval.closed(x, x) for x in points]
+
+
+@pytest.mark.parametrize("c", SETS, ids=lambda c: f"{c.host}-{c.retained_fraction}")
+def test_step_walk_matches_measure_in_at_each_depth(c):
+    # One walk per window, taken from depth 0 to 20, against a fresh
+    # svc_measure_in and the Fraction sum at each depth.
+    for window in _step_windows(c):
+        steps = _MeasureSteps(c, window)
+        for depth in range(21):
+            if depth:
+                steps.deeper()
+            assert len(steps.frontier) <= 2
+            lo, hi, den = steps.bound()
+            bound = c.svc_measure_in(window, depth)
+            assert (Fraction(lo, den), Fraction(hi, den)) == (bound.lo, bound.hi), (window, depth)
+            assert (bound.lo, bound.hi) == _fraction_measure_in(c, window, depth), (window, depth)
+            if not window.overlaps_nontrivially(c.host) or window.lo <= c.host.lo and c.host.hi <= window.hi:
+                assert lo == hi  # a missed or swallowed host resolves exactly

@@ -11,10 +11,13 @@ boundaries, windows crossing an integer, a translated partition, and the
 """
 
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
+from typing import Callable
 
 import pytest
 
+from clarkesat import functions as functions_module
+from clarkesat import partition as partition_module
 from clarkesat.cantor import FatCantorSet, MeasureBound
 from clarkesat.cli import main
 from clarkesat.errors import ToleranceExhausted
@@ -24,11 +27,13 @@ from clarkesat.functions import (
     SaturatedFunction,
     ValueBound,
     _interval_value,
+    _value_limit,
     eval_f,
     eval_f1,
     ones_generator,
 )
 from clarkesat.partition import (
+    _MAX_MEASURE_DEPTH,
     RETAINED,
     SplittingPartition,
     _WindowMass,
@@ -36,7 +41,7 @@ from clarkesat.partition import (
     save,
     stage_tail_bound,
 )
-from clarkesat.rationals import Interval
+from clarkesat.rationals import ZERO, Interval
 
 MAX_DEPTH = 64
 F = Fraction
@@ -392,3 +397,166 @@ def test_exact_hands_out_integer_numerators(partition):
                 assert partition.measure_in(j, window, tol).lo == F(m, mass.den)
         for k in (0, 1, n // 2):
             assert eval_f1(partition, k, lo, hi, tol) == reference_eval_f1(scan, k, lo, hi, tol)
+
+
+# -- the Fraction depth loop the integer one replaced -------------------------
+
+
+class FractionWindowMass(_WindowMass):
+    """``_WindowMass`` with its depth loop as it was before it ran on
+    integers: masses, sums and bounds are ``Fraction``s, and every depth
+    re-measures each straddler with ``svc_measure_in`` from the root."""
+
+    def refine(self, members: set[int], tol: Fraction, bound: Callable):
+        """bound(masses) at the first depth 0..64 where its width is <= tol.
+
+        masses maps each requested member to its built (lo, hi); member 0
+        gets the A_0 bound (max(0, L - hi_sum - tail), L - lo_sum) over all
+        members, whose width is the mass no member accounts for yet.  Only
+        the requested members' straddlers are re-measured, all for member 0.
+        """
+        exact = {j: Fraction(m, self.den) for j, m in self.exact(members).items()}
+        everything = 0 in members
+        total = Fraction(self.total, self.den) if everything else ZERO
+        straddlers = [s for s in self.straddlers if everything or s[2] in members]
+        for depth in range(_MAX_MEASURE_DEPTH + 1):
+            masses = {j: (m, m) for j, m in exact.items()}
+            lo_sum = hi_sum = total
+            for cantor_set, chunk, member in straddlers:
+                part = cantor_set.svc_measure_in(chunk, depth)
+                lo_sum += part.lo
+                hi_sum += part.hi
+                if member in masses:
+                    lo, hi = masses[member]
+                    masses[member] = (lo + part.lo, hi + part.hi)
+            if everything:
+                masses[0] = (max(ZERO, self.length - hi_sum - self.tail), self.length - lo_sum)
+            result = bound(masses)
+            if result.width <= tol:
+                return result
+        raise ToleranceExhausted(
+            f"could not reach tolerance {tol} by depth {_MAX_MEASURE_DEPTH + 1};"
+            f" rebuild with at least {self._needed()} stages"
+        )
+
+    def measure(self, k: int, tol: Fraction) -> MeasureBound:
+        """Bound on lambda(A_k within the window), refined until width <= tol."""
+        if k == 0:
+            return self.refine({0}, tol, lambda masses: MeasureBound(*masses[0]))
+        return self.refine({k}, tol, lambda masses: MeasureBound(
+            masses[k][0], min(self.length, masses[k][1] + self.tail)))
+
+
+def fraction_loop_interval_value(partition, mu, window, tol):
+    """``_interval_value`` over ``FractionWindowMass``, its bound formed in ``Fraction``s."""
+    norm = mu.norm_inf
+    if norm == 0:
+        return ValueBound(ZERO, ZERO)
+    generator = isinstance(mu, GeneratorSource)
+    mass = FractionWindowMass(partition, window, tol, 2 * norm, _value_limit(mu))
+    terms = mu.entries if not generator else [
+        (k, coeff) for k in range(partition.stage_count // 2 + 1) if (coeff := mu.coefficient(k))
+    ]
+    straddled = {member for _, _, member in mass.straddlers}
+    live = [(k, c) for k, c in terms if k == 0 or not straddled.isdisjoint((2 * k, 2 * k + 1))]
+    fixed = [(k, c) for k, c in terms if k != 0 and straddled.isdisjoint((2 * k, 2 * k + 1))]
+    exact = mass.exact({j for k, _ in fixed for j in (2 * k, 2 * k + 1)})
+    scale = lcm(*(coeff.denominator for _, coeff in fixed))
+    base = Fraction(sum(coeff.numerator * (scale // coeff.denominator) * (exact[2 * k + 1] - exact[2 * k])
+                        for k, coeff in fixed), scale * mass.den)
+    members = {j for k, _ in live for j in (2 * k, 2 * k + 1)} | ({0} if generator else set())
+
+    def value(masses) -> ValueBound:
+        lo = hi = base
+        for k, coeff in live:
+            plus, minus = masses[2 * k + 1], masses[2 * k]
+            term_lo, term_hi = plus[0] - minus[1], plus[1] - minus[0]
+            lo += coeff * (term_lo if coeff > 0 else term_hi)
+            hi += coeff * (term_hi if coeff > 0 else term_lo)
+        slack = norm * mass.tail
+        if generator:
+            m0_lo, m0_hi = masses[0]
+            slack += norm * (m0_hi - m0_lo)
+        return ValueBound(lo - slack, hi + slack)
+
+    return mass.refine(members, tol, value)
+
+
+def outcome(query):
+    """query()'s answer, or the type and message of the ToleranceExhausted it raises."""
+    try:
+        return query()
+    except ToleranceExhausted as error:
+        return type(error), str(error)
+
+
+def fraction_loop_outcome(query):
+    """``outcome`` with ``measure_in``, ``eval_f1`` and ``eval_f`` on the Fraction depth loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition_module, "_WindowMass", FractionWindowMass)
+        patch.setattr(functions_module, "_WindowMass", FractionWindowMass)
+        patch.setattr(functions_module, "_interval_value", fraction_loop_interval_value)
+        return outcome(query)
+
+
+VALUE_SOURCES = (
+    FiniteSupport.of({0: 3, 1: -5, 2: 2}),
+    FiniteSupport.of({0: F(1, 3), 1: F(-5, 7), 2: 2}),
+    FiniteSupport.of({5: F(-1, 3), 18: 2}),
+    ones_generator(),
+    ones_generator().scaled(F(3, 4)),
+)
+
+
+def assert_loops_agree(p, windows, tols, members):
+    """Every ``_interval_value``, ``measure_in``, ``eval_f1`` and ``eval_f``
+    answer over the windows equals the Fraction loop's, message for message.
+    Two more tolerances per window are widths the Fraction loop stops at,
+    so a bound exactly as wide as the tolerance must be accepted."""
+    for lo, hi in windows:
+        window = Interval.closed(lo, hi)
+        widths = {fraction_loop_outcome(lambda: p.measure_in(1, window, tols[0])).width,
+                  fraction_loop_interval_value(p, VALUE_SOURCES[0], window, tols[0]).width}
+        for tol in (*tols, *sorted(widths - {0})):
+            queries = [(lambda k=k: p.measure_in(k, window, tol)) for k in members]
+            queries += [(lambda k=k, a=a, b=b: eval_f1(p, k, a, b, tol))
+                        for k in (0, 1, 3) for a, b in ((lo, hi), (hi, lo))]
+            for mu in VALUE_SOURCES:
+                sf = SaturatedFunction(p, mu, 1, (Interval.open(-3, 3),), (F(1, 2),))
+                queries.append(lambda sf=sf: eval_f(sf, (hi,), tol))
+                assert outcome(lambda: _interval_value(p, mu, window, tol)) == outcome(
+                    lambda: fraction_loop_interval_value(p, mu, window, tol)), (lo, hi, tol, mu)
+            for query in queries:
+                assert outcome(query) == fraction_loop_outcome(query), (lo, hi, tol)
+
+
+def test_integer_loop_is_bit_identical_to_the_fraction_loop(partition):
+    n = partition.stage_count
+    assert_loops_agree(partition, corpus_windows(partition), (F(1, 2**10), F(1, 10**6), F(1, 2**24)),
+                       (0, 1, 2, 3, n // 2, n, n + 1))
+
+
+@pytest.fixture(scope="module")
+def build_2000():
+    return build_partition(2000)
+
+
+def test_integer_loop_is_bit_identical_to_the_fraction_loop_at_2000_stages(build_2000):
+    # Windows meeting the dug stages from 1515 on, whose pieces sit at depth 8.
+    dug = next(r for r in build_2000.stages if r.depth_used == 8)
+    windows = corpus_windows(build_2000)[:6] + [
+        (dug.gap.lo, dug.gap.hi),
+        (dug.piece_host(3).lo + dug.piece_width / 3, dug.piece_host(700).hi - dug.piece_width / 5),
+        (F(5, 8), F(5, 8) + F(1, 2**12)),
+    ]
+    assert_loops_agree(build_2000, windows, (F(1, 10**6), F(1, 2**30)), (0, 1, 3, 1000, 2000))
+
+
+def test_depth_limit_message_is_the_fraction_loops():
+    # The tail check passes at N = 40 and 2^-40, but `ones` tends to 5 * tail
+    # >= tol, so both loops run out at depth 65.
+    p = build_partition(40)
+    query = lambda: eval_f(SaturatedFunction(p, ones_generator()), (F(2, 3),), F(1, 2**40))  # noqa: E731
+    expected = fraction_loop_outcome(query)
+    assert expected[0] is ToleranceExhausted and "by depth 65" in expected[1]
+    assert outcome(query) == expected
