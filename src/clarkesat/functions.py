@@ -27,9 +27,12 @@ from them on integers too, and only a bound's two ends become ``Fraction``s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
+from threading import Lock
 from typing import Callable, Iterable, Sequence
 
 from .partition import SplittingPartition, _WindowMass, _first_host
@@ -42,10 +45,36 @@ from .rationals import Interval, ONE, ValueBound, ZERO, format_rational, parse_r
 
 
 @dataclass(frozen=True)
+class _Table:
+    """What ``_interval_value`` needs of a coefficient source, resolved once.
+
+    ``terms`` holds (k, w) for each nonzero mu_k in ascending k, w being
+    mu_k as a numerator over ``scale``, the lcm of the denominators of the
+    norm and of every coefficient; ``weight`` is the norm over ``scale`` and
+    ``limit`` is ``_value_limit``.
+    """
+
+    terms: tuple[tuple[int, int], ...]
+    scale: int
+    weight: int
+    limit: Fraction
+
+    @classmethod
+    def of(cls, pairs: Sequence[tuple[int, Fraction]], norm: Fraction, generator: bool) -> _Table:
+        """The table of the (k, mu_k) pairs, ascending in k."""
+        scale = lcm(norm.denominator, *(value.denominator for _, value in pairs))
+        terms = tuple((k, value.numerator * (scale // value.denominator)) for k, value in pairs if value)
+        mu_0 = abs(pairs[0][1]) if pairs and pairs[0][0] == 0 else ZERO
+        return cls(terms, scale, norm.numerator * (scale // norm.denominator), (4 if generator else 2) * norm + mu_0)
+
+
+@dataclass(frozen=True)
 class FiniteSupport:
     """Finitely many nonzero rational coefficients, by index."""
 
     entries: tuple[tuple[int, Fraction], ...]
+    # Resolved on first use; a race only computes it twice.
+    _resolved: _Table | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, pairs) -> FiniteSupport:
@@ -94,33 +123,78 @@ class FiniteSupport:
     def scaled(self, factor: Fraction) -> FiniteSupport:
         return FiniteSupport.of({k: v * factor for k, v in self.entries})
 
+    def _table(self, limit: int) -> _Table:
+        """The table over every entry; limit is ignored."""
+        if self._resolved is None:
+            object.__setattr__(self, "_resolved", _Table.of(self.entries, self.norm_inf, False))
+        return self._resolved
+
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSource:
-    """Rule k -> mu_k with a declared exact sup norm (never exceeded)."""
+    """Rule k -> mu_k with a declared exact sup norm (never exceeded).
+
+    The rule must be pure: it is called at most once per k, the first time
+    mu_k or a later coefficient is needed, and each value is coerced and
+    checked against the norm then.  The values mu_0, mu_1, ... are kept, up
+    to the largest k asked so far, and ``coefficient``, ``argmax_index`` and
+    ``_interval_value``'s table read them; a value above the norm is not
+    kept, so every later call that needs it calls the rule again and raises
+    again.  A negative norm is rejected at construction.
+    """
 
     rule: Callable[[int], Fraction]
     norm_inf: Fraction
     name: str = ""
+    _values: list[Fraction] = field(default_factory=list, init=False, repr=False)
+    _growing: Lock = field(default_factory=Lock, init=False, repr=False)
+    # (count, the table of mu_0..mu_(count-1)); a race only computes it twice.
+    _resolved: tuple[int, _Table] | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        norm = rational(self.norm_inf)
+        if norm < 0:
+            raise ValueError(f"declared norm {norm} is negative")
+        object.__setattr__(self, "norm_inf", norm)
 
     def coefficient(self, k: int) -> Fraction:
-        value = rational(self.rule(k))
-        if abs(value) > self.norm_inf:
-            raise ValueError(
-                f"generator produced |mu_{k}| = {abs(value)} above its declared norm"
-            )
-        return value
+        if k < 0:
+            raise ValueError("coefficient indices start at 0")
+        return self._grown(k)[k]
 
     def argmax_index(self, limit: int) -> int:
-        return _argmax((k, self.coefficient(k)) for k in range(limit + 1))
+        return _argmax(enumerate(self._grown(limit)[:limit + 1]))
 
     def scaled(self, factor: Fraction) -> GeneratorSource:
-        rule = self.rule
+        """mu * factor, with its own values and table; its rule reads this source's values."""
         return GeneratorSource(
-            lambda k: rational(rule(k)) * factor,
+            lambda k: self.coefficient(k) * factor,
             self.norm_inf * abs(factor),
             name=f"{self.name}*{factor}" if self.name else "",
         )
+
+    def _grown(self, limit: int) -> list[Fraction]:
+        """The kept values, extended to mu_limit if they stop short.  The
+        list only grows, and only under the lock, so a reader may index it
+        below a length it has seen."""
+        values = self._values
+        if limit >= len(values):
+            with self._growing:
+                for k in range(len(values), limit + 1):
+                    value = rational(self.rule(k))
+                    if abs(value) > self.norm_inf:
+                        raise ValueError(f"generator produced |mu_{k}| = {abs(value)} above its declared norm")
+                    values.append(value)
+        return values
+
+    def _table(self, limit: int) -> _Table:
+        """A table over mu_0..mu_m for some m >= limit."""
+        resolved = self._resolved
+        if resolved is None or resolved[0] <= limit:
+            values = self._grown(limit)[:]
+            resolved = len(values), _Table.of(tuple(enumerate(values)), self.norm_inf, True)
+            object.__setattr__(self, "_resolved", resolved)
+        return resolved[1]
 
 
 CoefficientSource = FiniteSupport | GeneratorSource
@@ -276,34 +350,34 @@ def _interval_value(
     loop; one norm * tail correction absorbs all unbuilt-stage mass, and
     generator sources additionally widen by the norm-weighted mass not yet
     attributed to any member, the width of the A_0 bound.  The bound is
-    formed on integers: the coefficients and the norm are numerators over
-    one coefficient denominator, the lcm of theirs.  A term whose members
+    formed on integers: the source's table (resolved once per source) gives
+    the coefficients and the norm as numerators over one coefficient
+    denominator, and a generator's terms are its prefix up to k = N/2; any
+    common denominator gives the same reduced bound.  A term whose members
     have no straddler is exact at every depth and summed once into ``base``;
     each depth re-sums only the others and mu_0's term, whose member 0 gets
-    the A_0 bound, over that denominator times the loop's.
+    the A_0 bound, over that denominator times the loop's.  Cost per
+    window: the integrator's, plus O(1) integer work per term.
     """
     norm = mu.norm_inf
     if norm == 0:
         return ValueBound(ZERO, ZERO)
     generator = isinstance(mu, GeneratorSource)
     mass = _WindowMass(partition, window, tol, 2 * norm, _value_limit(mu))
-    terms = mu.entries if not generator else [
-        (k, coeff) for k in range(partition.stage_count // 2 + 1) if (coeff := mu.coefficient(k))
-    ]
+    half = partition.stage_count // 2
+    table = mu._table(half)
+    terms = table.terms[:bisect_right(table.terms, half, key=itemgetter(0))] if generator else table.terms
     straddled = {member for _, _, member in mass.straddlers}
-    live = [(k, c) for k, c in terms if k == 0 or not straddled.isdisjoint((2 * k, 2 * k + 1))]
-    fixed = [(k, c) for k, c in terms if k != 0 and straddled.isdisjoint((2 * k, 2 * k + 1))]
+    live = [(k, w) for k, w in terms if k == 0 or not straddled.isdisjoint((2 * k, 2 * k + 1))]
+    fixed = [(k, w) for k, w in terms if k != 0 and straddled.isdisjoint((2 * k, 2 * k + 1))]
     exact = mass.exact({j for k, _ in fixed for j in (2 * k, 2 * k + 1)})
-    scale = lcm(norm.denominator, *(coeff.denominator for _, coeff in terms))
-    base = sum(coeff.numerator * (scale // coeff.denominator) * (exact[2 * k + 1] - exact[2 * k])
-               for k, coeff in fixed)  # over scale * mass.den
-    weights = [(k, coeff.numerator * (scale // coeff.denominator)) for k, coeff in live]
-    weight = norm.numerator * (scale // norm.denominator)
+    base = sum(w * (exact[2 * k + 1] - exact[2 * k]) for k, w in fixed)  # over scale * mass.den
+    scale, weight = table.scale, table.weight
     members = {j for k, _ in live for j in (2 * k, 2 * k + 1)} | ({0} if generator else set())
 
     def value(masses, length, tail, den) -> tuple[int, int, int]:
         lo = hi = base * (den // mass.den)
-        for k, coeff in weights:
+        for k, coeff in live:
             plus, minus = masses[2 * k + 1], masses[2 * k]
             term_lo, term_hi = plus[0] - minus[1], plus[1] - minus[0]
             lo += coeff * (term_lo if coeff > 0 else term_hi)
@@ -320,8 +394,9 @@ def _interval_value(
 def _value_limit(mu: CoefficientSource) -> Fraction:
     """The width per unit of tail that ``_interval_value``'s bound tends to
     with depth: 2 * norm from the terms, |mu_0| from the A_0 bound, and
-    2 * norm more of unresolved mass for generators."""
-    return (4 if isinstance(mu, GeneratorSource) else 2) * mu.norm_inf + abs(mu.coefficient(0))
+    2 * norm more of unresolved mass for generators; read from the source's
+    table."""
+    return mu._table(0).limit
 
 
 def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> ValueBound:
@@ -338,20 +413,20 @@ def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> Value
     x = tuple(rational(c) for c in x)
     if not sf.contains_point(x):
         raise ValueError(f"point {x} is outside the domain box")
-    total_lo = total_hi = ZERO
-    active = [i for i in range(sf.d) if x[i] != sf.x0[i]]
+    active = [(a, b) for a, b in zip(sf.x0, x) if a != b]
     if not active:
         return ValueBound(ZERO, ZERO)
     budget = tol / len(active)
-    for i in active:
-        a, b = sf.x0[i], x[i]
-        window = Interval.closed(min(a, b), max(a, b))
-        bound = _interval_value(sf.partition, sf.mu, window, budget)
-        if b < a:
-            bound = ValueBound(-bound.hi, -bound.lo)
-        total_lo += bound.lo
-        total_hi += bound.hi
-    return ValueBound(total_lo, total_hi)
+    bounds = []
+    for a, b in active:
+        if a < b:
+            bound = _interval_value(sf.partition, sf.mu, Interval(a, b), budget)
+            bounds.append((bound.lo, bound.hi))
+        else:
+            bound = _interval_value(sf.partition, sf.mu, Interval(b, a), budget)
+            bounds.append((-bound.hi, -bound.lo))
+    lo, hi = zip(*bounds)
+    return ValueBound(sum(lo[1:], lo[0]), sum(hi[1:], hi[0]))
 
 
 def sample_gradient(

@@ -449,18 +449,15 @@ class SplittingPartition:
 
     def stages_overlapping(self, window: Interval) -> list[StageRecord]:
         """Built stages whose gap closure meets the window's closure (flags ignored), ascending by n."""
-        stages = self.stages
-        return [stages[n - 1] for n in sorted(self._by_lo[i].n for i in self._meeting(window)[0])]
+        stages, positions = self.stages, self._meeting(*_inward(window, self._den))
+        return [stages[n - 1] for n in sorted(self._by_lo[i].n for i in positions)]
 
-    def _meeting(self, window: Interval) -> tuple[list[int], int, int]:
-        """(positions, lo, hi): the index positions whose gap closure meets the
-        window's closure, found by two bisections on its ends rounded inward to
-        the index's grid, lo = ceil(window.lo * _den) and hi = floor(window.hi * _den)."""
-        den = self._den
-        lo = -(-window.lo.numerator * den // window.lo.denominator)
-        hi = window.hi.numerator * den // window.hi.denominator
+    def _meeting(self, lo: int, hi: int) -> list[int]:
+        """The index positions whose gap closure meets [lo, hi] / _den, found
+        by two bisections; a window's closure meets the same gap closures as
+        its ends rounded inward to the index's grid (``_inward``)."""
         positions = range(bisect_left(self._reach, lo), bisect_right(self._los, hi))
-        return [i for i in positions if self._his[i] >= lo], lo, hi
+        return [i for i in positions if self._his[i] >= lo]
 
     def _longest_free(self, target: Interval) -> Interval | None:
         """``_longest_room`` over the gap closures."""
@@ -654,17 +651,31 @@ def _fold(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
+def _inward(window: Interval, den: int) -> tuple[int, int]:
+    """The window's ends rounded inward to the grid 1/den, as numerators:
+    (ceil(window.lo * den), floor(window.hi * den))."""
+    lo, hi = window.lo, window.hi
+    return -(-lo.numerator * den // lo.denominator), hi.numerator * den // hi.denominator
+
+
+def _unit_range(window: Interval) -> range:
+    """The integers m whose unit chunk [m, m+1] meets the window in positive
+    length: floor(lo) <= m < ceil(hi), or none for a point."""
+    lo, hi = window.lo, window.hi
+    return range(lo.numerator // lo.denominator, -(-hi.numerator // hi.denominator)) if lo < hi else range(0)
+
+
+def _unit_chunk(window: Interval, m: int) -> Interval:
+    """The window's part in [m, m+1], folded into [0, 1]."""
+    return Interval(max(window.lo - m, ZERO), min(window.hi - m, ONE))
+
+
 def _unit_chunks(window: Interval, translation: int) -> Iterator[Interval]:
-    """Split a window at integer boundaries and fold each chunk into [0,1]."""
-    lo = window.lo - translation
-    hi = window.hi - translation
-    m = lo.numerator // lo.denominator
-    while m < hi:
-        a = max(lo, Fraction(m))
-        b = min(hi, Fraction(m + 1))
-        if a < b:
-            yield Interval.closed(a - m, b - m)
-        m += 1
+    """Split a window at integer boundaries and fold each chunk into [0,1].
+
+    An integer translation only renumbers the chunks, so the folded chunks
+    do not depend on it."""
+    return (_unit_chunk(window, m) for m in _unit_range(window))
 
 
 def _piece_span(record: StageRecord, window: Interval) -> tuple[int, int, int, int] | None:
@@ -691,10 +702,13 @@ class _WindowMass:
 
     A stage's n+1 pieces share one width and piece i feeds member i+1, so
     the pieces wholly inside a unit chunk form an index range a..b whose
-    members each gain rho * width.  The scan is integer arithmetic: of the
-    gaps ``_meeting`` lists for a chunk, one whose closure lies in the
-    chunk's has a..b = 0..n, and only one holding a chunk end calls
-    ``_piece_span`` (floor division on its ``StageRecord.endpoints``).  Every
+    members each gain rho * width.  The scan is integer arithmetic: the
+    window's ends are rounded inward to the gap index's grid once, each unit
+    chunk's ends on that grid are integers, and of the gaps ``_meeting``
+    lists for a chunk, one whose closure lies in the chunk's has a..b =
+    0..n; only one holding a chunk end builds the chunk's ``Interval`` and
+    calls ``_piece_span`` (floor division on its ``StageRecord.endpoints``).
+    ``length`` is the window's length.  Every
     stage's whole-piece mass is an integer over the partition's one mass
     denominator ``den`` (``_stage_masses``).  So a stage adds one integer
     entry pair to a difference array over member index, plus its share of
@@ -703,8 +717,9 @@ class _WindowMass:
     straddling a chunk edge are kept as ``straddlers`` (set, chunk, member)
     for ``_depths``, the one depth loop, which re-measures only them; a
     member without one keeps its exact mass, an integer over ``den`` until
-    ``bounded`` bounds it.  Cost: per chunk two bisections, an integer test
-    per listed gap and a ``_piece_span`` per gap holding a chunk end; then
+    ``bounded`` bounds it.  Cost: per window two inward roundings; per chunk
+    two bisections, an integer test per listed gap, and for the gaps holding
+    a chunk end one chunk ``Interval`` and a ``_piece_span`` each; then
     per depth O(1) integer pieces per straddler, one step of its
     ``cantor._MeasureSteps`` walk.
 
@@ -725,31 +740,34 @@ class _WindowMass:
                 f" rebuild with at least {self._needed()} stages"
             )
         self.den, stage_mass = partition._stage_masses()
-        self.length = ZERO
+        self.length = window.length
         self.total = 0  # over self.den, like the steps
         self.straddlers: list[tuple[FatCantorSet, Interval, int]] = []
         self._steps = steps = defaultdict(int)
-        los, his, by_lo = partition._los, partition._his, partition._by_lo
-        for chunk in _unit_chunks(window, partition.translation):
-            self.length += chunk.length
-            positions, lo, hi = partition._meeting(chunk)
-            for i in positions:
+        los, his, by_lo, grid = partition._los, partition._his, partition._by_lo, partition._den
+        window_lo, window_hi = _inward(window, grid)
+        for m in _unit_range(window):  # the chunks of _unit_chunks, on the index's grid
+            lo, hi = max(window_lo - m * grid, 0), min(window_hi - m * grid, grid)
+            chunk = None
+            for i in partition._meeting(lo, hi):
                 record = by_lo[i]
-                n, m = record.n, stage_mass[record.n - 1]
+                n, mass = record.n, stage_mass[record.n - 1]
                 if lo <= los[i] and his[i] <= hi:  # the gap's closure, so each piece, lies in the chunk
-                    self.total += m * n
-                    steps[1] += m
-                    steps[n + 1] -= m
+                    self.total += mass * n
+                    steps[1] += mass
+                    steps[n + 1] -= mass
                     continue
+                if chunk is None:
+                    chunk = _unit_chunk(window, m)
                 span = _piece_span(record, chunk)
                 if span is None:
                     continue
                 first, last, a, b = span
                 top = min(b, n - 1)
                 if a <= top:
-                    self.total += m * (top - a + 1)
-                    steps[a + 1] += m
-                    steps[top + 2] -= m
+                    self.total += mass * (top - a + 1)
+                    steps[a + 1] += mass
+                    steps[top + 2] -= mass
                 for piece in {first, last}:
                     if not a <= piece <= b and piece < n:
                         self.straddlers.append((partition.piece_set(n, piece), chunk, piece + 1))

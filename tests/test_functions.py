@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -291,3 +294,117 @@ def test_shift_to_ball_rescales_a_generator(p30):
     cert = certify_saturation(shifted, (Fraction(1, 2),), Fraction(1, 4), K=2)
     assert cert.check()
     assert (cert.m, cert.shift, cert.truncation) == (r, (Fraction(1, 2),), 2)
+
+
+# -- per-source coefficient tables --------------------------------------------
+
+
+def test_generator_source_coerces_and_checks_its_declared_norm():
+    with pytest.raises(ValueError, match="declared norm -1 is negative"):
+        GeneratorSource(lambda k: 0, Fraction(-1))
+    with pytest.raises(ValueError, match="negative"):
+        GeneratorSource(lambda k: 0, "-1/3")
+    for norm in (1, "3/4", Fraction(0)):
+        source = GeneratorSource(lambda k: 0, norm)
+        assert type(source.norm_inf) is Fraction and source.norm_inf == Fraction(norm)
+
+
+class CountingRule:
+    """A pure rule k -> value(k) that counts its calls per k."""
+
+    def __init__(self, value=lambda k: Fraction(1)):
+        self.value = value
+        self.calls = {}
+        self._counting = threading.Lock()
+
+    def __call__(self, k):
+        with self._counting:
+            self.calls[k] = self.calls.get(k, 0) + 1
+        return self.value(k)
+
+
+def _points(count):
+    rng = random.Random(34)
+    return [(Fraction(rng.randrange(1, 4096), 4096),) for _ in range(count)]
+
+
+def test_generator_rule_is_called_once_per_k():
+    p100, p140, p30 = build_partition(100), build_partition(140), build_partition(30)
+    # Coefficient denominators 4, 8, 12 and 16: the table's grows with it.
+    rule = CountingRule(lambda k: Fraction((-1) ** k * (k % 5), 4 * (1 + k // 20)))
+    source = GeneratorSource(rule, Fraction(1))
+    fresh = lambda: GeneratorSource(rule.value, Fraction(1))  # noqa: E731
+    points = _points(50)
+    for x in points:
+        eval_f(SaturatedFunction(p100, source), x, TOL)
+    assert rule.calls == {k: 1 for k in range(51)}
+    # A larger partition extends the table; a smaller one reads its prefix.
+    assert eval_f(SaturatedFunction(p140, source), points[0], TOL) == eval_f(
+        SaturatedFunction(p140, fresh()), points[0], TOL)
+    assert rule.calls == {k: 1 for k in range(71)} and source._table(70).scale == 48
+    for x in points[:10]:
+        assert eval_f(SaturatedFunction(p30, source), x, TOL) == eval_f(SaturatedFunction(p30, fresh()), x, TOL)
+    assert source.argmax_index(60) == 4 and source.coefficient(13) == Fraction(-3, 4)
+    with pytest.raises(ValueError, match="indices start at 0"):
+        source.coefficient(-1)
+    assert lipschitz_lower_bound(SaturatedFunction(p140, source)) > 0
+    assert rule.calls == {k: 1 for k in range(71)}
+
+
+def test_generator_above_its_norm_raises_on_every_evaluation():
+    rule = CountingRule(lambda k: Fraction(2) if k == 40 else Fraction(1))
+    source = GeneratorSource(rule, Fraction(1))
+    sf = SaturatedFunction(build_partition(100), source)
+    for x in _points(5):
+        with pytest.raises(ValueError, match=r"\|mu_40\| = 2 above its declared norm"):
+            eval_f(sf, x, TOL)
+    assert rule.calls == {k: 5 if k == 40 else 1 for k in range(41)}
+    # A partition whose terms stop at k = 30 never asks for mu_40.
+    assert eval_f(SaturatedFunction(build_partition(60), source), (Fraction(3, 8),), TOL).width <= TOL
+
+
+def test_scaled_generator_has_its_own_table(p30):
+    rule = CountingRule()
+    source = GeneratorSource(rule, Fraction(1), name="counted")
+    scaled = source.scaled(Fraction(3, 4))
+    for x in _points(5):
+        for mu, reference in ((source, ones_generator()), (scaled, ones_generator().scaled(Fraction(3, 4)))):
+            assert eval_f(SaturatedFunction(p30, mu), x, TOL) == eval_f(SaturatedFunction(p30, reference), x, TOL)
+    assert scaled._table(15).terms == tuple((k, 3) for k in range(16)) and scaled._table(15).scale == 4
+    assert source._table(15).terms == tuple((k, 1) for k in range(16)) and source._table(15).scale == 1
+    assert rule.calls == {k: 1 for k in range(16)}
+
+
+def test_finite_support_is_unchanged_by_evaluation(p30):
+    mu = FiniteSupport.of({0: Fraction(1, 3), 1: Fraction(-5, 7), 2: 2})
+    before = (hash(mu), repr(mu), mu)
+    twin = FiniteSupport.of({0: Fraction(1, 3), 1: Fraction(-5, 7), 2: 2})
+    eval_f(SaturatedFunction(p30, mu), (Fraction(5, 8),), TOL)
+    assert mu._resolved is not None and twin._resolved is None
+    assert (hash(mu), repr(mu)) == before[:2] and mu == twin == before[2]
+    assert {mu: 1}[twin] == 1
+
+
+def test_threads_growing_one_table_call_the_rule_once_per_k():
+    partitions = [build_partition(n) for n in (30, 60, 100, 140)]
+    value = lambda k: Fraction(k % 3 - 1, 2)  # noqa: E731
+    x = (Fraction(5, 8),)
+    expected = [eval_f(SaturatedFunction(p, GeneratorSource(value, Fraction(1, 2))), x, TOL) for p in partitions]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            rule = CountingRule(value)
+            source = GeneratorSource(rule, Fraction(1, 2))
+            barrier = threading.Barrier(8)
+
+            def evaluate(i):
+                barrier.wait(timeout=30)
+                return eval_f(SaturatedFunction(partitions[i % 4], source), x, TOL)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(evaluate, range(8), timeout=60))
+            assert results == expected * 2
+            assert rule.calls == {k: 1 for k in range(71)}
+    finally:
+        sys.setswitchinterval(interval)

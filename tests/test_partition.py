@@ -1540,3 +1540,67 @@ def test_whole_pieces_match_a_piece_for_member_per_member_on_drawn_windows(build
     drawn = data.draw(st.sets(st.one_of(st.integers(0, 40), st.integers(0, count + 40)), max_size=12), label="members")
     _assert_whole_pieces_match(build_2000, window, drawn | {0, record.n, record.n + 1, count + 1})
 
+
+
+# ---------------------------------------------------------------------------
+# The integrator's integer unit tiling against the Fraction chunk loop
+# ---------------------------------------------------------------------------
+
+
+def _fraction_unit_chunks(window: Interval, translation: int):
+    """Split a window at integer boundaries and fold each chunk into [0,1]."""
+    lo = window.lo - translation
+    hi = window.hi - translation
+    m = lo.numerator // lo.denominator
+    while m < hi:
+        a = max(lo, Fraction(m))
+        b = min(hi, Fraction(m + 1))
+        if a < b:
+            yield Interval.closed(a - m, b - m)
+        m += 1
+
+
+def _assert_tiling_matches(partition, window):
+    """``_WindowMass`` over the window against the Fraction chunk loop, each
+    chunk scanned by ``_reference_window_mass``: the chunks' summed length,
+    total and exact masses, and their straddlers."""
+    chunks = list(_fraction_unit_chunks(window, partition.translation))
+    assert list(_unit_chunks(window, partition.translation)) == chunks, window
+    members = range(partition.stage_count + 2)
+    total, exact, straddlers = 0, dict.fromkeys(members, 0), Counter()
+    for chunk in chunks:
+        chunk_total, chunk_exact, chunk_straddlers = _reference_window_mass(partition, chunk)
+        total += chunk_total
+        exact = {j: exact[j] + chunk_exact[j] for j in members}
+        straddlers += chunk_straddlers
+    mass = _WindowMass(partition, window, ONE)
+    assert mass.length == sum((chunk.length for chunk in chunks), Fraction(0)), window
+    assert mass.total == total, window
+    assert mass.exact(set(members)) == exact, window
+    assert Counter(mass.straddlers) == straddlers, window
+
+
+def _tiling_windows(partition):
+    """Windows crossing integers, with integer ends, negative, points, longer
+    than one period and half-open, some with a dug gap's ends as their ends."""
+    dug = next((r for r in partition.stages if r.depth_used), partition.stage(1))
+    lo, hi = dug.gap.lo, dug.gap.hi
+    pairs = [
+        (Fraction(1, 3), Fraction(5, 3)), (lo, hi + 1), (lo - 1, hi), (Fraction(-1, 7), Fraction(1, 9)),
+        (0, 1), (1, 3), (-2, 0), (0, lo), (hi, 2), (-1, hi - 1),
+        (Fraction(-7, 5), Fraction(-1, 3)), (lo - 3, hi - 3), (Fraction(-5, 2), Fraction(1, 7)),
+        (Fraction(5, 8), Fraction(5, 8)), (2, 2), (-1, -1), (lo - 2, lo - 2),
+        (Fraction(2, 3), Fraction(7, 4)), (Fraction(-1, 3), Fraction(10, 3)), (lo - 2, hi + 2),
+    ]
+    windows = [Interval.closed(a, b) for a, b in pairs]
+    windows += [Interval(lo - 1, Fraction(7, 3), False, True), Interval.open(Fraction(-3, 2), hi)]
+    return windows + [Interval(w.lo + 3, w.hi + 3, w.lo_closed, w.hi_closed) for w in _scan_windows(partition)]
+
+
+def test_integer_tiling_matches_the_fraction_chunk_loop(build_2000, builds_300):
+    built = builds_300[Fraction(1, 3)]
+    translated = loads(saves(SplittingPartition(built.gap_cap, built.stages, -7)))
+    assert translated.translation == -7
+    for partition in (build_2000, *builds_300.values(), translated):
+        for window in _tiling_windows(partition):
+            _assert_tiling_matches(partition, window)
