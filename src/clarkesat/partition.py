@@ -157,15 +157,28 @@ def _enumeration_ends(n: int) -> Iterator[tuple[int, int, int, int]]:
     need not be reduced."""
     if n < 1:
         raise ValueError("enumeration indices start at 1")
-    m = (n + 1) // 2
-    streams = (
-        ((j - 1, 1 << L, j + 1, 1 << L) for L, j in map(_dyadic, count(n // 2 + 1))),
-        ((pa, qa, pb, qb) for pos, qa, qb in _pair_blocks(m)
-         for _, pa, pbs in _rows(pos, qa, qb, m) for pb in pbs),
-    )
+    dyadic = ((j - 1, 1 << L, j + 1, 1 << L) for L, j in map(_dyadic, count(n // 2 + 1)))
+    pairs = _pair_stream((n + 1) // 2)
+    for first, second in zip(dyadic, pairs) if n % 2 else zip(pairs, dyadic):
+        yield first
+        yield second
+
+
+def _pair_stream(m: int) -> Iterator[tuple[int, int, int, int]]:
+    """(pa, qa, pb, qb) for pair positions m, m+1, ...: ``_pair_blocks``
+    jumps to the block holding m, then plain loops walk weight, qa and pa,
+    with the coprimes of qb listed once per block."""
+    pos, qa, qb = next(_pair_blocks(m))
+    skip = m - pos - 1  # the block's positions before m
     while True:
-        for stream in streams if n % 2 else streams[::-1]:
-            yield next(stream)
+        pbs = [p for p in range(1, qb) if gcd(p, qb) == 1]
+        for pa in range(1, qa):
+            if gcd(pa, qa) == 1:
+                row = pbs[bisect_right(pbs, pa * qb // qa):]  # row pa: pb/qb > pa/qa
+                for pb in row[skip:]:
+                    yield pa, qa, pb, qb
+                skip = max(skip - len(row), 0)
+        qa, qb = (qa + 1, qb - 1) if qb > 2 else (2, qa + 1)  # qa + qb = w, then w + 1
 
 
 def _enumeration(n: int) -> Iterator[Interval]:
@@ -263,13 +276,47 @@ def first_index_inside(window: Interval, min_index: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _NoDefault(cached_property):
+    """A ``cached_property`` that a dataclass field can be: read on the class
+    it raises AttributeError, so the field gets no default."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.attrname)
+        return super().__get__(instance, owner)
+
+
 @dataclass(frozen=True)
 class StageRecord:
-    """Stage n: the certified gap inside I_n and its n+1 planted pieces."""
+    """Stage n: the certified gap inside I_n and its n+1 planted pieces.
+
+    A record holds its gap's integer span (a, b, d), ``_span(gap)``, which
+    the gap index, ``geometry`` and the load check read.  A load builds the
+    record from a stage line's integers (``_from_span``), and the gap
+    ``Interval`` is then built from the span on first read.  ``==``, ``hash``
+    and ``repr`` are over (n, gap, depth_used).
+    """
 
     n: int
     gap: Interval  # open (a'_n, b'_n)
     depth_used: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_span", _span(self.gap))
+
+    @classmethod
+    def _from_span(cls, n: int, span: tuple[int, int, int], depth_used: int) -> StageRecord:
+        """The record whose gap is (a/d, b/d) for span (a, b, d), which must
+        be what ``_span`` gives for that gap: d the lcm of the reduced ends'
+        denominators."""
+        record = cls.__new__(cls)
+        record.__dict__.update(n=n, _span=span, depth_used=depth_used)
+        return record
+
+    @_NoDefault
+    def gap(self) -> Interval:  # the field's value: set by __init__, or built here from the span
+        a, b, d = self._span
+        return Interval(Fraction(a, d), Fraction(b, d), False, False)
 
     @cached_property
     def geometry(self) -> tuple[int, int, int]:
@@ -279,7 +326,7 @@ class StageRecord:
         With the gap (a/d, b/d) as ``_span`` gives it, the endpoint
         gap.lo + i * length/(n+1) is (a*(n+1) + i*(b-a)) / (d*(n+1)).
         """
-        a, b, d = _span(self.gap)
+        a, b, d = self._span
         k = self.piece_count
         return a * k, b - a, d * k
 
@@ -399,7 +446,7 @@ class SplittingPartition:
         # _reach, the running max of _his, which window queries bisect too.
         # One stable sort, so that equal left ends keep stage order as
         # ``_add``'s insertions do.
-        spans = [_span(record.gap) for record in self.stages]
+        spans = [record._span for record in self.stages]
         self._den = den = lcm(*(d for _, _, d in spans))
         los = [a * (den // d) for a, _, d in spans]
         his = [b * (den // d) for _, b, d in spans]
@@ -420,7 +467,7 @@ class SplittingPartition:
         """
         self.stages += (record,)
         self._masses = self._tail = None
-        a, b, d = _span(record.gap)
+        a, b, d = record._span
         if self._den % d:
             den = lcm(self._den, d) << self._den.bit_length()
             factor, self._den = den // self._den, den
@@ -969,11 +1016,17 @@ def saves(partition: SplittingPartition, *, version: int = 1) -> str:
 
 
 def _digest(stage_lines: list[str]) -> str:
+    return _region_digest("".join(line + "\n" for line in stage_lines))
+
+
+def _region_digest(region: str) -> str:
+    """The sha256 hex digest of a v2 stage region: its stage lines, each
+    ending in a newline."""
     # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
     # that a process which never writes or reads a v2 file need not pay.
     from hashlib import sha256
 
-    return sha256("".join(line + "\n" for line in stage_lines).encode("ascii")).hexdigest()
+    return sha256(region.encode("ascii")).hexdigest()
 
 
 def _set_records(record: StageRecord) -> list[str]:
@@ -995,19 +1048,25 @@ def loads(text: str, stages: int | None = None) -> SplittingPartition:
     """Parse and check SPLITPART v1 or v2; every malformed input raises ValueError.
 
     A v2 file's sha256 line must match its stage lines; a v1 stage line's
-    set records must be the ones its gap implies.  Each stage line becomes a
-    ``StageRecord``, a canonical v2 line through one regular expression and
-    any other through ``_parse_stage_line``, and ``_check_gap`` tests its
-    shape as it is read.  The records before the first bad line are then
-    indexed, and ``_check_covers`` tests each against the earlier stages, so
-    a bad line's error waits for the cover tests of the lines above it.
+    set records must be the ones its gap implies.  Lines are those
+    ``str.splitlines`` finds, blank ones skipped (``_line_text``).  Each
+    stage line becomes a ``StageRecord``, a canonical v2 line through one
+    regular expression, straight from its integers, and any other through
+    ``_parse_stage_line``; ``_check_gap`` tests its shape as it is read.
+    The records before the first bad line are then indexed, and
+    ``_check_covers`` tests each against the earlier stages, so a bad line's
+    error waits for the cover tests of the lines above it.  A non-ASCII
+    character in a v2 stage line raises ValueError naming its offset.
 
     With ``stages`` = m, only stage lines 1..min(m, declared) are read,
     checked and indexed, and the partition holds those stages; the header,
     the declared stage count and a v2 file's sha256 line are still checked
-    over every line.  ``_check_cover`` tests a stage only against the
-    stages before it, so the prefix of a valid file is the partition of its
-    first stages, while a bad line past the prefix goes unseen.  The ``cli``
+    over every line.  For a text as ``saves`` writes it, that is one sha256
+    of the stage lines and one count of their newlines, then per-stage work
+    for the m stages read; any other text is first split on every line end
+    and rejoined.  ``_check_cover`` tests a stage only against the stages
+    before it, so the prefix of a valid file is the partition of its first
+    stages, while a bad line past the prefix goes unseen.  The ``cli``
     module docstring states which prefix each ``clarkesat`` command reads,
     and when it checks the whole file.
 
@@ -1018,29 +1077,37 @@ def loads(text: str, stages: int | None = None) -> SplittingPartition:
     """
     if stages is not None and stages < 0:
         raise ValueError("stages must be >= 0")
-    lines = [line for line in text.splitlines() if line.strip()]
-    version = {"SPLITPART v1": 1, "SPLITPART v2": 2}.get(lines[0]) if lines else None
+    lines = _line_text(text)
+    head = lines.find("\n") + 1  # where the header line starts
+    version = {"SPLITPART v1": 1, "SPLITPART v2": 2}.get(lines[:head - 1])
     if version is None:
         raise ValueError("not a SPLITPART v1 or v2 file")
-    if len(lines) < 2:
+    body = lines.find("\n", head) + 1  # where the stage lines start
+    if not body:
         raise ValueError("SPLITPART file ends before its header line")
-    header = _fields(lines[1].split(), ("gap_cap", "translation", "stages"), "header")
+    header = _fields(lines[head:body - 1].split(), ("gap_cap", "translation", "stages"), "header")
     gap_cap = _parsed(header, "gap_cap", parse_rational, "a rational", "header")
     if not 0 < gap_cap <= 1:
         raise ValueError(f"SPLITPART header gap_cap {header['gap_cap']} is not in (0, 1]")
     declared = _parsed(header, "stages", int, "an integer", "header")
-    stage_lines = lines[2:]
+    end = len(lines)
     if version == 2:
-        if not stage_lines or not stage_lines[-1].startswith("sha256="):
+        end = max(lines.rfind("\n", body, end - 1) + 1, body)  # where the last line starts
+        if not lines.startswith("sha256=", end):
             raise ValueError("SPLITPART v2 file lacks its closing sha256= line")
-        if stage_lines.pop() != f"sha256={_digest(stage_lines)}":
+        region = lines[body:end]
+        try:
+            digest = _region_digest(region)
+        except UnicodeEncodeError as exc:
+            raise _non_ascii(text, region, exc.start) from None
+        if lines[end:-1] != f"sha256={digest}":
             raise ValueError("SPLITPART v2 sha256= line does not match its stage lines")
-    if len(stage_lines) != declared:
-        raise ValueError(f"expected {declared} stages, found {len(stage_lines)}")
+    if (count := lines.count("\n", body, end)) != declared:
+        raise ValueError(f"expected {declared} stages, found {count}")
     translation = _parsed(header, "translation", int, "an integer", "header")
+    read = declared if stages is None else min(stages, declared)
     records, failure = [], None
-    read = stage_lines if stages is None else stage_lines[:stages]
-    for position, (line, target) in enumerate(zip(read, _enumeration_ends(1)), 1):
+    for position, (line, target) in enumerate(zip(lines.split("\n", read + 2)[2:read + 2], _enumeration_ends(1)), 1):
         try:
             record = ((_canonical_stage(line) if version == 2 else None)
                       or _parse_stage_line(line, f"stage line {position}", version))
@@ -1056,13 +1123,42 @@ def loads(text: str, stages: int | None = None) -> SplittingPartition:
     return partition
 
 
+_LINE_ENDS = "\r\v\f\x1c\x1d\x1e"  # where str.splitlines ends an ASCII line, besides \n
+_BLANK_LINE = re.compile(r"\n[ \t\x1f]*\n")  # a blank line after the first, given no _LINE_ENDS
+
+
+def _line_text(text: str) -> str:
+    """The text's lines as ``loads`` reads them: those ``str.splitlines``
+    finds that hold more than whitespace, each ending in a newline.
+
+    That is the text itself when it is ASCII, ends in a newline, has no
+    other line end, and neither starts with a blank line nor holds one, as
+    ``saves`` writes it; so only another text is split and joined."""
+    if (text.isascii() and text.endswith("\n") and text[0] not in " \t\n\x1f"
+            and not any(end in text for end in _LINE_ENDS) and _BLANK_LINE.search(text) is None):
+        return text
+    return "".join(line + "\n" for line in text.splitlines() if line.strip())
+
+
+def _non_ascii(text: str, region: str, at: int) -> ValueError:
+    """The error for the non-ASCII character at offset ``at`` of the stage
+    lines ``region``, which start at the text's third line that is not
+    blank; it names the character's offset in the text."""
+    row, column = 2 + region.count("\n", 0, at), at - region.rfind("\n", 0, at) - 1
+    raw = text.splitlines(keepends=True)
+    starts = [start for start, line in zip(accumulate(map(len, raw), initial=0), raw) if line.strip()]
+    return ValueError(f"SPLITPART file holds a non-ASCII character {region[at]!r} at offset {starts[row] + column}")
+
+
 _STAGE_LINE = re.compile(r"n=([0-9]+) gap=([0-9]+)/([0-9]+),([0-9]+)/([0-9]+) depth=([0-9]+)")
 
 
 def _canonical_stage(line: str) -> StageRecord | None:
     """The record of a line ``n=n gap=a/b,c/d depth=depth`` in decimal digits
     with b, d > 0 and a/b < c/d; None for any other line, whose record or
-    error ``_parse_stage_line`` gives."""
+    error ``_parse_stage_line`` gives.  The record is built from its span:
+    each end reduced as ``Fraction`` reduces it, over the lcm of their
+    denominators."""
     match = _STAGE_LINE.fullmatch(line)
     if match is None:
         return None
@@ -1072,7 +1168,10 @@ def _canonical_stage(line: str) -> StageRecord | None:
         return None
     if not (b and d and a * d < c * b):
         return None
-    return StageRecord(n, Interval(Fraction(a, b), Fraction(c, d), False, False), depth)
+    g, h = gcd(a, b), gcd(c, d)
+    a, b, c, d = a // g, b // g, c // h, d // h
+    den = lcm(b, d)
+    return StageRecord._from_span(n, (a * (den // b), c * (den // d), den), depth)
 
 
 def _fields(tokens: list[str], keys: tuple[str, ...], where: str) -> dict[str, str]:
@@ -1127,42 +1226,48 @@ def _check_gap(record: StageRecord, expected: int, target: tuple[int, int, int, 
     the target; its length is 1/(3*2^j) with 2^-j <= min(2^-n, gap_cap) and
     its midpoint lies on the 2^-(j+4) grid (``_shrink_gap``); depth is one
     ``find_gap`` tries, or 0.  Every test compares integers read from the
-    gap's ``_span`` (a/d, b/d).
+    record's span (a/d, b/d); only a message builds the gap.
     """
-    n, gap = record.n, record.gap
+    n = record.n
     if n != expected:
         raise ValueError(f"stage {n} line: expected stage {expected}")
-    a, b, d = _span(gap)
+    a, b, d = record._span
     p, q, r, s = target
     if not (p * d < a * q and b * s < r * d):
-        raise ValueError(f"stage {n}: gap {gap} does not lie strictly inside I_{n} = {_open(*target)}")
+        raise ValueError(f"stage {n}: gap {record.gap} does not lie strictly inside I_{n} = {_open(*target)}")
     whole, part = divmod(d, b - a)  # the length is 1/whole when part is 0
     grid, rem = divmod(whole, 3)  # 2^j when the length is 1/(3*2^j)
     j = grid.bit_length() - 1
     if part or rem or grid != 1 << j or j < n or gap_cap.denominator > grid * gap_cap.numerator:
         raise ValueError(
-            f"stage {n}: gap length {gap.length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
+            f"stage {n}: gap length {record.gap.length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
         )
     if (a + b) * 8 * grid % d:  # the midpoint (a + b)/(2d) times 2^(j+4)
-        raise ValueError(f"stage {n}: gap midpoint {gap.midpoint} is off the 2^-{j + 4} grid")
-    if record.depth_used not in (0, *_GAP_DEPTHS):
+        raise ValueError(f"stage {n}: gap midpoint {record.gap.midpoint} is off the 2^-{j + 4} grid")
+    if record.depth_used and record.depth_used not in _GAP_DEPTHS:
         raise ValueError(f"stage {n}: depth {record.depth_used} is not a depth the gap search tries")
 
 
 def _check_covers(partition: SplittingPartition) -> None:
     """``_check_cover`` for each stage in order: the first failing one raises.
 
-    Each stage's ``stages_overlapping`` query is kept to the stages numbered
-    below it.  A closure that no closure before it in the index reaches
-    (``_reach``) and inside which the next one does not start meets no
-    other closure: such a stage, most of them, needs no query.
+    Each stage's ``_meeting`` query runs on its span, which lies on the
+    index's grid, and is kept to the stages numbered below it.  A closure
+    that no closure before it in the index reaches (``_reach``) and inside
+    which the next one does not start meets no other closure: such a stage,
+    most of them, needs no query.
     """
     los, his, reach, last = partition._los, partition._his, partition._reach, len(partition._los) - 1
-    alone = {record.n for j, record in enumerate(partition._by_lo)
+    by_lo, stages, den = partition._by_lo, partition.stages, partition._den
+    alone = {record.n for j, record in enumerate(by_lo)
              if (j == 0 or reach[j - 1] < los[j]) and (j == last or his[j] < los[j + 1])}
-    for record in partition.stages:
-        n = record.n
-        _check_cover(record, [] if n in alone else [o for o in partition.stages_overlapping(record.gap) if o.n < n])
+    for record in stages:
+        earlier = []
+        if record.n not in alone:
+            a, b, d = record._span
+            meeting = sorted(by_lo[i].n for i in partition._meeting(a * (den // d), b * (den // d)))
+            earlier = [stages[m - 1] for m in meeting if m < record.n]
+        _check_cover(record, earlier)
 
 
 def _check_cover(record: StageRecord, earlier: list[StageRecord]) -> None:
@@ -1174,12 +1279,12 @@ def _check_cover(record: StageRecord, earlier: list[StageRecord]) -> None:
     meets one at each shallower depth ``find_gap`` tries, since
     ``find_gap`` returns the first depth that exposes a gap.
     """
-    n, gap, depth = record.n, record.gap, record.depth_used
+    n, depth = record.n, record.depth_used
     if not earlier:
         if depth:
             raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
         return
-    a, b, d = _span(gap)
+    gap, (a, b, d) = record.gap, record._span
     pieces = [(other, i) for other in earlier for i in _pieces_touching(other, a, d, b, d)]
     for other, i in pieces:
         if _cover_meets(other, i, gap, depth):
@@ -1220,9 +1325,16 @@ def load(path, stages: int | None = None) -> SplittingPartition:
     """``loads`` of the file at path: the whole file, or with ``stages`` = m
     its first min(m, declared) stages, the header, the stage count and the
     sha256 line still checked over every line, and a bad stage past them
-    unseen (the ``cli`` module docstring says which commands read a prefix)."""
-    with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read(), stages)
+    unseen (the ``cli`` module docstring says which commands read a prefix).
+    For a file as ``save`` writes it, a prefix read costs one read and one
+    sha256 of the file, then per-stage work for the m stages read.  A byte
+    that is not ASCII raises ValueError naming its offset."""
+    try:
+        with open(path, "r", encoding="ascii", newline="") as fh:  # line ends as they are
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"SPLITPART file holds a non-ASCII byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
+    return loads(text, stages)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,86 @@
+"""Stage records built from integer spans against records built from gaps.
+
+A load builds each canonical line's ``StageRecord`` from the integers of the
+line (``StageRecord._from_span``), and the gap ``Interval`` only on first
+read.  Such a record must be indistinguishable from ``StageRecord(n, gap,
+depth_used)`` over the same gap, and a loaded partition's gap index equal to
+the one ``SplittingPartition`` builds over the records of a build.
+"""
+
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
+import pytest
+
+from clarkesat.cantor import _span
+from clarkesat.partition import (
+    SplittingPartition,
+    StageRecord,
+    _canonical_stage,
+    _parse_stage_line,
+    build_partition,
+    loads,
+    saves,
+)
+from clarkesat.rationals import Interval
+
+F = Fraction
+
+
+def _assert_alike(make, reference):
+    """Every reading of a fresh record from ``make()`` matches the reference,
+    each on a record whose gap has not been read before."""
+    assert make() == reference and reference == make()
+    assert hash(make()) == hash(reference)
+    assert repr(make()) == repr(reference)
+    assert make().gap == reference.gap
+    assert make().geometry == reference.geometry
+    assert make().piece_width == reference.piece_width
+    assert make().endpoints() == reference.endpoints()
+    record = make()
+    assert record._span == _span(reference.gap) == reference._span
+    with pytest.raises(FrozenInstanceError):
+        record.n = reference.n + 1
+    with pytest.raises(FrozenInstanceError):
+        record.gap = reference.gap
+    with pytest.raises(FrozenInstanceError):
+        del record.depth_used
+    assert record == reference
+
+
+@pytest.mark.parametrize("cap", [Fraction(1), Fraction(1, 3)], ids=str)
+def test_loaded_records_match_the_build(cap):
+    built = build_partition(120, cap)
+    for reference, line in zip(built.stages, saves(built, version=2).splitlines()[2:-1]):
+        n, gap, depth = (token.partition("=")[2] for token in line.split())
+        (a, b), (c, d) = (map(int, end.split("/")) for end in gap.split(","))
+        _assert_alike(lambda: _canonical_stage(line), reference)
+        # Unreduced, as 10/24: reduced to the same span.
+        _assert_alike(lambda: _canonical_stage(f"n={n} gap={2 * a}/{2 * b},{3 * c}/{3 * d} depth={depth}"), reference)
+        # Respelled: only the generic parser reads it, through StageRecord(n, gap, depth_used).
+        _assert_alike(lambda: _parse_stage_line(f"depth={depth}\tgap={gap} n={n}", "stage line", 2), reference)
+        _assert_alike(lambda: StageRecord._from_span(reference.n, reference._span, reference.depth_used), reference)
+
+
+@pytest.mark.parametrize("gap", [(F(1, 4), F(3, 4)), (F(0), F(1, 3)), (F(5, 12), F(7, 12)), (F(2, 9), F(5, 6)),
+                                 (F(1, 6), F(1, 2)), (F(7, 10), F(14, 15))])
+def test_hand_made_gaps_off_the_grid(gap):
+    reference = StageRecord(3, Interval.open(*gap), 1)
+    a, c = gap
+    line = f"n=3 gap={a.numerator * 5}/{a.denominator * 5},{c.numerator}/{c.denominator} depth=1"
+    _assert_alike(lambda: _canonical_stage(line), reference)
+    _assert_alike(lambda: StageRecord._from_span(3, _span(Interval.open(*gap)), 1), reference)
+
+
+def test_a_loaded_index_equals_the_one_built_over_the_gaps():
+    built = build_partition(300)
+    text = saves(built, version=2)
+    for stages in (24, 36, 37, None):
+        loaded = loads(text, stages)
+        over_gaps = SplittingPartition(built.gap_cap, tuple(StageRecord(r.n, r.gap, r.depth_used)
+                                                            for r in built.stages[:stages]))
+        for name in ("_den", "_los", "_his", "_reach"):
+            assert getattr(loaded, name) == getattr(over_gaps, name), (stages, name)
+        assert [r.n for r in loaded._by_lo] == [r.n for r in over_gaps._by_lo]
+    # Gaps that meet no earlier one are checked without building their Interval.
+    assert not any("gap" in record.__dict__ for record in loads(text, 36).stages)
