@@ -27,11 +27,10 @@ from them on integers too, and only a bound's two ends become ``Fraction``s.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from operator import itemgetter
 from threading import Lock
 from typing import Callable, Iterable, Sequence
 
@@ -44,20 +43,26 @@ from .rationals import Interval, ONE, ValueBound, ZERO, format_rational, parse_r
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Table:
     """What ``_interval_value`` needs of a coefficient source, resolved once.
 
     ``terms`` holds (k, w) for each nonzero mu_k in ascending k, w being
     mu_k as a numerator over ``scale``, the lcm of the denominators of the
     norm and of every coefficient; ``weight`` is the norm over ``scale`` and
-    ``limit`` is ``_value_limit``.
+    ``limit`` is ``_value_limit``.  Compared and hashed by identity, so that
+    a partition can keep its prefix sums per table (``_interval_value``).
     """
 
     terms: tuple[tuple[int, int], ...]
     scale: int
     weight: int
     limit: Fraction
+
+    @cached_property
+    def weights(self) -> dict[int, int]:
+        """w of each term k, keyed by member 2k+1, where g_k is +1."""
+        return {2 * k + 1: w for k, w in self.terms}
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[int, Fraction]], norm: Fraction, generator: bool) -> _Table:
@@ -275,13 +280,16 @@ class SaturatedFunction:
         x0 = self.x0 if self.x0 is not None else (_UNIT_CENTER,) * self.d if unit else box_center(domain)
         x0 = tuple(rational(c) for c in x0)
         object.__setattr__(self, "x0", x0)
-        if not self.contains_point(x0):
+        if not (len(x0) == self.d and self._inside(x0)):
             raise ValueError("base point must lie inside the domain box")
 
     def contains_point(self, x: Sequence[Fraction]) -> bool:
-        return len(x) == self.d and all(
-            side.contains(rational(c)) for side, c in zip(self.domain, x)
-        )
+        return len(x) == self.d and self._inside(map(rational, x))
+
+    def _inside(self, x: Iterable[Fraction]) -> bool:
+        """Whether coordinates that ``rational`` already gave lie in the
+        domain box's sides; the caller checks there is one per side."""
+        return all(side.contains(c) for side, c in zip(self.domain, x))
 
     @property
     def norm_inf(self) -> Fraction:
@@ -352,33 +360,37 @@ def _interval_value(
     attributed to any member, the width of the A_0 bound.  The bound is
     formed on integers: the source's table (resolved once per source) gives
     the coefficients and the norm as numerators over one coefficient
-    denominator, and a generator's terms are its prefix up to k = N/2; any
-    common denominator gives the same reduced bound.  A term whose members
-    have no straddler is exact at every depth and summed once into ``base``;
-    each depth re-sums only the others and mu_0's term, whose member 0 gets
-    the A_0 bound, over that denominator times the loop's.  Cost per
-    window: the integrator's, plus O(1) integer work per term.
+    denominator, and a generator's terms are its prefix up to k = N/2,
+    as no member past N + 1 has mass; any common denominator gives the same
+    reduced bound.  Term k reads exact[2k+1] - exact[2k], the integrator's
+    ``step(2k+1)``.  A term whose members have no straddler is exact at
+    every depth, and all of them are summed once into ``base`` by
+    ``_WindowMass.weighted``, from the partition's prefix sums for the
+    table; each depth re-sums only the others and mu_0's term, whose
+    member 0 gets the A_0 bound, over that denominator times the loop's.
+    Cost per window: the integrator's, plus O(1) integer work per live
+    term, and O(N) once per partition and table for the prefix sums.
     """
     norm = mu.norm_inf
     if norm == 0:
         return ValueBound(ZERO, ZERO)
     generator = isinstance(mu, GeneratorSource)
     mass = _WindowMass(partition, window, tol, 2 * norm, _value_limit(mu))
-    half = partition.stage_count // 2
-    table = mu._table(half)
-    terms = table.terms[:bisect_right(table.terms, half, key=itemgetter(0))] if generator else table.terms
-    straddled = {member for _, _, member in mass.straddlers}
-    live = [(k, w) for k, w in terms if k == 0 or not straddled.isdisjoint((2 * k, 2 * k + 1))]
-    fixed = [(k, w) for k, w in terms if k != 0 and straddled.isdisjoint((2 * k, 2 * k + 1))]
-    exact = mass.exact({j for k, _ in fixed for j in (2 * k, 2 * k + 1)})
-    base = sum(w * (exact[2 * k + 1] - exact[2 * k]) for k, w in fixed)  # over scale * mass.den
+    table = mu._table(partition.stage_count // 2)
+    weights = table.weights
+    # The live terms, by member 2k+1: mu_0's and those with a straddled member.
+    live = {j: mass.step(j) for j in {1, *(member | 1 for _, _, member in mass.straddlers)} if j in weights}
+    base = mass.weighted(weights, partition._weighted(table, weights))  # over scale * mass.den
+    base -= sum(weights[j] * step for j, step in live.items())
+    exact = {0: 0} if generator else {}
+    for j, step in live.items():  # exact less exact[j - 1], as the bound reads differences
+        exact.update({j - 1: 0, j: step})
     scale, weight = table.scale, table.weight
-    members = {j for k, _ in live for j in (2 * k, 2 * k + 1)} | ({0} if generator else set())
 
     def value(masses, length, tail, den) -> tuple[int, int, int]:
         lo = hi = base * (den // mass.den)
-        for k, coeff in live:
-            plus, minus = masses[2 * k + 1], masses[2 * k]
+        for j in live:
+            coeff, plus, minus = weights[j], masses[j], masses[j - 1]
             term_lo, term_hi = plus[0] - minus[1], plus[1] - minus[0]
             lo += coeff * (term_lo if coeff > 0 else term_hi)
             hi += coeff * (term_hi if coeff > 0 else term_lo)
@@ -388,7 +400,7 @@ def _interval_value(
             slack += weight * (m0_hi - m0_lo)
         return lo - slack, hi + slack, scale * den
 
-    return ValueBound(*mass.bounded(members, tol, value))
+    return ValueBound(*mass.bounded(exact, tol, value))
 
 
 def _value_limit(mu: CoefficientSource) -> Fraction:
@@ -411,7 +423,7 @@ def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> Value
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     x = tuple(rational(c) for c in x)
-    if not sf.contains_point(x):
+    if not (len(x) == sf.d and sf._inside(x)):
         raise ValueError(f"point {x} is outside the domain box")
     active = [(a, b) for a, b in zip(sf.x0, x) if a != b]
     if not active:

@@ -69,6 +69,7 @@ from itertools import accumulate, count, islice
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import ge, mul
 from typing import Callable, Iterable, Iterator
+from weakref import WeakKeyDictionary
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
 from .cantor import _GAP_DEPTHS, _MeasureSteps, _cover_walk, _longest_room, _span
@@ -439,7 +440,7 @@ class SplittingPartition:
         self.gap_cap = gap_cap
         self.translation = translation
         self.stages: tuple[StageRecord, ...] = tuple(stages)
-        self._masses: tuple[int, list[int]] | None = None
+        self._sums: tuple | None = None
         self._tail: Fraction | None = None
         # The gap index as ``cantor._longest_room`` reads it: records sorted
         # by gap.lo, their gap ends over one common denominator _den, and
@@ -466,7 +467,7 @@ class SplittingPartition:
         had, so a build's growing grid 3*2^k rescales O(log N) times.
         """
         self.stages += (record,)
-        self._masses = self._tail = None
+        self._sums = self._tail = None
         a, b, d = record._span
         if self._den % d:
             den = lcm(self._den, d) << self._den.bit_length()
@@ -535,22 +536,89 @@ class SplittingPartition:
         Read from the gap index: the gap is (_his - _los) / _den, so the mass
         is RETAINED * (his - lo) / (_den * (n+1)), over the one denominator
         RETAINED.den * _den * L with L the lcm of the piece counts n+1.  No
-        stage's ``geometry`` is built and no mass is reduced.
+        stage's ``geometry`` is built and no mass is reduced.  Built with the
+        rest of ``_forest``.
+        """
+        return self._forest()[:2]
+
+    def _forest(self) -> tuple[int, list[int], list[int], list[int], list[int], list[int] | None, WeakKeyDictionary]:
+        """(den, masses, sums, moments, position, parent, weighted) for the
+        window integrator, from one pass over the gap index.
+
+        den and masses are ``_stage_masses``'; sums and moments are prefix
+        sums in ``_by_lo`` order of each gap's stage mass m and of m * n;
+        position[n-1] is stage n's index position; weighted is
+        ``_weighted``'s map.  The pass keeps a stack, popping the gaps that
+        end before each gap starts, and parent[i] is the gap then on top, or
+        -1: gap i's innermost enclosing closure when closures are disjoint or
+        nested ("Gap search").  parent is None unless every closure lies
+        strictly inside its parent's or misses every earlier one, which
+        every build and loaded file obeys but records built by hand need not:
+        closures may touch, share an end or overlap.
 
         Derived from the immutable stages on first use after construction;
         a race only computes it twice.
         """
-        if self._masses is None:
+        if self._sums is None:
+            los, his, count = self._los, self._his, len(self.stages)
             counts = lcm(*(record.n + 1 for record in self._by_lo))
-            masses = [0] * len(self.stages)
-            for record, lo, hi in zip(self._by_lo, self._los, self._his):
-                masses[record.n - 1] = RETAINED.numerator * (counts // (record.n + 1)) * (hi - lo)
-            self._masses = RETAINED.denominator * self._den * counts, masses
-        return self._masses
+            masses, position, sums, moments, parent, stack = [0] * count, [0] * count, [0], [0], [], []
+            nested = True
+            for i, (record, lo, hi) in enumerate(zip(self._by_lo, los, his)):
+                n = record.n
+                masses[n - 1] = mass = RETAINED.numerator * (counts // (n + 1)) * (hi - lo)
+                position[n - 1] = i
+                sums.append(sums[-1] + mass)
+                moments.append(moments[-1] + mass * n)
+                while stack and his[stack[-1]] < lo:
+                    stack.pop()
+                top = stack[-1] if stack else -1
+                nested = nested and (top < 0 or los[top] < lo and hi < his[top])
+                parent.append(top)
+                stack.append(i)
+            self._sums = (RETAINED.denominator * self._den * counts, masses, sums, moments, position,
+                          parent if nested else None, WeakKeyDictionary())
+        return self._sums
+
+    def _boundary(self, lo: int, hi: int) -> tuple[int, int, list[int]]:
+        """(start, stop, positions) for [lo, hi] / _den: the gaps at index
+        positions start..stop-1 start in it, and positions lists the gaps
+        whose closure meets it but does not lie in it.
+
+        Such a gap from start on reaches past hi, and one before start
+        reaches lo; either is still on the stack of ``_forest`` when gap
+        stop-1, or gap start-1, comes, so on its parent chain.  Nesting keeps
+        a chain as short as the nesting depth; without it (``_forest``) a
+        chain could hold every gap, so then each gap ``_meeting`` lists is
+        tested instead.
+        """
+        los, his, parent = self._los, self._his, self._forest()[-2]
+        start, stop = bisect_left(los, lo), bisect_right(los, hi)
+        if parent is None:
+            return start, stop, [i for i in self._meeting(lo, hi) if not (lo <= los[i] and his[i] <= hi)]
+        positions = []
+        for i, past, end in ((stop - 1, hi + 1, start), (start - 1, lo, 0)):
+            while i >= end:
+                if his[i] >= past:
+                    positions.append(i)
+                i = parent[i]
+        return start, stop, positions
+
+    def _weighted(self, key, weights: dict[int, int]) -> list[int]:
+        """Prefix sums in ``_by_lo`` order of weights[n+1] times stage n's
+        mass, for ``_WindowMass.weighted``.  Kept for the key, by identity,
+        until ``_add``, and dropped with the key; a race only computes it
+        twice."""
+        _, masses, *_, memo = self._forest()
+        sums = memo.get(key)
+        if sums is None:
+            sums = memo[key] = list(accumulate(
+                (weights.get(record.n + 1, 0) * masses[record.n - 1] for record in self._by_lo), initial=0))
+        return sums
 
     def unbuilt_tail_bound(self) -> Fraction:
         """Exact upper bound on the total gap length of all unbuilt stages,
-        memoized like ``_stage_masses``."""
+        memoized like ``_forest``."""
         if self._tail is None:
             self._tail = stage_tail_bound(self.stage_count, self.gap_cap)
         return self._tail
@@ -749,26 +817,31 @@ class _WindowMass:
 
     A stage's n+1 pieces share one width and piece i feeds member i+1, so
     the pieces wholly inside a unit chunk form an index range a..b whose
-    members each gain rho * width.  The scan is integer arithmetic: the
-    window's ends are rounded inward to the gap index's grid once, each unit
-    chunk's ends on that grid are integers, and of the gaps ``_meeting``
-    lists for a chunk, one whose closure lies in the chunk's has a..b =
-    0..n; only one holding a chunk end builds the chunk's ``Interval`` and
-    calls ``_piece_span`` (floor division on its ``StageRecord.endpoints``).
-    ``length`` is the window's length.  Every
-    stage's whole-piece mass is an integer over the partition's one mass
-    denominator ``den`` (``_stage_masses``).  So a stage adds one integer
-    entry pair to a difference array over member index, plus its share of
-    the aggregate ``total`` over all members j >= 1 (A_0 is their complement,
-    so B pieces are skipped).  The at most two pieces per stage and chunk
-    straddling a chunk edge are kept as ``straddlers`` (set, chunk, member)
-    for ``_depths``, the one depth loop, which re-measures only them; a
-    member without one keeps its exact mass, an integer over ``den`` until
-    ``bounded`` bounds it.  Cost: per window two inward roundings; per chunk
-    two bisections, an integer test per listed gap, and for the gaps holding
-    a chunk end one chunk ``Interval`` and a ``_piece_span`` each; then
-    per depth O(1) integer pieces per straddler, one step of its
-    ``cantor._MeasureSteps`` walk.
+    members each gain rho * width.  Every stage's whole-piece mass is an
+    integer over the partition's one mass denominator ``den``
+    (``_stage_masses``), so a stage adds one integer entry pair to a
+    difference array over member index, and its share of the aggregate
+    ``total`` over all members j >= 1 (A_0 is their complement, so B pieces
+    are skipped).  The window's ends are rounded inward to the gap index's
+    grid once, so each unit chunk's ends are integers, and
+    ``SplittingPartition._boundary`` splits the chunk's gaps in two.  Those
+    whose closure lies in the chunk, an index range less a few positions,
+    have a..b = 0..n: each adds its mass at member 1 and takes it back at
+    n+1, and their sums are differences of the partition's prefix sums
+    (``whole``).  The few others each build the chunk's ``Interval`` and
+    call ``_piece_span`` (floor division on its ``StageRecord.endpoints``).
+    The at most two pieces per stage and chunk straddling a chunk edge are
+    kept as ``straddlers`` (set, chunk, member) for ``_depths``, the one
+    depth loop, which re-measures only them; a member without one keeps its
+    exact mass, an integer over ``den`` until ``bounded`` bounds it.
+    ``length`` is the window's length.  Cost: per window two inward
+    roundings; per chunk two bisections and two walks up the nesting forest,
+    whose depth is the nesting depth, and for each gap they find one chunk
+    ``Interval`` and a ``_piece_span``; O(1) per chunk for each ``step``, so
+    O(j) for member j's ``exact`` and O(1) per chunk and per straddled entry
+    for ``weighted``; then per depth O(1) integer pieces per straddler, one
+    step of its ``cantor._MeasureSteps`` walk.  The partition's prefix sums
+    cost O(N) once (``_forest``).
 
     Raises ToleranceExhausted when the unbuilt stages alone force width
     scale * tail >= tol, or depth 64 leaves the bound wider than tol,
@@ -786,69 +859,96 @@ class _WindowMass:
                 f"the unbuilt-stage tail forces width {scale * self.tail} >= tolerance {tol};"
                 f" rebuild with at least {self._needed()} stages"
             )
-        self.den, stage_mass = partition._stage_masses()
+        self.den, self._stage_mass, sums, moments, self._position = partition._forest()[:5]
         self.length = window.length
-        self.total = 0  # over self.den, like the steps
         self.straddlers: list[tuple[FatCantorSet, Interval, int]] = []
-        self._steps = steps = defaultdict(int)
-        los, his, by_lo, grid = partition._los, partition._his, partition._by_lo, partition._den
+        self._chunks: list[tuple[int, int, list[int]]] = []  # _boundary's start, stop and its positions from start
+        self._steps = steps = defaultdict(int)  # the difference array less the whole gaps' entries past 1
+        total = 0
+        by_lo, grid = partition._by_lo, partition._den
         window_lo, window_hi = _inward(window, grid)
         for m in _unit_range(window):  # the chunks of _unit_chunks, on the index's grid
             lo, hi = max(window_lo - m * grid, 0), min(window_hi - m * grid, grid)
-            chunk = None
-            for i in partition._meeting(lo, hi):
+            start, stop, positions = partition._boundary(lo, hi)
+            self._chunks.append((start, stop, [i for i in positions if i >= start]))
+            chunk = _unit_chunk(window, m) if positions else None
+            for i in positions:
                 record = by_lo[i]
-                n, mass = record.n, stage_mass[record.n - 1]
-                if lo <= los[i] and his[i] <= hi:  # the gap's closure, so each piece, lies in the chunk
-                    self.total += mass * n
-                    steps[1] += mass
-                    steps[n + 1] -= mass
-                    continue
-                if chunk is None:
-                    chunk = _unit_chunk(window, m)
+                n, mass = record.n, self._stage_mass[record.n - 1]
                 span = _piece_span(record, chunk)
                 if span is None:
                     continue
                 first, last, a, b = span
                 top = min(b, n - 1)
                 if a <= top:
-                    self.total += mass * (top - a + 1)
+                    total += mass * (top - a + 1)
                     steps[a + 1] += mass
                     steps[top + 2] -= mass
                 for piece in {first, last}:
                     if not a <= piece <= b and piece < n:
                         self.straddlers.append((partition.piece_set(n, piece), chunk, piece + 1))
+        steps[1] += self.whole(sums)
+        self.total = total + self.whole(moments)
+
+    def whole(self, sums: list[int]) -> int:
+        """The sum of a per-gap number over the gaps whose closure lies in a
+        chunk, from sums, its prefix sums in ``_by_lo`` order: per chunk one
+        difference less the entries of its few gaps that are not whole."""
+        return sum(sums[stop] - sums[start] - sum(sums[i + 1] - sums[i] for i in inner)
+                   for start, stop, inner in self._chunks)
+
+    def step(self, j: int) -> int:
+        """exact[j] - exact[j-1], a numerator over ``den``: the straddled
+        stages' entry, less stage j-1's mass for each chunk holding its
+        closure, which the entry at 1 holds."""
+        step = self._steps.get(j, 0)
+        if 2 <= j <= len(self._stage_mass) + 1:
+            p = self._position[j - 2]
+            chunks = sum(start <= p < stop and p not in inner for start, stop, inner in self._chunks)
+            step -= self._stage_mass[j - 2] * chunks
+        return step
 
     def exact(self, members: set[int]) -> dict[int, int]:
-        """Each member's whole-piece mass, a numerator over ``den``: a prefix sum of the steps."""
-        steps = sorted(self._steps.items(), reverse=True)
-        exact, running = {}, 0
-        for j in sorted(members):
-            while steps and steps[-1][0] <= j:
-                running += steps.pop()[1]
-            exact[j] = running
+        """Each member's whole-piece mass, a numerator over ``den``: a prefix
+        sum of ``step``, which is 0 past member N + 1."""
+        exact, running, j = {}, 0, 0
+        top = len(self._stage_mass) + 1
+        for member in sorted(members):
+            while j < min(member, top):
+                j += 1
+                running += self.step(j)
+            exact[member] = running
         return exact
 
-    def _depths(self, members: set[int]) -> Iterator[tuple[dict[int, tuple[int, int]], int, int, int]]:
+    def weighted(self, weights: dict[int, int], sums: list[int]) -> int:
+        """The sum over members j of weights[j] * step(j), for sums
+        ``SplittingPartition._weighted`` gives for the weights: each whole gap
+        of stage n takes its mass back at n + 1, which sums to ``whole(sums)``,
+        and the other entries are few."""
+        return sum(weights.get(j, 0) * step for j, step in self._steps.items()) - self.whole(sums)
+
+    def _depths(self, exact: dict[int, int]) -> Iterator[tuple[dict[int, tuple[int, int]], int, int, int]]:
         """The depth loop: for depth 0..64, (masses, length, tail, den), each
         number a numerator over den.
 
-        masses maps each requested member to its built (lo, hi); member 0
-        gets the A_0 bound (max(0, L - hi_sum - tail), L - lo_sum) over all
-        members, whose width is the mass no member accounts for yet.  Only
-        the requested members' straddlers are measured, all for member 0,
-        each by a ``_MeasureSteps`` walk one step deeper per depth.  den is
-        the lcm of ``den``, the length's and tail's denominators and the
-        walks' depth-0 dens, times 4^depth, as a walk's den gains 4 per step.
+        masses maps each member of exact to its built (lo, hi): exact's
+        numerator over ``den`` (``exact``'s, or one the bound only reads
+        differences of) plus its straddlers'.  Member 0 gets the A_0 bound
+        (max(0, L - hi_sum - tail), L - lo_sum) over all members, whose
+        width is the mass no member accounts for yet.  Only the straddlers of
+        exact's members are measured, all for member 0, each by a
+        ``_MeasureSteps`` walk one step deeper per depth.  den is the lcm of
+        ``den``, the length's and tail's denominators and the walks' depth-0
+        dens, times 4^depth, as a walk's den gains 4 per step.
         """
-        everything = 0 in members
+        everything = 0 in exact
         walks = [(_MeasureSteps(cantor_set, chunk), member) for cantor_set, chunk, member in self.straddlers
-                 if everything or member in members]
+                 if everything or member in exact]
         length, tail = self.length, self.tail
         den = lcm(self.den, length.denominator, tail.denominator, *(walk.den for walk, _ in walks))
         walks = [(walk, member, den // walk.den) for walk, member in walks]
         scale = den // self.den
-        exact = {j: m * scale for j, m in self.exact(members).items()}
+        exact = {j: m * scale for j, m in exact.items()}
         total = self.total * scale if everything else 0
         length, tail = length.numerator * (den // length.denominator), tail.numerator * (den // tail.denominator)
         for depth in range(_MAX_MEASURE_DEPTH + 1):
@@ -869,10 +969,10 @@ class _WindowMass:
                 masses[0] = (max(0, (length << shift) - hi_sum - (tail << shift)), (length << shift) - lo_sum)
             yield masses, length << shift, tail << shift, den << shift
 
-    def bounded(self, members: set[int], tol: Fraction, bound: Callable) -> tuple[Fraction, Fraction]:
+    def bounded(self, exact: dict[int, int], tol: Fraction, bound: Callable) -> tuple[Fraction, Fraction]:
         """The ends of bound(masses, length, tail, den) = (lo, hi, den') at
-        the first depth of ``_depths`` where (hi - lo) / den' <= tol."""
-        for step in self._depths(members):
+        the first depth of ``_depths(exact)`` where (hi - lo) / den' <= tol."""
+        for step in self._depths(exact):
             lo, hi, den = bound(*step)
             if (hi - lo) * tol.denominator <= tol.numerator * den:
                 return Fraction(lo, den), Fraction(hi, den)
@@ -881,7 +981,7 @@ class _WindowMass:
     def refine(self, members: set[int], tol: Fraction, bound: Callable):
         """bound(masses) at the first depth where its width is <= tol, with
         ``_depths``'s masses as ``Fraction``s: each member's (lo, hi)."""
-        for masses, _, _, den in self._depths(members):
+        for masses, _, _, den in self._depths(self.exact(members)):
             result = bound({j: (Fraction(lo, den), Fraction(hi, den)) for j, (lo, hi) in masses.items()})
             if result.width <= tol:
                 return result
@@ -896,8 +996,8 @@ class _WindowMass:
     def measure(self, k: int, tol: Fraction) -> MeasureBound:
         """Bound on lambda(A_k within the window), refined until width <= tol."""
         if k == 0:
-            return MeasureBound(*self.bounded({0}, tol, lambda masses, length, tail, den: (*masses[0], den)))
-        return MeasureBound(*self.bounded({k}, tol, lambda masses, length, tail, den: (
+            return MeasureBound(*self.bounded({0: 0}, tol, lambda masses, length, tail, den: (*masses[0], den)))
+        return MeasureBound(*self.bounded(self.exact({k}), tol, lambda masses, length, tail, den: (
             masses[k][0], min(length, masses[k][1] + tail), den)))
 
 

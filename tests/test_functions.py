@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import threading
@@ -23,7 +24,7 @@ from clarkesat.functions import (
     sample_gradient,
     shift_to_ball,
 )
-from clarkesat.partition import build_partition
+from clarkesat.partition import SplittingPartition, build_partition, extend_partition
 from clarkesat.rationals import Interval
 from clarkesat.verifier import _certified_point
 
@@ -373,6 +374,34 @@ def test_scaled_generator_has_its_own_table(p30):
     assert scaled._table(15).terms == tuple((k, 3) for k in range(16)) and scaled._table(15).scale == 4
     assert source._table(15).terms == tuple((k, 1) for k in range(16)) and source._table(15).scale == 1
     assert rule.calls == {k: 1 for k in range(16)}
+
+
+def test_prefix_sums_per_table_follow_the_partition_and_the_table():
+    points = _points(6)
+    mu, ones = FiniteSupport.of({0: 3, 1: -5, 2: 2}), ones_generator()
+    twins = lambda: (FiniteSupport.of({0: 3, 1: -5, 2: 2}), ones_generator())  # noqa: E731
+    p60, p120 = build_partition(60), build_partition(120)
+
+    def answers(p, sources):
+        return [eval_f(SaturatedFunction(p, source), x, TOL) for source in sources for x in points]
+
+    expected60, expected120 = answers(p60, twins()), answers(p120, twins())
+    # ones' table grows from k = 30 to 60 and back is read on p60; both
+    # sources serve two partitions, and each holds its own sums.
+    assert answers(p60, (mu, ones)) == expected60
+    assert answers(extend_partition(p60, 120), (mu, ones)) == expected120
+    assert answers(p120, (mu, ones)) == expected120 and answers(p60, (mu, ones)) == expected60
+    # _add drops the sums a partition kept before its later stages came.
+    grown = SplittingPartition(p60.gap_cap, p60.stages)
+    assert answers(grown, (mu, ones)) == expected60
+    for record in p120.stages[60:]:
+        grown._add(record)
+    assert answers(grown, (mu, ones)) == expected120
+    # The sums go with their table.
+    kept = len(grown._forest()[-1])
+    answers(grown, twins())
+    gc.collect()
+    assert len(grown._forest()[-1]) == kept == 2
 
 
 def test_finite_support_is_unchanged_by_evaluation(p30):

@@ -1601,6 +1601,13 @@ def test_integer_tiling_matches_the_fraction_chunk_loop(build_2000, builds_300):
     built = builds_300[Fraction(1, 3)]
     translated = loads(saves(SplittingPartition(built.gap_cap, built.stages, -7)))
     assert translated.translation == -7
-    for partition in (build_2000, *builds_300.values(), translated):
+    # Records built by hand whose closures overlap, touch or share an end
+    # take the filtered gap list; strictly nested ones, like builds, the chains.
+    unnested = (_HAND_MADE, _hand_made(("1/4", "1/2"), ("1/3", "3/4")), _hand_made(("1/2", "3/4"), ("1/4", "1/2")),
+                _hand_made(("1/4", "1/2"), ("1/4", "1/3")), _hand_made(("1/4", "1/3"), ("1/4", "1/2")),
+                _hand_made(("4/5", "9/10"), ("1/10", "9/10"), ("1/5", "1/4")))
+    nested = _hand_made(("1/10", "9/10"), ("1/5", "1/4"), ("19/20", "1"))
+    for partition in (build_2000, *builds_300.values(), translated, nested, *unnested):
+        assert (partition._forest()[-2] is None) is (partition in unnested)
         for window in _tiling_windows(partition):
             _assert_tiling_matches(partition, window)
