@@ -364,12 +364,15 @@ def _interval_value(
     as no member past N + 1 has mass; any common denominator gives the same
     reduced bound.  Term k reads exact[2k+1] - exact[2k], the integrator's
     ``step(2k+1)``.  A term whose members have no straddler is exact at
-    every depth, and all of them are summed once into ``base`` by
+    every depth and summed once into ``base``: a finite source's few terms
+    each by ``step``, a generator's O(N) terms all at once by
     ``_WindowMass.weighted``, from the partition's prefix sums for the
     table; each depth re-sums only the others and mu_0's term, whose
     member 0 gets the A_0 bound, over that denominator times the loop's.
     Cost per window: the integrator's, plus O(1) integer work per live
-    term, and O(N) once per partition and table for the prefix sums.
+    term, and per fixed term of a finite source; for a generator, O(N)
+    once per partition and table for the prefix sums, which the partition
+    keeps while the source lives.
     """
     norm = mu.norm_inf
     if norm == 0:
@@ -380,8 +383,11 @@ def _interval_value(
     weights = table.weights
     # The live terms, by member 2k+1: mu_0's and those with a straddled member.
     live = {j: mass.step(j) for j in {1, *(member | 1 for _, _, member in mass.straddlers)} if j in weights}
-    base = mass.weighted(weights, partition._weighted(table, weights))  # over scale * mass.den
-    base -= sum(weights[j] * step for j, step in live.items())
+    if generator:  # over scale * mass.den
+        base = mass.weighted(weights, partition._weighted(table, weights))
+        base -= sum(weights[j] * step for j, step in live.items())
+    else:
+        base = sum(w * mass.step(j) for j, w in weights.items() if j not in live)
     exact = {0: 0} if generator else {}
     for j, step in live.items():  # exact less exact[j - 1], as the bound reads differences
         exact.update({j - 1: 0, j: step})

@@ -536,48 +536,43 @@ class SplittingPartition:
         Read from the gap index: the gap is (_his - _los) / _den, so the mass
         is RETAINED * (his - lo) / (_den * (n+1)), over the one denominator
         RETAINED.den * _den * L with L the lcm of the piece counts n+1.  No
-        stage's ``geometry`` is built and no mass is reduced.  Built with the
-        rest of ``_forest``.
+        stage's ``geometry`` is built and no mass is reduced.  Rebuilt on
+        each call from the prefix sums of ``_forest``.
         """
-        return self._forest()[:2]
+        den, sums, _, position, *_ = self._forest()
+        return den, [sums[i + 1] - sums[i] for i in position]
 
-    def _forest(self) -> tuple[int, list[int], list[int], list[int], list[int], list[int] | None, WeakKeyDictionary]:
-        """(den, masses, sums, moments, position, parent, weighted) for the
-        window integrator, from one pass over the gap index.
+    def _forest(self) -> tuple[int, list[int], list[int], list[int], list[int], WeakKeyDictionary]:
+        """(den, sums, moments, position, parent, weighted) for the window
+        integrator, from one pass over the gap index.
 
-        den and masses are ``_stage_masses``'; sums and moments are prefix
-        sums in ``_by_lo`` order of each gap's stage mass m and of m * n;
-        position[n-1] is stage n's index position; weighted is
-        ``_weighted``'s map.  The pass keeps a stack, popping the gaps that
-        end before each gap starts, and parent[i] is the gap then on top, or
-        -1: gap i's innermost enclosing closure when closures are disjoint or
-        nested ("Gap search").  parent is None unless every closure lies
-        strictly inside its parent's or misses every earlier one, which
-        every build and loaded file obeys but records built by hand need not:
-        closures may touch, share an end or overlap.
+        den is ``_stage_masses``'; sums and moments are prefix sums in
+        ``_by_lo`` order of each gap's stage mass m and of m * n, so gap i's
+        mass is sums[i+1] - sums[i]; position[n-1] is stage n's index
+        position; weighted is ``_weighted``'s map.  The pass keeps a stack,
+        popping the gaps that end before each gap starts, and parent[i] is
+        the gap then on top, or -1: gap i's innermost enclosing closure when
+        closures are disjoint or nested ("Gap search").
 
         Derived from the immutable stages on first use after construction;
         a race only computes it twice.
         """
         if self._sums is None:
-            los, his, count = self._los, self._his, len(self.stages)
+            los, his = self._los, self._his
             counts = lcm(*(record.n + 1 for record in self._by_lo))
-            masses, position, sums, moments, parent, stack = [0] * count, [0] * count, [0], [0], [], []
-            nested = True
+            position, sums, moments, parent, stack = [0] * len(los), [0], [0], [], []
             for i, (record, lo, hi) in enumerate(zip(self._by_lo, los, his)):
                 n = record.n
-                masses[n - 1] = mass = RETAINED.numerator * (counts // (n + 1)) * (hi - lo)
+                mass = RETAINED.numerator * (counts // (n + 1)) * (hi - lo)
                 position[n - 1] = i
                 sums.append(sums[-1] + mass)
                 moments.append(moments[-1] + mass * n)
                 while stack and his[stack[-1]] < lo:
                     stack.pop()
-                top = stack[-1] if stack else -1
-                nested = nested and (top < 0 or los[top] < lo and hi < his[top])
-                parent.append(top)
+                parent.append(stack[-1] if stack else -1)
                 stack.append(i)
-            self._sums = (RETAINED.denominator * self._den * counts, masses, sums, moments, position,
-                          parent if nested else None, WeakKeyDictionary())
+            self._sums = (RETAINED.denominator * self._den * counts, sums, moments, position, parent,
+                          WeakKeyDictionary())
         return self._sums
 
     def _boundary(self, lo: int, hi: int) -> tuple[int, int, list[int]]:
@@ -586,16 +581,13 @@ class SplittingPartition:
         whose closure meets it but does not lie in it.
 
         Such a gap from start on reaches past hi, and one before start
-        reaches lo; either is still on the stack of ``_forest`` when gap
-        stop-1, or gap start-1, comes, so on its parent chain.  Nesting keeps
-        a chain as short as the nesting depth; without it (``_forest``) a
-        chain could hold every gap, so then each gap ``_meeting`` lists is
-        tested instead.
+        reaches lo, so no later gap up to stop-1, or start-1, starts past its
+        end: it is still on the stack of ``_forest`` when that gap comes, so
+        on its parent chain, whatever the records.  Nesting keeps a chain as
+        short as the nesting depth.
         """
         los, his, parent = self._los, self._his, self._forest()[-2]
         start, stop = bisect_left(los, lo), bisect_right(los, hi)
-        if parent is None:
-            return start, stop, [i for i in self._meeting(lo, hi) if not (lo <= los[i] and his[i] <= hi)]
         positions = []
         for i, past, end in ((stop - 1, hi + 1, start), (start - 1, lo, 0)):
             while i >= end:
@@ -606,15 +598,19 @@ class SplittingPartition:
 
     def _weighted(self, key, weights: dict[int, int]) -> list[int]:
         """Prefix sums in ``_by_lo`` order of weights[n+1] times stage n's
-        mass, for ``_WindowMass.weighted``.  Kept for the key, by identity,
+        mass, for ``_WindowMass.weighted``; a gap without a weight repeats
+        the sum before it, the same object.  Kept for the key, by identity,
         until ``_add``, and dropped with the key; a race only computes it
         twice."""
-        _, masses, *_, memo = self._forest()
-        sums = memo.get(key)
-        if sums is None:
-            sums = memo[key] = list(accumulate(
-                (weights.get(record.n + 1, 0) * masses[record.n - 1] for record in self._by_lo), initial=0))
-        return sums
+        _, sums, *_, memo = self._forest()
+        weighted = memo.get(key)
+        if weighted is None:
+            weighted = [0]
+            for record, lo, hi in zip(self._by_lo, sums, sums[1:]):
+                w = weights.get(record.n + 1)
+                weighted.append(weighted[-1] + w * (hi - lo) if w else weighted[-1])
+            memo[key] = weighted
+        return weighted
 
     def unbuilt_tail_bound(self) -> Fraction:
         """Exact upper bound on the total gap length of all unbuilt stages,
@@ -837,11 +833,12 @@ class _WindowMass:
     ``length`` is the window's length.  Cost: per window two inward
     roundings; per chunk two bisections and two walks up the nesting forest,
     whose depth is the nesting depth, and for each gap they find one chunk
-    ``Interval`` and a ``_piece_span``; O(1) per chunk for each ``step``, so
-    O(j) for member j's ``exact`` and O(1) per chunk and per straddled entry
-    for ``weighted``; then per depth O(1) integer pieces per straddler, one
-    step of its ``cantor._MeasureSteps`` walk.  The partition's prefix sums
-    cost O(N) once (``_forest``).
+    ``Interval`` and a ``_piece_span``; O(1) per chunk for each ``step``;
+    for ``exact`` up to member j, O(min(j, gaps starting in the chunk)) per
+    chunk and a sort of the entries found; O(1) per chunk and per straddled
+    entry for ``weighted``; then per depth O(1) integer pieces per
+    straddler, one step of its ``cantor._MeasureSteps`` walk.  The
+    partition's prefix sums cost O(N) once (``_forest``).
 
     Raises ToleranceExhausted when the unbuilt stages alone force width
     scale * tail >= tol, or depth 64 leaves the bound wider than tol,
@@ -859,13 +856,14 @@ class _WindowMass:
                 f"the unbuilt-stage tail forces width {scale * self.tail} >= tolerance {tol};"
                 f" rebuild with at least {self._needed()} stages"
             )
-        self.den, self._stage_mass, sums, moments, self._position = partition._forest()[:5]
+        self.den, self._sums, moments, self._position = partition._forest()[:4]
         self.length = window.length
         self.straddlers: list[tuple[FatCantorSet, Interval, int]] = []
         self._chunks: list[tuple[int, int, list[int]]] = []  # _boundary's start, stop and its positions from start
         self._steps = steps = defaultdict(int)  # the difference array less the whole gaps' entries past 1
+        self._entries: tuple[int, list[tuple[int, int]]] = (-1, [])  # exact's, up to a member
         total = 0
-        by_lo, grid = partition._by_lo, partition._den
+        self._by_lo, grid = partition._by_lo, partition._den
         window_lo, window_hi = _inward(window, grid)
         for m in _unit_range(window):  # the chunks of _unit_chunks, on the index's grid
             lo, hi = max(window_lo - m * grid, 0), min(window_hi - m * grid, grid)
@@ -873,8 +871,8 @@ class _WindowMass:
             self._chunks.append((start, stop, [i for i in positions if i >= start]))
             chunk = _unit_chunk(window, m) if positions else None
             for i in positions:
-                record = by_lo[i]
-                n, mass = record.n, self._stage_mass[record.n - 1]
+                record, mass = self._by_lo[i], self._sums[i + 1] - self._sums[i]
+                n = record.n
                 span = _piece_span(record, chunk)
                 if span is None:
                     continue
@@ -887,7 +885,7 @@ class _WindowMass:
                 for piece in {first, last}:
                     if not a <= piece <= b and piece < n:
                         self.straddlers.append((partition.piece_set(n, piece), chunk, piece + 1))
-        steps[1] += self.whole(sums)
+        steps[1] += self.whole(self._sums)
         self.total = total + self.whole(moments)
 
     def whole(self, sums: list[int]) -> int:
@@ -902,21 +900,36 @@ class _WindowMass:
         stages' entry, less stage j-1's mass for each chunk holding its
         closure, which the entry at 1 holds."""
         step = self._steps.get(j, 0)
-        if 2 <= j <= len(self._stage_mass) + 1:
-            p = self._position[j - 2]
+        if 2 <= j <= len(self._position) + 1:
+            p, sums = self._position[j - 2], self._sums
             chunks = sum(start <= p < stop and p not in inner for start, stop, inner in self._chunks)
-            step -= self._stage_mass[j - 2] * chunks
+            step -= (sums[p + 1] - sums[p]) * chunks
         return step
 
     def exact(self, members: set[int]) -> dict[int, int]:
         """Each member's whole-piece mass, a numerator over ``den``: a prefix
-        sum of ``step``, which is 0 past member N + 1."""
-        exact, running, j = {}, 0, 0
-        top = len(self._stage_mass) + 1
+        sum of ``step``, which is 0 past member N + 1.
+
+        The difference array's entries up to the largest member j are found
+        once and serve every later call up to j: each chunk's whole gaps of
+        stages below j come from the stage positions or from the chunk's
+        index range, whichever is shorter, and one sort orders the entries.
+        """
+        top = min(max(members, default=0), len(self._position) + 1)
+        if self._entries[0] < top:
+            entries, sums, by_lo = defaultdict(int, self._steps), self._sums, self._by_lo
+            for start, stop, inner in self._chunks:
+                gaps = (zip(self._position[:top - 1], range(1, top)) if top - 1 <= stop - start
+                        else ((i, by_lo[i].n) for i in range(start, stop)))
+                for i, n in gaps:
+                    if start <= i < stop and n < top and i not in inner:
+                        entries[n + 1] -= sums[i + 1] - sums[i]
+            self._entries = top, sorted(entries.items())
+        exact, running, at, entries = {}, 0, 0, self._entries[1]
         for member in sorted(members):
-            while j < min(member, top):
-                j += 1
-                running += self.step(j)
+            while at < len(entries) and entries[at][0] <= member:
+                running += entries[at][1]
+                at += 1
             exact[member] = running
         return exact
 

@@ -387,7 +387,7 @@ def test_prefix_sums_per_table_follow_the_partition_and_the_table():
 
     expected60, expected120 = answers(p60, twins()), answers(p120, twins())
     # ones' table grows from k = 30 to 60 and back is read on p60; both
-    # sources serve two partitions, and each holds its own sums.
+    # sources serve two partitions, and each keeps its own sums for ones.
     assert answers(p60, (mu, ones)) == expected60
     assert answers(extend_partition(p60, 120), (mu, ones)) == expected120
     assert answers(p120, (mu, ones)) == expected120 and answers(p60, (mu, ones)) == expected60
@@ -397,11 +397,11 @@ def test_prefix_sums_per_table_follow_the_partition_and_the_table():
     for record in p120.stages[60:]:
         grown._add(record)
     assert answers(grown, (mu, ones)) == expected120
-    # The sums go with their table.
+    # The sums go with their table, and a finite source needs none.
     kept = len(grown._forest()[-1])
     answers(grown, twins())
     gc.collect()
-    assert len(grown._forest()[-1]) == kept == 2
+    assert len(grown._forest()[-1]) == kept == 1
 
 
 def test_finite_support_is_unchanged_by_evaluation(p30):

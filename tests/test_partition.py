@@ -1405,6 +1405,18 @@ def test_window_mass_exact_matches_the_scan_at_2000_stages(build_2000):
             assert Fraction(m, mass.den) == scan.exact.get(j, 0), (j, lo, hi)
 
 
+def test_window_mass_exact_reads_the_same_after_any_earlier_call(builds_300):
+    # exact keeps the entries it found up to its largest member for later
+    # calls up to that member; each answer must be a fresh integrator's.
+    p = builds_300[Fraction(1)]
+    window = Interval.closed(Fraction(1, 4), Fraction(3, 4))
+    everyone = set(range(p.stage_count + 3))
+    expected = _WindowMass(p, window, ONE).exact(everyone)
+    mass = _WindowMass(p, window, ONE)
+    for members in ({3}, {150}, {2, 40}, {p.stage_count + 2}, {7, 299}, {0}, everyone):
+        assert mass.exact(members) == {j: expected[j] for j in members}
+
+
 # ---------------------------------------------------------------------------
 # The integrator's gap-index scan against a _piece_span call per listed stage
 # ---------------------------------------------------------------------------
@@ -1601,13 +1613,12 @@ def test_integer_tiling_matches_the_fraction_chunk_loop(build_2000, builds_300):
     built = builds_300[Fraction(1, 3)]
     translated = loads(saves(SplittingPartition(built.gap_cap, built.stages, -7)))
     assert translated.translation == -7
-    # Records built by hand whose closures overlap, touch or share an end
-    # take the filtered gap list; strictly nested ones, like builds, the chains.
-    unnested = (_HAND_MADE, _hand_made(("1/4", "1/2"), ("1/3", "3/4")), _hand_made(("1/2", "3/4"), ("1/4", "1/2")),
-                _hand_made(("1/4", "1/2"), ("1/4", "1/3")), _hand_made(("1/4", "1/3"), ("1/4", "1/2")),
-                _hand_made(("4/5", "9/10"), ("1/10", "9/10"), ("1/5", "1/4")))
-    nested = _hand_made(("1/10", "9/10"), ("1/5", "1/4"), ("19/20", "1"))
-    for partition in (build_2000, *builds_300.values(), translated, nested, *unnested):
-        assert (partition._forest()[-2] is None) is (partition in unnested)
+    # Records built by hand may nest, or their closures may overlap, touch
+    # or share an end; the parent chains hold the boundary gaps either way.
+    hand_made = (_HAND_MADE, _hand_made(("1/4", "1/2"), ("1/3", "3/4")), _hand_made(("1/2", "3/4"), ("1/4", "1/2")),
+                 _hand_made(("1/4", "1/2"), ("1/4", "1/3")), _hand_made(("1/4", "1/3"), ("1/4", "1/2")),
+                 _hand_made(("4/5", "9/10"), ("1/10", "9/10"), ("1/5", "1/4")),
+                 _hand_made(("1/10", "9/10"), ("1/5", "1/4"), ("19/20", "1")))
+    for partition in (build_2000, *builds_300.values(), translated, *hand_made):
         for window in _tiling_windows(partition):
             _assert_tiling_matches(partition, window)
