@@ -437,12 +437,8 @@ def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> Value
     budget = tol / len(active)
     bounds = []
     for a, b in active:
-        if a < b:
-            bound = _interval_value(sf.partition, sf.mu, Interval(a, b), budget)
-            bounds.append((bound.lo, bound.hi))
-        else:
-            bound = _interval_value(sf.partition, sf.mu, Interval(b, a), budget)
-            bounds.append((-bound.hi, -bound.lo))
+        bound = _interval_value(sf.partition, sf.mu, Interval(min(a, b), max(a, b)), budget)
+        bounds.append((bound.lo, bound.hi) if a < b else (-bound.hi, -bound.lo))
     lo, hi = zip(*bounds)
     return ValueBound(sum(lo[1:], lo[0]), sum(hi[1:], hi[0]))
 

@@ -26,7 +26,8 @@ w = qa + qb, then qa, pa and pb.  Block (qa, qb) holds
 (phi(qa)*phi(qb) - [qa = qb]*phi(qa))/2 of them, since (pa, pb) ->
 (qa - pa, qb - pb) swaps those below and above the diagonal, and the blocks
 of all weights below w sum in O(w).  So a pair position is found by
-bisection over weights, then block sizes, then row counts of coprimes.  The
+bisection over weights, then block sizes, and row pa is read from the
+block's one list of qb's coprimes by a bisection at pa*qb // qa.  The
 first index inside a window skips every weight with w^2 * delta < 4: two
 distinct fractions pa/qa < pb/qb differ by at least 1/(qa*qb) >= 4/w^2.
 Rank, unrank and that search are integer arithmetic with no state kept
@@ -65,7 +66,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count, islice
+from itertools import accumulate, count
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import ge, mul
 from typing import Callable, Iterable, Iterator
@@ -135,17 +136,17 @@ def _pair_blocks(m: int) -> Iterator[tuple[int, int, int]]:
             phi = phi if w < len(phi) else _totients(2 * w)
 
 
-def _rows(pos: int, qa: int, qb: int, m: int) -> Iterator[tuple[int, int, Iterator[int]]]:
-    """(position, pa, pbs) for the rows of block (qa, qb) after pos positions
-    that reach position m; pbs yields the row's pb from there, the first at
-    position.  Row pa holds the pb in (pa*qb // qa, qb) coprime to qb."""
-    upto = list(accumulate(gcd(p, qb) == 1 for p in range(qb)))  # coprimes in [1, p]
-    row = pos + 1
-    for pa in _coprimes(1, qa):
-        base = pa * qb // qa
-        if (k := max(m - row, 0)) < upto[-1] - upto[base]:
-            yield row + k, pa, islice(_coprimes(base + 1, qb), k, None)
-        row += upto[-1] - upto[base]
+def _rows(pos: int, qa: int, qb: int) -> Iterator[tuple[int, int, list[int], int]]:
+    """(position, pa, pbs, start) for the rows of block (qa, qb) after pos
+    positions.  Row pa holds the pb in (pa*qb // qa, qb) coprime to qb:
+    pbs[start:] of the block's one list pbs of qb's coprimes, the first at
+    position."""
+    pbs, row = [p for p in range(1, qb) if gcd(p, qb) == 1], pos + 1
+    for pa in range(1, qa):
+        if gcd(pa, qa) == 1:  # plain loops, not _coprimes: the stream's first blocks are small
+            start = bisect_right(pbs, pa * qb // qa)
+            yield row, pa, pbs, start
+            row += len(pbs) - start
 
 
 def _coprimes(start: int, q: int) -> Iterator[int]:
@@ -166,20 +167,14 @@ def _enumeration_ends(n: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _pair_stream(m: int) -> Iterator[tuple[int, int, int, int]]:
-    """(pa, qa, pb, qb) for pair positions m, m+1, ...: ``_pair_blocks``
-    jumps to the block holding m, then plain loops walk weight, qa and pa,
-    with the coprimes of qb listed once per block."""
-    pos, qa, qb = next(_pair_blocks(m))
-    skip = m - pos - 1  # the block's positions before m
-    while True:
-        pbs = [p for p in range(1, qb) if gcd(p, qb) == 1]
-        for pa in range(1, qa):
-            if gcd(pa, qa) == 1:
-                row = pbs[bisect_right(pbs, pa * qb // qa):]  # row pa: pb/qb > pa/qa
-                for pb in row[skip:]:
-                    yield pa, qa, pb, qb
-                skip = max(skip - len(row), 0)
-        qa, qb = (qa + 1, qb - 1) if qb > 2 else (2, qa + 1)  # qa + qb = w, then w + 1
+    """(pa, qa, pb, qb) for pair positions m, m+1, ...: the blocks of
+    ``_pair_blocks(m)``, row by row, each row read from position m on."""
+    for pos, qa, qb in _pair_blocks(m):
+        for row, pa, pbs, start in _rows(pos, qa, qb):
+            if row < m:
+                start += m - row  # past the row's end for the rows before m's
+            for pb in pbs[start:]:
+                yield pa, qa, pb, qb
 
 
 def _enumeration(n: int) -> Iterator[Interval]:
@@ -223,8 +218,8 @@ def enumeration_index(interval: Interval) -> int:
                              "past the rank's size bound")
         first = _pairs_below(qa + qb, _totients(qa + qb)) + 1
         pos = next(pos for pos, a, _ in _pair_blocks(first) if a == qa)
-        position, _, pbs = next(row for row in _rows(pos, qa, qb, pos + 1) if row[1] == lo.numerator)
-        found.append(2 * (position + list(pbs).index(hi.numerator)))
+        position, _, pbs, start = next(row for row in _rows(pos, qa, qb) if row[1] == lo.numerator)
+        found.append(2 * (position - start + pbs.index(hi.numerator, start)))
     if not found:
         raise ValueError(f"interval {interval} not found in the enumeration")
     return min(found)
@@ -266,9 +261,10 @@ def first_index_inside(window: Interval, min_index: int = 1) -> int:
             # A block holds a fit only if its least pb/qb above its least pa/qa >= lo is <= hi.
             least = next(_coprimes(ceil(lo * qa) or 1, qa), qa)
             if next(_coprimes(least * qb // qa + 1, qb), qb) <= min(hi * qb, qb - 1):
-                for position, pa, pbs in _rows(pos, qa, qb, start):
-                    if position < stop and pa >= lo * qa and next(pbs) <= hi * qb:
-                        return 2 * position
+                for row, pa, pbs, i in _rows(pos, qa, qb):
+                    skip = max(start - row, 0)  # the row's positions before start
+                    if row + skip < stop and pa >= lo * qa and i + skip < len(pbs) and pbs[i + skip] <= hi * qb:
+                        return 2 * (row + skip)
     return best
 
 
@@ -630,7 +626,7 @@ class SplittingPartition:
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        u = _fold(x - self.translation)
+        u = _fold(rational(x) - self.translation)
         point = Interval.closed(u, u)
         hit = None
         undecided = False
@@ -1435,13 +1431,9 @@ def save(partition: SplittingPartition, path, *, version: int = 1) -> None:
 
 
 def load(path, stages: int | None = None) -> SplittingPartition:
-    """``loads`` of the file at path: the whole file, or with ``stages`` = m
-    its first min(m, declared) stages, the header, the stage count and the
-    sha256 line still checked over every line, and a bad stage past them
-    unseen (the ``cli`` module docstring says which commands read a prefix).
-    For a file as ``save`` writes it, a prefix read costs one read and one
-    sha256 of the file, then per-stage work for the m stages read.  A byte
-    that is not ASCII raises ValueError naming its offset."""
+    """``loads(text, stages)`` of the file's text, read whole with its line
+    ends as they are.  A byte that is not ASCII raises ValueError naming its
+    offset."""
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:  # line ends as they are
             text = fh.read()

@@ -102,6 +102,17 @@ def test_rank_matches_the_first_occurrence(reference):
         assert enumeration_index(reference[n - 1]) == first[reference[n - 1]], n
 
 
+def test_every_start_up_to_3000_streams_and_ranks_as_the_reference(reference):
+    # Each n sends a different skip through the pair stream's jump: every
+    # block and row edge of the pair weights up to 21.
+    first = {}
+    for n, interval in enumerate(reference, 1):
+        first.setdefault(interval, n)
+    for n in range(1, 3001):
+        assert list(islice(_enumeration(n), 3)) == reference[n - 1: n + 2], n
+        assert enumeration_index(reference[n - 1]) == first[reference[n - 1]], n
+
+
 @pytest.mark.parametrize(
     "interval",
     [

@@ -71,6 +71,12 @@ def test_a_float_tolerance_raises_type_error(p6):
         eval_f(SaturatedFunction(p6, ones_generator()), (Fraction(3, 4),), 0.001)
 
 
+def test_membership_coerces_its_point_and_rejects_a_float(p6):
+    assert p6.membership("1/3") == p6.membership(Fraction(1, 3))
+    with pytest.raises(TypeError, match="not float"):
+        p6.membership(0.25)
+
+
 # -- cantor --------------------------------------------------------------------
 
 
