@@ -49,14 +49,17 @@ class _Table:
 
     ``terms`` holds (k, w) for each nonzero mu_k in ascending k, w being
     mu_k as a numerator over ``scale``, the lcm of the denominators of the
-    norm and of every coefficient; ``weight`` is the norm over ``scale`` and
-    ``limit`` is ``_value_limit``.  Compared and hashed by identity, so that
-    a partition can keep its prefix sums per table (``_interval_value``).
+    norm and of every coefficient; ``weight`` is the norm over ``scale``,
+    ``width`` is 2 * norm, the width per unit of tail of the terms'
+    correction, and ``limit`` is ``_value_limit``.  Compared and hashed by
+    identity, so that a partition can keep its prefix sums per table
+    (``_interval_value``).
     """
 
     terms: tuple[tuple[int, int], ...]
     scale: int
     weight: int
+    width: Fraction
     limit: Fraction
 
     @cached_property
@@ -70,7 +73,8 @@ class _Table:
         scale = lcm(norm.denominator, *(value.denominator for _, value in pairs))
         terms = tuple((k, value.numerator * (scale // value.denominator)) for k, value in pairs if value)
         mu_0 = abs(pairs[0][1]) if pairs and pairs[0][0] == 0 else ZERO
-        return cls(terms, scale, norm.numerator * (scale // norm.denominator), (4 if generator else 2) * norm + mu_0)
+        return cls(terms, scale, norm.numerator * (scale // norm.denominator), 2 * norm,
+                   (4 if generator else 2) * norm + mu_0)
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ class FiniteSupport:
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.entries)
 
-    @property
+    @cached_property
     def norm_inf(self) -> Fraction:
         return max((abs(v) for _, v in self.entries), default=ZERO)
 
@@ -374,11 +378,11 @@ def _interval_value(
     once per partition and table for the prefix sums, which the partition
     keeps while the source lives.
     """
-    norm = mu.norm_inf
-    if norm == 0:
+    if not mu.norm_inf:
         return ValueBound(ZERO, ZERO)
     generator = isinstance(mu, GeneratorSource)
-    mass = _WindowMass(partition, window, tol, 2 * norm, _value_limit(mu))
+    head = mu._table(0)
+    mass = _WindowMass(partition, window, tol, head.width, head.limit)
     table = mu._table(partition.stage_count // 2)
     weights = table.weights
     # The live terms, by member 2k+1: mu_0's and those with a straddled member.
@@ -434,11 +438,12 @@ def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> Value
     active = [(a, b) for a, b in zip(sf.x0, x) if a != b]
     if not active:
         return ValueBound(ZERO, ZERO)
-    budget = tol / len(active)
+    budget = tol / len(active) if len(active) > 1 else tol
     bounds = []
     for a, b in active:
-        bound = _interval_value(sf.partition, sf.mu, Interval(min(a, b), max(a, b)), budget)
-        bounds.append((bound.lo, bound.hi) if a < b else (-bound.hi, -bound.lo))
+        forward = a < b
+        bound = _interval_value(sf.partition, sf.mu, Interval(a, b) if forward else Interval(b, a), budget)
+        bounds.append((bound.lo, bound.hi) if forward else (-bound.hi, -bound.lo))
     lo, hi = zip(*bounds)
     return ValueBound(sum(lo[1:], lo[0]), sum(hi[1:], hi[0]))
 

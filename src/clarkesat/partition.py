@@ -66,9 +66,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from math import ceil, floor, gcd, isqrt, lcm
-from operator import ge, mul
+from operator import attrgetter, ge, mul
 from typing import Callable, Iterable, Iterator
 from weakref import WeakKeyDictionary
 
@@ -493,15 +493,20 @@ class SplittingPartition:
 
     def stages_overlapping(self, window: Interval) -> list[StageRecord]:
         """Built stages whose gap closure meets the window's closure (flags ignored), ascending by n."""
-        stages, positions = self.stages, self._meeting(*_inward(window, self._den))
-        return [stages[n - 1] for n in sorted(self._by_lo[i].n for i in positions)]
+        inside, before = self._meeting(*_inward(window, self._den))
+        by_lo = self._by_lo
+        return sorted(by_lo[inside.start:inside.stop] + [by_lo[i] for i in before], key=attrgetter("n"))
 
-    def _meeting(self, lo: int, hi: int) -> list[int]:
-        """The index positions whose gap closure meets [lo, hi] / _den, found
-        by two bisections; a window's closure meets the same gap closures as
-        its ends rounded inward to the index's grid (``_inward``)."""
-        positions = range(bisect_left(self._reach, lo), bisect_right(self._los, hi))
-        return [i for i in positions if self._his[i] >= lo]
+    def _meeting(self, lo: int, hi: int) -> tuple[range, list[int]]:
+        """The index positions whose gap closure meets [lo, hi] / _den, in
+        two parts found by three bisections: the range of gaps starting in
+        it, which all meet it, and the few gaps starting before it whose
+        right end reaches it.  A window's closure meets the same gap
+        closures as its ends rounded inward to the index's grid
+        (``_inward``)."""
+        start = bisect_left(self._los, lo)
+        before = [i for i in range(bisect_left(self._reach, lo), start) if self._his[i] >= lo]
+        return range(start, bisect_right(self._los, hi)), before
 
     def _longest_free(self, target: Interval) -> Interval | None:
         """``_longest_room`` over the gap closures."""
@@ -626,14 +631,22 @@ class SplittingPartition:
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        u = _fold(rational(x) - self.translation)
-        point = Interval.closed(u, u)
+        # The fold of x = p/q into [0, 1) is (p mod q)/q, reduced as x is; an
+        # integer translation does not change it.  No answer depends on the
+        # order the stages are visited in, so the gaps come in index order.
+        x = rational(x)
+        q = x.denominator
+        p = x.numerator % q
+        u = x if p == x.numerator else None  # built for svc_membership only when x lies outside [0, 1)
         hit = None
         undecided = False
-        for record in self.stages_overlapping(point):
-            span = _piece_span(record, point)
+        for i in chain(*self._meeting(-(-p * self._den // q), p * self._den // q)):
+            record = self._by_lo[i]
+            span = _span_between(record, p, q, p, q)
             if span is None:
                 continue  # a gap end or piece boundary: in no open piece of this stage
+            if u is None:
+                u = Fraction(p, q)
             answer = self.piece_set(record.n, span[0]).svc_membership(u, depth)
             if answer is Containment.IN:
                 member = record.member_index(span[0])
@@ -647,7 +660,7 @@ class SplittingPartition:
             return hit
         if undecided:
             return UNDECIDED_MEMBERSHIP
-        if u == 0:
+        if p == 0:
             # Every enumerated interval is an open subset of (0,1), so no
             # stage, built or future, can ever capture the point 0.
             return PartitionMembership("A", 0, None)
@@ -754,10 +767,6 @@ def _not_yet_covered(k: int, window: Interval, complement: bool = False) -> NotY
     )
 
 
-def _fold(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
 def _inward(window: Interval, den: int) -> tuple[int, int]:
     """The window's ends rounded inward to the grid 1/den, as numerators:
     (ceil(window.lo * den), floor(window.hi * den))."""
@@ -769,12 +778,24 @@ def _unit_range(window: Interval) -> range:
     """The integers m whose unit chunk [m, m+1] meets the window in positive
     length: floor(lo) <= m < ceil(hi), or none for a point."""
     lo, hi = window.lo, window.hi
-    return range(lo.numerator // lo.denominator, -(-hi.numerator // hi.denominator)) if lo < hi else range(0)
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return range(p // q, -(-r // s)) if p * s < r * q else range(0)
+
+
+def _chunk_ends(p: int, q: int, r: int, s: int, m: int) -> tuple[int, int, int, int]:
+    """The window [p/q, r/s]'s part in [m, m+1], folded into [0, 1], as two
+    (numerator, denominator) pairs: (p - m*q)/q clamped to 0/1 and
+    (r - m*s)/s clamped to 1/1.  Reduced when p/q and r/s are, as p - m*q
+    and q have the common divisors of p and q."""
+    lo, hi = p - m * q, r - m * s
+    return *((lo, q) if lo > 0 else (0, 1)), *((hi, s) if hi < s else (1, 1))
 
 
 def _unit_chunk(window: Interval, m: int) -> Interval:
     """The window's part in [m, m+1], folded into [0, 1]."""
-    return Interval(max(window.lo - m, ZERO), min(window.hi - m, ONE))
+    lo, hi = window.lo, window.hi
+    a, b, c, d = _chunk_ends(lo.numerator, lo.denominator, hi.numerator, hi.denominator, m)
+    return Interval(Fraction(a, b), Fraction(c, d))
 
 
 def _unit_chunks(window: Interval, translation: int) -> Iterator[Interval]:
@@ -790,13 +811,21 @@ def _piece_span(record: StageRecord, window: Interval) -> tuple[int, int, int, i
 
     Pieces first..last meet the window in positive length, pieces a..b lie
     wholly inside it (none when a > b); only first and last can straddle.
+    ``_span_between`` on the window's ends.
+    """
+    lo, hi = window.lo, window.hi
+    return _span_between(record, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+
+def _span_between(record: StageRecord, p: int, q: int, r: int, s: int) -> tuple[int, int, int, int] | None:
+    """``_piece_span`` for the window [p/q, r/s], q and s positive.
+
     A window end p/q sits at piece coordinate t = (p*den - start*q) / (step*q)
     of the stage's integer geometry, so each bound is one floor division.
     """
     start, step, den = record.geometry
-    lo, hi = window.lo, window.hi
-    lo_num, lo_den = lo.numerator * den - start * lo.denominator, step * lo.denominator
-    hi_num, hi_den = hi.numerator * den - start * hi.denominator, step * hi.denominator
+    lo_num, lo_den = p * den - start * q, step * q
+    hi_num, hi_den = r * den - start * s, step * s
     first = max(0, lo_num // lo_den)
     last = min(record.n, -(-hi_num // hi_den) - 1)
     if first > last:
@@ -820,16 +849,19 @@ class _WindowMass:
     whose closure lies in the chunk, an index range less a few positions,
     have a..b = 0..n: each adds its mass at member 1 and takes it back at
     n+1, and their sums are differences of the partition's prefix sums
-    (``whole``).  The few others each build the chunk's ``Interval`` and
-    call ``_piece_span`` (floor division on its ``StageRecord.endpoints``).
-    The at most two pieces per stage and chunk straddling a chunk edge are
-    kept as ``straddlers`` (set, chunk, member) for ``_depths``, the one
-    depth loop, which re-measures only them; a member without one keeps its
-    exact mass, an integer over ``den`` until ``bounded`` bounds it.
-    ``length`` is the window's length.  Cost: per window two inward
-    roundings; per chunk two bisections and two walks up the nesting forest,
-    whose depth is the nesting depth, and for each gap they find one chunk
-    ``Interval`` and a ``_piece_span``; O(1) per chunk for each ``step``;
+    (``whole``).  The few others each call ``_span_between`` (floor
+    division on its ``StageRecord.endpoints``) on the chunk's integer ends,
+    (p - m*q)/q and (r - m*s)/s for the window [p/q, r/s] and chunk m,
+    clamped to 0/1 and 1/1 (``_chunk_ends``).  The at most two pieces per
+    stage and chunk straddling a chunk edge are kept as ``straddlers`` (set,
+    chunk, member) for ``_depths``, the one depth loop, which re-measures
+    only them; the chunk's ``Interval``, ``_unit_chunk``'s, is built once
+    for them.  A member without one keeps its exact mass, an integer over
+    ``den`` until ``bounded`` bounds it.  ``length`` is the window's length.
+    Cost: per window two inward roundings and one cross-multiplied tail
+    test; per chunk two bisections and two walks up the nesting forest,
+    whose depth is the nesting depth, and for each gap they find one
+    ``_span_between`` on integers; O(1) per chunk for each ``step``;
     for ``exact`` up to member j, O(min(j, gaps starting in the chunk)) per
     chunk and a sort of the entries found; O(1) per chunk and per straddled
     entry for ``weighted``; then per depth O(1) integer pieces per
@@ -844,12 +876,13 @@ class _WindowMass:
 
     def __init__(self, partition: SplittingPartition, window: Interval, tol: Fraction,
                  scale: Fraction = ONE, limit: Fraction | None = None):
-        self.tail = partition.unbuilt_tail_bound()
+        self.tail = tail = partition.unbuilt_tail_bound()
         self._needed = lambda: _sufficient_stages(partition.stage_count, partition.gap_cap,
                                                   scale if limit is None else limit, tol)
-        if scale * self.tail >= tol:
+        if (scale.numerator * tail.numerator * tol.denominator
+                >= tol.numerator * scale.denominator * tail.denominator):  # scale * tail >= tol
             raise ToleranceExhausted(
-                f"the unbuilt-stage tail forces width {scale * self.tail} >= tolerance {tol};"
+                f"the unbuilt-stage tail forces width {scale * tail} >= tolerance {tol};"
                 f" rebuild with at least {self._needed()} stages"
             )
         self.den, self._sums, moments, self._position = partition._forest()[:4]
@@ -861,15 +894,16 @@ class _WindowMass:
         total = 0
         self._by_lo, grid = partition._by_lo, partition._den
         window_lo, window_hi = _inward(window, grid)
+        ends = window.lo.numerator, window.lo.denominator, window.hi.numerator, window.hi.denominator
         for m in _unit_range(window):  # the chunks of _unit_chunks, on the index's grid
             lo, hi = max(window_lo - m * grid, 0), min(window_hi - m * grid, grid)
             start, stop, positions = partition._boundary(lo, hi)
             self._chunks.append((start, stop, [i for i in positions if i >= start]))
-            chunk = _unit_chunk(window, m) if positions else None
+            chunk_ends, chunk = _chunk_ends(*ends, m), None
             for i in positions:
                 record, mass = self._by_lo[i], self._sums[i + 1] - self._sums[i]
                 n = record.n
-                span = _piece_span(record, chunk)
+                span = _span_between(record, *chunk_ends)
                 if span is None:
                     continue
                 first, last, a, b = span
@@ -880,6 +914,7 @@ class _WindowMass:
                     steps[top + 2] -= mass
                 for piece in {first, last}:
                     if not a <= piece <= b and piece < n:
+                        chunk = chunk or _unit_chunk(window, m)
                         self.straddlers.append((partition.piece_set(n, piece), chunk, piece + 1))
         steps[1] += self.whole(self._sums)
         self.total = total + self.whole(moments)
@@ -1374,7 +1409,7 @@ def _check_covers(partition: SplittingPartition) -> None:
         earlier = []
         if record.n not in alone:
             a, b, d = record._span
-            meeting = sorted(by_lo[i].n for i in partition._meeting(a * (den // d), b * (den // d)))
+            meeting = sorted(by_lo[i].n for i in chain(*partition._meeting(a * (den // d), b * (den // d))))
             earlier = [stages[m - 1] for m in meeting if m < record.n]
         _check_cover(record, earlier)
 

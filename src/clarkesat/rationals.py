@@ -136,13 +136,22 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
+        """Whether x, a Fraction or an int, lies in the interval.
+
+        x = p/q is tested against each end a/b by the sign of p*b - a*q
+        (both denominators are positive): positive past lo, or zero with lo
+        closed, and negative before hi, or zero with hi closed.  Any other
+        type of x raises TypeError.
+        """
+        if not isinstance(x, (Fraction, int)):
+            raise TypeError(f"expected a Fraction or int point, not {type(x).__name__}")
+        p, q = x.numerator, x.denominator
+        lo, hi = self.lo, self.hi
+        past_lo = p * lo.denominator - lo.numerator * q
+        if past_lo < 0 or past_lo == 0 and not self.lo_closed:
             return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        before_hi = hi.numerator * q - p * hi.denominator
+        return before_hi > 0 or before_hi == 0 and self.hi_closed
 
     def contains_interval(self, other: Interval) -> bool:
         """Set containment, closure-aware."""

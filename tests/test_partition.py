@@ -193,6 +193,28 @@ def _membership_from_piece_hosts(p, x, depth):
     return ("A", 0, None) if x == 0 and not undecided else ("undecided", None, None)
 
 
+@pytest.mark.parametrize("translation", [None, -7], ids=["built", "loaded-translated"])
+def test_membership_has_period_one_on_a_grid(p20, translation):
+    # On the grid i/768, 0 included, where stages 1..20 decide some points in
+    # A and some in B: the answer at x + m is the answer at x, which the piece
+    # hosts give, and every integer point is certified in A_0 by no stage.
+    p = p20 if translation is None else loads(saves(SplittingPartition(p20.gap_cap, p20.stages, translation)))
+    assert p.translation == (translation or 0) and p.stages == p20.stages
+    kinds = Counter()
+    for i in range(768):
+        x = Fraction(i, 768)
+        answer = p.membership(x, 8)
+        assert (answer.kind, answer.k, answer.stage) == _membership_from_piece_hosts(p, x, 8), x
+        kinds[answer.kind] += 1
+        for m in (-3, -1, 1, 5):
+            assert p.membership(x + m, 8) == answer, (x, m)
+    assert kinds["A"] and kinds["B"] and kinds["undecided"]
+    for m in (-3, -1, 0, 1, 5):
+        for point in (m, Fraction(m)):
+            answer = p.membership(point, 8)
+            assert (answer.kind, answer.k, answer.stage) == ("A", 0, None), point
+
+
 def test_membership_agrees_with_piece_hosts_at_100_stages():
     p = build_partition(100)
     for n in (1, 2, 37, 100):

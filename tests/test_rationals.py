@@ -51,6 +51,43 @@ def test_interval_contains_respects_closure():
     assert iv.contains(Fraction(1, 2))
 
 
+def _contains_by_comparison(interval, x):
+    """``Interval.contains`` as Fraction comparisons with each end."""
+    if x < interval.lo or x > interval.hi:
+        return False
+    if x == interval.lo and not interval.lo_closed:
+        return False
+    if x == interval.hi and not interval.hi_closed:
+        return False
+    return True
+
+
+_ENDS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=_ENDS, b=_ENDS, lo_closed=st.booleans(), hi_closed=st.booleans(), int_ends=st.booleans(), extra=_ENDS)
+def test_interval_contains_matches_the_comparison_rule(a, b, lo_closed, hi_closed, int_ends, extra):
+    # Closed, open, half-open and degenerate intervals, with Fraction ends or,
+    # where an end is a whole number and int_ends is drawn, an int end.
+    lo, hi = min(a, b), max(a, b)
+    if lo == hi:
+        lo_closed = hi_closed = True
+    ends = [int(end) if int_ends and end.denominator == 1 else end for end in (lo, hi)]
+    interval = Interval(*ends, lo_closed, hi_closed)
+    tiny = Fraction(1, 97)
+    points = [lo, hi, (lo + hi) / 2, lo - tiny, lo + tiny, hi - tiny, hi + tiny, lo - 1, hi + 1, extra]
+    points += [Fraction(lo.numerator // lo.denominator), Fraction(-(-hi.numerator // hi.denominator))]
+    for x in points:
+        expected = _contains_by_comparison(interval, x)
+        assert interval.contains(x) is expected, (interval, x)
+        if x.denominator == 1:
+            assert interval.contains(int(x)) is expected, (interval, x)
+    for bad in (str(lo), format_rational(hi), float(lo), 0.5):
+        with pytest.raises(TypeError):
+            interval.contains(bad)
+
+
 def test_interval_set_contains_finds_the_part():
     half = Fraction(1, 2)
     s = IntervalSet.of([Interval(0, Fraction(1, 4), True, False), Interval(half, 1, False, True)])
