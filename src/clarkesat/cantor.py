@@ -113,6 +113,22 @@ def _cover_walk(lo: int, hi: int, base: int, retained: Fraction, a: Fraction, b:
             stack.append((*left, step + 1))
 
 
+def _containment(lo: int, hi: int, base: int, retained: Fraction, p: int, q: int, depth: int) -> Containment:
+    """The endpoint rule for the point p/q, q > 0, and the fat Cantor set
+    over the closed host [lo/base, hi/base]: IN on an endpoint of a depth-d
+    cover piece, which no later step removes, UNDECIDED inside one, OUT
+    outside the cover.
+
+    The walk runs on the host scaled by q, where the point is the integer
+    p: the cover scales with its host, so every answer is the same.
+    """
+    piece = next(_cover_walk(lo * q, hi * q, base, retained, p, p, depth), None)
+    if piece is None:
+        return Containment.OUT
+    lo, hi, den, _ = piece
+    return Containment.IN if p * den in (lo, hi) else Containment.UNDECIDED
+
+
 @dataclass(frozen=True)
 class FatCantorSet:
     """A Cantor-type set of positive measure over a rational host interval.
@@ -178,20 +194,15 @@ class FatCantorSet:
         OUT when x falls outside the depth-d cover (then x is not in F,
         definitely).  IN when x is a piece endpoint (endpoints are never
         removed), except that an open host endpoint is excluded.  Everything
-        else is UNDECIDED.  Reads the first piece of the walk, in O(d).
+        else is UNDECIDED.  ``_containment`` reads the first piece of the
+        walk, in O(d).
         """
         x = rational(x)
         if x == self.host.lo and not self.host.lo_closed:
             return Containment.OUT
         if x == self.host.hi and not self.host.hi_closed:
             return Containment.OUT
-        piece = next(self._walk(x, x, depth), None)
-        if piece is None:
-            return Containment.OUT
-        lo, hi, den, _ = piece
-        if x.numerator * den in (lo * x.denominator, hi * x.denominator):
-            return Containment.IN
-        return Containment.UNDECIDED
+        return _containment(*_span(self.host), self.retained_fraction, x.numerator, x.denominator, depth)
 
     def cover_meets(self, window: Interval, depth: int) -> bool:
         """Whether the depth-d cover meets the closure of the window, in O(d).

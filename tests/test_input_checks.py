@@ -148,6 +148,14 @@ def test_build_partition_checks_stages_and_gap_cap():
             build_partition(3, cap)
 
 
+def test_build_partition_coerces_gap_cap_and_rejects_a_float():
+    # A float cap would be stored and fail later, in the build or in a query.
+    for cap in (0.5, 0.1):
+        with pytest.raises(TypeError, match="not float"):
+            build_partition(5, cap)
+    assert build_partition(40, "1/2").stages == build_partition(40, HALF).stages
+
+
 def test_auto_certificate_reraises_when_the_named_stage_is_already_built():
     # [1/2, 1] holds I_2 = (1/2, 2/3), and neither hand-built gap reaches it.
     window = Interval.closed(HALF, ONE)

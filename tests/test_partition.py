@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -1514,6 +1515,42 @@ def test_window_mass_scan_matches_a_piece_span_per_listed_stage_on_drawn_windows
     _assert_scan_matches(build_2000, window)
 
 
+def test_window_mass_scans_through_the_gaps_nested_in_stage_1_and_3(build_2000):
+    # Stage 1's gap closure holds 185 nested gaps and stage 3's 34.  A window
+    # end strictly inside such a closure, between two nested ones, makes the
+    # running-reach scan on that side visit the enclosing gap and every
+    # nested gap starting on the window's side of that end; the enclosing
+    # gap, and a nested gap with an end at the window's end, decide the
+    # result.  Both scans must list the gaps whose closure meets the window
+    # without lying in it, as a pass over all positions finds them.
+    p, by_lo = build_2000, build_2000._by_lo
+    los, his, reach, den = p._los, p._his, p._reach, p._den
+    for n, nested in ((1, 185), (3, 34)):
+        gap = p.stage(n).gap
+        i = by_lo.index(p.stage(n))
+        end = bisect_left(los, his[i], i + 1)
+        assert end - i - 1 == nested
+        inner = list(accumulate(his[i + 1:end], max))
+        rooms = [Fraction(r + lo, 2 * den) for r, lo in zip(inner, los[i + 2:end]) if lo > r]
+        x = rooms[len(rooms) // 2]
+        j = i + 1 + nested // 2  # a nested gap near the middle
+        outside = gap.length / 2
+        for window, side, found, passed in (
+            (Interval.closed(gap.lo - outside, x), 1, {i}, set()),
+            (Interval.closed(x, gap.hi + outside), 0, {i}, set()),
+            (Interval.closed(gap.lo - outside, Fraction(his[j], den)), 1, {i}, {j}),  # _his == hi: j lies inside
+            (Interval.closed(gap.lo - outside, Fraction(los[j], den)), 1, {i, j}, set()),  # _los == hi
+            (Interval.closed(Fraction(his[j], den), gap.hi + outside), 0, {i, j}, set()),  # _his == lo
+        ):
+            lo, hi = partition_module._inward(window, den)
+            start, stop = bisect_left(los, lo), bisect_right(los, hi)
+            boundary = ({k for k in range(start) if his[k] >= lo}, {k for k in range(start, stop) if his[k] > hi})
+            assert (set(p._meeting(lo, hi)[1]), set(_WindowMass(p, window, ONE)._chunks[0][2])) == boundary
+            visited = (range(bisect_left(reach, lo), start), range(max(start, bisect_left(reach, hi + 1)), stop))[side]
+            assert len(visited) > 1 and found <= boundary[side] and passed <= set(visited) - boundary[side], (n, window)
+            _assert_scan_matches(p, window)
+
+
 # ---------------------------------------------------------------------------
 # Whole-piece witnesses against a piece_for_member per missing member
 # ---------------------------------------------------------------------------
@@ -1636,7 +1673,7 @@ def test_integer_tiling_matches_the_fraction_chunk_loop(build_2000, builds_300):
     translated = loads(saves(SplittingPartition(built.gap_cap, built.stages, -7)))
     assert translated.translation == -7
     # Records built by hand may nest, or their closures may overlap, touch
-    # or share an end; the parent chains hold the boundary gaps either way.
+    # or share an end; the running-reach scans find the boundary gaps either way.
     hand_made = (_HAND_MADE, _hand_made(("1/4", "1/2"), ("1/3", "3/4")), _hand_made(("1/2", "3/4"), ("1/4", "1/2")),
                  _hand_made(("1/4", "1/2"), ("1/4", "1/3")), _hand_made(("1/4", "1/3"), ("1/4", "1/2")),
                  _hand_made(("4/5", "9/10"), ("1/10", "9/10"), ("1/5", "1/4")),
