@@ -74,11 +74,13 @@ def _cover_walk(lo: int, hi: int, base: int, retained: Fraction, a: Fraction, b:
     and hi are numerators over den, the denominator of the piece's
     step; a subtree that misses [a, b] is never entered.  Pieces come
     from the depth-d cover, except that with ``whole`` a piece wholly
-    inside [a, b] is yielded at its own step; without it, its subtree is
-    expanded level by level, free of window tests.  With ``whole``, or
-    for a point, the first piece costs O(d): a window meeting a left
-    child holds the child's right end, which every deeper cover keeps,
-    or ends before the right sibling, which its window test prunes.
+    inside [a, b] is yielded at its own step.  One descent decides every
+    node: a node is tested against [a, b] until it or an ancestor lies
+    wholly inside, and the children of an inside node skip the tests.  So
+    the first piece costs O(d) for any window: a window meeting a left
+    child holds the child's right end, which every deeper cover keeps, or
+    ends before the right sibling, which its window test prunes, and an
+    inside node's leftmost descendant is d - step splits away.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -89,28 +91,20 @@ def _cover_walk(lo: int, hi: int, base: int, retained: Fraction, a: Fraction, b:
     p, q = retained.numerator, retained.denominator
     root_den, half = 4 * q * base, 4 * (q - p) * (hi - lo)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    stack = [(4 * q * lo, 4 * q * hi, 0)]
+    stack = [(4 * q * lo, 4 * q * hi, 0, False)]
     while stack:
-        lo, hi, step = stack.pop()
-        den = root_den << 2 * step
-        if hi * ad < an * den or bn * den < lo * bd:
-            continue
-        if an * den <= lo * ad and hi * bd <= bn * den:
-            if whole:
-                yield lo, hi, den, step
+        lo, hi, step, inside = stack.pop()
+        if not inside:
+            den = root_den << 2 * step
+            if hi * ad < an * den or bn * den < lo * bd:
                 continue
-            parts = [(lo, hi)]
-            for _ in range(step, depth):
-                parts = [child for lo, hi in parts for child in _children(lo, hi, half)]
-            den = root_den << 2 * depth
-            for lo, hi in parts:
-                yield lo, hi, den, depth
-        elif step == depth:
-            yield lo, hi, den, step
+            inside = an * den <= lo * ad and hi * bd <= bn * den
+        if step == depth or inside and whole:
+            yield lo, hi, root_den << 2 * step, step
         else:
-            left, right = _children(lo, hi, half)
-            stack.append((*right, step + 1))
-            stack.append((*left, step + 1))
+            (left_lo, left_hi), (right_lo, right_hi) = _children(lo, hi, half)
+            step += 1
+            stack += (right_lo, right_hi, step, inside), (left_lo, left_hi, step, inside)
 
 
 def _containment(lo: int, hi: int, base: int, retained: Fraction, p: int, q: int, depth: int) -> Containment:

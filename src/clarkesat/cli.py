@@ -299,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--decimal", action="store_true")
     p_measure.set_defaults(run=cmd_measure)
 
-    p_stress = sub.add_parser("stress", help="subgradient stress demo trajectory")
+    p_stress = sub.add_parser("stress", help="subgradient stress demo trajectory", description=(
+        "Print a projected subgradient trajectory as CSV.  The --radius box is checked at the start point;"
+        " the gap column reads NA where an iterate's box leaves the domain or the partition does not reach yet."))
     p_stress.add_argument("--partition", required=True)
     p_stress.add_argument("--mu", required=True)
     p_stress.add_argument("--steps", type=int, required=True)

@@ -173,13 +173,7 @@ class Interval:
 
     def intersects(self, other: Interval) -> bool:
         """True if the two intervals share at least one point."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return False
-        if lo < hi:
-            return True
-        return self.contains(lo) and other.contains(lo)
+        return self.intersect(other) is not None
 
     def overlaps_nontrivially(self, other: Interval) -> bool:
         """True if the intersection has positive length."""

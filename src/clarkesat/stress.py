@@ -17,8 +17,8 @@ from typing import Sequence
 
 from .errors import CertificateFailed, NotYetCovered
 from .functions import SaturatedFunction, eval_f, sample_gradient
-from .rationals import ZERO, ValueBound, format_rational, rational
-from .verifier import certify_saturation
+from .rationals import ZERO, Interval, ValueBound, format_rational, rational
+from .verifier import _box, _check_radius_and_truncation, certify_saturation
 
 # Iterates are snapped to this grid after each step; it keeps coordinate
 # denominators bounded while staying far below any tolerance used here.
@@ -128,8 +128,10 @@ def trajectory_csv(
 ) -> str:
     """CSV of t, coordinates, value bounds, and the per-iterate gap.
 
-    The gap column holds the certified gap when the certificate succeeds
-    and NA where the partition does not reach yet.
+    The gap column holds the certified gap when the certificate succeeds,
+    and NA without a radius, where the radius-r box around the iterate
+    leaves the domain, and where the partition does not reach yet.  A
+    radius r <= 0 or a truncation K < 0 raises ValueError before any row.
     """
     header = (
         ["t"]
@@ -137,14 +139,16 @@ def trajectory_csv(
         + ["f_lo", "f_hi", "gap"]
     )
     lines = [",".join(header)]
+    if r is not None:
+        r = rational(r)
+        _check_radius_and_truncation(r, K)
     for point in trajectory:
-        if r is None:
-            gap_text = "NA"
-        else:
+        gap_text = "NA"
+        if r is not None and all(map(Interval.contains_interval, sf.domain, _box(point.x, r))):
             try:
                 gap_text = format_rational(stationarity_gap(sf, point.x, r, K))
             except NotYetCovered:
-                gap_text = "NA"
+                pass
         row = [str(point.t)]
         row += [format_rational(c) for c in point.x]
         row += [

@@ -188,16 +188,26 @@ def saturation_windows(
     """
     if not (len(x) == len(domain) and all(side.contains(c) for side, c in zip(domain, x))):
         raise ValueError(f"point {x} is outside the domain box")
-    half = r / len(x)
-    windows = []
-    for side, c in zip(domain, x):
-        window = Interval.open(c - half, c + half)
+    windows = _box(x, r)
+    for side, c, window in zip(domain, x, windows):
         if not side.contains_interval(window):
             raise ValueError(
                 f"the radius-{r} box around {c} leaves the domain side {side}"
             )
-        windows.append(window)
     return windows
+
+
+def _box(x: tuple[Fraction, ...], r: Fraction) -> list[Interval]:
+    """The coordinate windows (x_i - r/d, x_i + r/d) of the box of 1-norm radius r > 0 around x."""
+    half = r / len(x)
+    return [Interval.open(c - half, c + half) for c in x]
+
+
+def _check_radius_and_truncation(r: Fraction, K: int) -> None:
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    if K < 0:
+        raise ValueError("truncation must be >= 0")
 
 
 def certificate_windows(
@@ -205,10 +215,7 @@ def certificate_windows(
 ) -> list[Interval]:
     """``saturation_windows`` after the other checks ``certify_saturation``
     makes before its first stage query: r > 0 and K >= 0."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if K < 0:
-        raise ValueError("truncation must be >= 0")
+    _check_radius_and_truncation(r, K)
     return saturation_windows(domain, x, r)
 
 

@@ -325,6 +325,30 @@ def test_cover_meets_stays_lazy_at_depth_64(canonical):
         assert not canonical.cover_meets(window, depth)
 
 
+@pytest.mark.parametrize("a, b", [
+    (Fraction(-1), Fraction(2)),  # swallows the host
+    (Fraction(0), Fraction(1)),  # is the host
+    (Fraction(1, 2), Fraction(2)),  # swallows the depth-1 piece [5/8, 1], the first it meets
+    (Fraction(3, 8), Fraction(5, 8)),  # holds the depth-1 pieces' inner ends
+    (Fraction(3, 8), Fraction(3, 8)),  # a point: the depth-1 piece [0, 3/8]'s right end
+])
+def test_a_walk_yields_its_first_piece_after_at_most_d_splits(canonical, monkeypatch, a, b):
+    # Listing a subtree before its first piece would split about 2^64 pieces;
+    # the child rule is cut at 1,000 splits, so such a walk fails fast.
+    children, splits = cantor._children, []
+
+    def bounded_children(*args):
+        splits.append(args)
+        if len(splits) > 1_000:
+            raise AssertionError("the walk split more than 1,000 cover pieces")
+        return children(*args)
+
+    monkeypatch.setattr(cantor, "_children", bounded_children)
+    lo, hi, den, step = next(canonical._walk(a, b, 64))
+    assert step == 64 and len(splits) <= 64
+    assert Fraction(lo, den) <= b and a <= Fraction(hi, den)
+
+
 def test_membership_rejects_a_negative_depth(canonical):
     with pytest.raises(ValueError, match="depth must be >= 0"):
         canonical.svc_membership(Fraction(1, 3), -1)

@@ -535,6 +535,18 @@ def test_stress_reads_every_option_before_the_trajectory(partition_file, capsys,
     assert calls == []
 
 
+def test_stress_writes_na_where_a_later_box_leaves_the_domain(partition_file, capsys):
+    # The start point's box fits, but a step of 1/2 clamps the iterate to 1/64.
+    code = run_cli("stress", "--partition", partition_file, "--mu", "0:1/1", "--steps", "2",
+                   "--x-init", "43/96", "--step-c", "1/2")
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "t,x1,f_lo,f_hi,gap"
+    assert rows[1].startswith("0,43/96,") and rows[1].endswith(",0/1")
+    assert [row.split(",")[1] for row in rows[2:]] == ["1/64", "1/64"]
+    assert all(row.endswith(",NA") for row in rows[2:])
+
+
 def test_stress_with_negative_steps_exits_2_without_an_oracle_call(partition_file, capsys, monkeypatch):
     import clarkesat.stress
 

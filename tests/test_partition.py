@@ -1,6 +1,8 @@
 import hashlib
 import random
 import re
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -470,6 +472,31 @@ def test_v2_round_trip_at_1000_stages(build_1000):
     back = loads(text)
     assert back.stages == build_1000.stages and back.gap_cap == build_1000.gap_cap
     assert {r.depth_used for r in back.stages} >= {0, 1, 2, 4}
+
+
+_HASHLIB_PROBE = """
+import sys
+from fractions import Fraction
+import clarkesat, clarkesat.cli
+from clarkesat.functions import FiniteSupport, SaturatedFunction, eval_f
+from clarkesat.partition import build_partition, loads, saves
+from clarkesat.rationals import Interval
+
+p = loads(saves(build_partition(40)))
+eval_f(SaturatedFunction(p, FiniteSupport.of({0: 3, 1: -5, 2: 2})), (Fraction(5, 8),), Fraction(1, 10**6))
+p.measure_in(1, Interval.closed(Fraction(1, 4), Fraction(3, 4)), Fraction(1, 10**6))
+print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+saves(p, version=2)
+print("hashlib" in sys.modules)
+"""
+
+
+def test_only_splitpart_v2_imports_hashlib():
+    # hashlib loads OpenSSL, about 3.6 MB of resident memory; a process that
+    # never reads or writes a v2 file must not pay for it.
+    result = subprocess.run([sys.executable, "-c", _HASHLIB_PROBE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "True"]
 
 
 def _with_depth(text, n, depth, rehash=True):

@@ -130,6 +130,27 @@ def test_intersect_sweep_example():
     assert intersect(s, t) == expected
 
 
+def _grid_intervals():
+    """Every interval with ends in {0, 1/2, 1, 3/2}: 4 singletons and 6 spans with 4 flag pairs each."""
+    ends = [Fraction(k, 2) for k in range(4)]
+    for lo in ends:
+        for hi in ends:
+            flags = [(True, True)] if lo == hi else [(a, b) for a in (True, False) for b in (True, False)]
+            yield from (Interval(lo, hi, a, b) for a, b in flags if lo <= hi)
+
+
+def test_intersects_on_a_grid_of_intervals():
+    # The oracle tries every end of both intervals and the midpoint of their
+    # overlap: a shared point exists iff one of them lies in both.
+    grid = list(_grid_intervals())
+    assert len(grid) == 28
+    for s in grid:
+        for t in grid:
+            candidates = {s.lo, s.hi, t.lo, t.hi, (max(s.lo, t.lo) + min(s.hi, t.hi)) / 2}
+            shared = any(s.contains(x) and t.contains(x) for x in candidates)
+            assert s.intersects(t) is shared, (s, t)
+
+
 def test_complement_of_empty_is_host():
     host = Interval.closed(0, 1)
     assert complement_within(IntervalSet.empty(), host) == iset((0, 1))

@@ -164,3 +164,25 @@ def test_negative_steps_are_rejected_before_any_oracle_call(e0, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert len(run_subgradient(e0, (Fraction(1, 3),), steps=0)) == 1
+
+
+def test_trajectory_csv_writes_na_where_the_box_leaves_the_domain(e0):
+    # From 43/96, inside A_1, a step of 1/2 is clamped to 1/64, where the
+    # radius-1/4 box leaves the domain: the gap is NA there, not an error.
+    trajectory = run_subgradient(e0, (Fraction(43, 96),), steps=2, step_coefficient=Fraction(1, 2))
+    assert [point.x for point in trajectory[1:]] == [(Fraction(1, 64),)] * 2
+    rows = trajectory_csv(e0, trajectory, Fraction(1, 4)).splitlines()
+    assert len(rows) == 4
+    assert rows[1].startswith("0,43/96,") and rows[1].endswith(",0/1")
+    assert all(row.endswith(",NA") for row in rows[2:])
+
+
+@pytest.mark.parametrize("r, K, message", [
+    (Fraction(0), 0, "radius must be positive"),
+    (Fraction(-1, 4), 0, "radius must be positive"),
+    (Fraction(1, 4), -1, "truncation must be >= 0"),
+])
+def test_trajectory_csv_rejects_a_bad_radius_or_truncation(e0, r, K, message):
+    trajectory = run_subgradient(e0, (Fraction(43, 96),), steps=1, step_coefficient=Fraction(1, 2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        trajectory_csv(e0, trajectory, r, K)
