@@ -210,8 +210,17 @@ CoefficientSource = FiniteSupport | GeneratorSource
 
 
 def _argmax(pairs: Iterable[tuple[int, Fraction]]) -> int:
-    """The k of the first (k, mu_k) pair with the largest |mu_k|; 0 if none."""
-    return max(pairs, key=lambda pair: abs(pair[1]), default=(0, ZERO))[0]
+    """The k of the first (k, mu_k) pair with the largest |mu_k|; 0 if none.
+
+    |mu_k| = |p|/q is compared with the best so far by cross-multiplication,
+    so no Fraction is built.
+    """
+    best, top, den = 0, -1, 1
+    for k, value in pairs:
+        p, q = abs(value.numerator), value.denominator
+        if p * den > top * q:
+            best, top, den = k, p, q
+    return best
 
 
 def ones_generator() -> GeneratorSource:

@@ -664,23 +664,39 @@ class SplittingPartition:
         Raises NotYetCovered (with the stage count that will surely suffice)
         when the built prefix does not reach into the window yet, and
         ValueError when no stage ever will: the window misses (0,1).
+
+        One pass over ``stages_overlapping(window)``, ascending by n, on the
+        window's integer ends: each stage's ``_span_between`` gives its
+        pieces a..b wholly inside, and the pass takes the first stage where
+        ``_members_inside`` names k, as ``_whole_pieces`` does, and the first
+        whole piece of another member (piece a, or a+1 when a feeds k).  It
+        stops once both are found.  A missing k is reported before a missing
+        complement.
         """
         if not window.is_nontrivial:
             raise ValueError("window must be nontrivial")
-        overlapping = self.stages_overlapping(window)
-        positive = _whole_pieces(overlapping, (k,), window).get(k)
-        if positive is None:
-            raise _not_yet_covered(k, window)
-        for record in overlapping:
-            span = _piece_span(record, window)
+        lo, hi = window.lo, window.hi
+        p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        positive = complement = None
+        for record in self.stages_overlapping(window):
+            span = _span_between(record, p, q, r, s)
             if span is None:
                 continue
-            for piece in range(span[2], span[3] + 1):  # the pieces wholly inside
-                member = record.member_index(piece)
-                if member != k:
-                    complement = (member, record.n, piece, RETAINED * record.piece_width)
-                    return SplittingCertificate(k, window, *positive, *complement)
-        raise _not_yet_covered(k, window, complement=True)
+            _, _, a, b = span
+            if a > b:
+                continue
+            n = record.n
+            if positive is None:
+                inside, zero = _members_inside(a, b, n)
+                if k in inside or k == 0 and zero:
+                    positive = (n, record.piece_for_member(k), _whole_piece_mass(record))
+            if complement is None:
+                piece = a + 1 if record.member_index(a) == k else a
+                if piece <= b:
+                    complement = (record.member_index(piece), n, piece, _whole_piece_mass(record))
+            if positive is not None and complement is not None:
+                return SplittingCertificate(k, window, *positive, *complement)
+        raise _not_yet_covered(k, window, complement=positive is not None)
 
 
 def _whole_pieces(
@@ -691,40 +707,66 @@ def _whole_pieces(
     set on it puts that much of A_member there.
 
     ``overlapping`` is ``partition.stages_overlapping(window)``, listed once
-    for all members.  Each stage's ``_piece_span`` gives the pieces a..b
-    wholly inside the window as integers, and piece j-1 feeds member j
-    (piece n feeds A_0), so a stage answers every member still missing at
-    once, members a+1..min(b+1, n) and 0 when a <= b = n, with one bound.
-    The scan stops when every member is found; members no built stage
-    covers are absent from the result.
+    for all members.  The window's ends are read as integers once, and each
+    stage's ``_span_between`` on them gives the pieces a..b wholly inside;
+    ``_members_inside`` names the members they feed, so a stage answers
+    every member still missing at once, by one set intersection, with one
+    bound, ``_whole_piece_mass``.  The scan stops when every member is found;
+    members no built stage covers are absent from the result.
     """
+    lo, hi = window.lo, window.hi
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     missing = set(members)
     found = {}
     for record in overlapping:
         if not missing:
             break
-        span = _piece_span(record, window)
+        span = _span_between(record, p, q, r, s)
         if span is None:
             continue
         _, _, a, b = span
-        n, top = record.n, min(b + 1, record.n)
-        hits = [j for j in missing if a < j <= top or j == 0 and a <= b == n]
+        n = record.n
+        inside, zero = _members_inside(a, b, n)
+        hits = missing.intersection(inside)
+        if zero and 0 in missing:
+            hits.add(0)
         if hits:
-            bound = RETAINED * record.piece_width
+            bound = _whole_piece_mass(record)
             for j in hits:
                 found[j] = (n, j - 1 if j else n, bound)
-            missing.difference_update(hits)
+            missing -= hits
     return found
 
 
+def _members_inside(a: int, b: int, n: int) -> tuple[range, bool]:
+    """The members fed by stage n's pieces a..b: piece j-1 feeds member j,
+    so members a+1..min(b+1, n), and piece n feeds A_0, so 0 when
+    a <= b = n (the bool)."""
+    return range(a + 1, min(b + 1, n) + 1), a <= b == n
+
+
+def _whole_piece_mass(record: StageRecord) -> Fraction:
+    """rho * width: the mass of the planted set on any one piece of the
+    stage, one Fraction from its integer geometry."""
+    _, step, den = record.geometry
+    return Fraction(RETAINED.numerator * step, RETAINED.denominator * den)
+
+
 def _first_host(partition: SplittingPartition, member: int) -> FatCantorSet:
-    """The planted set on the first piece feeding A_member: stage n = member
+    """The planted set on the first piece feeding A_member, ``_first_piece``."""
+    record, piece = _first_piece(partition, member)
+    return partition.piece_set(record.n, piece)
+
+
+def _first_piece(partition: SplittingPartition, member: int) -> tuple[StageRecord, int]:
+    """(record, piece): the first piece feeding A_member.  Stage n = member
     hosts member n for n >= 1, and member 0 is reached through the B piece
     of stage 1."""
     n = max(member, 1)
     if partition.stage_count < n:
         raise NotYetCovered(f"no stage hosts member {member} yet", needed_stage=n)
-    return partition.piece_set(n, partition.stage(n).piece_for_member(member))
+    record = partition.stage(n)
+    return record, record.piece_for_member(member)
 
 
 def _not_yet_covered(k: int, window: Interval, complement: bool = False) -> NotYetCovered:

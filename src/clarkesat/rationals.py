@@ -154,14 +154,21 @@ class Interval:
         return before_hi > 0 or before_hi == 0 and self.hi_closed
 
     def contains_interval(self, other: Interval) -> bool:
-        """Set containment, closure-aware."""
-        if other.lo < self.lo or other.hi > self.hi:
+        """Set containment, closure-aware.
+
+        Each pair of ends a/b and c/e, Fraction or int, is compared by the
+        sign of a cross product, as ``contains`` tests a point: other.lo
+        must be past self.lo, or equal to it with other.lo open or self.lo
+        closed, and other.hi before self.hi, or equal likewise.  An end
+        without a numerator and a denominator, a float say, raises
+        AttributeError.
+        """
+        lo, hi, inner_lo, inner_hi = self.lo, self.hi, other.lo, other.hi
+        past_lo = inner_lo.numerator * lo.denominator - lo.numerator * inner_lo.denominator
+        if past_lo < 0 or past_lo == 0 and other.lo_closed and not self.lo_closed:
             return False
-        if other.lo == self.lo and other.lo_closed and not self.lo_closed:
-            return False
-        if other.hi == self.hi and other.hi_closed and not self.hi_closed:
-            return False
-        return True
+        before_hi = hi.numerator * inner_hi.denominator - inner_hi.numerator * hi.denominator
+        return before_hi > 0 or before_hi == 0 and not (other.hi_closed and not self.hi_closed)
 
     def interior(self) -> Interval:
         if not self.is_nontrivial:

@@ -14,27 +14,33 @@ Witness searches walk the built stage records rather than sampling, so
 results are deterministic and hits are guaranteed once the partition
 reaches far enough.  A saturation certificate lists each coordinate
 window's overlapping stages once and finds every member's first whole
-piece in one pass over them; the fingerprint reads one membership per
-witness point and derives every g_k sign from it.  Replaying a saturation
-certificate (``SaturationCertificate.check``) costs one comparison per
-distinct coordinate witness and, for each sign-pattern vertex, one per
-entry plus one or two on its coefficient, and builds no Fraction but -m.
+piece in one pass over them, on the windows' integer ends; its vertices
+pair the sign patterns with the product of each coordinate's two witnesses.
+The fingerprint reads one membership per witness point, a point built from
+its host stage's integer geometry, and derives every g_k sign from it.
+Replaying a saturation certificate (``SaturationCertificate.check``) costs
+one integer sign per distinct coordinate witness and, for each sign-pattern
+vertex, one dictionary lookup and one (numerator, denominator) comparison on
+its coefficient; only an entry other than +-1 takes an exact product.  So a
+certificate answer costs integer work plus the objects it returns: its
+windows, witnesses and vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from typing import Sequence
 
+from .cantor import _children
 from .errors import NotYetCovered
 from .functions import SaturatedFunction, ShiftedSaturatedFunction, _g_sign
-from .partition import SplittingPartition, _first_host, _not_yet_covered, _whole_pieces
+from .partition import RETAINED, SplittingPartition, _first_piece, _not_yet_covered, _whole_pieces
 from .rationals import Interval, ZERO, format_rational, rational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordinateWitness:
     """lambda(A_member within window) >= lower_bound > 0, via one whole piece."""
 
@@ -45,7 +51,7 @@ class CoordinateWitness:
     lower_bound: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexWitness:
     """Positive-measure witness that the gradient value mu_k * vertex occurs."""
 
@@ -119,24 +125,43 @@ class SaturationCertificate:
         other entries take the exact product.  At width 0 each vertex covers
         the empty corner.  The check passes iff 2^width distinct corners are
         covered.
+
+        On integers: a bound is positive when its numerator is, a value is
+        +-m when its reduced (numerator, denominator) pair is m's or -m's,
+        and a corner is its index in product order, so that -c is the index
+        with every bit flipped; the coefficient shared by consecutive
+        vertices is compared once.
         """
         shared = {id(coord): coord for w in self.vertices for coord in w.coordinates}
-        if any(coord.lower_bound <= 0 for coord in shared.values()):
+        if any(coord.lower_bound.numerator <= 0 for coord in shared.values()):
             return False
-        if self.m == 0:
+        if self.m.numerator == 0:
             return True
-        m, minus, width = self.m, -self.m, min(len(self.shift), self.d)
+        plus = self.m.numerator, self.m.denominator
+        minus, n_shift = (-plus[0], plus[1]), len(self.shift)
+        width = min(n_shift, self.d)
 
         def sign(p):  # the c with p = m * c, or 0
-            return 1 if p == m else -1 if p == minus else 0
+            pair = p.numerator, p.denominator
+            return 1 if pair == plus else -1 if pair == minus else 0
 
+        index = dict(zip(product((-1, 1), repeat=width), range(1 << width)))
+        flip = (1 << width) - 1
         covered = set()
+        coefficient, s = None, 0
         for w in self.vertices:
-            if min(len(w.vertex), len(self.shift)) == width:
-                s = sign(w.coefficient)
-                corner = tuple(s * v if v == 1 or v == -1 else sign(w.coefficient * v) for v in w.vertex[:width])
-                if 0 not in corner:
-                    covered.add(corner)
+            if min(len(w.vertex), n_shift) == width:
+                if w.coefficient is not coefficient:
+                    coefficient = w.coefficient
+                    s = sign(coefficient)
+                vertex = w.vertex[:width]
+                i = index.get(vertex)
+                if i is None:  # an entry other than +-1
+                    i = index.get(tuple(s * v if v == 1 or v == -1 else sign(coefficient * v) for v in vertex))
+                    if i is not None:
+                        covered.add(i)
+                elif s or not width:
+                    covered.add(flip ^ i if s < 0 else i)
         return len(covered) == 1 << width
 
     def render(self) -> str:
@@ -198,9 +223,15 @@ def saturation_windows(
 
 
 def _box(x: tuple[Fraction, ...], r: Fraction) -> list[Interval]:
-    """The coordinate windows (x_i - r/d, x_i + r/d) of the box of 1-norm radius r > 0 around x."""
-    half = r / len(x)
-    return [Interval.open(c - half, c + half) for c in x]
+    """The coordinate windows (x_i - r/d, x_i + r/d) of the box of 1-norm radius r > 0 around x.
+
+    With x_i = p/q and r/d = u/v, each end is one Fraction (p*v -+ u*q) / (q*v).
+    """
+    u, v = r.numerator, r.denominator * len(x)
+    return [
+        Interval(Fraction(p * v - u * q, q * v), Fraction(p * v + u * q, q * v), False, False)
+        for p, q in ((c.numerator, c.denominator) for c in x)
+    ]
 
 
 def _check_radius_and_truncation(r: Fraction, K: int) -> None:
@@ -254,20 +285,31 @@ def certify_saturation(
         }
         for window in windows
     ]
+    # Pattern c takes, at coordinate i, the witness of member 2k for c_i = -1
+    # and of 2k+1 for c_i = +1: the patterns in product order pair with the
+    # product of the coordinates' (2k, 2k+1) witness pairs.
+    patterns = list(product((-1, 1), repeat=sf.d))
     vertices = []
     for k in range(K + 1):
-        coeff = sf.mu.coefficient(k)
-        for pattern in product((-1, 1), repeat=sf.d):
-            coords = []
-            for i, v in enumerate(pattern):
-                member = 2 * k + 1 if v > 0 else 2 * k
-                witness = witnesses[i].get(member)
-                if witness is None:
-                    raise _not_yet_covered(member, windows[i])
-                coords.append(witness)
-            vertices.append(VertexWitness(k, coeff, pattern, tuple(coords)))
+        try:
+            pairs = [(found[2 * k], found[2 * k + 1]) for found in witnesses]
+        except KeyError:
+            raise _first_missing(k, witnesses, windows) from None
+        vertices += map(VertexWitness, repeat(k), repeat(sf.mu.coefficient(k)), patterns, product(*pairs))
     m = abs(sf.mu.coefficient(sf.mu.argmax_index(K)))
     return SaturationCertificate(x, r, K, m, tuple(vertices))
+
+
+def _first_missing(k: int, witnesses: list[dict], windows: list[Interval]) -> NotYetCovered:
+    """The error of the first vertex of coefficient k, in pattern order, that
+    lacks a witness: the all-minus pattern comes first, so the first
+    coordinate without member 2k, or else, as the last coordinate flips
+    fastest, the last coordinate without member 2k+1."""
+    lacking = [i for i, found in enumerate(witnesses) if 2 * k not in found]
+    if lacking:
+        return _not_yet_covered(2 * k, windows[lacking[0]])
+    i = max(i for i, found in enumerate(witnesses) if 2 * k + 1 not in found)
+    return _not_yet_covered(2 * k + 1, windows[i])
 
 
 def independence_fingerprint(
@@ -306,8 +348,19 @@ def independence_fingerprint(
 
 def _certified_point(partition: SplittingPartition, member: int) -> Fraction:
     """A point certainly inside A_member: an interior cover endpoint of the
-    planted set on the first piece hosting it."""
-    return _first_host(partition, member).first_piece(1).hi
+    planted set on the first piece hosting it, ``_first_piece``.
+
+    It is ``_first_host(partition, member).first_piece(1).hi``, the right end
+    of the left child of the host, read from the stage's integer geometry by
+    one ``_children`` step on the numerators ``_cover_walk`` gives the host
+    (its ends over 4 * q * den, with rho = p/q, and over 16 * q * den a step
+    down).
+    """
+    record, piece = _first_piece(partition, member)
+    start, step, den = record.geometry
+    lo, p, q = start + piece * step, RETAINED.numerator, RETAINED.denominator
+    (_, hi), _ = _children(4 * q * lo, 4 * q * (lo + step), 4 * (q - p) * step)
+    return Fraction(hi, 16 * q * den)
 
 
 @dataclass(frozen=True)
