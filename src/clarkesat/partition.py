@@ -665,38 +665,41 @@ class SplittingPartition:
         when the built prefix does not reach into the window yet, and
         ValueError when no stage ever will: the window misses (0,1).
 
-        One pass over ``stages_overlapping(window)``, ascending by n, on the
-        window's integer ends: each stage's ``_span_between`` gives its
-        pieces a..b wholly inside, and the pass takes the first stage where
-        ``_members_inside`` names k, as ``_whole_pieces`` does, and the first
-        whole piece of another member (piece a, or a+1 when a feeds k).  It
-        stops once both are found.  A missing k is reported before a missing
-        complement.
+        One pass of ``_whole_spans`` over ``stages_overlapping(window)``:
+        the positive witness is the first stage whose piece for k lies in
+        a..b, and the complement the first whole piece of another member,
+        piece a, or a+1 when a is k's piece and a < b.  The pass stops once
+        both are found.  A missing k is reported before a missing complement.
         """
         if not window.is_nontrivial:
             raise ValueError("window must be nontrivial")
-        lo, hi = window.lo, window.hi
-        p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         positive = complement = None
-        for record in self.stages_overlapping(window):
-            span = _span_between(record, p, q, r, s)
-            if span is None:
-                continue
-            _, _, a, b = span
-            if a > b:
-                continue
-            n = record.n
-            if positive is None:
-                inside, zero = _members_inside(a, b, n)
-                if k in inside or k == 0 and zero:
-                    positive = (n, record.piece_for_member(k), _whole_piece_mass(record))
-            if complement is None:
-                piece = a + 1 if record.member_index(a) == k else a
-                if piece <= b:
-                    complement = (record.member_index(piece), n, piece, _whole_piece_mass(record))
+        for record, a, b in _whole_spans(self.stages_overlapping(window), window):
+            n, mine = record.n, record.piece_for_member(k)
+            if positive is None and mine is not None and a <= mine <= b:
+                positive = (n, mine, _whole_piece_mass(record))
+            if complement is None and (mine != a or a < b):
+                piece = a + 1 if mine == a else a
+                complement = (record.member_index(piece), n, piece, _whole_piece_mass(record))
             if positive is not None and complement is not None:
                 return SplittingCertificate(k, window, *positive, *complement)
         raise _not_yet_covered(k, window, complement=positive is not None)
+
+
+def _whole_spans(overlapping: list[StageRecord], window: Interval) -> Iterator[tuple[StageRecord, int, int]]:
+    """(record, a, b) for each listed stage, in order, whose pieces a..b,
+    a <= b, lie wholly inside the window: the one whole-piece scan.
+
+    The window's ends are read as integers once, and each stage costs one
+    ``_span_between`` on them.  The scan is lazy, so a reader that stops
+    after the stage it needs computes no span past it.
+    """
+    lo, hi = window.lo, window.hi
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    for record in overlapping:
+        span = _span_between(record, p, q, r, s)
+        if span is not None and span[2] <= span[3]:
+            yield record, span[2], span[3]
 
 
 def _whole_pieces(
@@ -707,24 +710,15 @@ def _whole_pieces(
     set on it puts that much of A_member there.
 
     ``overlapping`` is ``partition.stages_overlapping(window)``, listed once
-    for all members.  The window's ends are read as integers once, and each
-    stage's ``_span_between`` on them gives the pieces a..b wholly inside;
-    ``_members_inside`` names the members they feed, so a stage answers
+    for all members.  ``_whole_spans`` gives each stage's whole pieces a..b,
+    and ``_members_inside`` names the members they feed, so a stage answers
     every member still missing at once, by one set intersection, with one
-    bound, ``_whole_piece_mass``.  The scan stops when every member is found;
-    members no built stage covers are absent from the result.
+    bound, ``_whole_piece_mass``.  The scan stops at the stage that finds the
+    last missing member; members no built stage covers are absent from the
+    result.
     """
-    lo, hi = window.lo, window.hi
-    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    missing = set(members)
-    found = {}
-    for record in overlapping:
-        if not missing:
-            break
-        span = _span_between(record, p, q, r, s)
-        if span is None:
-            continue
-        _, _, a, b = span
+    missing, found = set(members), {}
+    for record, a, b in _whole_spans(overlapping, window):
         n = record.n
         inside, zero = _members_inside(a, b, n)
         hits = missing.intersection(inside)
@@ -735,6 +729,8 @@ def _whole_pieces(
             for j in hits:
                 found[j] = (n, j - 1 if j else n, bound)
             missing -= hits
+            if not missing:
+                break
     return found
 
 
@@ -867,9 +863,10 @@ class _WindowMass:
     (``whole``).  The few others each call ``_span_between`` (floor
     division on its ``StageRecord.endpoints``) on the chunk's integer ends,
     (p - m*q)/q and (r - m*s)/s for the window [p/q, r/s] and chunk m,
-    clamped to 0/1 and 1/1 (``_chunk_ends``).  The at most two pieces per
-    stage and chunk straddling a chunk edge are kept as ``straddlers`` (set,
-    chunk, member) for ``_depths``, the one depth loop, which re-measures
+    clamped to 0/1 and 1/1 (``_chunk_ends``); ``_members_inside`` names the
+    members its whole pieces feed.  The at most two pieces per stage and
+    chunk straddling a chunk edge are kept as ``straddlers`` (set, chunk,
+    member) for ``_depths``, the one depth loop, which re-measures
     only them; the chunk's ``Interval``, ``_unit_chunk``'s, is built once
     for them.  A member without one keeps its exact mass, an integer over
     ``den`` until ``bounded`` bounds it.  ``length`` is the window's length.
@@ -881,8 +878,8 @@ class _WindowMass:
     windows on the 2^-12 grid a scan visits about 1 to 4 positions at 100 to
     500 stages and 34 at 4000, at most 386 there, inside stage 1's closure,
     which holds 385 nested gaps.  O(1) per chunk for each ``step``;
-    for ``exact`` up to member j, O(min(j, gaps starting in the chunk)) per
-    chunk and a sort of the entries found; O(1) per chunk and per straddled
+    for ``exact`` up to member j, O(j) position checks per chunk and one
+    sort of the entries found; O(1) per chunk and per straddled
     entry for ``weighted``; then per depth O(1) integer pieces per
     straddler, one step of its ``cantor._MeasureSteps`` walk.  The
     partition's prefix sums cost O(N) once (``_forest``).
@@ -909,7 +906,6 @@ class _WindowMass:
         self.straddlers: list[tuple[FatCantorSet, Interval, int]] = []
         self._chunks: list[tuple[int, int, list[int]]] = []  # _meeting's range and the gaps in it passing hi
         self._steps = steps = defaultdict(int)  # the difference array less the whole gaps' entries past 1
-        self._entries: tuple[int, list[tuple[int, int]]] = (-1, [])  # exact's, up to a member
         total = 0
         self._by_lo, grid = partition._by_lo, partition._den
         window_lo, window_hi = _inward(window, grid)
@@ -928,15 +924,16 @@ class _WindowMass:
                 if span is None:
                     continue
                 first, last, a, b = span
-                top = min(b, n - 1)
-                if a <= top:
-                    total += mass * (top - a + 1)
-                    steps[a + 1] += mass
-                    steps[top + 2] -= mass
+                inside, _ = _members_inside(a, b, n)
+                if inside:
+                    total += mass * len(inside)
+                    steps[inside.start] += mass
+                    steps[inside.stop] -= mass
                 for piece in {first, last}:
-                    if not a <= piece <= b and piece < n:
+                    member = record.member_index(piece)
+                    if member and not a <= piece <= b:
                         chunk = chunk or _unit_chunk(window, m)
-                        self.straddlers.append((partition.piece_set(n, piece), chunk, piece + 1))
+                        self.straddlers.append((partition.piece_set(n, piece), chunk, member))
         steps[1] += self.whole(self._sums)
         self.total = total + self.whole(moments)
 
@@ -962,22 +959,18 @@ class _WindowMass:
         """Each member's whole-piece mass, a numerator over ``den``: a prefix
         sum of ``step``, which is 0 past member N + 1.
 
-        The difference array's entries up to the largest member j are found
-        once and serve every later call up to j: each chunk's whole gaps of
-        stages below j come from the stage positions or from the chunk's
-        index range, whichever is shorter, and one sort orders the entries.
+        Up to the largest member j, each chunk's whole gaps of stages below j
+        are found by walking those stages' positions, and one sort orders
+        the difference array's entries.
         """
         top = min(max(members, default=0), len(self._position) + 1)
-        if self._entries[0] < top:
-            entries, sums, by_lo = defaultdict(int, self._steps), self._sums, self._by_lo
-            for start, stop, inner in self._chunks:
-                gaps = (zip(self._position[:top - 1], range(1, top)) if top - 1 <= stop - start
-                        else ((i, by_lo[i].n) for i in range(start, stop)))
-                for i, n in gaps:
-                    if start <= i < stop and n < top and i not in inner:
-                        entries[n + 1] -= sums[i + 1] - sums[i]
-            self._entries = top, sorted(entries.items())
-        exact, running, at, entries = {}, 0, 0, self._entries[1]
+        below = self._position[:max(top - 1, 0)]  # the positions of stages 1..top-1
+        entries, sums = defaultdict(int, self._steps), self._sums
+        for start, stop, inner in self._chunks:
+            for n, i in enumerate(below, 1):
+                if start <= i < stop and i not in inner:
+                    entries[n + 1] -= sums[i + 1] - sums[i]
+        exact, running, at, entries = {}, 0, 0, sorted(entries.items())
         for member in sorted(members):
             while at < len(entries) and entries[at][0] <= member:
                 running += entries[at][1]

@@ -111,10 +111,10 @@ class SaturationCertificate:
         """Replay the certificate: positivity plus exact hull containment.
 
         Every coordinate bound must be positive, which makes every product
-        set positive too; a witness shared by vertices is tested once.
-        Unless m = 0, every corner shift + m * c of the claimed cube, c in
-        {-1, 1}^d, must be a certified value; a certified value
-        shift + coefficient * vertex is a corner only when |coefficient| = m.
+        set positive too.  Unless m = 0, every corner shift + m * c of the
+        claimed cube, c in {-1, 1}^d, must be a certified value; a certified
+        value shift + coefficient * vertex is a corner only when
+        |coefficient| = m.
 
         Corner rule: values and corners pair with the shift, so with
         width = min(len(shift), d) only a vertex with
@@ -132,8 +132,7 @@ class SaturationCertificate:
         with every bit flipped; the coefficient shared by consecutive
         vertices is compared once.
         """
-        shared = {id(coord): coord for w in self.vertices for coord in w.coordinates}
-        if any(coord.lower_bound.numerator <= 0 for coord in shared.values()):
+        if any(coord.lower_bound.numerator <= 0 for w in self.vertices for coord in w.coordinates):
             return False
         if self.m.numerator == 0:
             return True

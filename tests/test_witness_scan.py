@@ -1,4 +1,5 @@
-"""Witness searches against a brute-force reference at N = 500.
+"""Witness searches against a brute-force reference at N = 500, and
+splitting certificates on drawn windows at N = 2000.
 
 The reference takes, for each member, the first built stage by ascending n
 whose ``piece_host`` for that member lies inside the window, scanning every
@@ -13,6 +14,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clarkesat.errors import NotYetCovered
 from clarkesat.functions import FiniteSupport, SaturatedFunction, eval_g
@@ -142,6 +145,109 @@ def test_splitting_certificates_on_enumerated_windows_match_the_reference(p500):
                 assert cert == expected
                 covered += 1
     assert covered >= 40 and uncovered >= 5
+
+
+@pytest.fixture(scope="module")
+def builds():
+    """2000 stages, past the first depth-8 dig, and 300 with gap_cap 1/3."""
+    return {"build_2000": build_partition(2000), "gap_cap_1/3": build_partition(300, Fraction(1, 3))}
+
+
+def _reference_splitting(partition, k, window):
+    """The splitting certificate, or its error as (type, message, needed_stage):
+    NotYetCovered names k, or with k found "a member other than k", unless
+    first_index_inside's size bound raises ValueError first."""
+    positive = _reference_piece(partition, k, window)
+    complement = _reference_complement(partition, k, window)
+    if positive is not None and complement is not None:
+        return SplittingCertificate(k, window, *positive, *complement)
+    try:
+        message, needed = _reference_error(k, window)
+    except ValueError as exc:
+        return ValueError, str(exc), None
+    if positive is not None:
+        message = message.replace(f"member {k}", f"a member other than {k}", 1)
+    return NotYetCovered, message, needed
+
+
+def _splitting_outcome(partition, k, window):
+    try:
+        return partition.splitting_certificate(k, window)
+    except NotYetCovered as exc:
+        return NotYetCovered, str(exc), exc.needed_stage
+    except ValueError as exc:
+        return ValueError, str(exc), None
+
+
+def _assert_splitting_matches(partition, k, window):
+    expected = _reference_splitting(partition, k, window)
+    assert _splitting_outcome(partition, k, window) == expected, (k, window)
+    return expected
+
+
+def _inside_piece(record, i, t):
+    """The point a fraction t, 0 < t < 1, across piece i of the stage."""
+    nums, den = record.endpoints()
+    return (nums[i] + t * (nums[i + 1] - nums[i])) / den
+
+
+def _drawn_point(data, record):
+    """(piece, point): a point strictly inside a drawn piece of the stage."""
+    piece = data.draw(st.integers(0, record.n), label="piece")
+    v = data.draw(st.integers(2, 16), label="v")
+    return piece, _inside_piece(record, piece, Fraction(data.draw(st.integers(1, v - 1), label="u"), v))
+
+
+# An example costs up to about 70 ms at 2000 stages: the references build a
+# Fraction host per stage, and first_index_inside runs for each error.
+@pytest.mark.parametrize("build", ("build_2000", "gap_cap_1/3"))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_splitting_certificates_on_drawn_windows_match_the_reference(builds, build, data):
+    """Windows whose ends lie inside pieces, both of one stage or the second
+    of another, closed, open or half-open."""
+    partition = builds[build]
+    stages = st.integers(1, partition.stage_count)
+    record = partition.stage(data.draw(stages, label="stage"))
+    piece, lo = _drawn_point(data, record)
+    same = data.draw(st.booleans(), label="same stage")
+    _, hi = _drawn_point(data, record if same else partition.stage(data.draw(stages, label="other stage")))
+    assume(lo != hi)
+    lo, hi = sorted((lo, hi))
+    window = Interval(lo, hi, data.draw(st.booleans(), label="lo closed"), data.draw(st.booleans(), label="hi closed"))
+    count = partition.stage_count
+    k = data.draw(st.sampled_from((0, 1, 2, record.member_index(piece), record.n, count, count + 1, count + 3)),
+                  label="k")
+    _assert_splitting_matches(partition, k, window)
+
+
+def test_splitting_certificates_on_one_or_two_whole_pieces_match_the_reference(builds):
+    """Windows inside a stage's gap, where that stage has the first whole
+    pieces a..b: k's piece a with b = a + 1, where the complement is piece
+    a + 1; b = a, where k's piece leaves the complement to a later stage;
+    and member 0 through the B piece, alone or after piece n - 1."""
+    half = Fraction(1, 2)
+    for partition in builds.values():
+        for n in (3, 64, 300):
+            record = partition.stage(n)
+            two = Interval.open(_inside_piece(record, 0, half), _inside_piece(record, 3, half))
+            cert = _assert_splitting_matches(partition, record.member_index(1), two)
+            assert (cert.stage, cert.piece, cert.complement_stage, cert.complement_piece) == (n, 1, n, 2)
+            one = Interval.closed(_inside_piece(record, 0, half), _inside_piece(record, 2, half))
+            _assert_splitting_matches(partition, record.member_index(0), one)
+            expected = _assert_splitting_matches(partition, record.member_index(1), one)
+            if isinstance(expected, SplittingCertificate):
+                assert (expected.stage, expected.piece) == (n, 1) and expected.complement_stage > n
+            else:
+                assert expected[0] is ValueError or expected[1].startswith("no stage covers a member other than")
+            for first in (n - 1, n - 2):
+                window = Interval(_inside_piece(record, first, half), record.gap.hi, False, True)
+                expected = _assert_splitting_matches(partition, 0, window)
+                if isinstance(expected, SplittingCertificate):
+                    assert (expected.stage, expected.piece) == (n, n)
+                    assert first == n - 1 or (expected.complement_stage, expected.complement_piece) == (n, n - 1)
+                else:
+                    assert first == n - 1 and (expected[0] is ValueError or "a member other than 0" in expected[1])
 
 
 @pytest.mark.parametrize("K", range(2, 9))
