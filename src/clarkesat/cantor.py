@@ -367,22 +367,37 @@ def find_gap(
     cover pieces that meet the target; once it fails, a try walks only those
     that meet the room, the parts of the target outside the blocked
     intervals (``_rooms``), where any gap lies.  A try merges the blocked
-    closures and walked pieces as integers for ``_longest_room``.  How the
-    build picks the prior sets and blocked ones: the partition's "Gap search".
+    closures and walked pieces as integers for ``_room``.  How the build
+    picks the prior sets and blocked ones: the partition's "Gap search".
     """
+    ends, depth = _find_gap(prior, target, [_span(b) for b in blocked])
+    return _open(*ends), depth
+
+
+def _find_gap(
+    prior: list[FatCantorSet], target: Interval, closures: list[tuple[int, int, int]]
+) -> tuple[tuple[int, int, int, int], int]:
+    """``find_gap``'s search on the blocked closures' spans; the gap comes
+    back as its ``_room`` ends (p, q, r, s), the interval (p/q, r/s)."""
     if not target.is_nontrivial:
         raise ValueError("target must be nontrivial")
-    closures = [_span(b) for b in blocked]
+    lo, hi = target.lo, target.hi
+    ends = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     relevant = [c for c in prior if target.overlaps_nontrivially(c.host)]
-    room = [(target.lo, target.hi)]
+    room = [(lo, hi)]
     for depth in _GAP_DEPTHS if relevant else (0,):
-        covers = [piece[:3] for c in relevant for lo, hi in room for piece in c._walk(lo, hi, depth)]
-        best = _longest_room(*_merged(closures + covers), target)
+        covers = [piece[:3] for c in relevant for a, b in room for piece in c._walk(a, b, depth)]
+        best = _room(*_merged(closures + covers), *ends)
         if best is not None:
             return best, depth
         if depth == 1 and not (room := _rooms(*_merged(closures), target)):
             break  # no depth can expose a gap
     raise RuntimeError(f"no gap inside {target} avoids the blocked intervals and prior covers")
+
+
+def _open(p: int, q: int, r: int, s: int) -> Interval:
+    """The open interval (p/q, r/s)."""
+    return Interval.open(Fraction(p, q), Fraction(r, s))
 
 
 def _span(interval: Interval) -> tuple[int, int, int]:
@@ -393,29 +408,41 @@ def _span(interval: Interval) -> tuple[int, int, int]:
 
 
 def _merged(spans: list[tuple[int, int, int]]) -> tuple[list[int], list[int], int]:
-    """``_longest_room``'s (los, reach, den) for closed spans (lo, hi, den)."""
+    """``_room``'s (los, reach, den) for closed spans (lo, hi, den)."""
     den = lcm(*{d for _, _, d in spans})
     ends = sorted((lo * (den // d), hi * (den // d)) for lo, hi, d in spans)
     return [lo for lo, _ in ends], list(accumulate([hi for _, hi in ends], max)), den
 
 
 def _longest_room(los: list[int], reach: list[int], den: int, target: Interval) -> Interval | None:
-    """The longest part of the target outside closed obstructions, leftmost on
-    ties, as an open interval whatever the target's flags; None if none.
+    """``_room`` of the target's ends as an open interval, whatever the
+    target's flags; None if none.  It serves
+    ``SplittingPartition._longest_free``, which takes an ``Interval``; the
+    build's loop calls ``_room`` on I_n's integer ends, two bisections and
+    one max that build no ``Fraction``."""
+    lo, hi = target.lo, target.hi
+    room = _room(los, reach, den, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return None if room is None else _open(*room)
+
+
+def _room(los: list[int], reach: list[int], den: int, a: int, b: int, e: int, f: int
+          ) -> tuple[int, int, int, int] | None:
+    """The longest part of the target (a/b, e/f), b, f > 0, outside closed
+    obstructions, leftmost on ties, as the ends (p, q, r, s) of (p/q, r/s),
+    each the target's own or an obstruction's over den; None if none.
 
     The room rule: obstruction i is [los[i], his[i]] over den, sorted by
     left end, and reach is the running max of the his, so every obstruction
     before i ends by reach[i-1] and los[i] - reach[i-1], when positive, is
     the room just left of i.  Two bisections find the obstructions that can
     meet the target and one max the longest inner room; the edge rooms join
-    it as integers, times den and the target's denominators.
+    it as integers, times den and the target's denominators.  No ``Fraction``
+    is built, and the ends come back unreduced.
     """
-    lo, hi = target.lo, target.hi
-    a, b, e, f = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     first = bisect_right(reach, a * den // b)
     stop = bisect_left(los, -(-e * den // f))
     if first == stop:
-        return Interval.open(lo, hi)
+        return a, b, e, f
     rooms = [((los[first] * b - a * den) * f, None, first)]  # (scaled length, reach index, los index)
     if stop - first > 1:
         inner = list(map(sub, los[first + 1:stop], reach[first:stop - 1]))
@@ -425,11 +452,13 @@ def _longest_room(los: list[int], reach: list[int], den: int, target: Interval) 
     length, i, j = max(rooms, key=itemgetter(0))  # the first of equals
     if length <= 0:
         return None
-    return Interval.open(lo if i is None else Fraction(reach[i], den), hi if j is None else Fraction(los[j], den))
+    p, q = (a, b) if i is None else (reach[i], den)
+    r, s = (e, f) if j is None else (los[j], den)
+    return p, q, r, s
 
 
 def _rooms(los: list[int], reach: list[int], den: int, target: Interval) -> list[tuple[Fraction, Fraction]]:
-    """The positive-length parts of the target outside ``_longest_room``'s obstructions, as (lo, hi)."""
+    """The positive-length parts of the target outside ``_room``'s obstructions, as (lo, hi)."""
     lo, hi = target.lo, target.hi
     first = bisect_right(reach, lo.numerator * den // lo.denominator)
     stop = bisect_left(los, -(-hi.numerator * den // hi.denominator))

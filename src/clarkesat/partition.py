@@ -42,20 +42,30 @@ dyadic grid 2^-(j+4): with c = floor(midpoint * 2^(j+4)) the gap is
 length >= 2^-j, shrink factor 1/3, snap distance 2^-j/16) keeps the gap
 strictly inside the free interval.  The snapping keeps endpoint
 denominators at O(n) bits after n stages.  Stage tails are summable: sum
-of gap lengths over n > N is at most 2^-N.
+of gap lengths over n > N is at most 2^-N.  ``_gap_span`` applies the rule
+to the free interval's integer ends: it picks the minimum by
+cross-multiplying, passes it to ``_halving_exponent`` as a ``Fraction``,
+built only when it is not gap_cap itself, and returns the gap's span, the
+integers a ``StageRecord`` holds.
 
 Gap search.  The free interval avoids the closures of all earlier gaps when
 they leave room in I_n.  One gap index serves this search and every window
 query: the gaps sorted by left end, with both ends and the running max of
 the right ends as integers over one common denominator.  The room scan
-``cantor._longest_room`` reads the longest free part of I_n from it, and a
-window query rounds its two ends once.  When the closures tile I_n (from
-stage 37 on at gap_cap 1), ``cantor.find_gap`` digs the gap into a removed
-middle of the earliest stage whose closure meets I_n, the other closures
-blocked, certified at ``depth_used``.  The nesting rule makes that stage
-the host: a depth-0 closure touches no earlier one and a dug gap lies
-strictly inside its removed middle, so closures are disjoint or nested, the
-later inside, and the one maximal closure holding I_n came first.
+``cantor._room`` reads the longest free part of I_n from it, taking I_n's
+ends and giving the room's as integers, and a window query rounds its two
+ends once.  So a stage that finds room builds no ``Interval`` and at most
+one ``Fraction`` from I_n to its record: ``build_partition(500)`` takes
+about 14 ms, 28 us a stage, mostly in the room scan, ``_gap_span`` and
+``_add`` (2-core shared machine, CPython 3.11.7).  When the closures tile
+I_n (from stage 37 on at gap_cap 1), ``cantor._find_gap`` digs the gap
+into a removed middle of the earliest stage whose closure meets I_n, the
+other closures blocked by their spans, certified at ``depth_used``; only
+such a stage builds its target and the host's pieces as objects.  The
+nesting rule makes that stage the host: a depth-0 closure touches no
+earlier one and a dug gap lies strictly inside its removed middle, so
+closures are disjoint or nested, the later inside, and the one maximal
+closure holding I_n came first.
 """
 
 from __future__ import annotations
@@ -72,8 +82,8 @@ from operator import attrgetter, ge, mul
 from typing import Callable, Iterable, Iterator
 from weakref import WeakKeyDictionary
 
-from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound, find_gap
-from .cantor import _GAP_DEPTHS, _MeasureSteps, _containment, _cover_walk, _longest_room, _span
+from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound
+from .cantor import _GAP_DEPTHS, _MeasureSteps, _containment, _cover_walk, _find_gap, _longest_room, _open, _room, _span
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
@@ -182,10 +192,6 @@ def _enumeration(n: int) -> Iterator[Interval]:
     return (_open(*ends) for ends in _enumeration_ends(n))
 
 
-def _open(p: int, q: int, r: int, s: int) -> Interval:
-    return Interval.open(Fraction(p, q), Fraction(r, s))
-
-
 def enumerated_interval(n: int) -> Interval:
     """The n-th interval (1-based) of the interleaved enumeration."""
     return next(_enumeration(n))
@@ -288,9 +294,10 @@ class StageRecord:
     """Stage n: the certified gap inside I_n and its n+1 planted pieces.
 
     A record holds its gap's integer span (a, b, d), ``_span(gap)``, which
-    the gap index, ``geometry`` and the load check read.  A load builds the
-    record from a stage line's integers (``_from_span``), and the gap
-    ``Interval`` is then built from the span on first read.  ``==``, ``hash``
+    the gap index, ``geometry``, ``saves`` and the load check read.  A build
+    makes the record from the span ``_gap_span`` gives, and a load from a
+    stage line's integers (``_from_span``); the gap ``Interval`` is then
+    built from the span on first read.  ``==``, ``hash``
     and ``repr`` are over (n, gap, depth_used).
     """
 
@@ -515,23 +522,29 @@ class SplittingPartition:
         """``_longest_room`` over the gap closures."""
         return _longest_room(self._los, self._reach, self._den, target)
 
-    def _free_subinterval(self, target: Interval) -> tuple[Interval, int]:
-        """Longest open subinterval of target avoiding all planted sets, and the dig depth.
+    def _free_subinterval(self, ends: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], int]:
+        """Longest open subinterval of the target (p/q, r/s) avoiding all
+        planted sets, as its ends in the same form, and the dig depth.
 
         Depth 0 avoids the closures of the built gaps, which hold every
-        planted set: ``_longest_free`` finds the longest part of the target
-        outside them from the gap index.  When they tile the target,
-        ``find_gap`` digs into the host that "Gap search" above names: its
-        removed middles minus the finitely many closed gaps nested in them
-        leave room at some finite depth.
+        planted set: ``cantor._room`` finds the longest part of the target
+        outside them from the gap index, on integers, in two bisections and
+        one max over the closures inside the target, with no ``Fraction``
+        or ``Interval`` built.  When they tile the target, ``_find_gap``
+        digs into the host that "Gap search" above names, the other
+        closures blocked by their ``_span``s: its removed middles minus the
+        finitely many closed gaps nested in them leave room at some finite
+        depth.  Only a dig builds the target ``Interval`` and the host's
+        pieces.
         """
-        best = self._longest_free(target)
-        if best is not None:
-            return best, 0
+        room = _room(self._los, self._reach, self._den, *ends)
+        if room is not None:
+            return room, 0
+        target = _open(*ends)
         host, *nested = self.stages_overlapping(target)
-        first, last, _, _ = _piece_span(host, target)
+        first, last, _, _ = _span_between(host, *ends)
         pieces = [self.piece_set(host.n, i) for i in range(first, last + 1)]
-        return find_gap(pieces, target, tuple(r.gap.closure() for r in nested))
+        return _find_gap(pieces, target, [r._span for r in nested])
 
     def _stage_masses(self) -> tuple[int, list[int]]:
         """(den, masses): stage n's whole-piece mass RETAINED * piece_width is
@@ -663,7 +676,11 @@ class SplittingPartition:
         Searches built stages for whole planted pieces inside the window.
         Raises NotYetCovered (with the stage count that will surely suffice)
         when the built prefix does not reach into the window yet, and
-        ValueError when no stage ever will: the window misses (0,1).
+        ValueError when no stage ever will: the window misses (0,1).  When
+        the prefix does not cover a window narrower than about 2^-55,
+        sizing that stage count hits ``first_index_inside``'s size bound,
+        so that ValueError ("past the search's size bound") is raised in
+        place of NotYetCovered.
 
         One pass of ``_whole_spans`` over ``stages_overlapping(window)``:
         the positive witness is the first stage whose piece for k lies in
@@ -1111,28 +1128,54 @@ def build_partition(stages: int, gap_cap: Fraction = ONE) -> SplittingPartition:
 def extend_partition(partition: SplittingPartition, stages: int) -> SplittingPartition:
     """Deterministic continuation; extend(build(N), M) equals build(M).
 
-    Returns a new partition; the one passed in is left as it was.
+    Returns a new partition; the one passed in is left as it was.  Each
+    stage runs on integers from end to end: I_n's ends from
+    ``_enumeration_ends``, the room from ``_free_subinterval``, the gap's
+    span from ``_gap_span``, and a record from that span, whose gap
+    ``Interval`` is built only when something reads it.  A stage builds at
+    most one ``Fraction``, the bound ``_halving_exponent`` reads; a dig stage also
+    builds its target, the host's pieces and the cover walk's numbers.
     """
     if stages <= partition.stage_count:
         return partition
     grown = SplittingPartition(partition.gap_cap, partition.stages, partition.translation)
     start = partition.stage_count + 1
-    for n, target in zip(range(start, stages + 1), _enumeration(start)):
+    for n, target in zip(range(start, stages + 1), _enumeration_ends(start)):
         found, depth_used = grown._free_subinterval(target)
-        grown._add(StageRecord(n, _shrink_gap(found, n, grown.gap_cap), depth_used))
+        grown._add(StageRecord._from_span(n, _gap_span(*found, n, grown.gap_cap), depth_used))
     return grown
 
 
 def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
-    """The gap (j, c) of "Gap sizing" above, c read from the found interval's ends a/b < e/d."""
-    j = _halving_exponent(min(found.length, Fraction(1, 2**n), gap_cap))
-    a, b, e, d = found.lo.numerator, found.lo.denominator, found.hi.numerator, found.hi.denominator
+    """The gap of "Gap sizing" above inside the found interval: ``_gap_span``
+    of its ends."""
+    lo, hi = found.lo, found.hi
+    a, b, d = _gap_span(lo.numerator, lo.denominator, hi.numerator, hi.denominator, n, gap_cap)
+    return _open(a, d, b, d)
+
+
+def _gap_span(a: int, b: int, e: int, d: int, n: int, gap_cap: Fraction) -> tuple[int, int, int]:
+    """The span, as ``_span`` gives it, of the gap (j, c) of "Gap sizing"
+    above inside the found interval (a/b, e/d), b, d > 0.
+
+    The bound for j is the least of the length (e*b - a*d)/(b*d), 2^-n and
+    gap_cap, picked by cross-multiplying; only it is passed to
+    ``_halving_exponent``, as a ``Fraction``.  The gap's ends 3c - 8 and
+    3c + 8 over 3*2^(j+4) are reduced by their one ``gcd`` with that
+    denominator, which gives ``_span``'s lcm of the reduced ends'
+    denominators.
+    """
+    num, den = e * b - a * d, b * d
+    if num << n > den:
+        num, den = 1, 1 << n
+    p, q = gap_cap.numerator, gap_cap.denominator
+    j = _halving_exponent(gap_cap if num * q > p * den else Fraction(num, den))
     c = ((a * d + e * b) << j + 3) // (b * d)
-    lo, hi, den = 3 * c - 8, 3 * c + 8, 3 << j + 4
-    gap = Interval.open(Fraction(lo, den), Fraction(hi, den))
-    if not (a * den < lo * b and hi * d < e * den):
-        raise AssertionError(f"gap {gap} escaped its free interval {found}")
-    return gap
+    lo, hi, grid = 3 * c - 8, 3 * c + 8, 3 << j + 4
+    if not (a * grid < lo * b and hi * d < e * grid):
+        raise AssertionError(f"gap {_open(lo, grid, hi, grid)} escaped its free interval {_open(a, b, e, d)}")
+    g = gcd(lo, hi, grid)
+    return lo // g, hi // g, grid // g
 
 
 # ---------------------------------------------------------------------------
@@ -1167,8 +1210,8 @@ def saves(partition: SplittingPartition, *, version: int = 1) -> str:
         f" stages={partition.stage_count}",
     ]
     for record in partition.stages:
-        gap = f"{format_rational(record.gap.lo)},{format_rational(record.gap.hi)}"
-        line = f"n={record.n} gap={gap} depth={record.depth_used}"
+        a, b, d = record._span
+        line = f"n={record.n} gap={_reduced(a, d)},{_reduced(b, d)} depth={record.depth_used}"
         lines.append(" ".join([line, *_set_records(record)]) if version == 1 else line)
     if version == 2:
         lines.append(f"sha256={_digest(lines[2:])}")
@@ -1196,12 +1239,15 @@ def _set_records(record: StageRecord) -> list[str]:
     the integer form of ``StageRecord.endpoints``.
     """
     nums, den = record.endpoints()
-    ends = []
-    for num in nums:
-        g = gcd(num, den)
-        ends.append(f"{num // g}/{den // g}")
+    ends = [_reduced(num, den) for num in nums]
     kinds = [f"T {i + 1}" for i in range(record.n)] + ["B"]
     return [f"{kind} {lo},{hi} {CANONICAL_SCHEDULE}" for kind, lo, hi in zip(kinds, ends, ends[1:])]
+
+
+def _reduced(num: int, den: int) -> str:
+    """num/den, den > 0, as ``format_rational`` writes it, reduced by one ``gcd``."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def loads(text: str, stages: int | None = None) -> SplittingPartition:
@@ -1547,7 +1593,13 @@ def splitting_certificate(p: SplittingPartition, k: int, window: Interval) -> Sp
 def splitting_certificate_auto(
     p: SplittingPartition, k: int, window: Interval
 ) -> tuple[SplittingCertificate, SplittingPartition]:
-    """Certificate with automatic stage extension; returns the grown partition."""
+    """Certificate with automatic stage extension; returns the grown partition.
+
+    Extends only on NotYetCovered, so on a window narrower than about 2^-55
+    that the prefix does not cover it raises the ValueError of
+    ``first_index_inside``'s size bound ("past the search's size bound")
+    without extending.
+    """
     while True:
         try:
             return p.splitting_certificate(k, window), p

@@ -4,7 +4,8 @@ A load builds each canonical line's ``StageRecord`` from the integers of the
 line (``StageRecord._from_span``), and the gap ``Interval`` only on first
 read.  Such a record must be indistinguishable from ``StageRecord(n, gap,
 depth_used)`` over the same gap, and a loaded partition's gap index equal to
-the one ``SplittingPartition`` builds over the records of a build.
+the one ``SplittingPartition`` builds over the records of a build.  A build
+makes its records from integer spans too, and must equal a Fraction loop.
 """
 
 from dataclasses import FrozenInstanceError
@@ -12,17 +13,21 @@ from fractions import Fraction
 
 import pytest
 
-from clarkesat.cantor import _span
+from clarkesat.cantor import _span, find_gap
 from clarkesat.partition import (
     SplittingPartition,
     StageRecord,
     _canonical_stage,
     _parse_stage_line,
+    _piece_span,
+    _shrink_gap,
     build_partition,
+    enumerated_interval,
+    extend_partition,
     loads,
     saves,
 )
-from clarkesat.rationals import Interval
+from clarkesat.rationals import Interval, format_rational
 
 F = Fraction
 
@@ -84,3 +89,45 @@ def test_a_loaded_index_equals_the_one_built_over_the_gaps():
         assert [r.n for r in loaded._by_lo] == [r.n for r in over_gaps._by_lo]
     # Gaps that meet no earlier one are checked without building their Interval.
     assert not any("gap" in record.__dict__ for record in loads(text, 36).stages)
+
+
+def _reference_extend(partition, stages):
+    """``extend_partition`` as a Fraction loop over ``Interval``s: I_n from
+    ``enumerated_interval``, the room from ``_longest_free`` or a dig by
+    ``find_gap`` with the nested gaps' closures blocked, then
+    ``_shrink_gap`` and ``StageRecord(n, gap, depth)``."""
+    grown = SplittingPartition(partition.gap_cap, partition.stages, partition.translation)
+    for n in range(partition.stage_count + 1, stages + 1):
+        target = enumerated_interval(n)
+        found, depth = grown._longest_free(target), 0
+        if found is None:
+            host, *nested = grown.stages_overlapping(target)
+            first, last, _, _ = _piece_span(host, target)
+            pieces = [grown.piece_set(host.n, i) for i in range(first, last + 1)]
+            found, depth = find_gap(pieces, target, tuple(r.gap.closure() for r in nested))
+        grown._add(StageRecord(n, _shrink_gap(found, n, grown.gap_cap), depth))
+    return grown
+
+
+def _assert_same_build(built, reference):
+    assert built.stages == reference.stages
+    for name in ("_den", "_los", "_his", "_reach"):
+        assert getattr(built, name) == getattr(reference, name), name
+    for record in built.stages:
+        assert record._span == _span(record.gap), record.n
+    # saves writes each gap end from the span: the same bytes as from the gap.
+    lines = saves(built, version=2).splitlines()[2:-1]
+    assert lines == [f"n={r.n} gap={format_rational(r.gap.lo)},{format_rational(r.gap.hi)} depth={r.depth_used}"
+                     for r in reference.stages]
+
+
+# (cap, dug stages of the 200): every cap but the smallest digs past the
+# 120-stage prefix, and 5/2^33 sets j by the cap up to stage 30.
+@pytest.mark.parametrize("cap, dug", [(F(1), 17), (F(1, 3), 4), (F(5, 7), 17), (F(1, 8), 3), (F(5, 2**33), 0)],
+                         ids=str)
+def test_the_integer_build_matches_the_fraction_loop(cap, dug):
+    built = build_partition(200, cap)
+    assert sum(record.depth_used > 0 for record in built.stages) == dug
+    _assert_same_build(built, _reference_extend(SplittingPartition(cap, ()), 200))
+    prefix = loads(saves(built, version=2), 120)
+    _assert_same_build(extend_partition(prefix, 200), _reference_extend(prefix, 200))

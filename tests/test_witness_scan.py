@@ -11,6 +11,7 @@ membership.
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -26,6 +27,7 @@ from clarkesat.partition import (
     build_partition,
     enumerated_interval,
     first_index_inside,
+    splitting_certificate_auto,
 )
 from clarkesat.rationals import Interval
 from clarkesat.verifier import (
@@ -248,6 +250,18 @@ def test_splitting_certificates_on_one_or_two_whole_pieces_match_the_reference(b
                     assert first == n - 1 or (expected.complement_stage, expected.complement_piece) == (n, n - 1)
                 else:
                     assert first == n - 1 and (expected[0] is ValueError or "a member other than 0" in expected[1])
+
+
+def test_an_uncovered_window_past_the_size_bound_raises_value_error(p500):
+    """The middle half of stage 100's piece 50, about 1.3e-33 wide, which no
+    stage of 500 covers: sizing the needed stage count hits
+    ``first_index_inside``'s size bound, so both calls raise its ValueError,
+    not NotYetCovered, and the automatic extension gives up."""
+    host = p500.stage(100).piece_host(50)
+    window = Interval.closed(host.lo + host.length / 4, host.hi - host.length / 4)
+    for certify in (p500.splitting_certificate, partial(splitting_certificate_auto, p500)):
+        with pytest.raises(ValueError, match=r"may be a pair of weight above 65536, past the search's size bound$"):
+            certify(50, window)
 
 
 @pytest.mark.parametrize("K", range(2, 9))
