@@ -18,12 +18,14 @@ piece in one pass over them, on the windows' integer ends; its vertices
 pair the sign patterns with the product of each coordinate's two witnesses.
 The fingerprint reads one membership per witness point, a point built from
 its host stage's integer geometry, and derives every g_k sign from it.
-Replaying a saturation certificate (``SaturationCertificate.check``) costs
-one integer sign per distinct coordinate witness and, for each sign-pattern
-vertex, one dictionary lookup and one (numerator, denominator) comparison on
-its coefficient; only an entry other than +-1 takes an exact product.  So a
-certificate answer costs integer work plus the objects it returns: its
-windows, witnesses and vertices.
+``certify_saturation`` keeps its witness table, each window's member ->
+(stage, piece, bound) dict and the rows (k, mu_k), and builds the
+(K + 1) * 2^d vertices from it only when they are first read.  Replaying
+the certificate (``SaturationCertificate.check``) reads the table: one
+integer sign per coordinate bound and one (numerator, denominator)
+comparison per row.  So a certify + check answer costs the window listing
+plus O(d * K) integer work, and no object per vertex until something, such
+as ``render``, reads them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Sequence
 from .cantor import _children
 from .errors import NotYetCovered
 from .functions import SaturatedFunction, ShiftedSaturatedFunction, _g_sign
-from .partition import RETAINED, SplittingPartition, _first_piece, _not_yet_covered, _whole_pieces
+from .partition import RETAINED, SplittingPartition, _NoDefault, _first_piece, _not_yet_covered, _whole_pieces
 from .rationals import Interval, ZERO, format_rational, rational
 
 
@@ -80,6 +82,13 @@ class SaturationCertificate:
     contains the cube of radius m = max over k <= K of |mu_k|, shifted by
     the affine part when present.  Truncation honesty: m is reported for
     the inspected prefix only, never silently promoted to the full norm.
+
+    ``certify_saturation`` makes the certificate from its witness table
+    (``_from_table``): per coordinate window the member -> (stage, piece,
+    bound) dict of its witnesses, and the rows (k, mu_k).  The vertices are
+    then built from the table on first read, each (coordinate, member) pair
+    as one shared ``CoordinateWitness``.  ``==``, ``hash``, ``repr``,
+    ``pickle`` and ``replace`` are over the fields, vertices included.
     """
 
     point: tuple[Fraction, ...]
@@ -92,6 +101,34 @@ class SaturationCertificate:
     def __post_init__(self):
         if self.shift is None:
             object.__setattr__(self, "shift", tuple(ZERO for _ in self.point))
+
+    @classmethod
+    def _from_table(cls, point, radius, truncation, m, table, shift=None) -> SaturationCertificate:
+        """The certificate whose vertices the witness table (windows, found,
+        rows) gives: found holds one member -> (stage, piece, bound) dict per
+        coordinate window, with members 2k and 2k+1 for each row (k, mu_k)."""
+        certificate = cls.__new__(cls)
+        certificate.__dict__.update(point=point, radius=radius, truncation=truncation, m=m, _table=table,
+                                    shift=tuple(ZERO for _ in point) if shift is None else shift)
+        return certificate
+
+    @_NoDefault
+    def vertices(self) -> tuple[VertexWitness, ...]:  # the field's value: set by __init__, or built here from the table
+        # Pattern c takes, at coordinate i, the witness of member 2k for
+        # c_i = -1 and of 2k+1 for c_i = +1: the patterns in product order
+        # pair with the product of the coordinates' (2k, 2k+1) witness pairs.
+        windows, found, rows = self._table
+        witnesses = [
+            {member: CoordinateWitness(member, stage, piece, window, bound)
+             for member, (stage, piece, bound) in by_member.items()}
+            for window, by_member in zip(windows, found)
+        ]
+        patterns = list(product((-1, 1), repeat=len(witnesses)))
+        vertices = []
+        for k, coefficient in rows:
+            pairs = [(by_member[2 * k], by_member[2 * k + 1]) for by_member in witnesses]
+            vertices += map(VertexWitness, repeat(k), repeat(coefficient), patterns, product(*pairs))
+        return tuple(vertices)
 
     @property
     def d(self) -> int:
@@ -116,7 +153,16 @@ class SaturationCertificate:
         value shift + coefficient * vertex is a corner only when
         |coefficient| = m.
 
-        Corner rule: values and corners pair with the shift, so with
+        Table rule, for a certificate from ``certify_saturation``: every row
+        (k, mu_k) needs members 2k and 2k+1 in each coordinate's table with a
+        positive bound, and unless m = 0 some row needs |mu_k| = |m|.  The
+        row's vertices pair mu_k with every sign pattern, the full product
+        {-1, 1}^d, so that row alone covers every corner of any width up to
+        d.  The check reads the table and builds no vertex.
+
+        Corner rule, for a certificate with a vertex tuple (the public
+        constructor or ``replace``), whose vertices need not form a product:
+        values and corners pair with the shift, so with
         width = min(len(shift), d) only a vertex with
         min(len(vertex), len(shift)) = width counts, and it covers the
         corner c with coefficient * v_i = m * c_i for i < width.  An entry
@@ -132,6 +178,14 @@ class SaturationCertificate:
         with every bit flipped; the coefficient shared by consecutive
         vertices is compared once.
         """
+        table = self.__dict__.get("_table")
+        if table is not None:
+            _, found, rows = table
+            members = [j for k, _ in rows for j in (2 * k, 2 * k + 1)]
+            if not all(j in by_member and by_member[j][2].numerator > 0 for by_member in found for j in members):
+                return False
+            size = abs(self.m.numerator), self.m.denominator
+            return size[0] == 0 or any((abs(c.numerator), c.denominator) == size for _, c in rows)
         if any(coord.lower_bound.numerator <= 0 for w in self.vertices for coord in w.coordinates):
             return False
         if self.m.numerator == 0:
@@ -265,38 +319,27 @@ def certify_saturation(
     """
     if isinstance(sf, ShiftedSaturatedFunction):
         base = certify_saturation(sf.base, x, r, K)
-        return SaturationCertificate(
-            base.point, base.radius, base.truncation, base.m, base.vertices, sf.shift
+        return SaturationCertificate._from_table(
+            base.point, base.radius, base.truncation, base.m, base._table, sf.shift
         )
     x = tuple(rational(c) for c in x)
     r = rational(r)
     windows = certificate_windows(sf.domain, x, r, K)
     # One listing per window answers all members 0..2K+1; a missing one
-    # raises at its first use in the vertex order below.  Stage n feeds only
+    # raises at its first use in the vertex order.  Stage n feeds only
     # members 0..n, so members past the stage count are never looked for.
     members = range(min(2 * K + 2, sf.partition.stage_count + 1))
-    witnesses = [
-        {
-            member: CoordinateWitness(member, stage, piece, window, bound)
-            for member, (stage, piece, bound) in _whole_pieces(
-                sf.partition.stages_overlapping(window), members, window
-            ).items()
-        }
+    found = [
+        _whole_pieces(sf.partition.stages_overlapping(window), members, window)
         for window in windows
     ]
-    # Pattern c takes, at coordinate i, the witness of member 2k for c_i = -1
-    # and of 2k+1 for c_i = +1: the patterns in product order pair with the
-    # product of the coordinates' (2k, 2k+1) witness pairs.
-    patterns = list(product((-1, 1), repeat=sf.d))
-    vertices = []
+    rows = []
     for k in range(K + 1):
-        try:
-            pairs = [(found[2 * k], found[2 * k + 1]) for found in witnesses]
-        except KeyError:
-            raise _first_missing(k, witnesses, windows) from None
-        vertices += map(VertexWitness, repeat(k), repeat(sf.mu.coefficient(k)), patterns, product(*pairs))
+        if not all(2 * k in by_member and 2 * k + 1 in by_member for by_member in found):
+            raise _first_missing(k, found, windows)
+        rows.append((k, sf.mu.coefficient(k)))
     m = abs(sf.mu.coefficient(sf.mu.argmax_index(K)))
-    return SaturationCertificate(x, r, K, m, tuple(vertices))
+    return SaturationCertificate._from_table(x, r, K, m, (windows, found, tuple(rows)))
 
 
 def _first_missing(k: int, witnesses: list[dict], windows: list[Interval]) -> NotYetCovered:

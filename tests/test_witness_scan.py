@@ -9,7 +9,10 @@ coordinate window is listed once and each witness point costs one
 membership.
 """
 
+import copy
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -19,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clarkesat.errors import NotYetCovered
-from clarkesat.functions import FiniteSupport, SaturatedFunction, eval_g
+from clarkesat.functions import FiniteSupport, SaturatedFunction, ShiftedSaturatedFunction, eval_g, shift_to_ball
 from clarkesat.partition import (
     RETAINED,
     SplittingCertificate,
@@ -30,6 +33,7 @@ from clarkesat.partition import (
     splitting_certificate_auto,
 )
 from clarkesat.rationals import Interval
+import clarkesat.verifier as verifier
 from clarkesat.verifier import (
     CoordinateWitness,
     SaturationCertificate,
@@ -112,6 +116,107 @@ def test_saturation_certificates_match_the_reference(p500):
             assert (str(excinfo.value), excinfo.value.needed_stage) == expected
             uncovered += 1
     assert covered >= 20 and uncovered >= 5  # both paths are exercised
+
+
+def _table_cases():
+    """(label, mu, x, r, K) for d = 1..6: drawn mu over several K and
+    radii, a mu that is zero on k <= K (m = 0), and a shift_to_ball function."""
+    rng = random.Random(46)
+    for d in range(1, 7):
+        for K in (0, 2, 4):
+            for r in (Fraction(1, 4), Fraction(1, 64)):
+                half = r / d
+                x = tuple(Fraction(rng.randint(1, 999), 1000) * (1 - 2 * half) + half for _ in range(d))
+                mu = FiniteSupport.of({k: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for k in range(K + 1)})
+                yield "drawn", mu, x, r, K
+        yield "m = 0", FiniteSupport.of({3: 2}), x, r, 2
+        yield "shifted", FiniteSupport.of({0: 1, 1: -2, 2: Fraction(3, 2)}), x, r, 2
+
+
+def _table_certificates(partition):
+    """(label, d, fresh, expected) for each covered case: fresh() certifies
+    anew, and expected is the reference certificate."""
+    for label, mu, x, r, K in _table_cases():
+        sf = base = SaturatedFunction(partition, mu, d=len(x))
+        if label == "shifted":
+            sf = shift_to_ball(base, tuple(Fraction(i - 2, 4) for i in range(len(x))), Fraction(3))
+            assert isinstance(sf, ShiftedSaturatedFunction)
+            base = sf.base
+        expected = _reference_certificate(base, x, r, K)
+        if isinstance(expected, SaturationCertificate):
+            if base is not sf:
+                expected = replace(expected, shift=sf.shift)
+            yield label, len(x), partial(certify_saturation, sf, x, r, K), expected
+
+
+def test_table_certificates_match_the_reference_on_every_read(p500):
+    # Each read below is the first one on a fresh certificate.
+    seen = set()
+    for label, d, fresh, expected in _table_certificates(p500):
+        assert fresh() == expected and hash(fresh()) == hash(expected)
+        assert len(fresh().vertices) == len(expected.vertices)
+        assert fresh().vertices[0] == expected.vertices[0]
+        assert fresh().vertices[-1] == expected.vertices[-1]
+        tail = fresh().vertices[1:]
+        assert type(tail) is tuple and tail == expected.vertices[1:]
+        assert list(fresh().vertices) == list(expected.vertices)
+        assert fresh().render() == expected.render()
+        assert fresh().certified_values() == expected.certified_values()
+        assert fresh().hull_intervals() == expected.hull_intervals()
+        for clone in (pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh()), replace(fresh())):
+            assert clone == expected and clone.render() == expected.render() and clone.check()
+        seen.add((label, d))
+    assert {(label, d) for label in ("drawn", "m = 0", "shifted") for d in range(1, 7)} <= seen
+
+
+def test_table_check_matches_the_corner_rule(p500):
+    rng = random.Random(3)
+    verdicts = set()
+    for _, _, fresh, _ in _table_certificates(p500):
+        cert = fresh()
+        assert cert.check() == replace(cert, vertices=tuple(cert.vertices)).check()
+        windows, found, rows = cert._table
+        for m in (Fraction(0), -cert.m, 2 * cert.m, cert.m + 1):
+            edited = SaturationCertificate._from_table(cert.point, cert.radius, cert.truncation, m,
+                                                       cert._table, cert.shift)
+            verdicts.add(edited.check())
+            assert edited.check() == replace(edited, vertices=tuple(edited.vertices)).check()
+        # One zero coordinate bound fails, as it does under the corner rule.
+        zeroed = [dict(by_member) for by_member in found]
+        i = rng.randrange(len(zeroed))
+        member = rng.choice(sorted(zeroed[i]))
+        stage, piece, _ = zeroed[i][member]
+        zeroed[i][member] = (stage, piece, Fraction(0))
+        bad = SaturationCertificate._from_table(cert.point, cert.radius, cert.truncation, cert.m,
+                                                (windows, zeroed, rows), cert.shift)
+        assert not bad.check()
+        assert not replace(bad, vertices=tuple(bad.vertices)).check()
+    assert verdicts == {True, False}
+
+
+def test_certify_and_check_build_no_witness_objects(p500, monkeypatch):
+    built = {"vertex": 0, "coordinate": 0}
+
+    def counting(cls, kind):
+        def make(*args):
+            built[kind] += 1
+            return cls(*args)
+        return make
+
+    monkeypatch.setattr(verifier, "VertexWitness", counting(VertexWitness, "vertex"))
+    monkeypatch.setattr(verifier, "CoordinateWitness", counting(CoordinateWitness, "coordinate"))
+    d, K = 12, 4
+    sf = SaturatedFunction(p500, FiniteSupport.of({k: (-1) ** k * (k + 1) for k in range(K + 1)}), d=d)
+    x = tuple(Fraction(1, 3) + Fraction(i, 97) for i in range(d))
+    cert = certify_saturation(sf, x, Fraction(d, 64), K)
+    assert cert.check()
+    assert built == {"vertex": 0, "coordinate": 0}
+    assert len(cert.vertices) == 5 * 2**12
+    expected = {"vertex": 5 * 2**12, "coordinate": 120}  # (K + 1) * 2^d and 2d(K + 1)
+    assert built == expected
+    assert len({id(coord) for w in cert.vertices for coord in w.coordinates}) == 120  # one per (coordinate, member)
+    cert.vertices
+    assert built == expected
 
 
 def _reference_complement(partition, k, window):
