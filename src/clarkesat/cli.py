@@ -10,7 +10,8 @@ the error a bad command line reports: --mu, the point, --x0, the tolerance
 and the dimension check (``_function``), then its own options (``certify``:
 --radius, --K, then the windows).  From them it works out the stage count
 it needs and loads that prefix; the checks made on the loaded function
-(--x0 inside the box, then ``certify``'s --shift) come after.  ``certify``
+(--x0 inside the box, then ``certify``'s --shift and --shift-radius, each
+of which needs the other) come after.  ``certify``
 reads stages 1..M, the prefix its certificate needs (see
 ``saturation_windows``), and ``eval``, ``measure`` and ``plot`` stages
 1..m, the prefix their tolerance needs (see ``_tolerance_stages``); the
@@ -167,9 +168,9 @@ def cmd_certify(args) -> int:
     radius, K = parse_rational(args.radius), _truncation(args, mu)
     windows = certificate_windows(unit_box(len(point)), point, radius, K)
     sf = function(_certificate_stages(windows, K))
-    if args.shift:
-        if not args.shift_radius:
-            raise ValueError("--shift requires --shift-radius")
+    if args.shift or args.shift_radius:
+        if not (args.shift and args.shift_radius):
+            raise ValueError("--shift requires --shift-radius" if args.shift else "--shift-radius requires --shift")
         sf = shift_to_ball(sf, _parse_point(args.shift), parse_rational(args.shift_radius))
     certificate = certify_saturation(sf, point, radius, K)
     if not certificate.check():

@@ -1457,22 +1457,19 @@ def _check_gap(record: StageRecord, expected: int, target: tuple[int, int, int, 
 def _check_covers(partition: SplittingPartition) -> None:
     """``_check_cover`` for each stage in order: the first failing one raises.
 
-    Each stage's ``_meeting`` query runs on its span, which lies on the
-    index's grid, and is kept to the stages numbered below it.  A closure
-    that no closure before it in the index reaches (``_reach``) and inside
-    which the next one does not start meets no other closure: such a stage,
-    most of them, needs no query.
+    Each stage's earlier meeting stages are ``stages_overlapping`` its gap,
+    kept to the stages numbered below it.  A closure that no closure before
+    it in the index reaches (``_reach``) and inside which the next one does
+    not start meets no other closure: such a stage, most of them, needs no
+    query.
     """
     los, his, reach, last = partition._los, partition._his, partition._reach, len(partition._los) - 1
-    by_lo, stages, den = partition._by_lo, partition.stages, partition._den
-    alone = {record.n for j, record in enumerate(by_lo)
+    alone = {record.n for j, record in enumerate(partition._by_lo)
              if (j == 0 or reach[j - 1] < los[j]) and (j == last or his[j] < los[j + 1])}
-    for record in stages:
+    for record in partition.stages:
         earlier = []
         if record.n not in alone:
-            a, b, d = record._span
-            meeting = sorted(by_lo[i].n for i in chain(*partition._meeting(a * (den // d), b * (den // d))))
-            earlier = [stages[m - 1] for m in meeting if m < record.n]
+            earlier = [r for r in partition.stages_overlapping(record.gap) if r.n < record.n]
         _check_cover(record, earlier)
 
 

@@ -20,12 +20,11 @@ The fingerprint reads one membership per witness point, a point built from
 its host stage's integer geometry, and derives every g_k sign from it.
 ``certify_saturation`` keeps its witness table, each window's member ->
 (stage, piece, bound) dict and the rows (k, mu_k), and builds the
-(K + 1) * 2^d vertices from it only when they are first read.  Replaying
-the certificate (``SaturationCertificate.check``) reads the table: one
-integer sign per coordinate bound and one (numerator, denominator)
-comparison per row.  So a certify + check answer costs the window listing
-plus O(d * K) integer work, and no object per vertex until something, such
-as ``render``, reads them.
+(K + 1) * 2^d vertices from it only when they are first read.
+``SaturationCertificate.check`` reads the table, so a certify + check
+answer costs the window listing plus O(d * K) integer work; a certificate
+built from a vertex tuple is checked against its conclusion corner by
+corner.
 """
 
 from __future__ import annotations
@@ -147,11 +146,10 @@ class SaturationCertificate:
     def check(self) -> bool:
         """Replay the certificate: positivity plus exact hull containment.
 
-        Every coordinate bound must be positive, which makes every product
-        set positive too.  Unless m = 0, every corner shift + m * c of the
-        claimed cube, c in {-1, 1}^d, must be a certified value; a certified
-        value shift + coefficient * vertex is a corner only when
-        |coefficient| = m.
+        Every coordinate bound must be positive (its numerator is), which
+        makes every product set positive too.  Unless m = 0, every corner of
+        the claimed cube, a choice of one end of each of the first d
+        ``hull_intervals()``, must be one of the ``certified_values()``.
 
         Table rule, for a certificate from ``certify_saturation``: every row
         (k, mu_k) needs members 2k and 2k+1 in each coordinate's table with a
@@ -162,21 +160,8 @@ class SaturationCertificate:
 
         Corner rule, for a certificate with a vertex tuple (the public
         constructor or ``replace``), whose vertices need not form a product:
-        values and corners pair with the shift, so with
-        width = min(len(shift), d) only a vertex with
-        min(len(vertex), len(shift)) = width counts, and it covers the
-        corner c with coefficient * v_i = m * c_i for i < width.  An entry
-        v_i = +-1 meets this exactly when coefficient = +-m, so a sign
-        pattern covers vertex or -vertex by a comparison on its coefficient;
-        other entries take the exact product.  At width 0 each vertex covers
-        the empty corner.  The check passes iff 2^width distinct corners are
-        covered.
-
-        On integers: a bound is positive when its numerator is, a value is
-        +-m when its reduced (numerator, denominator) pair is m's or -m's,
-        and a corner is its index in product order, so that -c is the index
-        with every bit flipped; the coefficient shared by consecutive
-        vertices is compared once.
+        the statement above as written, one set lookup per corner, so its
+        cost grows as 2^d.
         """
         table = self.__dict__.get("_table")
         if table is not None:
@@ -190,32 +175,8 @@ class SaturationCertificate:
             return False
         if self.m.numerator == 0:
             return True
-        plus = self.m.numerator, self.m.denominator
-        minus, n_shift = (-plus[0], plus[1]), len(self.shift)
-        width = min(n_shift, self.d)
-
-        def sign(p):  # the c with p = m * c, or 0
-            pair = p.numerator, p.denominator
-            return 1 if pair == plus else -1 if pair == minus else 0
-
-        index = dict(zip(product((-1, 1), repeat=width), range(1 << width)))
-        flip = (1 << width) - 1
-        covered = set()
-        coefficient, s = None, 0
-        for w in self.vertices:
-            if min(len(w.vertex), n_shift) == width:
-                if w.coefficient is not coefficient:
-                    coefficient = w.coefficient
-                    s = sign(coefficient)
-                vertex = w.vertex[:width]
-                i = index.get(vertex)
-                if i is None:  # an entry other than +-1
-                    i = index.get(tuple(s * v if v == 1 or v == -1 else sign(coefficient * v) for v in vertex))
-                    if i is not None:
-                        covered.add(i)
-                elif s or not width:
-                    covered.add(flip ^ i if s < 0 else i)
-        return len(covered) == 1 << width
+        values = self.certified_values()
+        return all(corner in values for corner in product(*self.hull_intervals()[:self.d]))
 
     def render(self) -> str:
         lines = [

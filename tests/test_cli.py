@@ -613,3 +613,40 @@ def test_loads_names_the_int_digit_limit_for_gap_ends_past_it():
     assert message.startswith("SPLITPART stage line 1: gap= holds a number past the int/str digit limit: ")
     assert f"({sys.int_info.default_max_str_digits} digits)" in message and "is not an open interval" not in message
     assert len(message) < 300
+
+
+def test_shift_radius_without_shift_exits_2(partition_file, capsys):
+    code = run_cli("certify", "--partition", partition_file, "--mu", "0:3/1", "--point", "1/2",
+                   "--radius", "1/4", "--shift-radius", "3/1")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --shift-radius requires --shift\n"
+    assert captured.out == ""
+
+
+def test_every_certificate_a_command_checks_carries_its_witness_table(partition_file, capsys, monkeypatch):
+    # check()'s corner rule serves only certificates built from a vertex
+    # tuple; every certificate certify, stress and trajectory_csv check
+    # comes from certify_saturation and takes the table rule.
+    import clarkesat.stress
+    from clarkesat.functions import FiniteSupport, SaturatedFunction
+    from clarkesat.partition import load
+
+    has_table = []
+    check = SaturationCertificate.check
+
+    def recording(certificate):
+        has_table.append("_table" in certificate.__dict__)
+        return check(certificate)
+
+    monkeypatch.setattr(SaturationCertificate, "check", recording)
+    for point, shift in (("1/2", "2/1"), ("1/2,3/8", "2/1,-1/2")):
+        options = ("--partition", partition_file, "--mu", "0:3/1,1:-1/2", "--point", point, "--radius", "1/4")
+        assert run_cli("certify", *options) == 0
+        assert run_cli("certify", *options, "--shift", shift, "--shift-radius", "3/1") == 0
+    assert run_cli("stress", "--partition", partition_file, "--mu", "0:1/1", "--steps", "2") == 0
+    capsys.readouterr()
+    sf = SaturatedFunction(load(partition_file), FiniteSupport.unit(0))
+    trajectory = clarkesat.stress.run_subgradient(sf, (Fraction(1, 2),), steps=2)
+    assert "0/1" in clarkesat.stress.trajectory_csv(sf, trajectory, Fraction(1, 4), 0)
+    assert len(has_table) >= 8 and all(has_table)

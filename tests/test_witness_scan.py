@@ -421,3 +421,39 @@ def test_fingerprint_reads_one_membership_per_witness(p500, monkeypatch, K):
     independence_fingerprint(p500, K)
     assert len(calls) == K
     assert all(depth == 4 for _, depth in calls)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_corner_rule_matches_the_table_rule_past_d_6(p500, d):
+    # m = 5 comes from row k = 4 alone.  Dropping one vertex of row k leaves
+    # that row short of the full sign product, which the table rule can
+    # only read as the table without row k.
+    K = 4
+    sf = SaturatedFunction(p500, FiniteSupport.of({k: (-1) ** k * (k + 1) for k in range(K + 1)}), d=d)
+    x = tuple(Fraction(1, 3) + Fraction(i, 97) for i in range(d))
+    cert = certify_saturation(sf, x, Fraction(d, 64), K)
+    windows, found, rows = cert._table
+
+    def table(m=cert.m, found=found, rows=rows):
+        return SaturationCertificate._from_table(cert.point, cert.radius, cert.truncation, m,
+                                                 (windows, found, rows), cert.shift)
+
+    def corner(edited, vertices=None):
+        return replace(edited, vertices=tuple(edited.vertices if vertices is None else vertices)).check()
+
+    verdicts = [(cert.check(), corner(cert))]
+    rng = random.Random(d)
+    for k in range(K + 1):
+        i = k * 2**d + rng.randrange(2**d)
+        kept = tuple(row for row in rows if row[0] != k)
+        verdicts.append((table(rows=kept).check(), corner(cert, cert.vertices[:i] + cert.vertices[i + 1:])))
+    zeroed = [dict(by_member) for by_member in found]
+    i = rng.randrange(d)
+    member = rng.choice(sorted(zeroed[i]))
+    stage, piece, _ = zeroed[i][member]
+    zeroed[i][member] = (stage, piece, Fraction(0))
+    verdicts.append((table(found=zeroed).check(), corner(table(found=zeroed))))
+    for m in (Fraction(0), -cert.m, 2 * cert.m):
+        verdicts.append((table(m).check(), corner(table(m))))
+    assert [table_verdict for table_verdict, _ in verdicts] == [True, True, True, True, True, False, False, True, True, False]
+    assert all(table_verdict == corner_verdict for table_verdict, corner_verdict in verdicts)
