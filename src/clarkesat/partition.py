@@ -76,9 +76,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, count
-from math import ceil, floor, gcd, isqrt, lcm
-from operator import attrgetter, ge, mul
+from itertools import accumulate, chain, compress
+from math import gcd, isqrt, lcm
+from operator import attrgetter, ge, mul, or_
 from typing import Callable, Iterable, Iterator
 from weakref import WeakKeyDictionary
 
@@ -129,12 +129,18 @@ def _pairs_below(w: int, phi: list[int]) -> int:
 def _pair_blocks(m: int) -> Iterator[tuple[int, int, int]]:
     """(pos, qa, qb) for the pair blocks from the one holding position m on;
     pos positions precede the block.  The weight comes from doubling and
-    bisection over ``_pairs_below``, its earlier blocks are skipped by size."""
-    top = 8
-    while _pairs_below(top, phi := _totients(top)) < m:
-        top *= 2
-    w = 3 + bisect_left(range(4, top + 1), m, key=lambda w: _pairs_below(w, phi))
-    pos, qa = _pairs_below(w, phi), 2
+    bisection over ``_pairs_below``, its earlier blocks are skipped by size.
+    Position 1, where every load starts, opens block (2, 3), the first of
+    positive size: no search."""
+    if m == 1:
+        w, pos, phi = 5, 0, _totients(8)
+    else:
+        top = 8
+        while _pairs_below(top, phi := _totients(top)) < m:
+            top *= 2
+        w = 3 + bisect_left(range(4, top + 1), m, key=lambda w: _pairs_below(w, phi))
+        pos = _pairs_below(w, phi)
+    qa = 2
     while True:
         qb = w - qa
         size = (phi[qa] * phi[qb] - (phi[qa] if qa == qb else 0)) // 2
@@ -169,11 +175,18 @@ def _enumeration_ends(n: int) -> Iterator[tuple[int, int, int, int]]:
     need not be reduced."""
     if n < 1:
         raise ValueError("enumeration indices start at 1")
-    dyadic = ((j - 1, 1 << L, j + 1, 1 << L) for L, j in map(_dyadic, count(n // 2 + 1)))
-    pairs = _pair_stream((n + 1) // 2)
-    for first, second in zip(dyadic, pairs) if n % 2 else zip(pairs, dyadic):
-        yield first
-        yield second
+    dyadic, pairs = _dyadic_stream(n // 2 + 1), _pair_stream((n + 1) // 2)
+    return chain.from_iterable(zip(dyadic, pairs) if n % 2 else zip(pairs, dyadic))
+
+
+def _dyadic_stream(m: int) -> Iterator[tuple[int, int, int, int]]:
+    """(j - 1, 2^L, j + 1, 2^L) for dyadic positions m, m+1, ..., level by level."""
+    level, j = _dyadic(m)
+    while True:
+        q = 1 << level
+        for j in range(j, q):
+            yield j - 1, q, j + 1, q
+        level, j = level + 1, 1
 
 
 def _pair_stream(m: int) -> Iterator[tuple[int, int, int, int]]:
@@ -248,28 +261,29 @@ def first_index_inside(window: Interval, min_index: int = 1) -> int:
     lo, hi = max(window.lo, ZERO), min(window.hi, ONE)  # enumerated intervals lie in (0,1)
     if lo >= hi:
         raise ValueError(f"no enumerated interval lies inside {window}")
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator  # the window (p/q, r/s)
     n = max(1, min_index)
     m = n // 2 + 1  # the first dyadic position with index >= n
     level = _dyadic(m)[0]
-    while (j := max(ceil(lo * 2**level) + 1, m - 2**level + level + 1)) > floor(hi * 2**level) - 1:
+    while (j := max(-((-p << level) // q) + 1, m - 2**level + level + 1)) > (r << level) // s - 1:
         level += 1
     best = 2 * (2**level - level - 1 + j) - 1
     first, stop = (n + 1) // 2, (best + 1) // 2  # pair positions with index in [n, best)
     if first < stop and stop - 1 > _MAX_PAIR_POSITION:
         raise ValueError(f"the first enumerated interval inside {window} may be a pair of weight above "
                          f"{_MAX_PAIR_WEIGHT}, past the search's size bound")
-    fit = max(4, isqrt(ceil(4 / (hi - lo)) - 1) + 1)  # the least w with w^2 * width >= 4
+    fit = max(4, isqrt(-(-4 * q * s // (r * q - p * s)) - 1) + 1)  # the least w with w^2 * width >= 4
     if first < stop and fit <= sum(next(_pair_blocks(stop - 1))[1:]):
         start = max(first, _pairs_below(fit, _totients(fit)) + 1)
         for pos, qa, qb in _pair_blocks(start):
             if pos + 1 >= stop:
                 break
             # A block holds a fit only if its least pb/qb above its least pa/qa >= lo is <= hi.
-            least = next(_coprimes(ceil(lo * qa) or 1, qa), qa)
-            if next(_coprimes(least * qb // qa + 1, qb), qb) <= min(hi * qb, qb - 1):
+            least = next(_coprimes(-(-p * qa // q) or 1, qa), qa)
+            if next(_coprimes(least * qb // qa + 1, qb), qb) <= min(r * qb // s, qb - 1):
                 for row, pa, pbs, i in _rows(pos, qa, qb):
                     skip = max(start - row, 0)  # the row's positions before start
-                    if row + skip < stop and pa >= lo * qa and i + skip < len(pbs) and pbs[i + skip] <= hi * qb:
+                    if row + skip < stop and pa * q >= p * qa and i + skip < len(pbs) and pbs[i + skip] * s <= r * qb:
                         return 2 * (row + skip)
     return best
 
@@ -313,8 +327,9 @@ class StageRecord:
         """The record whose gap is (a/d, b/d) for span (a, b, d), which must
         be what ``_span`` gives for that gap: d the lcm of the reduced ends'
         denominators."""
-        record = cls.__new__(cls)
-        record.__dict__.update(n=n, _span=span, depth_used=depth_used)
+        record = object.__new__(cls)
+        fields = record.__dict__
+        fields["n"], fields["_span"], fields["depth_used"] = n, span, depth_used
         return record
 
     @_NoDefault
@@ -449,11 +464,21 @@ class SplittingPartition:
         # by gap.lo, their gap ends over one common denominator _den, and
         # _reach, the running max of _his, which window queries bisect too.
         # One stable sort, so that equal left ends keep stage order as
-        # ``_add``'s insertions do.
+        # ``_add``'s insertions do.  When every denominator divides the
+        # largest by a power of two, as on a build's grid 3*2^k, that one is
+        # the lcm and each rescale is a shift.
         spans = [record._span for record in self.stages]
-        self._den = den = lcm(*(d for _, _, d in spans))
-        los = [a * (den // d) for a, _, d in spans]
-        his = [b * (den // d) for _, b, d in spans]
+        top = max((d for _, _, d in spans), default=1)
+        width = top.bit_length()
+        shifts = [width - d.bit_length() for _, _, d in spans]
+        if all(d << k == top for (_, _, d), k in zip(spans, shifts)):
+            self._den = top
+            los = [a << k for (a, _, _), k in zip(spans, shifts)]
+            his = [b << k for (_, b, _), k in zip(spans, shifts)]
+        else:
+            self._den = den = lcm(*(d for _, _, d in spans))
+            los = [a * (den // d) for a, _, d in spans]
+            his = [b * (den // d) for _, b, d in spans]
         order = sorted(range(len(spans)), key=los.__getitem__)
         self._by_lo = [self.stages[i] for i in order]
         self._los = [los[i] for i in order]
@@ -500,7 +525,11 @@ class SplittingPartition:
 
     def stages_overlapping(self, window: Interval) -> list[StageRecord]:
         """Built stages whose gap closure meets the window's closure (flags ignored), ascending by n."""
-        inside, before = self._meeting(*_inward(window, self._den))
+        return self._overlapping(*_inward(window, self._den))
+
+    def _overlapping(self, lo: int, hi: int) -> list[StageRecord]:
+        """``stages_overlapping`` of the window [lo, hi] / _den."""
+        inside, before = self._meeting(lo, hi)
         by_lo = self._by_lo
         return sorted(by_lo[inside.start:inside.stop] + [by_lo[i] for i in before], key=attrgetter("n"))
 
@@ -1257,12 +1286,16 @@ def loads(text: str, stages: int | None = None) -> SplittingPartition:
     set records must be the ones its gap implies.  Lines are those
     ``str.splitlines`` finds, blank ones skipped (``_line_text``).  Each
     stage line becomes a ``StageRecord``, a canonical v2 line through one
-    regular expression, straight from its integers, and any other through
+    regular expression, straight from its integers (``_canonical_stage``,
+    which reduces nothing on the 3*2^k grid), and any other through
     ``_parse_stage_line``; ``_check_gap`` tests its shape as it is read.
-    The records before the first bad line are then indexed, and
-    ``_check_covers`` tests each against the earlier stages, so a bad line's
-    error waits for the cover tests of the lines above it.  A non-ASCII
-    character in a v2 stage line raises ValueError naming its offset.
+    The records before the first bad line are then indexed, the rescale to
+    the index's one denominator a shift per end on that grid, and
+    ``_check_covers`` tests each against the earlier stages on the index's
+    integers, so a bad line's error waits for the cover tests of the lines
+    above it.  No stage check builds a ``Fraction`` or the gap ``Interval``;
+    only an error message does.  A non-ASCII character in a v2 stage line
+    raises ValueError naming its offset.
 
     With ``stages`` = m, only stage lines 1..min(m, declared) are read,
     checked and indexed, and the partition holds those stages; the header,
@@ -1364,14 +1397,29 @@ def _canonical_stage(line: str) -> StageRecord | None:
     with b, d > 0 and a/b < c/d; None for any other line, whose record or
     error ``_parse_stage_line`` gives.  The record is built from its span:
     each end reduced as ``Fraction`` reduces it, over the lcm of their
-    denominators."""
+    denominators.
+
+    Where the line's integers already are that span, the span is read off
+    them: both ends over one d = 3*2^k, the grid every built gap lies on
+    (d is 3 shifted by its bit length less 2), with gcd(a, c, d) = 1, which
+    on that grid is one parity test and one test mod 3 (a, c or d odd, a
+    or c prime to 3).  That is every line ``saves`` writes whose two ends
+    reduce to one denominator, 198 of 200 at 200 stages.  Any other line
+    takes two ``gcd``s and an ``lcm``, as an unreduced "10/24,14/24" or an
+    end over 4.
+    """
     match = _STAGE_LINE.fullmatch(line)
     if match is None:
         return None
+    n, a, b, c, d, depth = match.groups()
+    one_denominator = b == d  # as written, so that it is read once
     try:
-        n, a, b, c, d, depth = map(int, match.groups())
+        n, a, c, d, depth = int(n), int(a), int(c), int(d), int(depth)
+        b = d if one_denominator else int(b)
     except ValueError:  # more digits than int() converts: the generic parser words the error
         return None
+    if one_denominator and d > 2 and a < c and d == 3 << (d.bit_length() - 2) and (a | c | d) & 1 and (a % 3 or c % 3):
+        return StageRecord._from_span(n, (a, c, d), depth)
     if not (b and d and a * d < c * b):
         return None
     g, h = gcd(a, b), gcd(c, d)
@@ -1441,36 +1489,41 @@ def _check_gap(record: StageRecord, expected: int, target: tuple[int, int, int, 
     p, q, r, s = target
     if not (p * d < a * q and b * s < r * d):
         raise ValueError(f"stage {n}: gap {record.gap} does not lie strictly inside I_{n} = {_open(*target)}")
-    whole, part = divmod(d, b - a)  # the length is 1/whole when part is 0
+    width = b - a
+    whole, part = divmod(d, width)  # the length is 1/whole when part is 0
     grid, rem = divmod(whole, 3)  # 2^j when the length is 1/(3*2^j)
-    j = grid.bit_length() - 1
-    if part or rem or grid != 1 << j or j < n or gap_cap.denominator > grid * gap_cap.numerator:
+    if part or rem or grid & (grid - 1) or grid >> n == 0 or gap_cap.denominator > grid * gap_cap.numerator:
         raise ValueError(
             f"stage {n}: gap length {record.gap.length} is not 1/(3*2^j) with 2^-j <= min(2^-{n}, gap_cap)"
         )
-    if (a + b) * 8 * grid % d:  # the midpoint (a + b)/(2d) times 2^(j+4)
-        raise ValueError(f"stage {n}: gap midpoint {record.gap.midpoint} is off the 2^-{j + 4} grid")
-    if record.depth_used and record.depth_used not in _GAP_DEPTHS:
-        raise ValueError(f"stage {n}: depth {record.depth_used} is not a depth the gap search tries")
+    if (a + b) * 8 % (3 * width):  # the midpoint (a + b)/(2d) times 2^(j+4), with d = 3 * 2^j * width
+        raise ValueError(f"stage {n}: gap midpoint {record.gap.midpoint} is off the 2^-{grid.bit_length() + 3} grid")
+    depth = record.depth_used
+    if depth and depth not in _GAP_DEPTHS:
+        raise ValueError(f"stage {n}: depth {depth} is not a depth the gap search tries")
 
 
 def _check_covers(partition: SplittingPartition) -> None:
     """``_check_cover`` for each stage in order: the first failing one raises.
 
-    Each stage's earlier meeting stages are ``stages_overlapping`` its gap,
-    kept to the stages numbered below it.  A closure that no closure before
-    it in the index reaches (``_reach``) and inside which the next one does
-    not start meets no other closure: such a stage, most of them, needs no
-    query.
+    Each stage's earlier meeting stages are ``_overlapping`` its gap's ends
+    in the index, the integers ``stages_overlapping`` would round the gap
+    to, kept to the stages numbered below it.  A closure that no
+    closure before it in the index reaches (``_reach``) and inside which the
+    next one does not start meets no other closure: such a stage, most of
+    them, needs no query.
     """
-    los, his, reach, last = partition._los, partition._his, partition._reach, len(partition._los) - 1
-    alone = {record.n for j, record in enumerate(partition._by_lo)
-             if (j == 0 or reach[j - 1] < los[j]) and (j == last or his[j] < los[j + 1])}
+    los, his, reach = partition._los, partition._his, partition._reach
+    reached = [False, *map(ge, reach, los[1:])]  # a closure before position j reaches it
+    holds_next = [*map(ge, his, los[1:]), False]  # the next position starts inside j's closure
+    meeting = {}
+    for j in compress(range(len(los)), map(or_, reached, holds_next)):
+        n = partition._by_lo[j].n
+        meeting[n] = [r for r in partition._overlapping(los[j], his[j]) if r.n < n]
     for record in partition.stages:
-        earlier = []
-        if record.n not in alone:
-            earlier = [r for r in partition.stages_overlapping(record.gap) if r.n < record.n]
-        _check_cover(record, earlier)
+        earlier = meeting.get(record.n, [])
+        if earlier or record.depth_used:  # else _check_cover has nothing to test
+            _check_cover(record, earlier)
 
 
 def _check_cover(record: StageRecord, earlier: list[StageRecord]) -> None:
@@ -1480,29 +1533,40 @@ def _check_cover(record: StageRecord, earlier: list[StageRecord]) -> None:
     depth_used is 0 exactly when there are none; the closure misses every
     piece cover, at depth_used, of each earlier stage it meets; and it
     meets one at each shallower depth ``find_gap`` tries, since
-    ``find_gap`` returns the first depth that exposes a gap.
+    ``find_gap`` returns the first depth that exposes a gap.  Every test
+    reads the gap's span (a/d, b/d) (``_span_meets``); only a message
+    builds the gap.
     """
     n, depth = record.n, record.depth_used
     if not earlier:
         if depth:
             raise ValueError(f"stage {n}: depth {depth} > 0, but its gap meets no earlier gap")
         return
-    gap, (a, b, d) = record.gap, record._span
+    a, b, d = record._span
     pieces = [(other, i) for other in earlier for i in _pieces_touching(other, a, d, b, d)]
     for other, i in pieces:
-        if _cover_meets(other, i, gap, depth):
-            raise ValueError(f"stage {n}: gap {gap} meets the depth-{depth} cover of stage {other.n} piece {i}")
+        if _span_meets(other, i, a, b, d, depth):
+            raise ValueError(f"stage {n}: gap {record.gap} meets the depth-{depth} cover of stage {other.n} piece {i}")
     for shallower in _GAP_DEPTHS[:_GAP_DEPTHS.index(depth)] if depth else ():
-        if not any(_cover_meets(other, i, gap, shallower) for other, i in pieces):
+        if not any(_span_meets(other, i, a, b, d, shallower) for other, i in pieces):
             raise ValueError(f"stage {n}: depth {depth}, but its gap misses every depth-{shallower} cover")
 
 
 def _cover_meets(record: StageRecord, i: int, window: Interval, depth: int) -> bool:
-    """``piece_set(record.n, i).cover_meets(window, depth)`` on the stage's
-    integer geometry: piece i is [start + i*step, start + (i+1)*step] over den."""
+    """``piece_set(record.n, i).cover_meets(window, depth)``: ``_span_meets``
+    of the window's span."""
+    return _span_meets(record, i, *_span(window), depth)
+
+
+def _span_meets(record: StageRecord, i: int, a: int, b: int, d: int, depth: int) -> bool:
+    """Whether the depth-d cover of the stage's piece i meets [a/d, b/d],
+    d > 0, on the stage's integer geometry: piece i is [start + i*step,
+    start + (i+1)*step] over den.  The walk runs on the piece scaled by d,
+    where the window's ends are the integers a and b, as
+    ``cantor._containment`` does for a point."""
     start, step, den = record.geometry
-    lo = start + i * step
-    return next(_cover_walk(lo, lo + step, den, RETAINED, window.lo, window.hi, depth, whole=True), None) is not None
+    lo = (start + i * step) * d
+    return next(_cover_walk(lo, lo + step * d, den, RETAINED, a, b, depth, whole=True), None) is not None
 
 
 def _pieces_touching(record: StageRecord, a: int, b: int, c: int, d: int) -> range:

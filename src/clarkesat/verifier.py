@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
+from math import prod
 from typing import Sequence
 
 from .cantor import _children
@@ -190,20 +191,41 @@ class SaturationCertificate:
             lines.append(
                 f"  shift: ({', '.join(format_rational(p) for p in self.shift)})"
             )
+        # A certificate holds 2d(K + 1) distinct coordinate witnesses behind
+        # its (K + 1) * 2^d vertices, so each coordinate line and each value
+        # entry is formatted once, keyed by the objects, which the vertices
+        # keep alive; a product bound is one Fraction of the integer
+        # products of its coordinates' numerators and denominators.
+        coordinate_lines, value_texts = {}, {}
         for witness in sorted(self.vertices, key=lambda w: (w.k, w.vertex)):
             pattern = ",".join("+1" if v > 0 else "-1" for v in witness.vertex)
+            coefficient = witness.coefficient
+            values = []
+            for v in witness.vertex:
+                text = value_texts.get((id(coefficient), v))
+                if text is None:
+                    text = value_texts[id(coefficient), v] = format_rational(coefficient * v)
+                values.append(text)
+            rows = []
+            for i, coord in enumerate(witness.coordinates):
+                row = coordinate_lines.get((i, id(coord)))
+                if row is None:
+                    bound = coord.lower_bound
+                    row = coordinate_lines[i, id(coord)] = (
+                        f"    coordinate {i + 1}: member {coord.member}"
+                        f" stage {coord.stage} piece {coord.piece}"
+                        f" window {coord.window}"
+                        f" lambda>={format_rational(bound)}",
+                        bound.numerator, bound.denominator,
+                    )
+                rows.append(row)
+            measure = Fraction(prod(num for _, num, _ in rows), prod(den for *_, den in rows))
             lines.append(
                 f"  k={witness.k} vertex=({pattern})"
-                f" value=({', '.join(format_rational(v) for v in witness.value)})"
-                f" measure>={format_rational(witness.product_lower_bound)}"
+                f" value=({', '.join(values)})"
+                f" measure>={format_rational(measure)}"
             )
-            for i, coord in enumerate(witness.coordinates):
-                lines.append(
-                    f"    coordinate {i + 1}: member {coord.member}"
-                    f" stage {coord.stage} piece {coord.piece}"
-                    f" window {coord.window}"
-                    f" lambda>={format_rational(coord.lower_bound)}"
-                )
+            lines += (line for line, _, _ in rows)
         hull = self.hull_intervals()
         hull_text = " x ".join(
             f"[{format_rational(lo)},{format_rational(hi)}]" for lo, hi in hull

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import clarkesat.partition as partition_module
 from clarkesat.cantor import _span, find_gap
 from clarkesat.partition import (
     SplittingPartition,
@@ -89,6 +90,59 @@ def test_a_loaded_index_equals_the_one_built_over_the_gaps():
         assert [r.n for r in loaded._by_lo] == [r.n for r in over_gaps._by_lo]
     # Gaps that meet no earlier one are checked without building their Interval.
     assert not any("gap" in record.__dict__ for record in loads(text, 36).stages)
+
+
+def test_a_whole_load_builds_no_gap_interval():
+    loaded = loads(saves(build_partition(300), version=2))
+    assert sum(record.depth_used > 0 for record in loaded.stages) > 0  # the cover check digs, too
+    assert not any("gap" in record.__dict__ for record in loaded.stages)
+
+
+def _no_gcd(*args):
+    raise AssertionError("the grid shortcut took the gcd route")
+
+
+# (line, reference gap, whether the line is on the grid shortcut): ends over
+# one 3*2^k whose numerators and denominator share no factor read their span
+# off the line; every other line takes the gcd route.
+_HAND_MADE_LINES = [
+    ("n=1 gap=5/12,7/12 depth=0", (F(5, 12), F(7, 12)), True),
+    ("n=1 gap=1/3,2/3 depth=0", (F(1, 3), F(2, 3)), True),  # k = 0
+    ("n=2 gap=9/24,11/24 depth=1", (F(3, 8), F(11, 24)), True),  # a numerator divisible by 3
+    ("n=2 gap=10/48,13/48 depth=0", (F(5, 24), F(13, 48)), True),  # one end unreduced, the other not
+    ("n=3 gap=0/6,1/6 depth=0", (F(0), F(1, 6)), True),
+    ("n=3 gap=5/012,7/012 depth=0", (F(5, 12), F(7, 12)), True),  # a leading zero in both denominators
+    (f"n=9 gap={3 * 101 - 8}/{3 << 44},{3 * 101 + 8}/{3 << 44} depth=2",
+     (F(3 * 101 - 8, 3 << 44), F(3 * 101 + 8, 3 << 44)), True),
+    ("n=1 gap=10/24,14/24 depth=0", (F(5, 12), F(7, 12)), False),  # 2a/2b
+    ("n=1 gap=2/6,4/6 depth=0", (F(1, 3), F(2, 3)), False),
+    ("n=1 gap=3/12,9/12 depth=0", (F(1, 4), F(3, 4)), False),  # both numerators divisible by 3
+    ("n=3 gap=0/6,2/6 depth=0", (F(0), F(1, 3)), False),
+    ("n=1 gap=5/012,7/12 depth=0", (F(5, 12), F(7, 12)), False),  # one denominator, spelled twice
+    ("n=4 gap=1/4,2/3 depth=0", (F(1, 4), F(2, 3)), False),  # unequal denominators
+    ("n=4 gap=7/24,5/12 depth=0", (F(7, 24), F(5, 12)), False),
+    ("n=3 gap=1/4,3/4 depth=1", (F(1, 4), F(3, 4)), False),  # off the grid
+    ("n=3 gap=3/9,5/9 depth=0", (F(1, 3), F(5, 9)), False),
+    ("n=3 gap=2/10,3/10 depth=0", (F(1, 5), F(3, 10)), False),
+]
+
+
+@pytest.mark.parametrize("line, gap, shortcut", _HAND_MADE_LINES, ids=[line for line, _, _ in _HAND_MADE_LINES])
+def test_the_grid_shortcut_and_the_gcd_route_agree(monkeypatch, line, gap, shortcut):
+    n, depth = int(line.split()[0][2:]), int(line.split()[2][6:])
+    reference = StageRecord(n, Interval.open(*gap), depth)
+    if shortcut:
+        monkeypatch.setattr(partition_module, "gcd", _no_gcd)
+        monkeypatch.setattr(partition_module, "lcm", _no_gcd)
+    record = _canonical_stage(line)
+    assert "gap" not in record.__dict__
+    assert record._span == reference._span == _span(reference.gap) and record == reference
+
+
+@pytest.mark.parametrize("line", ["n=1 gap=7/12,5/12 depth=0", "n=1 gap=5/12,5/12 depth=0", "n=1 gap=1/0,2/0 depth=0",
+                                  "n=1 gap=1/6,1/0 depth=0", "n=1 gap=5/12,7/12 depth=0 "])
+def test_a_line_neither_route_reads_is_left_to_the_generic_parser(line):
+    assert _canonical_stage(line) is None
 
 
 def _reference_extend(partition, stages):
