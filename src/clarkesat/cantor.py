@@ -414,17 +414,6 @@ def _merged(spans: list[tuple[int, int, int]]) -> tuple[list[int], list[int], in
     return [lo for lo, _ in ends], list(accumulate([hi for _, hi in ends], max)), den
 
 
-def _longest_room(los: list[int], reach: list[int], den: int, target: Interval) -> Interval | None:
-    """``_room`` of the target's ends as an open interval, whatever the
-    target's flags; None if none.  It serves
-    ``SplittingPartition._longest_free``, which takes an ``Interval``; the
-    build's loop calls ``_room`` on I_n's integer ends, two bisections and
-    one max that build no ``Fraction``."""
-    lo, hi = target.lo, target.hi
-    room = _room(los, reach, den, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    return None if room is None else _open(*room)
-
-
 def _room(los: list[int], reach: list[int], den: int, a: int, b: int, e: int, f: int
           ) -> tuple[int, int, int, int] | None:
     """The longest part of the target (a/b, e/f), b, f > 0, outside closed

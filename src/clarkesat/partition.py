@@ -25,14 +25,16 @@ enumeration surjective onto all nontrivial rational open subintervals of
 w = qa + qb, then qa, pa and pb.  Block (qa, qb) holds
 (phi(qa)*phi(qb) - [qa = qb]*phi(qa))/2 of them, since (pa, pb) ->
 (qa - pa, qb - pb) swaps those below and above the diagonal, and the blocks
-of all weights below w sum in O(w).  So a pair position is found by
-bisection over weights, then block sizes, and row pa is read from the
-block's one list of qb's coprimes by a bisection at pa*qb // qa.  The
-first index inside a window skips every weight with w^2 * delta < 4: two
-distinct fractions pa/qa < pb/qb differ by at least 1/(qa*qb) >= 4/w^2.
-Rank, unrank and that search are integer arithmetic with no state kept
-between calls.  Duplicates between the streams are harmless.  Indices are
-1-based.
+of all weights below w sum in O(w).  Every walk over the blocks starts at
+a weight and skips blocks by size (``_pair_blocks``); a position becomes a
+weight by one doubling and bisection (``_pair_weight``).  Unrank starts at
+its position's weight, rank at qa + qb with no search, and the first index
+inside a window at the first weight that can fit, skipping every weight
+with w^2 * delta < 4: two distinct fractions pa/qa < pb/qb differ by at
+least 1/(qa*qb) >= 4/w^2.  Row pa is read from the block's one list of
+qb's coprimes by a bisection at pa*qb // qa.  Rank, unrank and that search
+are integer arithmetic with no state kept between calls.  Duplicates
+between the streams are harmless.  Indices are 1-based.
 
 Gap sizing.  The found free interval is shrunk concentrically to length
 (2^-j)/3 where 2^-j is the largest power of two not exceeding
@@ -83,7 +85,7 @@ from typing import Callable, Iterable, Iterator
 from weakref import WeakKeyDictionary
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound
-from .cantor import _GAP_DEPTHS, _MeasureSteps, _containment, _cover_walk, _find_gap, _longest_room, _open, _room, _span
+from .cantor import _GAP_DEPTHS, _MeasureSteps, _containment, _cover_walk, _find_gap, _open, _room, _span
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
@@ -123,24 +125,27 @@ def _pairs_below(w: int, phi: list[int]) -> int:
     """The pair positions before weight w: over qa + qb < w, the sum of
     phi(qa)*phi(qb) less the diagonal, halved."""
     small = phi[2:w - 2]  # phi(qa) for qa = 2..w-3, which leaves qb = 2..w-1-qa
-    return (sum(map(mul, small, reversed(list(accumulate(small))))) - sum(phi[2:(w + 1) // 2])) // 2
+    return (sum(map(mul, reversed(small), accumulate(small))) - sum(phi[2:(w + 1) // 2])) // 2
 
 
-def _pair_blocks(m: int) -> Iterator[tuple[int, int, int]]:
-    """(pos, qa, qb) for the pair blocks from the one holding position m on;
-    pos positions precede the block.  The weight comes from doubling and
-    bisection over ``_pairs_below``, its earlier blocks are skipped by size.
-    Position 1, where every load starts, opens block (2, 3), the first of
-    positive size: no search."""
+def _pair_weight(m: int) -> int:
+    """The weight of the pair block holding position m >= 1, by doubling and
+    bisection over ``_pairs_below``.  Position 1, where every load starts,
+    opens block (2, 3), the first of positive size: no search."""
     if m == 1:
-        w, pos, phi = 5, 0, _totients(8)
-    else:
-        top = 8
-        while _pairs_below(top, phi := _totients(top)) < m:
-            top *= 2
-        w = 3 + bisect_left(range(4, top + 1), m, key=lambda w: _pairs_below(w, phi))
-        pos = _pairs_below(w, phi)
-    qa = 2
+        return 5
+    top = 8
+    while _pairs_below(top, phi := _totients(top)) < m:
+        top *= 2
+    return 3 + bisect_left(range(4, top + 1), m, key=lambda w: _pairs_below(w, phi))
+
+
+def _pair_blocks(w: int, m: int = 0) -> Iterator[tuple[int, int, int]]:
+    """(pos, qa, qb) for the pair blocks of weights w, w+1, ..., from the
+    first whose positions reach m, pos + size >= m, on; pos positions
+    precede the block."""
+    phi = _totients(w)
+    pos, qa = _pairs_below(w, phi), 2
     while True:
         qb = w - qa
         size = (phi[qa] * phi[qb] - (phi[qa] if qa == qb else 0)) // 2
@@ -149,7 +154,7 @@ def _pair_blocks(m: int) -> Iterator[tuple[int, int, int]]:
         pos, qa = pos + size, qa + 1
         if qa == w - 1:
             w, qa = w + 1, 2
-            phi = phi if w < len(phi) else _totients(2 * w)
+            phi = phi if w - 2 < len(phi) else _totients(2 * w)  # weight w reads phi[2..w-2]
 
 
 def _rows(pos: int, qa: int, qb: int) -> Iterator[tuple[int, int, list[int], int]]:
@@ -190,9 +195,9 @@ def _dyadic_stream(m: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _pair_stream(m: int) -> Iterator[tuple[int, int, int, int]]:
-    """(pa, qa, pb, qb) for pair positions m, m+1, ...: the blocks of
-    ``_pair_blocks(m)``, row by row, each row read from position m on."""
-    for pos, qa, qb in _pair_blocks(m):
+    """(pa, qa, pb, qb) for pair positions m, m+1, ...: the blocks from the
+    one holding position m, row by row, each row read from position m on."""
+    for pos, qa, qb in _pair_blocks(_pair_weight(m), m):
         for row, pa, pbs, start in _rows(pos, qa, qb):
             if row < m:
                 start += m - row  # past the row's end for the rows before m's
@@ -217,7 +222,7 @@ def enumeration_index(interval: Interval) -> int:
     and pb/qb sums over the weights below w = qa + qb, in O(w) time and
     memory; it is skipped when it must exceed a dyadic rank.  Size bound:
     ValueError, before any sieve is built, when the pair rank is needed and
-    w exceeds 2^16 (at the bound it takes about 0.5 s and 40 MB).
+    w exceeds 2^16 (at the bound: about 0.07 s, 4 MB peak by ``tracemalloc``).
     """
     if interval.lo_closed or interval.hi_closed:
         raise ValueError("enumerated intervals are open")
@@ -231,12 +236,11 @@ def enumeration_index(interval: Interval) -> int:
     # denominator 2^(L-1), so D < 2^(L+2) < 8w, while the pairs 1/2 < pb/qb alone put
     # sum(phi(q)/2 for 3 <= q < w - 2) > 4w positions below w (phi(q) >= sqrt(q/2)).
     if 0 < lo and hi < 1 and not (found and (qa + qb > _MAX_PAIR_WEIGHT or
-                                             qa + qb > sum(next(_pair_blocks(found[0] // 2))[1:]))):
+                                             qa + qb > _pair_weight(found[0] // 2))):
         if qa + qb > _MAX_PAIR_WEIGHT:
             raise ValueError(f"interval {interval} has endpoint denominators {qa} + {qb} > {_MAX_PAIR_WEIGHT}, "
                              "past the rank's size bound")
-        first = _pairs_below(qa + qb, _totients(qa + qb)) + 1
-        pos = next(pos for pos, a, _ in _pair_blocks(first) if a == qa)
+        pos = next(pos for pos, a, _ in _pair_blocks(qa + qb) if a == qa)
         position, _, pbs, start = next(row for row in _rows(pos, qa, qb) if row[1] == lo.numerator)
         found.append(2 * (position - start + pbs.index(hi.numerator, start)))
     if not found:
@@ -253,8 +257,8 @@ def first_index_inside(window: Interval, min_index: int = 1) -> int:
     only while their index stays below the dyadic candidate's.  Size bound:
     ValueError, before any sieve is built, when a pair below the dyadic
     candidate's index may have weight qa + qb > 2^16 (a dyadic index past
-    about 2^58: windows about 2^-55 wide or narrower); at the bound the
-    search takes about 0.5 s and 40 MB.
+    about 2^58: windows about 2^-55 wide or narrower); radius 2^-55 around
+    1/3 takes about 0.13 s and 6 MB.
     """
     if not window.is_nontrivial:
         raise ValueError("window must be nontrivial")
@@ -273,16 +277,15 @@ def first_index_inside(window: Interval, min_index: int = 1) -> int:
         raise ValueError(f"the first enumerated interval inside {window} may be a pair of weight above "
                          f"{_MAX_PAIR_WEIGHT}, past the search's size bound")
     fit = max(4, isqrt(-(-4 * q * s // (r * q - p * s)) - 1) + 1)  # the least w with w^2 * width >= 4
-    if first < stop and fit <= sum(next(_pair_blocks(stop - 1))[1:]):
-        start = max(first, _pairs_below(fit, _totients(fit)) + 1)
-        for pos, qa, qb in _pair_blocks(start):
+    if first < stop and fit <= _pair_weight(stop - 1):
+        for pos, qa, qb in _pair_blocks(max(fit, _pair_weight(first)), first):
             if pos + 1 >= stop:
                 break
             # A block holds a fit only if its least pb/qb above its least pa/qa >= lo is <= hi.
             least = next(_coprimes(-(-p * qa // q) or 1, qa), qa)
             if next(_coprimes(least * qb // qa + 1, qb), qb) <= min(r * qb // s, qb - 1):
                 for row, pa, pbs, i in _rows(pos, qa, qb):
-                    skip = max(start - row, 0)  # the row's positions before start
+                    skip = max(first - row, 0)  # the row's positions before first
                     if row + skip < stop and pa * q >= p * qa and i + skip < len(pbs) and pbs[i + skip] * s <= r * qb:
                         return 2 * (row + skip)
     return best
@@ -460,7 +463,7 @@ class SplittingPartition:
         self.stages: tuple[StageRecord, ...] = tuple(stages)
         self._sums: tuple | None = None
         self._tail: Fraction | None = None
-        # The gap index as ``cantor._longest_room`` reads it: records sorted
+        # The gap index as ``cantor._room`` reads it: records sorted
         # by gap.lo, their gap ends over one common denominator _den, and
         # _reach, the running max of _his, which window queries bisect too.
         # One stable sort, so that equal left ends keep stage order as
@@ -548,8 +551,11 @@ class SplittingPartition:
         return range(start, bisect_right(self._los, hi)), before
 
     def _longest_free(self, target: Interval) -> Interval | None:
-        """``_longest_room`` over the gap closures."""
-        return _longest_room(self._los, self._reach, self._den, target)
+        """``cantor._room`` over the gap closures, of the target's ends, as an
+        open interval whatever the target's flags; None if none."""
+        lo, hi = target.lo, target.hi
+        room = _room(self._los, self._reach, self._den, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        return None if room is None else _open(*room)
 
     def _free_subinterval(self, ends: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], int]:
         """Longest open subinterval of the target (p/q, r/s) avoiding all
@@ -864,19 +870,17 @@ def _unit_chunks(window: Interval, translation: int) -> Iterator[Interval]:
 
 
 def _piece_span(record: StageRecord, window: Interval) -> tuple[int, int, int, int] | None:
-    """(first, last, a, b), or None when no piece of the stage meets the window.
-
-    Pieces first..last meet the window in positive length, pieces a..b lie
-    wholly inside it (none when a > b); only first and last can straddle.
-    ``_span_between`` on the window's ends.
-    """
+    """``_span_between`` on the window's ends."""
     lo, hi = window.lo, window.hi
     return _span_between(record, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
 def _span_between(record: StageRecord, p: int, q: int, r: int, s: int) -> tuple[int, int, int, int] | None:
-    """``_piece_span`` for the window [p/q, r/s], q and s positive.
+    """(first, last, a, b) for the window [p/q, r/s], q and s positive, or
+    None when no piece of the stage meets it.
 
+    Pieces first..last meet the window in positive length, pieces a..b lie
+    wholly inside it (none when a > b); only first and last can straddle.
     A window end p/q sits at piece coordinate t = (p*den - start*q) / (step*q)
     of the stage's integer geometry, so each bound is one floor division.
     """
@@ -1231,7 +1235,7 @@ def saves(partition: SplittingPartition, *, version: int = 1) -> str:
     than the caller's limit on int/str conversion raises ValueError, as in
     ``loads``.
     """
-    if version not in (1, 2):
+    if type(version) is not int or version not in (1, 2):  # True == 1 and 2.0 == 2
         raise ValueError(f"no SPLITPART version {version}; versions are 1 and 2")
     lines = [
         f"SPLITPART v{version}",
@@ -1478,7 +1482,7 @@ def _check_gap(record: StageRecord, expected: int, target: tuple[int, int, int, 
 
     Stages come numbered 1..N; the gap lies strictly inside I_n = (p/q, r/s),
     the target; its length is 1/(3*2^j) with 2^-j <= min(2^-n, gap_cap) and
-    its midpoint lies on the 2^-(j+4) grid (``_shrink_gap``); depth is one
+    its midpoint lies on the 2^-(j+4) grid (``_gap_span``); depth is one
     ``find_gap`` tries, or 0.  Every test compares integers read from the
     record's span (a/d, b/d); only a message builds the gap.
     """
@@ -1572,7 +1576,7 @@ def _span_meets(record: StageRecord, i: int, a: int, b: int, d: int, depth: int)
 def _pieces_touching(record: StageRecord, a: int, b: int, c: int, d: int) -> range:
     """The pieces of the stage whose closures meet [a/b, c/d], b, d > 0.
 
-    Unlike ``_piece_span`` a piece that only touches the interval counts: a
+    Unlike ``_span_between``'s first..last a piece that only touches counts: a
     point x sits at piece coordinate t = (x*den - start) / step of the
     integer geometry, and piece i's closure meets [x, y] when
     t(x) - 1 <= i <= t(y).
@@ -1584,8 +1588,10 @@ def _pieces_touching(record: StageRecord, a: int, b: int, c: int, d: int) -> ran
 
 
 def save(partition: SplittingPartition, path, *, version: int = 1) -> None:
+    """``saves``, then the file: an error in ``saves`` leaves a file as it was."""
+    text = saves(partition, version=version)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(saves(partition, version=version))
+        fh.write(text)
 
 
 def load(path, stages: int | None = None) -> SplittingPartition:

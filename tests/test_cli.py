@@ -650,3 +650,34 @@ def test_every_certificate_a_command_checks_carries_its_witness_table(partition_
     trajectory = clarkesat.stress.run_subgradient(sf, (Fraction(1, 2),), steps=2)
     assert "0/1" in clarkesat.stress.trajectory_csv(sf, trajectory, Fraction(1, 4), 0)
     assert len(has_table) >= 8 and all(has_table)
+
+
+@pytest.mark.parametrize("version", [True, False, 1.0, 2.0, "2", 3])
+def test_saves_and_save_reject_a_version_that_is_not_1_or_2(tmp_path, version):
+    # True == 1 and 2.0 == 2, but "SPLITPART vTrue" or "v2.0" is no header loads reads.
+    p = build_partition(6)
+    message = f"^no SPLITPART version {version}; versions are 1 and 2$"
+    with pytest.raises(ValueError, match=message):
+        saves(p, version=version)
+    with pytest.raises(ValueError, match=message):
+        save(p, tmp_path / "p.splitpart", version=version)
+    assert not (tmp_path / "p.splitpart").exists()
+
+
+def test_a_failing_save_leaves_an_existing_file_as_it_was(tmp_path):
+    path = tmp_path / "p.splitpart"
+    save(build_partition(6), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="no SPLITPART version 3"):
+        save(build_partition(6), path, version=3)
+    assert path.read_bytes() == before
+    if hasattr(sys, "set_int_max_str_digits"):  # gap ends of about 4,300 digits, past the default limit
+        deep = SplittingPartition(Fraction(1), (_centered(1, _HALF, Fraction(1, 3 * 2**14300)),))
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+            with pytest.raises(ValueError):
+                save(deep, path, version=2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert path.read_bytes() == before

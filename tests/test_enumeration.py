@@ -14,6 +14,8 @@ from clarkesat.partition import (
     _MAX_PAIR_POSITION,
     _MAX_PAIR_WEIGHT,
     _enumeration,
+    _pair_blocks,
+    _pair_weight,
     _pairs_below,
     _totients,
     enumerated_interval,
@@ -228,3 +230,65 @@ def test_first_index_inside_answers_up_to_its_size_bound(exponent):
     n = first_index_inside(window)
     assert window.contains_interval(enumerated_interval(n))
     assert not window.contains_interval(enumerated_interval(n - 1))
+
+
+def _block_table(top):
+    """(w, pos, qa, qb, size) for every pair block of weight 4..top, from the
+    block-size formula alone: pos positions precede the block."""
+    phi, table, pos = _totients(top), [], 0
+    for w in range(4, top + 1):
+        for qa in range(2, w - 1):
+            qb = w - qa
+            size = (phi[qa] * phi[qb] - (phi[qa] if qa == qb else 0)) // 2
+            table.append((w, pos, qa, qb, size))
+            pos += size
+    return table
+
+
+def test_pair_weight_and_blocks_match_the_block_table():
+    table = _block_table(70)
+    assert table[0] == (4, 0, 2, 2, 0)  # the one zero-size block
+
+    def expected(w, m):  # the first block of weight >= w holding a position >= m
+        return next((pos, qa, qb) for weight, pos, qa, qb, size in table if weight >= w and pos + size >= m)
+
+    for w, pos, qa, qb, size in table:
+        if w > 64:
+            break
+        for m in {pos, pos + 1, pos + size}:  # the first and last positions, and the one before
+            for start in {4, w - 1, w} - {3}:  # walks from weight 4 regrow the sieve on the way
+                assert next(_pair_blocks(start, m)) == expected(start, m), (start, m)
+        if size:
+            assert _pair_weight(pos + 1) == _pair_weight(pos + size) == w, (pos, qa, qb)
+    for w in range(4, 65):
+        blocks = [(pos, qa, qb) for weight, pos, qa, qb, _ in table if weight >= w]
+        assert list(islice(_pair_blocks(w), len(blocks))) == blocks, w
+
+
+def test_first_index_inside_matches_a_scan_for_fit_below_at_and_above_the_first_weight(reference):
+    # fit, the least weight w >= 4 with w^2 * width >= 4, against the weight
+    # of pair position first = (min_index + 1) // 2: the pair search starts
+    # at the larger of the two.  Each window is a pair interval I_k with
+    # k >= min_index, or that interval widened a little, so pairs answer
+    # often, and up to four are drawn from each side of the weight.
+    rng = random.Random(23)
+    starts = sorted({1, 2, 3, 4, *rng.sample(_mid_block_indices(reference), 40), *rng.sample(range(5, 20000), 40)})
+    seen = {"below": 0, "at": 0, "above": 0}
+    pairs = 0
+    for min_index in starts:
+        weight = _pair_weight((min_index + 1) // 2)
+        drawn = {"below": [], "at": [], "above": []}
+        for k in range(min_index + min_index % 2, min(min_index + 3000, N), 2):
+            pair = reference[k - 1]
+            margin = (pair.hi - pair.lo) * rng.choice([0, 0, Fraction(1, 16)])
+            window = Interval(pair.lo - margin, pair.hi + margin, rng.random() < 0.5, rng.random() < 0.5)
+            width = min(window.hi, 1) - max(window.lo, 0)
+            fit = max(4, next(w for w in range(1, 1000) if w * w * width >= 4))
+            drawn["below" if fit < weight else "at" if fit == weight else "above"].append(window)
+        for side, windows in drawn.items():
+            for window in rng.sample(windows, min(4, len(windows))):
+                expected = _scan_inside(reference, window, min_index)
+                assert first_index_inside(window, min_index) == expected, (window, min_index)
+                seen[side] += 1
+                pairs += expected % 2 == 0
+    assert min(seen.values()) >= 200 and pairs >= 300, (seen, pairs)
