@@ -65,17 +65,18 @@ def _children(lo: int, hi: int, half: int) -> tuple[tuple[int, int], tuple[int, 
     return (4 * lo, mid - half), (mid + half, 4 * hi)
 
 
-def _cover_walk(lo: int, hi: int, base: int, retained: Fraction, a: Fraction, b: Fraction, depth: int,
+def _cover_walk(lo: int, hi: int, base: int, retained: Fraction, ends: tuple[int, int, int, int], depth: int,
                 whole: bool = False):
-    """Yield (lo, hi, den, step) for the cover pieces meeting [a, b], left to right.
+    """Yield (lo, hi, den, step) for the cover pieces meeting the window
+    [an/ad, bn/bd] of ends (an, ad, bn, bd), ad, bd > 0, left to right.
 
     The fat Cantor set has the host [lo/base, hi/base] and keeps the share
     ``retained`` of it; its removed middles take the rest.  A yielded lo
     and hi are numerators over den, the denominator of the piece's
-    step; a subtree that misses [a, b] is never entered.  Pieces come
+    step; a subtree that misses the window is never entered.  Pieces come
     from the depth-d cover, except that with ``whole`` a piece wholly
-    inside [a, b] is yielded at its own step.  One descent decides every
-    node: a node is tested against [a, b] until it or an ancestor lies
+    inside the window is yielded at its own step.  One descent decides every
+    node: a node is tested against the window until it or an ancestor lies
     wholly inside, and the children of an inside node skip the tests.  So
     the first piece costs O(d) for any window: a window meeting a left
     child holds the child's right end, which every deeper cover keeps, or
@@ -90,7 +91,7 @@ def _cover_walk(lo: int, hi: int, base: int, retained: Fraction, a: Fraction, b:
     # ``half``, the numerator ``_children`` removes beside a midpoint, constant.
     p, q = retained.numerator, retained.denominator
     root_den, half = 4 * q * base, 4 * (q - p) * (hi - lo)
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    an, ad, bn, bd = ends
     stack = [(4 * q * lo, 4 * q * hi, 0, False)]
     while stack:
         lo, hi, step, inside = stack.pop()
@@ -112,15 +113,12 @@ def _containment(lo: int, hi: int, base: int, retained: Fraction, p: int, q: int
     over the closed host [lo/base, hi/base]: IN on an endpoint of a depth-d
     cover piece, which no later step removes, UNDECIDED inside one, OUT
     outside the cover.
-
-    The walk runs on the host scaled by q, where the point is the integer
-    p: the cover scales with its host, so every answer is the same.
     """
-    piece = next(_cover_walk(lo * q, hi * q, base, retained, p, p, depth), None)
+    piece = next(_cover_walk(lo, hi, base, retained, (p, q, p, q), depth), None)
     if piece is None:
         return Containment.OUT
     lo, hi, den, _ = piece
-    return Containment.IN if p * den in (lo, hi) else Containment.UNDECIDED
+    return Containment.IN if p * den in (lo * q, hi * q) else Containment.UNDECIDED
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ class FatCantorSet:
     """A Cantor-type set of positive measure over a rational host interval.
 
     Immutable; cover queries are pure functions of (set, depth), and all of
-    them, ``find_gap`` too, read the one pruned cover walk ``_walk``.
+    them, ``find_gap`` too, read the one pruned cover walk ``_cover_walk``.
     """
 
     host: Interval
@@ -162,8 +160,9 @@ class FatCantorSet:
         return (1 - self.retained_fraction) * self.length / 2**depth
 
     def _walk(self, a: Fraction, b: Fraction, depth: int, whole: bool = False):
-        """``_cover_walk`` over this set's host as a ``_span``."""
-        return _cover_walk(*_span(self.host), self.retained_fraction, a, b, depth, whole)
+        """``_cover_walk`` over this set's host as a ``_span``, of the window [a, b]."""
+        ends = a.numerator, a.denominator, b.numerator, b.denominator
+        return _cover_walk(*_span(self.host), self.retained_fraction, ends, depth, whole)
 
     def svc_cover(self, depth: int) -> IntervalSet:
         """The depth-d cover: 2^d closed intervals whose intersection is F.
@@ -363,41 +362,50 @@ def find_gap(
     exposed one, 0 when no prior set meets the target.  Depths double from
     1; termination is guaranteed because the covers shrink to nowhere dense
     sets, as long as the blocked intervals leave room beside them; when they
-    leave none, the search stops after depth 1.  The depth-1 try walks the
-    cover pieces that meet the target; once it fails, a try walks only those
-    that meet the room, the parts of the target outside the blocked
-    intervals (``_rooms``), where any gap lies.  A try merges the blocked
-    closures and walked pieces as integers for ``_room``.  How the build
-    picks the prior sets and blocked ones: the partition's "Gap search".
+    leave none, the search stops after depth 1.  ``_find_gap`` searches on
+    the integer spans; how the build picks the prior sets and blocked ones:
+    the partition's "Gap search".
     """
-    ends, depth = _find_gap(prior, target, [_span(b) for b in blocked])
+    if not target.is_nontrivial:
+        raise ValueError("target must be nontrivial")
+    hosts = [(*_span(c.host), c.retained_fraction) for c in prior if target.overlaps_nontrivially(c.host)]
+    try:
+        ends, depth = _find_gap(hosts, _ends(target), [_span(b) for b in blocked])
+    except RuntimeError:  # named by the target as given, with its flags
+        raise RuntimeError(f"no gap inside {target} avoids the blocked intervals and prior covers") from None
     return _open(*ends), depth
 
 
-def _find_gap(
-    prior: list[FatCantorSet], target: Interval, closures: list[tuple[int, int, int]]
-) -> tuple[tuple[int, int, int, int], int]:
-    """``find_gap``'s search on the blocked closures' spans; the gap comes
-    back as its ``_room`` ends (p, q, r, s), the interval (p/q, r/s)."""
-    if not target.is_nontrivial:
-        raise ValueError("target must be nontrivial")
-    lo, hi = target.lo, target.hi
-    ends = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    relevant = [c for c in prior if target.overlaps_nontrivially(c.host)]
-    room = [(lo, hi)]
-    for depth in _GAP_DEPTHS if relevant else (0,):
-        covers = [piece[:3] for c in relevant for a, b in room for piece in c._walk(a, b, depth)]
+def _find_gap(hosts: list[tuple[int, int, int, Fraction]], ends: tuple[int, int, int, int],
+              closures: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int, int], int]:
+    """``find_gap``'s search on integers, the prior sets as (lo, hi, base,
+    retained) for ``_cover_walk``, each host meeting the target in positive
+    length, the target (p/q, r/s) as (p, q, r, s) and the blocked closures
+    as spans; the gap comes back as its ``_room`` ends.  The depth-1 try
+    walks the hosts over the target, and the later ones only over the rooms,
+    the parts of the target outside the blocked closures (``_rooms``), where
+    any gap lies.  No ``Fraction`` or ``Interval`` is built.
+    """
+    rooms = [ends]
+    for depth in _GAP_DEPTHS if hosts else (0,):
+        covers = [piece[:3] for host in hosts for room in rooms for piece in _cover_walk(*host, room, depth)]
         best = _room(*_merged(closures + covers), *ends)
         if best is not None:
             return best, depth
-        if depth == 1 and not (room := _rooms(*_merged(closures), target)):
+        if depth == 1 and not (rooms := _rooms(*_merged(closures), *ends)):
             break  # no depth can expose a gap
-    raise RuntimeError(f"no gap inside {target} avoids the blocked intervals and prior covers")
+    raise RuntimeError(f"no gap inside {_open(*ends)} avoids the blocked intervals and prior covers")
 
 
 def _open(p: int, q: int, r: int, s: int) -> Interval:
     """The open interval (p/q, r/s)."""
     return Interval.open(Fraction(p, q), Fraction(r, s))
+
+
+def _ends(interval: Interval) -> tuple[int, int, int, int]:
+    """(p, q, r, s) for the interval's ends p/q and r/s, reduced: ``_open``'s arguments."""
+    lo, hi = interval.lo, interval.hi
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
 
 def _span(interval: Interval) -> tuple[int, int, int]:
@@ -446,11 +454,11 @@ def _room(los: list[int], reach: list[int], den: int, a: int, b: int, e: int, f:
     return p, q, r, s
 
 
-def _rooms(los: list[int], reach: list[int], den: int, target: Interval) -> list[tuple[Fraction, Fraction]]:
-    """The positive-length parts of the target outside ``_room``'s obstructions, as (lo, hi)."""
-    lo, hi = target.lo, target.hi
-    first = bisect_right(reach, lo.numerator * den // lo.denominator)
-    stop = bisect_left(los, -(-hi.numerator * den // hi.denominator))
-    ends = [lo, *(Fraction(end, den) for pair in zip(los[first:stop], reach[first:stop]) for end in pair), hi]
-    return [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
-
+def _rooms(los: list[int], reach: list[int], den: int, a: int, b: int, e: int, f: int) -> list[tuple[int, ...]]:
+    """The positive-length parts of the target (a/b, e/f) outside ``_room``'s
+    obstructions, as their ends (p, q, r, s), each the target's own or an
+    obstruction's over den."""
+    first = bisect_right(reach, a * den // b)
+    stop = bisect_left(los, -(-e * den // f))
+    bounds = [(a, b), *((end, den) for pair in zip(los[first:stop], reach[first:stop]) for end in pair), (e, f)]
+    return [(p, q, r, s) for (p, q), (r, s) in zip(bounds[::2], bounds[1::2]) if p * s < r * q]

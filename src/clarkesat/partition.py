@@ -45,29 +45,23 @@ length >= 2^-j, shrink factor 1/3, snap distance 2^-j/16) keeps the gap
 strictly inside the free interval.  The snapping keeps endpoint
 denominators at O(n) bits after n stages.  Stage tails are summable: sum
 of gap lengths over n > N is at most 2^-N.  ``_gap_span`` applies the rule
-to the free interval's integer ends: it picks the minimum by
-cross-multiplying, passes it to ``_halving_exponent`` as a ``Fraction``,
-built only when it is not gap_cap itself, and returns the gap's span, the
-integers a ``StageRecord`` holds.
+to the free interval's integer ends.
 
 Gap search.  The free interval avoids the closures of all earlier gaps when
 they leave room in I_n.  One gap index serves this search and every window
 query: the gaps sorted by left end, with both ends and the running max of
 the right ends as integers over one common denominator.  The room scan
-``cantor._room`` reads the longest free part of I_n from it, taking I_n's
-ends and giving the room's as integers, and a window query rounds its two
-ends once.  So a stage that finds room builds no ``Interval`` and at most
-one ``Fraction`` from I_n to its record: ``build_partition(500)`` takes
-about 14 ms, 28 us a stage, mostly in the room scan, ``_gap_span`` and
-``_add`` (2-core shared machine, CPython 3.11.7).  When the closures tile
-I_n (from stage 37 on at gap_cap 1), ``cantor._find_gap`` digs the gap
-into a removed middle of the earliest stage whose closure meets I_n, the
-other closures blocked by their spans, certified at ``depth_used``; only
-such a stage builds its target and the host's pieces as objects.  The
-nesting rule makes that stage the host: a depth-0 closure touches no
-earlier one and a dug gap lies strictly inside its removed middle, so
-closures are disjoint or nested, the later inside, and the one maximal
-closure holding I_n came first.
+``cantor._room`` reads the longest free part of I_n off it, on I_n's
+integer ends, and a window query rounds its two ends once.  When the
+closures tile I_n (from stage 37 on at gap_cap 1), ``cantor._find_gap``
+digs the gap into a removed middle of the host, the earliest stage whose
+closure meets I_n, the other closures blocked, certified at ``depth_used``:
+a depth-0 closure touches no earlier one and a dug gap lies strictly inside
+its removed middle, so closures are disjoint or nested, the later inside,
+and the one maximal closure holding I_n came first.  A stage builds no
+``Interval`` and at most one ``Fraction``: ``build_partition(500)`` takes
+about 10 ms, mostly in the room scan, ``_gap_span`` and ``_add`` (2-core
+shared machine, CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -85,7 +79,7 @@ from typing import Callable, Iterable, Iterator
 from weakref import WeakKeyDictionary
 
 from .cantor import CANONICAL_SCHEDULE, Containment, FatCantorSet, MeasureBound
-from .cantor import _GAP_DEPTHS, _MeasureSteps, _containment, _cover_walk, _find_gap, _open, _room, _span
+from .cantor import _GAP_DEPTHS, _MeasureSteps, _containment, _cover_walk, _ends, _find_gap, _open, _room, _span
 from .errors import NotYetCovered, ToleranceExhausted
 from .rationals import (
     Interval,
@@ -130,11 +124,12 @@ def _pairs_below(w: int, phi: list[int]) -> int:
 
 def _pair_weight(m: int) -> int:
     """The weight of the pair block holding position m >= 1, by doubling and
-    bisection over ``_pairs_below``.  Position 1, where every load starts,
-    opens block (2, 3), the first of positive size: no search."""
-    if m == 1:
-        return 5
-    top = 8
+    bisection over ``_pairs_below``.  Positions 1..24, of weights 5 to 8,
+    where every load starts and the windows of ``certify`` look, are read
+    from the positions before weights 6, 7 and 8, with no search."""
+    if m <= 24:
+        return 5 + bisect_left((2, 5, 13), m)
+    top = 16
     while _pairs_below(top, phi := _totients(top)) < m:
         top *= 2
     return 3 + bisect_left(range(4, top + 1), m, key=lambda w: _pairs_below(w, phi))
@@ -475,11 +470,11 @@ class SplittingPartition:
         width = top.bit_length()
         shifts = [width - d.bit_length() for _, _, d in spans]
         if all(d << k == top for (_, _, d), k in zip(spans, shifts)):
-            self._den = top
+            self._den = self._lcm = top
             los = [a << k for (a, _, _), k in zip(spans, shifts)]
             his = [b << k for (_, b, _), k in zip(spans, shifts)]
         else:
-            self._den = den = lcm(*(d for _, _, d in spans))
+            self._den = self._lcm = den = lcm(*(d for _, _, d in spans))
             los = [a * (den // d) for a, _, d in spans]
             his = [b * (den // d) for _, b, d in spans]
         order = sorted(range(len(spans)), key=los.__getitem__)
@@ -493,19 +488,20 @@ class SplittingPartition:
         partitions that passed the load check, as its insert relies on the
         nesting rule of "Gap search": every later entry reaches past the gap.
 
-        A gap whose ``_span`` denominator does not divide ``_den`` rescales
-        the index to a common multiple with as many spare bits as ``_den``
-        had, so a build's growing grid 3*2^k rescales O(log N) times.
+        A gap whose ``_span`` denominator d does not divide ``_den`` rescales
+        the index to L * 2^max(64, bits(L)/4), L = ``_lcm`` = lcm(``_lcm``, d),
+        so spare bits grow with the gaps' lcm instead of compounding, and a
+        build's grid 3*2^k rescales O(log N) times.
         """
         self.stages += (record,)
         self._sums = self._tail = None
         a, b, d = record._span
         if self._den % d:
-            den = lcm(self._den, d) << self._den.bit_length()
-            factor, self._den = den // self._den, den
+            self._lcm = top = lcm(self._lcm, d)
+            old, self._den = self._den, top << max(64, top.bit_length() // 4)
             for ends in (self._los, self._his, self._reach):
-                ends[:] = [end * factor for end in ends]
-        a, b = a * (self._den // d), b * (self._den // d)
+                ends[:] = _rescaled(ends, self._den, old)
+        a, b = _rescaled([a, b], self._den, d)
         pos = bisect_right(self._los, a)
         self._by_lo.insert(pos, record)
         self._los.insert(pos, a)
@@ -553,33 +549,27 @@ class SplittingPartition:
     def _longest_free(self, target: Interval) -> Interval | None:
         """``cantor._room`` over the gap closures, of the target's ends, as an
         open interval whatever the target's flags; None if none."""
-        lo, hi = target.lo, target.hi
-        room = _room(self._los, self._reach, self._den, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        room = _room(self._los, self._reach, self._den, *_ends(target))
         return None if room is None else _open(*room)
 
     def _free_subinterval(self, ends: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], int]:
         """Longest open subinterval of the target (p/q, r/s) avoiding all
-        planted sets, as its ends in the same form, and the dig depth.
-
-        Depth 0 avoids the closures of the built gaps, which hold every
-        planted set: ``cantor._room`` finds the longest part of the target
-        outside them from the gap index, on integers, in two bisections and
-        one max over the closures inside the target, with no ``Fraction``
-        or ``Interval`` built.  When they tile the target, ``_find_gap``
-        digs into the host that "Gap search" above names, the other
-        closures blocked by their ``_span``s: its removed middles minus the
-        finitely many closed gaps nested in them leave room at some finite
-        depth.  Only a dig builds the target ``Interval`` and the host's
-        pieces.
+        planted sets, as its ends in the same form, and the dig depth: the
+        room ``cantor._room`` reads off the gap index outside the built gaps'
+        closures, which hold every planted set, or, when they tile the
+        target, the dig of "Gap search" into the first of ``_overlapping`` the
+        target's ends rounded inward, its pieces as integer spans from its
+        ``geometry`` and the others' ``_span``s blocked.
         """
         room = _room(self._los, self._reach, self._den, *ends)
         if room is not None:
             return room, 0
-        target = _open(*ends)
-        host, *nested = self.stages_overlapping(target)
+        p, q, r, s = ends
+        host, *nested = self._overlapping(-(-p * self._den // q), r * self._den // s)
         first, last, _, _ = _span_between(host, *ends)
-        pieces = [self.piece_set(host.n, i) for i in range(first, last + 1)]
-        return _find_gap(pieces, target, [r._span for r in nested])
+        start, step, den = host.geometry
+        pieces = [(start + i * step, start + (i + 1) * step, den, RETAINED) for i in range(first, last + 1)]
+        return _find_gap(pieces, ends, [record._span for record in nested])
 
     def _stage_masses(self) -> tuple[int, list[int]]:
         """(den, masses): stage n's whole-piece mass RETAINED * piece_width is
@@ -746,8 +736,7 @@ def _whole_spans(overlapping: list[StageRecord], window: Interval) -> Iterator[t
     ``_span_between`` on them.  The scan is lazy, so a reader that stops
     after the stage it needs computes no span past it.
     """
-    lo, hi = window.lo, window.hi
-    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p, q, r, s = _ends(window)
     for record in overlapping:
         span = _span_between(record, p, q, r, s)
         if span is not None and span[2] <= span[3]:
@@ -837,11 +826,17 @@ def _inward(window: Interval, den: int) -> tuple[int, int]:
     return -(-lo.numerator * den // lo.denominator), hi.numerator * den // hi.denominator
 
 
+def _rescaled(numerators: list[int], den: int, d: int) -> list[int]:
+    """Numerators over d as numerators over den, a multiple of d: by a
+    shift when den is d times a power of two, as on a build's grid 3*2^k."""
+    k = den.bit_length() - d.bit_length()
+    return [x << k for x in numerators] if d << k == den else [x * (den // d) for x in numerators]
+
+
 def _unit_range(window: Interval) -> range:
     """The integers m whose unit chunk [m, m+1] meets the window in positive
     length: floor(lo) <= m < ceil(hi), or none for a point."""
-    lo, hi = window.lo, window.hi
-    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p, q, r, s = _ends(window)
     return range(p // q, -(-r // s)) if p * s < r * q else range(0)
 
 
@@ -856,8 +851,7 @@ def _chunk_ends(p: int, q: int, r: int, s: int, m: int) -> tuple[int, int, int, 
 
 def _unit_chunk(window: Interval, m: int) -> Interval:
     """The window's part in [m, m+1], folded into [0, 1]."""
-    lo, hi = window.lo, window.hi
-    a, b, c, d = _chunk_ends(lo.numerator, lo.denominator, hi.numerator, hi.denominator, m)
+    a, b, c, d = _chunk_ends(*_ends(window), m)
     return Interval(Fraction(a, b), Fraction(c, d))
 
 
@@ -871,8 +865,7 @@ def _unit_chunks(window: Interval, translation: int) -> Iterator[Interval]:
 
 def _piece_span(record: StageRecord, window: Interval) -> tuple[int, int, int, int] | None:
     """``_span_between`` on the window's ends."""
-    lo, hi = window.lo, window.hi
-    return _span_between(record, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return _span_between(record, *_ends(window))
 
 
 def _span_between(record: StageRecord, p: int, q: int, r: int, s: int) -> tuple[int, int, int, int] | None:
@@ -959,7 +952,7 @@ class _WindowMass:
         total = 0
         self._by_lo, grid = partition._by_lo, partition._den
         window_lo, window_hi = _inward(window, grid)
-        ends = window.lo.numerator, window.lo.denominator, window.hi.numerator, window.hi.denominator
+        ends = _ends(window)
         reach, his = partition._reach, partition._his
         for m in _unit_range(window):  # the chunks of _unit_chunks, on the index's grid
             lo, hi = max(window_lo - m * grid, 0), min(window_hi - m * grid, grid)
@@ -1162,12 +1155,11 @@ def extend_partition(partition: SplittingPartition, stages: int) -> SplittingPar
     """Deterministic continuation; extend(build(N), M) equals build(M).
 
     Returns a new partition; the one passed in is left as it was.  Each
-    stage runs on integers from end to end: I_n's ends from
+    stage, a dig too, runs on integers from end to end: I_n's ends from
     ``_enumeration_ends``, the room from ``_free_subinterval``, the gap's
     span from ``_gap_span``, and a record from that span, whose gap
     ``Interval`` is built only when something reads it.  A stage builds at
-    most one ``Fraction``, the bound ``_halving_exponent`` reads; a dig stage also
-    builds its target, the host's pieces and the cover walk's numbers.
+    most one ``Fraction``, the bound ``_halving_exponent`` reads.
     """
     if stages <= partition.stage_count:
         return partition
@@ -1182,8 +1174,7 @@ def extend_partition(partition: SplittingPartition, stages: int) -> SplittingPar
 def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
     """The gap of "Gap sizing" above inside the found interval: ``_gap_span``
     of its ends."""
-    lo, hi = found.lo, found.hi
-    a, b, d = _gap_span(lo.numerator, lo.denominator, hi.numerator, hi.denominator, n, gap_cap)
+    a, b, d = _gap_span(*_ends(found), n, gap_cap)
     return _open(a, d, b, d)
 
 
@@ -1565,12 +1556,10 @@ def _cover_meets(record: StageRecord, i: int, window: Interval, depth: int) -> b
 def _span_meets(record: StageRecord, i: int, a: int, b: int, d: int, depth: int) -> bool:
     """Whether the depth-d cover of the stage's piece i meets [a/d, b/d],
     d > 0, on the stage's integer geometry: piece i is [start + i*step,
-    start + (i+1)*step] over den.  The walk runs on the piece scaled by d,
-    where the window's ends are the integers a and b, as
-    ``cantor._containment`` does for a point."""
+    start + (i+1)*step] over den."""
     start, step, den = record.geometry
-    lo = (start + i * step) * d
-    return next(_cover_walk(lo, lo + step * d, den, RETAINED, a, b, depth, whole=True), None) is not None
+    lo = start + i * step
+    return next(_cover_walk(lo, lo + step, den, RETAINED, (a, d, b, d), depth, whole=True), None) is not None
 
 
 def _pieces_touching(record: StageRecord, a: int, b: int, c: int, d: int) -> range:

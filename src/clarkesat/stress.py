@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import Sequence
 
 from .errors import CertificateFailed, NotYetCovered
 from .functions import SaturatedFunction, eval_f, sample_gradient
 from .rationals import ZERO, Interval, ValueBound, format_rational, rational
-from .verifier import _box, _check_radius_and_truncation, certify_saturation
+from .verifier import SaturationCertificate, _box, _check_radius_and_truncation, certify_saturation
 
 # Iterates are snapped to this grid after each step; it keeps coordinate
 # denominators bounded while staying far below any tolerance used here.
@@ -77,7 +78,8 @@ def run_subgradient(
     Deterministic: the square root is replaced by a fixed rational
     approximation, iterates are snapped to the 2^-48 grid, and projection
     clamps into the domain box shrunk by 1/64 of each side.  Returns the
-    oracle response at every visited point, x_init first.
+    oracle response at every visited point, x_init first.  The oracle, a
+    pure function of the point, runs once per point, as iterates repeat.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -85,7 +87,8 @@ def run_subgradient(
     if not sf.contains_point(x):
         raise ValueError("the initial point must lie inside the domain box")
     c = rational(step_coefficient)
-    trajectory = [TrajectoryPoint(0, x, oracle(sf, x, tol, depth))]
+    answer = cache(lambda x: oracle(sf, x, tol, depth))  # kept for this run only
+    trajectory = [TrajectoryPoint(0, x, answer(x))]
     for t in range(1, steps + 1):
         alpha = c / _rational_sqrt(t)
         moved = []
@@ -99,7 +102,7 @@ def run_subgradient(
             value = min(max(value, side.lo + margin), side.hi - margin)
             moved.append(value)
         x = tuple(moved)
-        trajectory.append(TrajectoryPoint(t, x, oracle(sf, x, tol, depth)))
+        trajectory.append(TrajectoryPoint(t, x, answer(x)))
     return trajectory
 
 
@@ -114,7 +117,11 @@ def stationarity_gap(
     the hull, and the gap is exactly zero.  Raises NotYetCovered when the
     certificate does, and CertificateFailed when it fails its own check.
     """
-    certificate = certify_saturation(sf, x, r, K)
+    return _checked_gap(certify_saturation(sf, x, r, K))
+
+
+def _checked_gap(certificate: SaturationCertificate) -> Fraction:
+    """Zero, once the certificate passes its check; CertificateFailed if not."""
     if not certificate.check():
         raise CertificateFailed("saturation certificate failed its check")
     return ZERO
@@ -132,29 +139,25 @@ def trajectory_csv(
     and NA without a radius, where the radius-r box around the iterate
     leaves the domain, and where the partition does not reach yet.  A
     radius r <= 0 or a truncation K < 0 raises ValueError before any row.
+    The certificate, a pure function of the point, is built once per point
+    and checked on each of its rows.
     """
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(sf.d)]
-        + ["f_lo", "f_hi", "gap"]
-    )
-    lines = [",".join(header)]
+    lines = [",".join(["t", *(f"x{i + 1}" for i in range(sf.d)), "f_lo", "f_hi", "gap"])]
     if r is not None:
         r = rational(r)
         _check_radius_and_truncation(r, K)
-    for point in trajectory:
-        gap_text = "NA"
-        if r is not None and all(map(Interval.contains_interval, sf.domain, _box(point.x, r))):
+
+    @cache  # kept for this call only
+    def certificate(x: tuple[Fraction, ...]) -> SaturationCertificate | None:  # None where the gap is NA
+        if r is not None and all(map(Interval.contains_interval, sf.domain, _box(x, r))):
             try:
-                gap_text = format_rational(stationarity_gap(sf, point.x, r, K))
+                return certify_saturation(sf, x, r, K)
             except NotYetCovered:
                 pass
-        row = [str(point.t)]
-        row += [format_rational(c) for c in point.x]
-        row += [
-            format_rational(point.response.value.lo),
-            format_rational(point.response.value.hi),
-            gap_text,
-        ]
-        lines.append(",".join(row))
+        return None
+
+    for point in trajectory:
+        value, certified = point.response.value, certificate(point.x)
+        gap = "NA" if certified is None else format_rational(_checked_gap(certified))
+        lines.append(",".join([str(point.t), *map(format_rational, (*point.x, value.lo, value.hi)), gap]))
     return "\n".join(lines) + "\n"

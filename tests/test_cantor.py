@@ -468,3 +468,45 @@ def test_find_gap_matches_the_fraction_reference(data):
             find_gap(prior, target, blocked)
     else:
         assert find_gap(prior, target, blocked) == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_integer_search_on_unreduced_spans_matches_find_gap(data):
+    # The build hands _find_gap a host's pieces as spans read off its
+    # geometry, whose numerators and denominator share the factor n + 1, and
+    # digs rooms whose ends sit over the merged closures' denominator: no
+    # span is reduced.  So each host, the target's two ends and each blocked
+    # closure are drawn times a factor, with retained shares other than 1/2
+    # and hosts over 3, 5 and 7 as well as powers of two, and the gap must
+    # be find_gap's as an interval, found at the same depth.
+    hosts = data.draw(st.lists(st.tuples(_ends(), _ends()).filter(lambda h: h[0] != h[1]), max_size=3))
+    retained = st.sampled_from((Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4)))
+    prior = [FatCantorSet(Interval.open(min(a, b), max(a, b)), data.draw(retained)) for a, b in hosts]
+    host_ends = sorted({end for a, b in hosts for end in (a, b)})
+    end = st.one_of(st.sampled_from(host_ends), _ends()) if host_ends else _ends()
+    a, b = data.draw(end), data.draw(end)
+    target = Interval.open(min(a, b), max(a, b)) if a != b else Interval.open(a, a + 1)
+    pool = sorted({target.lo + i * target.length / 4 for i in range(5)}
+                  | {end for c in prior for part in c.svc_cover(2) for end in (part.lo, part.hi)})
+    end = st.one_of(st.sampled_from(pool), _ends())
+    count = data.draw(st.integers(0, 4))
+    blocked = tuple(_interval(data.draw(end), data.draw(end), (True, True)) for _ in range(count))
+
+    def unreduced(*numbers):
+        factor = data.draw(st.integers(1, 12))
+        return tuple(number * factor for number in numbers)
+
+    spans = [(*unreduced(*cantor._span(c.host)), c.retained_fraction) for c in prior
+             if target.overlaps_nontrivially(c.host)]  # _find_gap walks only hosts meeting the target
+    lo, hi = target.lo, target.hi
+    ends = unreduced(lo.numerator, lo.denominator) + unreduced(hi.numerator, hi.denominator)
+    closures = [unreduced(*cantor._span(closure)) for closure in blocked]
+    try:
+        expected = find_gap(prior, target, blocked)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="^no gap inside .* avoids the blocked intervals and prior covers$"):
+            cantor._find_gap(spans, ends, closures)
+    else:
+        found, depth = cantor._find_gap(spans, ends, closures)
+        assert (cantor._open(*found), depth) == expected

@@ -292,3 +292,14 @@ def test_first_index_inside_matches_a_scan_for_fit_below_at_and_above_the_first_
                 seen[side] += 1
                 pairs += expected % 2 == 0
     assert min(seen.values()) >= 200 and pairs >= 300, (seen, pairs)
+
+
+def test_pair_weight_names_the_block_of_every_position_up_to_weight_24():
+    # Weights 5 to 8 are read from a table of first positions with no
+    # search, and the search takes over at weight 9: every position on both
+    # sides of that switch must give the weight of the block holding it.
+    table = _block_table(24)
+    assert sum(size for w, _, _, _, size in table if w <= 8) == 24
+    for w, pos, _, _, size in table:
+        for m in range(pos + 1, pos + size + 1):
+            assert _pair_weight(m) == w, m

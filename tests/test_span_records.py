@@ -10,6 +10,7 @@ makes its records from integer spans too, and must equal a Fraction loop.
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,6 +22,7 @@ from clarkesat.partition import (
     _canonical_stage,
     _parse_stage_line,
     _piece_span,
+    _rescaled,
     _shrink_gap,
     build_partition,
     enumerated_interval,
@@ -185,3 +187,50 @@ def test_the_integer_build_matches_the_fraction_loop(cap, dug):
     _assert_same_build(built, _reference_extend(SplittingPartition(cap, ()), 200))
     prefix = loads(saves(built, version=2), 120)
     _assert_same_build(extend_partition(prefix, 200), _reference_extend(prefix, 200))
+
+
+def test_extending_a_hand_made_partition_off_the_grid_matches_the_fraction_loop():
+    # Stages 1 and 2 over 5 and 7, off the 3*2^k grid: the index's lcm is 35,
+    # and the first built gap rescales it by a factor that is no power of
+    # two, the multiplying route of _add; later rescales are shifts.  The
+    # closures of (2/5, 3/5) and (1/7, 2/7) tile targets, so the build digs.
+    hand = SplittingPartition(F(1), (StageRecord(1, Interval.open(F(2, 5), F(3, 5)), 0),
+                                     StageRecord(2, Interval.open(F(1, 7), F(2, 7)), 0)))
+    built = extend_partition(hand, 150)
+    assert built._den % 35 == 0 and sum(record.depth_used > 0 for record in built.stages) > 0
+    _assert_same_build(built, _reference_extend(hand, 150))
+    # The index over _den is the one built over the same records at once,
+    # scaled; a build from no stages starts from _den = 1, which no shift
+    # takes to a multiple of 3.
+    for partition in (built, build_partition(150)):
+        fresh = SplittingPartition(partition.gap_cap, partition.stages)
+        factor, rest = divmod(partition._den, fresh._den)
+        assert rest == 0
+        for name in ("_los", "_his", "_reach"):
+            assert getattr(partition, name) == [end * factor for end in getattr(fresh, name)], name
+        assert partition._by_lo == fresh._by_lo
+
+
+def _gap_lcm(partition):
+    return lcm(*(record._span[2] for record in partition.stages))
+
+
+def test_the_index_denominator_keeps_its_spare_bits_to_a_quarter_of_the_gap_lcm():
+    # _add rescales to the lcm L of the gap denominators times 2^max(64,
+    # bits(L)/4), so _den stays within that many bits of L however the
+    # partition grew: built at once, or extended from a loaded prefix, whose
+    # index has no spare bits.
+    built = build_partition(2000)
+    extended = extend_partition(loads(saves(built, version=2), 1000), 2000)
+    assert extended.stages == built.stages
+    for partition in (built, extended):
+        top = _gap_lcm(partition)
+        assert partition._den % top == 0
+        assert partition._den.bit_length() <= top.bit_length() + max(64, top.bit_length() // 4)
+
+
+@pytest.mark.parametrize("d, den", [(1, 12 << 64), (3, 3 << 70), (12, 420 << 64), (5, 35), (5, 5 * 7 << 9),
+                                    (35, 35), (7, 63)])
+def test_rescaling_by_a_shift_or_a_product_gives_the_product(d, den):
+    numerators = [0, 1, d - 1, d, 7 * d + 3, -(d + 2)]
+    assert _rescaled(numerators, den, d) == [x * (den // d) for x in numerators]

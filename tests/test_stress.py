@@ -2,10 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+import clarkesat.stress as stress_module
 from clarkesat.errors import NotYetCovered
-from clarkesat.functions import FiniteSupport, SaturatedFunction
+from clarkesat.functions import FiniteSupport, SaturatedFunction, ones_generator
 from clarkesat.partition import build_partition
+from clarkesat.rationals import Interval, format_rational
 from clarkesat.stress import (
+    TrajectoryPoint,
+    _rational_sqrt,
+    _snap,
     oracle,
     run_subgradient,
     stationarity_gap,
@@ -186,3 +191,84 @@ def test_trajectory_csv_rejects_a_bad_radius_or_truncation(e0, r, K, message):
     trajectory = run_subgradient(e0, (Fraction(43, 96),), steps=1, step_coefficient=Fraction(1, 2))
     with pytest.raises(ValueError, match=f"^{message}$"):
         trajectory_csv(e0, trajectory, r, K)
+
+
+def _reference_run(sf, x_init, steps, step_coefficient, tol=TOL, depth=8):
+    """``run_subgradient`` as first written: one oracle call per iterate."""
+    x = tuple(Fraction(c) for c in x_init)
+    trajectory = [TrajectoryPoint(0, x, oracle(sf, x, tol, depth))]
+    for t in range(1, steps + 1):
+        alpha = step_coefficient / _rational_sqrt(t)
+        moved = []
+        for side, coord, g in zip(sf.domain, x, trajectory[-1].response.gradient):
+            if alpha * g == 0:
+                moved.append(coord)
+                continue
+            margin = side.length / 64
+            moved.append(min(max(_snap(coord - alpha * g), side.lo + margin), side.hi - margin))
+        x = tuple(moved)
+        trajectory.append(TrajectoryPoint(t, x, oracle(sf, x, tol, depth)))
+    return trajectory
+
+
+def _box_inside(sf, x, r):
+    return all(side.contains_interval(Interval.closed(c - r, c + r)) for side, c in zip(sf.domain, x))
+
+
+def _reference_csv(sf, trajectory, r, K):
+    """``trajectory_csv`` as first written: one certificate per row."""
+    lines = [",".join(["t", *(f"x{i + 1}" for i in range(sf.d)), "f_lo", "f_hi", "gap"])]
+    for point in trajectory:
+        gap = "NA"
+        if _box_inside(sf, point.x, r):
+            try:
+                gap = format_rational(stationarity_gap(sf, point.x, r, K))
+            except NotYetCovered:
+                pass
+        values = point.response.value
+        lines.append(",".join([str(point.t), *map(format_rational, point.x),
+                               format_rational(values.lo), format_rational(values.hi), gap]))
+    return "\n".join(lines) + "\n"
+
+
+def _counted(monkeypatch, name):
+    """Wrap clarkesat.stress.<name> so that each call is recorded by its point."""
+    real, calls = getattr(stress_module, name), []
+
+    def wrapper(sf, x, *args, **kwargs):
+        calls.append(tuple(x))
+        return real(sf, x, *args, **kwargs)
+
+    monkeypatch.setattr(stress_module, name, wrapper)
+    return calls
+
+
+# (mu, d, start members or points, step coefficient, steps): a frozen run,
+# whose gradient is 0 at its undecided start; clamped runs from certified
+# points of A_0 and A_1, stepped by 1/2 onto the clamp, where they freeze;
+# and runs for ones that move off their start.
+_RUNS = [
+    ("unit", 1, (Fraction(2, 5),), Fraction(1, 10), 8),
+    ("unit", 1, (0,), Fraction(1, 2), 8),
+    ("unit", 2, (0, 1), Fraction(1, 2), 8),
+    ("ones", 1, (0,), Fraction(1, 10), 10),
+    ("ones", 2, (0, Fraction(3, 8)), Fraction(1, 100), 10),
+]
+
+
+@pytest.mark.parametrize("mu, d, start, c, steps", _RUNS)
+def test_each_distinct_iterate_is_answered_once_and_the_output_is_the_reference_loops(
+        p30, monkeypatch, mu, d, start, c, steps):
+    sf = SaturatedFunction(p30, FiniteSupport.unit(0) if mu == "unit" else ones_generator(), d)
+    x_init = tuple(_certified_point(p30, s) if isinstance(s, int) else s for s in start)
+    expected = _reference_run(sf, x_init, steps, c)
+    r, K = Fraction(1, 4), 2
+    expected_csv = _reference_csv(sf, expected, r, K)
+    oracle_calls = _counted(monkeypatch, "oracle")
+    trajectory = run_subgradient(sf, x_init, steps, c)
+    assert trajectory == expected
+    distinct = list(dict.fromkeys(point.x for point in trajectory))
+    assert oracle_calls == distinct and len(distinct) < len(trajectory)
+    certify_calls = _counted(monkeypatch, "certify_saturation")
+    assert trajectory_csv(sf, trajectory, r, K) == expected_csv
+    assert certify_calls == [x for x in distinct if _box_inside(sf, x, r)]
