@@ -324,6 +324,8 @@ def eval_g(
     partition: SplittingPartition, k: int, x: Fraction, depth: int = 8
 ) -> int | None:
     """The certified sign of g_k at x: +1, -1, 0, or None when undecided."""
+    if k < 0:
+        raise ValueError("member index must be >= 0")
     answer = partition.membership(rational(x), depth)
     return _g_sign(answer.member_index, k) if answer.decided else None
 
@@ -464,9 +466,15 @@ def sample_gradient(
 
     Coordinate i reports mu_k times the certified sign of g_k at x_i for
     the unique member claiming x_i; partition disjointness means at most
-    one index k = member // 2 can ever contribute per coordinate.
+    one index k = member // 2 can ever contribute per coordinate.  A point
+    outside the domain box, or without one coordinate per side, raises
+    ``eval_f``'s ValueError.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     x = tuple(rational(c) for c in x)
+    if not (len(x) == sf.d and sf._inside(x)):
+        raise ValueError(f"point {x} is outside the domain box")
     out: list[Fraction | None] = []
     for c in x:
         answer = sf.partition.membership(c, depth)

@@ -546,12 +546,6 @@ class SplittingPartition:
         before = [i for i in range(bisect_left(self._reach, lo), start) if self._his[i] >= lo]
         return range(start, bisect_right(self._los, hi)), before
 
-    def _longest_free(self, target: Interval) -> Interval | None:
-        """``cantor._room`` over the gap closures, of the target's ends, as an
-        open interval whatever the target's flags; None if none."""
-        room = _room(self._los, self._reach, self._den, *_ends(target))
-        return None if room is None else _open(*room)
-
     def _free_subinterval(self, ends: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], int]:
         """Longest open subinterval of the target (p/q, r/s) avoiding all
         planted sets, as its ends in the same form, and the dig depth: the
@@ -571,27 +565,17 @@ class SplittingPartition:
         pieces = [(start + i * step, start + (i + 1) * step, den, RETAINED) for i in range(first, last + 1)]
         return _find_gap(pieces, ends, [record._span for record in nested])
 
-    def _stage_masses(self) -> tuple[int, list[int]]:
-        """(den, masses): stage n's whole-piece mass RETAINED * piece_width is
-        masses[n-1] / den.
-
-        Read from the gap index: the gap is (_his - _los) / _den, so the mass
-        is RETAINED * (his - lo) / (_den * (n+1)), over the one denominator
-        RETAINED.den * _den * L with L the lcm of the piece counts n+1.  No
-        stage's ``geometry`` is built and no mass is reduced.  Rebuilt on
-        each call from the prefix sums of ``_forest``.
-        """
-        den, sums, _, position, _ = self._forest()
-        return den, [sums[i + 1] - sums[i] for i in position]
-
-    def _forest(self) -> tuple[int, list[int], list[int], list[int], WeakKeyDictionary]:
+    def _prefix_sums(self) -> tuple[int, list[int], list[int], list[int], WeakKeyDictionary]:
         """(den, sums, moments, position, weighted) for the window
         integrator, from one pass over the gap index.
 
-        den is ``_stage_masses``'; sums and moments are prefix sums in
-        ``_by_lo`` order of each gap's stage mass m and of m * n, so gap i's
-        mass is sums[i+1] - sums[i]; position[n-1] is stage n's index
-        position; weighted is ``_weighted``'s map.
+        den is RETAINED.den * _den * L, L the lcm of the piece counts n+1,
+        over which stage n's whole-piece mass RETAINED * (hi - lo) /
+        (_den * (n+1)) is an integer m, with no geometry built and no mass
+        reduced; sums and moments are prefix sums in ``_by_lo`` order of each
+        gap's m and of m * n, so gap i's mass is sums[i+1] - sums[i];
+        position[n-1] is stage n's index position; weighted is
+        ``_weighted``'s map.
 
         Derived from the immutable stages on first use after construction;
         a race only computes it twice.
@@ -615,7 +599,7 @@ class SplittingPartition:
         the sum before it, the same object.  Kept for the key, by identity,
         until ``_add``, and dropped with the key; a race only computes it
         twice."""
-        _, sums, *_, memo = self._forest()
+        _, sums, *_, memo = self._prefix_sums()
         weighted = memo.get(key)
         if weighted is None:
             weighted = [0]
@@ -627,7 +611,7 @@ class SplittingPartition:
 
     def unbuilt_tail_bound(self) -> Fraction:
         """Exact upper bound on the total gap length of all unbuilt stages,
-        memoized like ``_forest``."""
+        memoized like ``_prefix_sums``."""
         if self._tail is None:
             self._tail = stage_tail_bound(self.stage_count, self.gap_cap)
         return self._tail
@@ -855,19 +839,6 @@ def _unit_chunk(window: Interval, m: int) -> Interval:
     return Interval(Fraction(a, b), Fraction(c, d))
 
 
-def _unit_chunks(window: Interval, translation: int) -> Iterator[Interval]:
-    """Split a window at integer boundaries and fold each chunk into [0,1].
-
-    An integer translation only renumbers the chunks, so the folded chunks
-    do not depend on it."""
-    return (_unit_chunk(window, m) for m in _unit_range(window))
-
-
-def _piece_span(record: StageRecord, window: Interval) -> tuple[int, int, int, int] | None:
-    """``_span_between`` on the window's ends."""
-    return _span_between(record, *_ends(window))
-
-
 def _span_between(record: StageRecord, p: int, q: int, r: int, s: int) -> tuple[int, int, int, int] | None:
     """(first, last, a, b) for the window [p/q, r/s], q and s positive, or
     None when no piece of the stage meets it.
@@ -894,7 +865,7 @@ class _WindowMass:
     the pieces wholly inside a unit chunk form an index range a..b whose
     members each gain rho * width.  Every stage's whole-piece mass is an
     integer over the partition's one mass denominator ``den``
-    (``_stage_masses``), so a stage adds one integer entry pair to a
+    (``_prefix_sums``), so a stage adds one integer entry pair to a
     difference array over member index, and its share of the aggregate
     ``total`` over all members j >= 1 (A_0 is their complement, so B pieces
     are skipped).  The window's ends are rounded inward to the gap index's
@@ -925,7 +896,7 @@ class _WindowMass:
     sort of the entries found; O(1) per chunk and per straddled
     entry for ``weighted``; then per depth O(1) integer pieces per
     straddler, one step of its ``cantor._MeasureSteps`` walk.  The
-    partition's prefix sums cost O(N) once (``_forest``).
+    partition's prefix sums cost O(N) once (``_prefix_sums``).
 
     Raises ToleranceExhausted when the unbuilt stages alone force width
     scale * tail >= tol, or depth 64 leaves the bound wider than tol,
@@ -944,7 +915,7 @@ class _WindowMass:
                 f"the unbuilt-stage tail forces width {scale * tail} >= tolerance {tol};"
                 f" rebuild with at least {self._needed()} stages"
             )
-        self.den, self._sums, moments, self._position = partition._forest()[:4]
+        self.den, self._sums, moments, self._position = partition._prefix_sums()[:4]
         self.length = window.length
         self.straddlers: list[tuple[FatCantorSet, Interval, int]] = []
         self._chunks: list[tuple[int, int, list[int]]] = []  # _meeting's range and the gaps in it passing hi
@@ -954,7 +925,7 @@ class _WindowMass:
         window_lo, window_hi = _inward(window, grid)
         ends = _ends(window)
         reach, his = partition._reach, partition._his
-        for m in _unit_range(window):  # the chunks of _unit_chunks, on the index's grid
+        for m in _unit_range(window):  # _unit_chunk's chunk m, on the index's grid
             lo, hi = max(window_lo - m * grid, 0), min(window_hi - m * grid, grid)
             inside, before = partition._meeting(lo, hi)
             after = [i for i in range(max(inside.start, bisect_left(reach, hi + 1)), inside.stop) if his[i] > hi]
@@ -1079,15 +1050,6 @@ class _WindowMass:
                 return Fraction(lo, den), Fraction(hi, den)
         raise self._exhausted(tol)
 
-    def refine(self, members: set[int], tol: Fraction, bound: Callable):
-        """bound(masses) at the first depth where its width is <= tol, with
-        ``_depths``'s masses as ``Fraction``s: each member's (lo, hi)."""
-        for masses, _, _, den in self._depths(self.exact(members)):
-            result = bound({j: (Fraction(lo, den), Fraction(hi, den)) for j, (lo, hi) in masses.items()})
-            if result.width <= tol:
-                return result
-        raise self._exhausted(tol)
-
     def _exhausted(self, tol: Fraction) -> ToleranceExhausted:
         return ToleranceExhausted(
             f"could not reach tolerance {tol} by depth {_MAX_MEASURE_DEPTH + 1};"
@@ -1169,13 +1131,6 @@ def extend_partition(partition: SplittingPartition, stages: int) -> SplittingPar
         found, depth_used = grown._free_subinterval(target)
         grown._add(StageRecord._from_span(n, _gap_span(*found, n, grown.gap_cap), depth_used))
     return grown
-
-
-def _shrink_gap(found: Interval, n: int, gap_cap: Fraction) -> Interval:
-    """The gap of "Gap sizing" above inside the found interval: ``_gap_span``
-    of its ends."""
-    a, b, d = _gap_span(*_ends(found), n, gap_cap)
-    return _open(a, d, b, d)
 
 
 def _gap_span(a: int, b: int, e: int, d: int, n: int, gap_cap: Fraction) -> tuple[int, int, int]:
@@ -1545,12 +1500,6 @@ def _check_cover(record: StageRecord, earlier: list[StageRecord]) -> None:
     for shallower in _GAP_DEPTHS[:_GAP_DEPTHS.index(depth)] if depth else ():
         if not any(_span_meets(other, i, a, b, d, shallower) for other, i in pieces):
             raise ValueError(f"stage {n}: depth {depth}, but its gap misses every depth-{shallower} cover")
-
-
-def _cover_meets(record: StageRecord, i: int, window: Interval, depth: int) -> bool:
-    """``piece_set(record.n, i).cover_meets(window, depth)``: ``_span_meets``
-    of the window's span."""
-    return _span_meets(record, i, *_span(window), depth)
 
 
 def _span_meets(record: StageRecord, i: int, a: int, b: int, d: int, depth: int) -> bool:

@@ -26,6 +26,7 @@ from clarkesat.functions import (
 )
 from clarkesat.partition import SplittingPartition, build_partition, extend_partition
 from clarkesat.rationals import Interval
+from clarkesat.stress import oracle
 from clarkesat.verifier import _certified_point
 
 TOL = Fraction(1, 10**6)
@@ -214,6 +215,29 @@ def test_sample_gradient_undecided_flag(p30, e0):
     assert sample_gradient(e0, (interior,), 1) == (None,)
 
 
+def test_gradients_reject_a_point_of_the_wrong_length_or_outside_the_box(p30, mixed):
+    w = _certified_point(p30, 3)  # A_3 = plus-set of index 1
+    sf = SaturatedFunction(p30, mixed.mu, d=2)
+    shifted = shift_to_ball(sf, (Fraction(1, 3), Fraction(-1, 4)), Fraction(1, 2))
+    queries = (lambda x: sample_gradient(sf, x, 2), lambda x: sf.gradient(x, 2),
+               lambda x: shifted.gradient(x, 2), lambda x: oracle(sf, x, TOL, 2))
+    for x in ((w, w, w), (w,), (), (w + 1, w - 3), (w, Fraction(0)), (Fraction(1), w)):
+        for query in queries:
+            with pytest.raises(ValueError, match=r"^point \(.*\) is outside the domain box$"):
+                query(x)
+    assert sample_gradient(sf, (w, w), 2) == (-5, -5)
+    assert shifted.gradient((w, w), 2) == (Fraction(1, 3) - Fraction(1, 2), Fraction(-1, 4) - Fraction(1, 2))
+
+
+def test_eval_g_rejects_a_negative_member_index(p30):
+    host = p30.stage(1).piece_host(0)
+    undecided = (host.lo * 2 + host.hi) / 3  # eval_g(p30, 0, undecided, 1) is None
+    for x in (_certified_point(p30, 1), _certified_point(p30, 2), Fraction(0), undecided):
+        for depth in (1, 4):
+            with pytest.raises(ValueError, match=r"^member index must be >= 0$"):
+                eval_g(p30, -1, x, depth)
+
+
 def test_lipschitz_norm_exact(e0, mixed):
     assert lipschitz_norm(e0) == 1
     assert lipschitz_norm(mixed) == 5
@@ -398,10 +422,10 @@ def test_prefix_sums_per_table_follow_the_partition_and_the_table():
         grown._add(record)
     assert answers(grown, (mu, ones)) == expected120
     # The sums go with their table, and a finite source needs none.
-    kept = len(grown._forest()[-1])
+    kept = len(grown._prefix_sums()[-1])
     answers(grown, twins())
     gc.collect()
-    assert len(grown._forest()[-1]) == kept == 1
+    assert len(grown._prefix_sums()[-1]) == kept == 1
 
 
 def test_finite_support_is_unchanged_by_evaluation(p30):

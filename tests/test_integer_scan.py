@@ -1,9 +1,10 @@
 """The window integrator's integer scan, pinned to the Fraction arithmetic it replaced.
 
-``_piece_span`` finds a stage's piece range by integer floor division on the
-``StageRecord.endpoints`` geometry; the Fraction floor/ceiling form it
-replaced is kept here as its reference.  The integrator's answers are pinned
-by the sha256 of a fixed corpus, computed with the Fraction scan.
+``piece_span`` (``tests/reference.py``) finds a stage's piece range by
+integer floor division on the ``StageRecord.endpoints`` geometry; the
+Fraction floor/ceiling form it replaced is kept here as its reference.  The
+integrator's answers are pinned by the sha256 of a fixed corpus, computed
+with the Fraction scan.
 """
 
 import hashlib
@@ -26,22 +27,21 @@ from clarkesat.functions import (
 from clarkesat.partition import (
     RETAINED,
     SplittingPartition,
-    _piece_span,
-    _unit_chunks,
     build_partition,
     loads,
     saves,
 )
 from clarkesat.rationals import Interval
+from reference import piece_span, stage_masses, unit_chunks
 
 F = Fraction
 
 
-# -- _piece_span against the Fraction formula --------------------------------
+# -- piece_span against the Fraction formula ---------------------------------
 
 
 def fraction_piece_span(record, window):
-    """The Fraction floor/ceiling form of ``_piece_span``."""
+    """The Fraction floor/ceiling form of ``piece_span``."""
     width = record.gap.length / record.piece_count
     t_lo = (window.lo - record.gap.lo) / width
     t_hi = (window.hi - record.gap.lo) / width
@@ -76,7 +76,7 @@ def test_piece_span_matches_the_fraction_formula(cap):
     p = build_partition(300, cap)
     for record in p.stages:
         for window in span_windows(record):
-            assert _piece_span(record, window) == fraction_piece_span(record, window), (record.n, window)
+            assert piece_span(record, window) == fraction_piece_span(record, window), (record.n, window)
 
 
 def test_piece_span_on_a_loaded_translated_copy():
@@ -86,15 +86,15 @@ def test_piece_span_on_a_loaded_translated_copy():
     for record in copy.stages:
         mid = record.gap.midpoint
         # Folded chunks of a window crossing two integers: [mid, 1], [0, 1] and [0, mid].
-        chunks = list(_unit_chunks(Interval.closed(2 + mid, 4 + mid), copy.translation))
+        chunks = list(unit_chunks(Interval.closed(2 + mid, 4 + mid), copy.translation))
         assert [(c.lo, c.hi) for c in chunks] == [(mid, 1), (0, 1), (0, mid)]
         for window in chunks + span_windows(record):
-            assert _piece_span(record, window) == fraction_piece_span(record, window), (record.n, window)
+            assert piece_span(record, window) == fraction_piece_span(record, window), (record.n, window)
 
 
 def test_stage_geometry_and_masses_match_the_fractions():
     p = build_partition(300, F(5, 7))
-    den, masses = p._stage_masses()
+    den, masses = stage_masses(p)
     for record in p.stages:
         start, step, geometry_den = record.geometry
         assert F(start, geometry_den) == record.gap.lo

@@ -42,6 +42,7 @@ from clarkesat.partition import (
     stage_tail_bound,
 )
 from clarkesat.rationals import ZERO, Interval
+from reference import refine
 
 MAX_DEPTH = 64
 F = Fraction
@@ -353,7 +354,7 @@ def fraction_interval_value(partition, mu, window, tol):
             slack += norm * (masses[0][1] - masses[0][0])
         return ValueBound(lo - slack, hi + slack)
 
-    return mass.refine(members, tol, value), fixed
+    return refine(mass, members, tol, value), fixed
 
 
 def straddled_indices(partition, window):

@@ -23,13 +23,9 @@ from clarkesat.partition import (
     SplittingPartition,
     StageRecord,
     _WindowMass,
-    _cover_meets,
     _digest,
     _halving_exponent,
-    _piece_span,
     _pieces_touching,
-    _shrink_gap,
-    _unit_chunks,
     _whole_pieces,
     build_partition,
     enumerated_interval,
@@ -48,6 +44,7 @@ from clarkesat.partition import (
 )
 from clarkesat.rationals import ONE, Interval, IntervalSet, format_rational
 from clarkesat.verifier import certify_saturation, saturation_windows
+from reference import cover_meets, longest_free, piece_span, shrink_gap, stage_masses, unit_chunks
 from test_cantor import _longest_part
 from test_integer_scan import fraction_piece_span
 from test_integrator import Scan
@@ -624,7 +621,7 @@ def test_top_level_search_matches_the_merged_closures(builds_300, stages):
     prefix = SplittingPartition(ONE, builds_300[ONE].stages[:stages])
     for n in range(1, 601):
         target = enumerated_interval(n)
-        assert prefix._longest_free(target) == _reference_free(prefix, target), (stages, n)
+        assert longest_free(prefix, target) == _reference_free(prefix, target), (stages, n)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -637,8 +634,8 @@ def test_top_level_search_matches_on_drawn_targets(builds_300, data):
     assume(a != b)
     target = Interval.open(min(a, b), max(a, b))
     prefix = SplittingPartition(ONE, stages)
-    assert prefix._longest_free(target) == _reference_free(prefix, target)
-    assert _HAND_MADE._longest_free(target) == _reference_free(_HAND_MADE, target)
+    assert longest_free(prefix, target) == _reference_free(prefix, target)
+    assert longest_free(_HAND_MADE, target) == _reference_free(_HAND_MADE, target)
 
 
 def _overlapping_by_brute_force(partition, window):
@@ -677,8 +674,8 @@ def test_longest_free_matches_the_merged_closures_on_hand_made_stages():
     for j, a in enumerate(ends):
         for b in ends[j + 1:]:
             target = Interval.open(a, b)
-            assert _HAND_MADE._longest_free(target) == _reference_free(_HAND_MADE, target), target
-    assert _HAND_MADE._longest_free(Interval.open(Fraction(1, 7), Fraction(19, 20))) is None
+            assert longest_free(_HAND_MADE, target) == _reference_free(_HAND_MADE, target), target
+    assert longest_free(_HAND_MADE, Interval.open(Fraction(1, 7), Fraction(19, 20))) is None
 
 
 def test_stages_overlapping_matches_brute_force_at_1000_stages(p1000):
@@ -796,14 +793,14 @@ def test_hosts_stop_being_disjoint_once_gaps_nest(stages, hosts_disjoint):
 def test_a_window_that_only_touches_a_listed_stage():
     # W starts where stage 1's gap (5/12, 7/12) ends: that gap's closure meets
     # W in one point, so stage 1 is listed but has no piece in W.
-    from clarkesat.partition import _piece_span, _whole_pieces
+    from clarkesat.partition import _whole_pieces
 
     p30 = build_partition(30)
     window = Interval.closed(Fraction(7, 12), Fraction(7, 12) + Fraction(1, 64))
     assert p30.stage(1).gap.hi == window.lo
     overlapping = p30.stages_overlapping(window)
     assert [record.n for record in overlapping] == [1, 12]
-    assert _piece_span(p30.stage(1), window) is None
+    assert piece_span(p30.stage(1), window) is None
     width = RETAINED * p30.stage(12).piece_width
     assert _whole_pieces(overlapping, (1, 2), window) == {1: (12, 0, width), 2: (12, 1, width)}
     cert = splitting_certificate(p30, 1, window)
@@ -893,11 +890,11 @@ def test_shrink_gap_raises_when_the_gap_escapes_its_free_interval(monkeypatch):
     # With j forced to 0 the gap has length 1/3, longer than the free interval.
     monkeypatch.setattr(partition_module, "_halving_exponent", lambda bound: 0)
     with pytest.raises(AssertionError, match="escaped its free interval"):
-        _shrink_gap(Interval.open(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 100)), 1, ONE)
+        shrink_gap(Interval.open(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 100)), 1, ONE)
 
 
 def _reference_shrink_gap(found, n, gap_cap):
-    """``_shrink_gap`` in Fraction arithmetic, as it was before it read the
+    """``shrink_gap`` in Fraction arithmetic, as it was before it read the
     gap's (j, c) from integers; j still comes from ``_halving_exponent``."""
     j = partition_module._halving_exponent(min(found.length, Fraction(1, 2**n), gap_cap))
     length = Fraction(1, 3 * 2**j)
@@ -940,7 +937,7 @@ def test_shrink_gap_matches_the_fraction_rule(data):
     with pytest.MonkeyPatch.context() as patch:
         if forced is not None:
             patch.setattr(partition_module, "_halving_exponent", lambda bound: forced)
-        assert outcome(_shrink_gap) == outcome(_reference_shrink_gap), (found, n, gap_cap, forced)
+        assert outcome(shrink_gap) == outcome(_reference_shrink_gap), (found, n, gap_cap, forced)
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +980,7 @@ def test_cover_probe_matches_the_planted_sets_at_2000_stages(build_2000):
             for i in _pieces_touching(other, lo.numerator, lo.denominator, hi.numerator, hi.denominator):
                 planted = build_2000.piece_set(other.n, i)
                 for depth in (d for d in _GAP_DEPTHS if d <= 16):
-                    meets = _cover_meets(other, i, gap, depth)
+                    meets = cover_meets(other, i, gap, depth)
                     assert meets == planted.cover_meets(gap, depth), (record.n, other.n, i, depth)
                     answers.add(meets)
     assert answers == {False, True}
@@ -1039,7 +1036,7 @@ def _drawn_record_and_window(data, partition):
 def test_stages_overlapping_and_piece_span_match_brute_force_at_2000_stages(build_2000, data):
     record, window = _drawn_record_and_window(data, build_2000)
     assert build_2000.stages_overlapping(window) == _overlapping_by_brute_force(build_2000, window)
-    assert _piece_span(record, window) == fraction_piece_span(record, window)
+    assert piece_span(record, window) == fraction_piece_span(record, window)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -1057,7 +1054,7 @@ def test_longest_free_matches_the_merged_closures_at_2000_stages(build_2000, dat
     record, window = _drawn_record_and_window(data, build_2000)
     assume(window.lo < window.hi)
     target = Interval.open(window.lo, window.hi)  # the gap search's targets are open
-    assert build_2000._longest_free(target) == _reference_free(build_2000, target)
+    assert longest_free(build_2000, target) == _reference_free(build_2000, target)
 
 
 def _respelled(line):
@@ -1406,7 +1403,7 @@ def test_a_file_shorter_than_the_prefix_reads_as_a_whole(tmp_path, capsys, monke
 
 
 # ---------------------------------------------------------------------------
-# _longest_free answers an open interval for any target
+# longest_free answers an open interval for any target
 # ---------------------------------------------------------------------------
 
 
@@ -1418,10 +1415,10 @@ def test_longest_free_is_open_for_closed_and_half_open_targets(build_2000, flags
                               (build_2000, Fraction(0), Fraction(1, 1024)),
                               (build_2000, Fraction(1, 3), Fraction(2, 3))):
         target = Interval(lo, hi, *flags)
-        free = partition._longest_free(target)
+        free = longest_free(partition, target)
         assert free == _reference_free(partition, target), (lo, hi)
         assert not (free.lo_closed or free.hi_closed)
-    assert _HAND_MADE._longest_free(Interval(Fraction(0), Fraction(1, 10), *flags)) == Interval.open(0, Fraction(1, 10))
+    assert longest_free(_HAND_MADE, Interval(Fraction(0), Fraction(1, 10), *flags)) == Interval.open(0, Fraction(1, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -1448,7 +1445,7 @@ def test_window_mass_exact_matches_the_scan_at_2000_stages(build_2000):
         near = SplittingPartition(ONE, tuple(_overlapping_by_brute_force(build_2000, window)))
         scan = Scan(near, window)
         mass = _WindowMass(build_2000, window, ONE)
-        assert mass.den == build_2000._stage_masses()[0]
+        assert mass.den == stage_masses(build_2000)[0]
         exact = mass.exact(set(range(build_2000.stage_count + 2)))
         assert any(exact.values())
         for j, m in exact.items():
@@ -1468,18 +1465,18 @@ def test_window_mass_exact_reads_the_same_after_any_earlier_call(builds_300):
 
 
 # ---------------------------------------------------------------------------
-# The integrator's gap-index scan against a _piece_span call per listed stage
+# The integrator's gap-index scan against a piece_span call per listed stage
 # ---------------------------------------------------------------------------
 
 
 def _reference_window_mass(partition, window):
     """(total, exact, straddlers) of ``_WindowMass`` as its scan was: every
-    ``stages_overlapping(chunk)`` record through ``_piece_span``."""
-    _, stage_mass = partition._stage_masses()
+    ``stages_overlapping(chunk)`` record through ``piece_span``."""
+    _, stage_mass = stage_masses(partition)
     total, steps, straddlers = 0, Counter(), Counter()
-    for chunk in _unit_chunks(window, partition.translation):
+    for chunk in unit_chunks(window, partition.translation):
         for record in partition.stages_overlapping(chunk):
-            span = _piece_span(record, chunk)
+            span = piece_span(record, chunk)
             if span is None:
                 continue
             first, last, a, b = span
@@ -1591,7 +1588,7 @@ def _reference_whole_pieces(overlapping, members, window):
     for record in overlapping:
         if not missing:
             break
-        span = _piece_span(record, window)
+        span = piece_span(record, window)
         if span is None:
             continue
         for member in list(missing):
@@ -1625,7 +1622,7 @@ def test_whole_pieces_match_a_piece_for_member_per_member(build_2000, builds_300
         for record in (partition.stage(1), partition.stage(count)):
             last = record.piece_host(record.n)
             window = Interval.open(last.midpoint, last.hi + 1)
-            assert _piece_span(record, window)[2:] == (record.n + 1, record.n)
+            assert piece_span(record, window)[2:] == (record.n + 1, record.n)
             members = (0, record.n, record.n + 1)
             assert _whole_pieces([record], members, window) == _reference_whole_pieces([record], members, window) == {}
 
@@ -1663,7 +1660,7 @@ def _assert_tiling_matches(partition, window):
     chunk scanned by ``_reference_window_mass``: the chunks' summed length,
     total and exact masses, and their straddlers."""
     chunks = list(_fraction_unit_chunks(window, partition.translation))
-    assert list(_unit_chunks(window, partition.translation)) == chunks, window
+    assert list(unit_chunks(window, partition.translation)) == chunks, window
     members = range(partition.stage_count + 2)
     total, exact, straddlers = 0, dict.fromkeys(members, 0), Counter()
     for chunk in chunks:

@@ -21,9 +21,7 @@ from clarkesat.partition import (
     StageRecord,
     _canonical_stage,
     _parse_stage_line,
-    _piece_span,
     _rescaled,
-    _shrink_gap,
     build_partition,
     enumerated_interval,
     extend_partition,
@@ -31,6 +29,7 @@ from clarkesat.partition import (
     saves,
 )
 from clarkesat.rationals import Interval, format_rational
+from reference import longest_free, piece_span, shrink_gap
 
 F = Fraction
 
@@ -149,19 +148,19 @@ def test_a_line_neither_route_reads_is_left_to_the_generic_parser(line):
 
 def _reference_extend(partition, stages):
     """``extend_partition`` as a Fraction loop over ``Interval``s: I_n from
-    ``enumerated_interval``, the room from ``_longest_free`` or a dig by
+    ``enumerated_interval``, the room from ``longest_free`` or a dig by
     ``find_gap`` with the nested gaps' closures blocked, then
-    ``_shrink_gap`` and ``StageRecord(n, gap, depth)``."""
+    ``shrink_gap`` and ``StageRecord(n, gap, depth)``."""
     grown = SplittingPartition(partition.gap_cap, partition.stages, partition.translation)
     for n in range(partition.stage_count + 1, stages + 1):
         target = enumerated_interval(n)
-        found, depth = grown._longest_free(target), 0
+        found, depth = longest_free(grown, target), 0
         if found is None:
             host, *nested = grown.stages_overlapping(target)
-            first, last, _, _ = _piece_span(host, target)
+            first, last, _, _ = piece_span(host, target)
             pieces = [grown.piece_set(host.n, i) for i in range(first, last + 1)]
             found, depth = find_gap(pieces, target, tuple(r.gap.closure() for r in nested))
-        grown._add(StageRecord(n, _shrink_gap(found, n, grown.gap_cap), depth))
+        grown._add(StageRecord(n, shrink_gap(found, n, grown.gap_cap), depth))
     return grown
 
 

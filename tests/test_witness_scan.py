@@ -3,7 +3,7 @@ splitting certificates on drawn windows at N = 2000.
 
 The reference takes, for each member, the first built stage by ascending n
 whose ``piece_host`` for that member lies inside the window, scanning every
-stage without the gap index or ``_piece_span``.  Certificates, their
+stage without the gap index or ``reference.piece_span``.  Certificates, their
 NotYetCovered errors and the fingerprint must match it exactly, while each
 coordinate window is listed once and each witness point costs one
 membership.
