@@ -268,6 +268,12 @@ def box_center(domain: Sequence[Interval]) -> tuple[Fraction, ...]:
     return tuple(side.midpoint for side in domain)
 
 
+def _in_box(domain: Sequence[Interval], x: Sequence) -> bool:
+    """The domain-box point rule: x has one coordinate per side, and each,
+    read by ``rational`` in turn, lies in its side."""
+    return len(x) == len(domain) and all(side.contains(rational(c)) for side, c in zip(domain, x))
+
+
 @dataclass(frozen=True)
 class SaturatedFunction:
     """f_mu on an open rational box, evaluable with certified intervals.
@@ -293,16 +299,11 @@ class SaturatedFunction:
         x0 = self.x0 if self.x0 is not None else (_UNIT_CENTER,) * self.d if unit else box_center(domain)
         x0 = tuple(rational(c) for c in x0)
         object.__setattr__(self, "x0", x0)
-        if not (len(x0) == self.d and self._inside(x0)):
+        if not _in_box(self.domain, x0):
             raise ValueError("base point must lie inside the domain box")
 
     def contains_point(self, x: Sequence[Fraction]) -> bool:
-        return len(x) == self.d and self._inside(map(rational, x))
-
-    def _inside(self, x: Iterable[Fraction]) -> bool:
-        """Whether coordinates that ``rational`` already gave lie in the
-        domain box's sides; the caller checks there is one per side."""
-        return all(side.contains(c) for side, c in zip(self.domain, x))
+        return _in_box(self.domain, x)
 
     @property
     def norm_inf(self) -> Fraction:
@@ -444,7 +445,7 @@ def eval_f(sf: SaturatedFunction, x: Sequence[Fraction], tol: Fraction) -> Value
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     x = tuple(rational(c) for c in x)
-    if not (len(x) == sf.d and sf._inside(x)):
+    if not _in_box(sf.domain, x):
         raise ValueError(f"point {x} is outside the domain box")
     active = [(a, b) for a, b in zip(sf.x0, x) if a != b]
     if not active:
@@ -473,7 +474,7 @@ def sample_gradient(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     x = tuple(rational(c) for c in x)
-    if not (len(x) == sf.d and sf._inside(x)):
+    if not _in_box(sf.domain, x):
         raise ValueError(f"point {x} is outside the domain box")
     out: list[Fraction | None] = []
     for c in x:

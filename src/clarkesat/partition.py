@@ -72,6 +72,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, compress
 from math import gcd, isqrt, lcm
 from operator import attrgetter, ge, mul, or_
@@ -458,13 +459,18 @@ class SplittingPartition:
         self.stages: tuple[StageRecord, ...] = tuple(stages)
         self._sums: tuple | None = None
         self._tail: Fraction | None = None
+        self._minima: tuple[list[list[int]], int] | None = None
         # The gap index as ``cantor._room`` reads it: records sorted
         # by gap.lo, their gap ends over one common denominator _den, and
         # _reach, the running max of _his, which window queries bisect too.
         # One stable sort, so that equal left ends keep stage order as
         # ``_add``'s insertions do.  When every denominator divides the
         # largest by a power of two, as on a build's grid 3*2^k, that one is
-        # the lcm and each rescale is a shift.
+        # the lcm and each rescale is a shift.  On first use, ``_ascending``
+        # adds a sparse table of n over the index positions (``_minima``,
+        # O(N log N) to build): it streams a window's stages by n at one heap
+        # pop and up to two range minima and pushes per stage read, where
+        # ``_overlapping`` sorts every stage meeting the window.
         spans = [record._span for record in self.stages]
         top = max((d for _, _, d in spans), default=1)
         width = top.bit_length()
@@ -494,7 +500,7 @@ class SplittingPartition:
         build's grid 3*2^k rescales O(log N) times.
         """
         self.stages += (record,)
-        self._sums = self._tail = None
+        self._sums = self._tail = self._minima = None
         a, b, d = record._span
         if self._den % d:
             self._lcm = top = lcm(self._lcm, d)
@@ -531,6 +537,50 @@ class SplittingPartition:
         inside, before = self._meeting(lo, hi)
         by_lo = self._by_lo
         return sorted(by_lo[inside.start:inside.stop] + [by_lo[i] for i in before], key=attrgetter("n"))
+
+    def _ascending(self, lo: int, hi: int) -> Iterator[StageRecord]:
+        """``_overlapping(lo, hi)``'s records in the same order, ascending by
+        n, found lazily among ``_meeting``'s positions: a heap holds the least
+        n of each index range not yet read, and of each position before the
+        window, so a stage read costs one pop and, for the range it splits,
+        two range minima and pushes, not a sort of every stage meeting the
+        window."""
+        inside, before = self._meeting(lo, hi)
+        minima, shift = self._range_minima()
+        mask, by_lo = (1 << shift) - 1, self._by_lo
+        heap = [(by_lo[i].n << shift | i, i, i + 1) for i in before]
+        if inside:
+            heap.append((_range_min(minima, inside.start, inside.stop), inside.start, inside.stop))
+        heapify(heap)
+        while heap:
+            key, start, stop = heappop(heap)
+            i = key & mask
+            yield by_lo[i]
+            if start < i:
+                heappush(heap, (_range_min(minima, start, i), start, i))
+            if i + 1 < stop:
+                heappush(heap, (_range_min(minima, i + 1, stop), i + 1, stop))
+
+    def _range_minima(self) -> tuple[list[list[int]], int]:
+        """(minima, shift): the sparse table over ``_by_lo`` of the keys
+        n << shift | i, stage n at index position i and shift the bits of the
+        position count, so that keys order as their n and a key's low bits
+        are its position; minima[j][i] is the least key at positions
+        i..i + 2^j - 1.  Positions break ties, so even a hand-built partition
+        that repeats a stage number streams each position once.
+
+        Built like ``_prefix_sums``, on first use after construction, and
+        dropped by ``_add``; a race only computes it twice.
+        """
+        if self._minima is None:
+            shift = len(self._by_lo).bit_length()
+            row = [record.n << shift | i for i, record in enumerate(self._by_lo)]
+            minima = [row]
+            for j in range(1, len(row).bit_length()):  # the blocks of width 2^j that fit
+                row = [a if a < b else b for a, b in zip(row, row[1 << j - 1:])]
+                minima.append(row)
+            self._minima = (minima, shift)
+        return self._minima
 
     def _meeting(self, lo: int, hi: int) -> tuple[range, list[int]]:
         """The index positions whose gap closure meets [lo, hi] / _den, in
@@ -691,28 +741,40 @@ class SplittingPartition:
         so that ValueError ("past the search's size bound") is raised in
         place of NotYetCovered.
 
-        One pass of ``_whole_spans`` over ``stages_overlapping(window)``:
-        the positive witness is the first stage whose piece for k lies in
-        a..b, and the complement the first whole piece of another member,
-        piece a, or a+1 when a is k's piece and a < b.  The pass stops once
-        both are found.  A missing k is reported before a missing complement.
+        One pass of ``_whole_spans`` over the stages meeting the window,
+        ascending by n: the positive witness is the first stage whose piece
+        for k lies in a..b, and the complement the first whole piece of
+        another member, piece a, or a+1 when a is k's piece and a < b.  The
+        pass stops once both are found.  A missing k is reported before a
+        missing complement.  The stages come from ``_ascending``, which
+        finds each one read by a heap pop and range minima of n (the table
+        costs O(N log N) once), so the pass costs the stages it reads, not
+        a sort of the tens to hundreds that meet a wide window.
         """
         if not window.is_nontrivial:
             raise ValueError("window must be nontrivial")
         positive = complement = None
-        for record, a, b in _whole_spans(self.stages_overlapping(window), window):
-            n, mine = record.n, record.piece_for_member(k)
+        for record, a, b in _whole_spans(self._ascending(*_inward(window, self._den)), window):
+            n, mine, mass = record.n, record.piece_for_member(k), None
             if positive is None and mine is not None and a <= mine <= b:
-                positive = (n, mine, _whole_piece_mass(record))
+                positive = (n, mine, mass := _whole_piece_mass(record))
             if complement is None and (mine != a or a < b):
                 piece = a + 1 if mine == a else a
-                complement = (record.member_index(piece), n, piece, _whole_piece_mass(record))
+                complement = (record.member_index(piece), n, piece, mass or _whole_piece_mass(record))
             if positive is not None and complement is not None:
                 return SplittingCertificate(k, window, *positive, *complement)
         raise _not_yet_covered(k, window, complement=positive is not None)
 
 
-def _whole_spans(overlapping: list[StageRecord], window: Interval) -> Iterator[tuple[StageRecord, int, int]]:
+def _range_min(minima: list[list[int]], start: int, stop: int) -> int:
+    """The least key of ``_range_minima`` at index positions start..stop-1,
+    start < stop: the lesser of two overlapping power-of-two blocks."""
+    j = (stop - start).bit_length() - 1
+    row = minima[j]
+    return min(row[start], row[stop - (1 << j)])
+
+
+def _whole_spans(overlapping: Iterable[StageRecord], window: Interval) -> Iterator[tuple[StageRecord, int, int]]:
     """(record, a, b) for each listed stage, in order, whose pieces a..b,
     a <= b, lie wholly inside the window: the one whole-piece scan.
 

@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .cantor import _children
 from .errors import NotYetCovered
-from .functions import SaturatedFunction, ShiftedSaturatedFunction, _g_sign
+from .functions import SaturatedFunction, ShiftedSaturatedFunction, _g_sign, _in_box
 from .partition import RETAINED, SplittingPartition, _NoDefault, _first_piece, _not_yet_covered, _whole_pieces
 from .rationals import Interval, ZERO, format_rational, rational
 
@@ -247,7 +247,7 @@ def saturation_windows(
     0..2K+1 inside W_i, so stages 1..M, M the largest of those indices over
     the windows, give the same certificate as any longer partition.
     """
-    if not (len(x) == len(domain) and all(side.contains(c) for side, c in zip(domain, x))):
+    if not _in_box(domain, x):
         raise ValueError(f"point {x} is outside the domain box")
     windows = _box(x, r)
     for side, c, window in zip(domain, x, windows):
