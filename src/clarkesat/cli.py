@@ -41,6 +41,7 @@ from .functions import (
     CoefficientSource,
     FiniteSupport,
     SaturatedFunction,
+    _F1_SHARES,
     _value_limit,
     eval_f1,
     parse_mu_spec,
@@ -209,9 +210,9 @@ def cmd_stress(args) -> int:
 def cmd_plot(args) -> int:
     if args.grid < 1:
         raise ValueError("grid must request at least one point")
-    # Each point is two measures at tol/2, so its width tends to 2 * tail.
+    # Each point is eval_f1's, whose width tends to _F1_SHARES * tail.
     x0, tol = parse_rational(args.x0), _positive_tol(args.tol)
-    partition = load(args.partition, _tolerance_stages(Fraction(2), tol, x0))
+    partition = load(args.partition, _tolerance_stages(_F1_SHARES, tol, x0))
     lines = ["x,f_lo,f_hi"]
     for i in range(1, args.grid + 1):
         x = Fraction(i, args.grid + 1)

@@ -331,6 +331,9 @@ def eval_g(
     return _g_sign(answer.member_index, k) if answer.decided else None
 
 
+_F1_SHARES = Fraction(2)  # eval_f1's tol shares, one per measure: its width tends to _F1_SHARES * tail
+
+
 def eval_f1(
     partition: SplittingPartition,
     k: int,
@@ -352,9 +355,9 @@ def eval_f1(
     x0, x = rational(x0), rational(x)
     if x == x0:
         return ValueBound(ZERO, ZERO)
-    mass = _WindowMass(partition, Interval.closed(min(x0, x), max(x0, x)), tol, Fraction(2))
-    plus = mass.measure(2 * k + 1, tol / 2)
-    minus = mass.measure(2 * k, tol / 2)
+    mass = _WindowMass(partition, Interval.closed(min(x0, x), max(x0, x)), tol, _F1_SHARES)
+    plus = mass.measure(2 * k + 1, tol / _F1_SHARES)
+    minus = mass.measure(2 * k, tol / _F1_SHARES)
     lo = plus.lo - minus.hi
     hi = plus.hi - minus.lo
     if x < x0:

@@ -953,10 +953,9 @@ class _WindowMass:
     in it from the first whose running reach passes its hi.  Over random
     windows on the 2^-12 grid a scan visits about 1 to 4 positions at 100 to
     500 stages and 34 at 4000, at most 386 there, inside stage 1's closure,
-    which holds 385 nested gaps.  O(1) per chunk for each ``step``;
-    for ``exact`` up to member j, O(j) position checks per chunk and one
-    sort of the entries found; O(1) per chunk and per straddled
-    entry for ``weighted``; then per depth O(1) integer pieces per
+    which holds 385 nested gaps.  O(1) per chunk for each ``step``, so
+    j + 1 steps for ``exact`` up to member j; O(1) per chunk and per
+    straddled entry for ``weighted``; then per depth O(1) integer pieces per
     straddler, one step of its ``cantor._MeasureSteps`` walk.  The
     partition's prefix sums cost O(N) once (``_prefix_sums``).
 
@@ -1021,38 +1020,29 @@ class _WindowMass:
                    for start, stop, inner in self._chunks)
 
     def step(self, j: int) -> int:
-        """exact[j] - exact[j-1], a numerator over ``den``: the straddled
-        stages' entry, less stage j-1's mass for each chunk holding its
-        closure, which the entry at 1 holds."""
+        """Member j's whole-piece mass less member j-1's, a numerator over
+        ``den``: the straddled stages' entry at j, less stage j-1's mass
+        once for each chunk holding its closure whole, since the entry at 1
+        starts every whole gap's mass at member 1 and stage j-1 feeds
+        members up to j-1 only.  0 past member N + 1."""
         step = self._steps.get(j, 0)
         if 2 <= j <= len(self._position) + 1:
             p, sums = self._position[j - 2], self._sums
-            chunks = sum(start <= p < stop and p not in inner for start, stop, inner in self._chunks)
-            step -= (sums[p + 1] - sums[p]) * chunks
+            for start, stop, inner in self._chunks:
+                if start <= p < stop and p not in inner:
+                    step -= sums[p + 1] - sums[p]
         return step
 
     def exact(self, members: set[int]) -> dict[int, int]:
-        """Each member's whole-piece mass, a numerator over ``den``: a prefix
-        sum of ``step``, which is 0 past member N + 1.
-
-        Up to the largest member j, each chunk's whole gaps of stages below j
-        are found by walking those stages' positions, and one sort orders
-        the difference array's entries.
-        """
-        top = min(max(members, default=0), len(self._position) + 1)
-        below = self._position[:max(top - 1, 0)]  # the positions of stages 1..top-1
-        entries, sums = defaultdict(int, self._steps), self._sums
-        for start, stop, inner in self._chunks:
-            for n, i in enumerate(below, 1):
-                if start <= i < stop and i not in inner:
-                    entries[n + 1] -= sums[i + 1] - sums[i]
-        exact, running, at, entries = {}, 0, 0, sorted(entries.items())
+        """Each member's whole-piece mass, a numerator over ``den``: the
+        running sum of ``step`` from member 0 up to the member, or to N + 1,
+        past which ``step`` is 0."""
+        masses, running, done = {}, 0, 0
         for member in sorted(members):
-            while at < len(entries) and entries[at][0] <= member:
-                running += entries[at][1]
-                at += 1
-            exact[member] = running
-        return exact
+            stop = min(member, len(self._position) + 1) + 1
+            running += sum(map(self.step, range(done, stop)))
+            masses[member], done = running, stop
+        return masses
 
     def weighted(self, weights: dict[int, int], sums: list[int]) -> int:
         """The sum over members j of weights[j] * step(j), for sums

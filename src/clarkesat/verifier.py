@@ -35,7 +35,7 @@ from itertools import product, repeat
 from math import prod
 from typing import Sequence
 
-from .cantor import _children
+from .cantor import _cover_walk
 from .errors import NotYetCovered
 from .functions import SaturatedFunction, ShiftedSaturatedFunction, _g_sign, _in_box
 from .partition import RETAINED, SplittingPartition, _NoDefault, _first_piece, _not_yet_covered, _whole_pieces
@@ -376,16 +376,15 @@ def _certified_point(partition: SplittingPartition, member: int) -> Fraction:
     planted set on the first piece hosting it, ``_first_piece``.
 
     It is ``_first_host(partition, member).first_piece(1).hi``, the right end
-    of the left child of the host, read from the stage's integer geometry by
-    one ``_children`` step on the numerators ``_cover_walk`` gives the host
-    (its ends over 4 * q * den, with rho = p/q, and over 16 * q * den a step
-    down).
+    of the left child of the host: the first depth-1 piece of the host's
+    ``_cover_walk`` from the stage's integer geometry, over the host's left
+    end.
     """
     record, piece = _first_piece(partition, member)
     start, step, den = record.geometry
-    lo, p, q = start + piece * step, RETAINED.numerator, RETAINED.denominator
-    (_, hi), _ = _children(4 * q * lo, 4 * q * (lo + step), 4 * (q - p) * step)
-    return Fraction(hi, 16 * q * den)
+    lo = start + piece * step
+    _, hi, den, _ = next(_cover_walk(lo, lo + step, den, RETAINED, (lo, den, lo, den), 1))
+    return Fraction(hi, den)
 
 
 @dataclass(frozen=True)
